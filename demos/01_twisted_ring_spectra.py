@@ -3,7 +3,8 @@
 The wave function picks up a phase exp(i beta) per full turn.  The kinetic
 spectrum is ((n + beta / 2 pi))^2 / 2, so the levels trace parabolas as the
 twist angle sweeps, and a full flux quantum (beta -> beta + 2 pi) maps the
-spectrum onto itself.
+spectrum onto itself.  A flux through the ring is the twist exp(-i e flux):
+the character of the unreduced angle -e flux.
 """
 
 import numpy as np
@@ -22,14 +23,15 @@ for b in (0.0, np.pi / 2, np.pi):
 print("\nbeta = pi has a doubly degenerate ground level at 1/8 "
       "(half-integer momenta).")
 
-flux_spec = spectrum(("flux", np.pi, 1.0), Potential.zero(), n_levels=6)
+flux_spec = spectrum(Character.ring(-np.pi), Potential.zero(), n_levels=6)
 twist_spec = spectrum(Character.ring(np.pi), Potential.zero(), n_levels=6)
 print("\nflux pi vs twist pi, level by level:")
 print("  flux  :", "  ".join(f"{e:.6f}" for e in flux_spec))
 print("  twist :", "  ".join(f"{e:.6f}" for e in twist_spec))
 
-shifted = spectrum(("flux", 1.0 + 2 * np.pi, 1.0), Potential.zero(), n_levels=6)
-base = spectrum(("flux", 1.0, 1.0), Potential.zero(), n_levels=6)
+shifted = spectrum(Character.ring(-(1.0 + 2 * np.pi)), Potential.zero(),
+                   n_levels=6)
+base = spectrum(Character.ring(-1.0), Potential.zero(), n_levels=6)
 print(f"\nflux periodicity: max |E(flux) - E(flux + 2 pi)| = "
       f"{np.max(np.abs(base - shifted)):.2e}")
 

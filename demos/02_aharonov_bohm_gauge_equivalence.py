@@ -1,9 +1,11 @@
 """A flux through the ring versus a twisted boundary condition.
 
 A constant vector potential A = flux / 2 pi can be gauged away at the cost
-of twisting the wave function by exp(-i e flux) per turn.  Both pictures
-must produce identical Bohmian trajectories and identical spectra; this
-script runs them side by side.
+of twisting the wave function by exp(-i e flux) per turn.  In the stored
+data the flux gauge is that twist with its angle -e flux left unreduced;
+gauge_map reduces the angle to (-pi, pi] and moves the integer winding into
+the data.  Both pictures must produce identical Bohmian trajectories and
+identical spectra; this script runs them side by side.
 """
 
 import numpy as np
@@ -20,13 +22,13 @@ from topobohm import (
 
 flux, charge = np.pi, 1.0
 
-state_flux = make_gaussian_state(Character.ring(0.0), center=3.0, width=0.6,
-                                 momentum=1.0)
-state_twist = gauge_map(state_flux, flux, charge)
+state_flux = make_gaussian_state(Character.ring(-charge * flux), center=3.0,
+                                 width=0.6, momentum=1.0)
+state_twist = gauge_map(state_flux)
 print(f"flux {flux:.4f} maps to twist angle beta = {state_twist.beta:+.4f} "
       f"(factor {np.exp(1j * state_twist.beta):+.3f})")
 
-v_flux, _ = velocity_field(state_flux, flux_gauge=(flux, charge))
+v_flux, _ = velocity_field(state_flux)
 v_twist, _ = velocity_field(state_twist)
 print(f"velocity fields agree to {np.max(np.abs(v_flux - v_twist)):.2e}")
 
@@ -34,8 +36,7 @@ print("\ntrajectories from matched starts (t = 0 .. 1):")
 worst = 0.0
 paths = {}
 for q0 in (0.5, 2.0, 3.5, 5.0):
-    traj_a = integrate_trajectory(state_flux, Potential.zero(), q0, 1e-3, 1.0,
-                                  flux_gauge=(flux, charge))
+    traj_a = integrate_trajectory(state_flux, Potential.zero(), q0, 1e-3, 1.0)
     traj_b = integrate_trajectory(state_twist, Potential.zero(), q0, 1e-3, 1.0)
     dev = np.max(np.abs(traj_a.unwrapped - traj_b.unwrapped))
     worst = max(worst, dev)
@@ -44,7 +45,7 @@ for q0 in (0.5, 2.0, 3.5, 5.0):
           f"(both gauges), deviation {dev:.2e}")
 print(f"worst deviation {worst:.2e}")
 
-spec_flux = spectrum(("flux", flux, charge), Potential.zero(), 8)
+spec_flux = spectrum(state_flux.twist, Potential.zero(), 8)
 spec_twist = spectrum(Character.ring(state_twist.beta), Potential.zero(), 8)
 print(f"spectra agree to {np.max(np.abs(spec_flux - spec_twist)):.2e}")
 

@@ -45,7 +45,6 @@ from .propagation import (
     WaveGrid,
     crank_nicolson_evolve,
     evolve,
-    evolve_vector_potential,
     gauge_map,
     gauge_unmap,
     make_eigenstate,
@@ -56,9 +55,6 @@ from .propagation import (
     spectrum,
     state_from_dict,
     state_to_dict,
-    step_splitstep,
-    step_two_particle,
-    step_vector_potential,
     twist_embed,
 )
 from .trajectories import (

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,13 +34,7 @@ from .factors import (
     random_unitary,
     verify_twisted_law,
 )
-from .propagation import (
-    evolve,
-    evolve_vector_potential,
-    gauge_map,
-    spectrum,
-    state_to_dict,
-)
+from .propagation import evolve, gauge_map, spectrum, state_to_dict
 from .trajectories import integrate_trajectory
 from .ensembles import verify_equivariance
 from .collapse import simulate_grw
@@ -201,19 +196,13 @@ def cmd_evolve(scenario, ctx):
     every = nm["monitor_every"]
     state = scenario.initial_state()
     norm0 = state.norm()
-    flux_gauge = scenario.flux_gauge
     rows = [(0, 0.0, f"{state.norm():.15g}", 0.0, f"{state.twist_residual():.3e}")]
     done = 0
     max_drift = 0.0
     max_twist = 0.0
     while done < n_steps:
         chunk = min(every, n_steps - done)
-        if flux_gauge is not None:
-            state = evolve_vector_potential(state, flux_gauge[0],
-                                            scenario.potential, dt, chunk,
-                                            charge=flux_gauge[1])
-        else:
-            state = evolve(state, scenario.potential, dt, chunk)
+        state = evolve(state, scenario.potential, dt, chunk)
         done += chunk
         drift = abs(state.norm() - norm0)
         twist = state.twist_residual()
@@ -254,7 +243,6 @@ def cmd_trajectories(scenario, ctx):
     for i, start in enumerate(tc["starts"]):
         traj = integrate_trajectory(state, scenario.potential, start, dt,
                                     nm["t_final"], eps_node=nm["eps_node"],
-                                    flux_gauge=scenario.flux_gauge,
                                     record_every=tc.get("record_every", 1))
         for row in traj.csv_rows():
             rows.append((i,) + row)
@@ -279,7 +267,6 @@ def cmd_equivariance(scenario, ctx):
     report = verify_equivariance(
         state, scenario.potential, ec["n_samples"], nm["t_final"],
         ec["checkpoints"], seed, dt=dt, bins=ec.get("bins", 64),
-        flux_gauge=scenario.flux_gauge,
         velocity_factor=ec.get("velocity_factor", 1.0))
     write_json(ctx.path("equivariance.json"), report.to_dict())
     if not report.valid:
@@ -301,30 +288,38 @@ def cmd_ab_compare(scenario, ctx):
     t_final = nm["t_final"]
     n_steps = int(round(t_final / dt))
 
-    state_a = scenario.initial_state()
-    state_t = gauge_map(state_a, flux, charge)
+    untwisted = scenario.initial_state()
+    if abs(math.remainder(untwisted.beta, TWO_PI)) > 1e-12:
+        raise PhysicsError(
+            "ab-compare threads the flux through untwisted scenario data; "
+            "got a twisted state")
+    # the flux gauge is the same data under the unreduced twist -e flux
+    flux_twist = Character.ring(-charge * flux)
+    state_a = replace(untwisted, twist=flux_twist,
+                      sector_betas=np.array([flux_twist.beta]))
+    state_t = gauge_map(state_a)
 
     # per-step commuting diagram: flux-step then map vs map then twisted-step
     diagram = 0.0
     sa, st = state_a, state_t
     for _ in range(10):
-        sa = evolve_vector_potential(sa, flux, scenario.potential, dt, 1, charge)
+        sa = evolve(sa, scenario.potential, dt, 1)
         st = evolve(st, scenario.potential, dt, 1)
-        mapped = gauge_map(sa, flux, charge)
+        mapped = gauge_map(sa)
         diagram = max(diagram, float(np.max(np.abs(mapped.values - st.values))))
 
     starts = list(np.linspace(0.0, TWO_PI, 5, endpoint=False))
     deviation = 0.0
     for q0 in starts:
         traj_a = integrate_trajectory(state_a, scenario.potential, q0, dt,
-                                      t_final, flux_gauge=(flux, charge))
+                                      t_final)
         traj_t = integrate_trajectory(state_t, scenario.potential, q0, dt,
                                       t_final)
         deviation = max(deviation, float(np.max(np.abs(
             traj_a.unwrapped - traj_t.unwrapped))))
 
     beta = state_t.beta
-    spec_a = spectrum(("flux", flux, charge), scenario.potential,
+    spec_a = spectrum(flux_twist, scenario.potential,
                       n_levels=nm["n_levels"], n_points=scenario.n_points)
     spec_t = spectrum(Character.ring(beta), scenario.potential,
                       n_levels=nm["n_levels"], n_points=scenario.n_points)
@@ -348,8 +343,6 @@ def cmd_ab_compare(scenario, ctx):
 
 def cmd_classify(scenario, ctx):
     factor = scenario.factor
-    if isinstance(factor, tuple):
-        factor = Character.ring(-factor[2] * factor[1])
     dim = 1 if isinstance(factor, Character) else factor.dim
     samples = scenario.potential.sample_matrices(dim)
     verdict = classify_dynamics(factor, samples,

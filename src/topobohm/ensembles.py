@@ -174,8 +174,7 @@ def equivariance_threshold(n, bins=DEFAULT_BINS):
 
 
 def verify_equivariance(state, potential, n, t_final, checkpoints, seed,
-                        dt=2e-3, bins=DEFAULT_BINS, flux_gauge=None,
-                        velocity_factor=1.0):
+                        dt=2e-3, bins=DEFAULT_BINS, velocity_factor=1.0):
     """Transport a |psi_0|^2 ensemble and compare against |psi_t|^2.
 
     ``velocity_factor=-1`` runs the sign-flipped negative control.  The
@@ -203,7 +202,7 @@ def verify_equivariance(state, potential, n, t_final, checkpoints, seed,
         if n_steps > 0:
             result, current = transport(
                 current, potential, position, dt, n_steps,
-                flux_gauge=flux_gauge, velocity_factor=velocity_factor)
+                velocity_factor=velocity_factor)
             position = result.positions[-1]
             worst_halt = max(worst_halt, result.node_halt_fraction)
         rho = current.density()

@@ -56,11 +56,6 @@ def unitarity_residual(u):
     return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
 
 
-def hermiticity_residual(m):
-    m = np.asarray(m)
-    return max_abs(m - m.conj().T)
-
-
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
@@ -631,35 +626,38 @@ def random_unitary(dim, rng):
 # commutation gate and classifier
 # ---------------------------------------------------------------------------
 
-def _potential_digest(potential_samples):
-    stacked = np.ascontiguousarray(np.stack([np.asarray(v) for v in potential_samples]))
-    return hash(stacked.tobytes())
+def _potential_digest(samples):
+    return hash(np.ascontiguousarray(samples).tobytes())
 
 
 def check_commutes(factor, potential_samples, tol=COMMUTE_TOL):
     """True iff every generator factor commutes with every sampled potential.
 
-    Samples must be Hermitian k x k matrices on the factor's value space.
+    Samples are Hermitian k x k matrices on the factor's value space, given
+    as a list or as one (m, k, k) array such as a whole potential field.
     Scalar factors (characters) commute with everything.  A passing check is
     recorded on the representation as a certificate keyed by a digest of the
     samples.
     """
-    samples = [np.asarray(v, dtype=complex) for v in potential_samples]
-    if not samples:
+    samples = np.asarray(potential_samples, dtype=complex)
+    if len(samples) == 0:
         raise ConfigError("need at least one potential sample")
-    for i, v in enumerate(samples):
-        if hermiticity_residual(v) > HERMITIAN_TOL:
-            raise ConfigError(f"potential sample {i} is not Hermitian")
+    if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
+        raise ConfigError("potential samples must be square matrices")
+    bad = np.nonzero(np.abs(samples - np.conj(np.swapaxes(samples, 1, 2)))
+                     > HERMITIAN_TOL)[0]
+    if bad.size:
+        raise ConfigError(f"potential sample {bad[0]} is not Hermitian")
     if isinstance(factor, Character):
         return True
-    dim = factor.dim
-    for v in samples:
-        if v.shape != (dim, dim):
-            raise ConfigError("potential sample dimension does not match factor")
+    if samples.shape[1:] != (factor.dim, factor.dim):
+        raise ConfigError("potential sample dimension does not match factor")
     worst = 0.0
     for g in factor.generators:
-        for v in samples:
-            worst = max(worst, max_abs(g @ v - v @ g))
+        # g V - V g for all samples at once; tensordot runs each as one BLAS
+        # product, where a stacked matmul loops over the k x k matrices
+        gv = np.moveaxis(np.tensordot(g, samples, axes=(1, 1)), 0, 1)
+        worst = max(worst, max_abs(gv - np.tensordot(samples, g, axes=1)))
     ok = worst <= tol
     if ok:
         factor.verified_potentials.add(_potential_digest(samples))

@@ -10,6 +10,10 @@ numerically drifting constraint.  In this gauge the kinetic operator acts in
 Fourier space with shifted wavenumbers (n + beta / 2 pi) per character
 sector, which enforces the twist exactly; a matrix factor is first split
 into character sectors by simultaneous diagonalization of its generators.
+A constant vector potential needs no dynamics of its own: flux-gauge data
+with kinetic term (n - e flux / 2 pi)^2 / 2 are the stored data of a state
+whose twist angle is left unreduced at beta = -e flux, so one split-step
+loop serves both gauges.
 
 Two slow reference integrators ship in-tree:
 
@@ -376,7 +380,7 @@ def make_spinor_state(component_data, factor, space=None):
 
 
 def make_plain_state(psi_values, space=None):
-    """Untwisted periodic state (the vector-potential gauge lives here)."""
+    """Untwisted periodic state."""
     return twist_embed(np.asarray(psi_values, dtype=complex),
                        Character.ring(0.0), space=space)
 
@@ -421,13 +425,30 @@ def pair_eigenstate(n1, n2, sector, n_points=DEFAULT_N_POINTS, space=None):
 # the split-step propagator
 # ---------------------------------------------------------------------------
 
+def _pair_potential(state, potential):
+    """Scalar torus potential, refused unless it is exchange symmetric."""
+    if potential.kind != "scalar":
+        raise ConfigError("two-particle stepping supports scalar potentials")
+    v = np.asarray(potential.values, dtype=float)
+    if v.shape != state.values.shape:
+        raise ConfigError("two-particle potential grid mismatch")
+    if max_abs(v - v.T) > 1e-12:
+        raise PhysicsError(
+            "potential is not symmetric under particle exchange; it would "
+            "break the declared exchange sector")
+    return v
+
+
 def _sector_potential(state, potential):
     """Potential term of the gauge-fixed equation, in the sector basis.
 
-    Returns ("none", None), ("scalar", (n,) real) or ("matrix", (n,k,k)).
+    Returns ("none", None), ("scalar", real field on the state grid) or
+    ("matrix", (n,k,k)).
     """
     if potential.is_zero:
         return ("none", None)
+    if state.space.kind == "two_particle_ring":
+        return ("scalar", _pair_potential(state, potential))
     if potential.kind == "scalar":
         v = np.asarray(potential.values, dtype=float)
         if v.shape != (state.n_points,):
@@ -446,14 +467,14 @@ def _gate_factor_potential(state, potential):
     """Refuse to step unless the factor is compatible with the potential.
 
     Scalar potentials and covariant cover-side fields always pass; a matrix
-    potential must commute with the factor at every sampled point, else the
+    potential must commute with the factor at every grid point, else the
     periodicity condition would not be preserved by the evolution.
     """
     if potential.kind != "matrix":
         return
     if isinstance(state.twist, Character):
         return
-    if not check_commutes(state.twist, potential.sample_matrices(state.n_components)):
+    if not check_commutes(state.twist, potential.values):
         raise IncompatibleFactorError(
             "matrix potential does not commute with the topological factor at "
             "every configuration point; the twist would not survive the "
@@ -462,6 +483,9 @@ def _gate_factor_potential(state, potential):
 
 def _kinetic_phase(state, dt):
     modes = fourier_modes(state.n_points)
+    if state.space.kind == "two_particle_ring":
+        k = modes / state.radius
+        return np.exp(-0.5j * dt * (k[:, None] ** 2 + k[None, :] ** 2))
     k = (modes[None, :] + state.sector_betas[:, None] / TWO_PI) / state.radius
     return np.exp(-0.5j * dt * k ** 2)
 
@@ -480,26 +504,35 @@ def _apply_half_potential(values, kind, phase):
     if kind == "none":
         return values
     if kind == "scalar":
-        return values * phase[None, :]
+        return values * phase
     return np.einsum("nab,bn->an", phase, values)
 
 
 def evolve(state, potential, dt, n_steps, renormalize=False):
-    """Advance a state by n_steps Strang-split steps of size dt."""
+    """Advance a state by n_steps Strang-split V/2 - T - V/2 steps of size dt.
+
+    Ring states step in the gauge-fixed storage, where the twist angles
+    shift the kinetic wavenumbers to (n + beta / 2 pi) / radius; an angle
+    left unreduced, beta = -e flux, is the flux gauge with kinetic term
+    (n - e flux / 2 pi)^2 / 2.  Two-particle states step on the torus under
+    an exchange-symmetric scalar potential.
+    """
     if dt <= 0:
         raise ConfigError("dt must be positive")
     if n_steps == 0:
         return state
-    if state.space.kind == "two_particle_ring":
-        return _evolve_two_particle(state, potential, dt, n_steps)
     _gate_factor_potential(state, potential)
     kind, data = _sector_potential(state, potential)
     half_v = _potential_half_phase(kind, data, dt)
     kinetic = _kinetic_phase(state, dt)
+    if state.space.kind == "two_particle_ring":
+        fft, ifft = np.fft.fft2, np.fft.ifft2
+    else:  # ring values are (components, n): transform the last axis
+        fft, ifft = np.fft.fft, np.fft.ifft
     values = state.values
     for _ in range(n_steps):
         values = _apply_half_potential(values, kind, half_v)
-        values = np.fft.ifft(kinetic * np.fft.fft(values, axis=1), axis=1)
+        values = ifft(kinetic * fft(values))
         values = _apply_half_potential(values, kind, half_v)
     out = state.with_values(values)
     if renormalize:
@@ -507,112 +540,36 @@ def evolve(state, potential, dt, n_steps, renormalize=False):
     return out
 
 
-def step_splitstep(state, potential, dt):
-    """One Strang split V/2 - T - V/2 step in the gauge-fixed storage."""
-    return evolve(state, potential, dt, 1)
-
-
-def _evolve_two_particle(state, potential, dt, n_steps):
-    if potential.is_zero:
-        v = None
-    elif potential.kind == "scalar":
-        v = np.asarray(potential.values, dtype=float)
-        if v.shape != state.values.shape:
-            raise ConfigError("two-particle potential grid mismatch")
-        if max_abs(v - v.T) > 1e-12:
-            raise PhysicsError(
-                "potential is not symmetric under particle exchange; it would "
-                "break the declared exchange sector")
-    else:
-        raise ConfigError("two-particle stepping supports scalar potentials")
-    n = state.n_points
-    modes = fourier_modes(n) / state.radius
-    ksq = modes[:, None] ** 2 + modes[None, :] ** 2
-    kinetic = np.exp(-0.5j * dt * ksq)
-    half_v = None if v is None else np.exp(-0.5j * dt * v)
-    values = state.values
-    for _ in range(n_steps):
-        if half_v is not None:
-            values = values * half_v
-        values = np.fft.ifft2(kinetic * np.fft.fft2(values))
-        if half_v is not None:
-            values = values * half_v
-    return state.with_values(values)
-
-
-def step_two_particle(state, potential, dt):
-    return _evolve_two_particle(state, potential, dt, 1)
-
-
 # ---------------------------------------------------------------------------
-# vector-potential gauge (flux representation)
+# flux gauge: an unreduced twist angle
 # ---------------------------------------------------------------------------
 
-def _require_untwisted_scalar(state):
-    if state.space.kind != "ring" or not state.is_scalar:
-        raise ConfigError("the flux gauge handles scalar ring states")
-    if abs(math.remainder(state.beta, TWO_PI)) > 1e-12:
-        raise PhysicsError(
-            "the vector-potential representation is the untwisted gauge; "
-            "got a twisted state")
+def gauge_map(state):
+    """Reduce a scalar ring state's twist angle to its principal branch.
 
-
-def evolve_vector_potential(state, flux, potential, dt, n_steps, charge=1.0):
-    """Evolution with kinetic term ((n - e A))^2 / 2, A = flux / 2 pi.
-
-    The state stays plainly periodic; the flux enters only through the
-    shifted kinetic wavenumbers.  At zero flux this is bit-identical to the
-    untwisted split step.
+    A flux-gauge state is stored as the plainly periodic data twisted by
+    the unreduced angle beta = -e flux.  Writing beta = beta' + 2 pi m with
+    beta' in (-pi, pi], the same wave psi is stored as exp(i m theta) chi
+    with twist beta': the integer winding moves into the periodic data.
     """
-    _require_untwisted_scalar(state)
-    kind, data = _sector_potential(state, potential)
-    half_v = _potential_half_phase(kind, data, dt)
-    modes = fourier_modes(state.n_points)
-    k = (modes - charge * flux / TWO_PI) / state.radius
-    kinetic = np.exp(-0.5j * dt * k ** 2)[None, :]
-    values = state.values
-    for _ in range(n_steps):
-        values = _apply_half_potential(values, kind, half_v)
-        values = np.fft.ifft(kinetic * np.fft.fft(values, axis=1), axis=1)
-        values = _apply_half_potential(values, kind, half_v)
-    return state.with_values(values)
-
-
-def step_vector_potential(state, a_const, potential, dt, charge=1.0):
-    return evolve_vector_potential(state, a_const * TWO_PI, potential, dt, 1,
-                                   charge=charge)
-
-
-def _flux_twist_angle(flux, charge):
-    beta = math.fmod(-charge * flux + math.pi, TWO_PI)
+    _require_scalar_ring(state)
+    beta = math.fmod(state.beta + math.pi, TWO_PI)
     if beta <= 0:
         beta += TWO_PI
-    return beta - math.pi  # principal branch (-pi, pi]
-
-
-def gauge_map(state_a, flux, charge=1.0):
-    """Map a flux-gauge state to the equivalent twisted state.
-
-    Pointwise multiplication by exp(-i e A theta) turns the plainly periodic
-    flux-gauge wave into one twisted by exp(-i e flux); the twist angle is
-    stored on its principal branch and the leftover integer winding is
-    absorbed into the periodic data.
-    """
-    _require_untwisted_scalar(state_a)
-    beta = _flux_twist_angle(flux, charge)
-    m = (charge * flux + beta) / TWO_PI
-    m_int = round(m)
-    if abs(m - m_int) > 1e-9:
-        raise ConfigError("inconsistent flux/charge twist bookkeeping")
-    chi = state_a.values * np.exp(-1j * m_int * state_a.theta)[None, :]
-    return WaveGrid(space=state_a.space, values=chi,
+    beta -= math.pi  # principal branch (-pi, pi]
+    m_int = round((beta - state.beta) / TWO_PI)
+    chi = state.values * np.exp(-1j * m_int * state.theta)[None, :]
+    return WaveGrid(space=state.space, values=chi,
                     twist=Character.ring(beta), sector_betas=np.array([beta]))
 
 
 def gauge_unmap(state_twisted, flux, charge=1.0):
-    """Inverse of gauge_map; composes with it to the identity."""
-    if state_twisted.space.kind != "ring" or not state_twisted.is_scalar:
-        raise ConfigError("the flux gauge handles scalar ring states")
+    """Lift a twisted state to the flux gauge, twist angle -charge * flux.
+
+    Inverse of gauge_map: the integer winding between the two angles moves
+    out of the periodic data again.
+    """
+    _require_scalar_ring(state_twisted)
     beta = state_twisted.beta
     m = (charge * flux + beta) / TWO_PI
     m_int = round(m)
@@ -620,29 +577,28 @@ def gauge_unmap(state_twisted, flux, charge=1.0):
         raise PhysicsError(
             "state twist is not gauge-equivalent to the given flux")
     psi_a = state_twisted.values * np.exp(1j * m_int * state_twisted.theta)[None, :]
+    flux_beta = -charge * flux
     return WaveGrid(space=state_twisted.space, values=psi_a,
-                    twist=Character.ring(0.0), sector_betas=np.array([0.0]))
+                    twist=Character.ring(flux_beta),
+                    sector_betas=np.array([flux_beta]))
+
+
+def _require_scalar_ring(state):
+    if state.space.kind != "ring" or not state.is_scalar:
+        raise ConfigError("the flux gauge handles scalar ring states")
 
 
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
 
-def _dense_hamiltonian(n_points, betas, potential, radius=1.0, charge_flux=None):
+def _dense_hamiltonian(n_points, betas, potential, radius=1.0):
     """Dense grid Hamiltonian: spectral kinetic term plus the potential.
 
-    ``betas`` is the per-sector twist angle array; ``charge_flux`` switches
-    the kinetic shift to the flux-gauge form (n - e flux / 2 pi).
+    ``betas`` is the per-sector twist angle array.
     """
     modes = fourier_modes(n_points)
-    k_sectors = []
-    for beta in betas:
-        if charge_flux is None:
-            k = (modes + beta / TWO_PI) / radius
-        else:
-            e, flux = charge_flux
-            k = (modes - e * flux / TWO_PI) / radius
-        k_sectors.append(k)
+    k_sectors = [(modes + beta / TWO_PI) / radius for beta in betas]
     n_comp = len(betas)
     eye = np.eye(n_points, dtype=complex)
     f_eye = np.fft.fft(eye, axis=0)
@@ -671,36 +627,31 @@ def _dense_hamiltonian(n_points, betas, potential, radius=1.0, charge_flux=None)
     return h
 
 
-def spectrum(factor_or_flux, potential=None, n_levels=8,
+def spectrum(factor, potential=None, n_levels=8,
              n_points=DEFAULT_N_POINTS, radius=1.0):
     """Lowest eigenvalues of the discretized twisted Hamiltonian.
 
-    ``factor_or_flux`` is a ring Character, a ring MatrixRep (split into
-    character sectors), or a ("flux", flux, charge) tuple for the
-    vector-potential gauge.  Dense Hermitian diagonalization of the grid
-    operator; with V = 0 the levels are ((n + beta / 2 pi) / radius)^2 / 2.
+    ``factor`` is a ring Character or a ring MatrixRep (split into character
+    sectors); a flux is the Character of its unreduced angle -e flux.  Dense
+    Hermitian diagonalization of the grid operator; with V = 0 the levels
+    are ((n + beta / 2 pi) / radius)^2 / 2.
     """
     if n_levels > n_points // 4:
         raise ConfigError("n_levels must not exceed n_points / 4")
-    charge_flux = None
     sector_basis = None
-    if isinstance(factor_or_flux, tuple) and factor_or_flux[0] == "flux":
-        _, flux, charge = factor_or_flux
-        betas = np.array([0.0])
-        charge_flux = (charge, flux)
-    elif isinstance(factor_or_flux, Character):
-        betas = np.array([factor_or_flux.beta])
-    elif isinstance(factor_or_flux, MatrixRep):
-        eigvals, sector_basis = unitary_eig(factor_or_flux.generators[0])
+    if isinstance(factor, Character):
+        betas = np.array([factor.beta])
+    elif isinstance(factor, MatrixRep):
+        eigvals, sector_basis = unitary_eig(factor.generators[0])
         betas = np.angle(eigvals)
     else:
-        raise ConfigError("expected a Character, MatrixRep or ('flux', f, e)")
+        raise ConfigError("expected a ring Character or MatrixRep")
     pot = potential
     if pot is not None and pot.kind in ("matrix", "covariant") and sector_basis is not None:
         v = np.einsum("ab,nbc,cd->nad", sector_basis.conj().T,
                       np.asarray(pot.values, dtype=complex), sector_basis)
         pot = Potential(kind="matrix", values=v, label=pot.label)
-    h = _dense_hamiltonian(n_points, betas, pot, radius, charge_flux)
+    h = _dense_hamiltonian(n_points, betas, pot, radius)
     herm = max_abs(h - h.conj().T)
     if herm > 1e-10:
         raise ToleranceError("hamiltonian-hermiticity", herm, 1e-10)

@@ -216,16 +216,6 @@ def validate_scenario(cfg):
                           field_path=err.json_path)
 
 
-def load_scenario(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    validate_scenario(cfg)
-    return cfg
-
-
 def canonical_config_bytes(cfg):
     return json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
 
@@ -260,13 +250,18 @@ def build_space(cfg):
 
 
 def build_factor(cfg):
-    """Returns a Character, a MatrixRep, or ("flux", flux, charge)."""
+    """Returns a Character or a MatrixRep.
+
+    A ``flux`` factor is the ring character exp(-i e flux) with its angle
+    -e flux left unreduced: the twisted storage then evolves with the
+    flux-gauge kinetic term (n - e flux / 2 pi)^2 / 2.
+    """
     fc = cfg["factor"]
     kind = fc["type"]
     if kind == "character":
         return Character.ring(fc.get("beta", 0.0))
     if kind == "flux":
-        return ("flux", fc.get("flux", 0.0), fc.get("charge", 1.0))
+        return Character.ring(-fc.get("charge", 1.0) * fc.get("flux", 0.0))
     if kind == "exchange":
         return Character.exchange(2, fc.get("sign", 1))
     if kind == "matrix":
@@ -341,27 +336,23 @@ def build_initial_state(cfg, space, factor):
                 sign, n_points, space)
         raise ConfigError(
             f"a two-particle space needs a pair initial state, got {kind!r}")
-    if isinstance(factor, tuple):  # flux gauge: plainly periodic storage
-        embed_factor = Character.ring(0.0)
-    else:
-        embed_factor = factor
     if kind == "eigenstate":
         chi = np.exp(1j * ic.get("n", 0) * theta) / math.sqrt(2 * math.pi)
-        return twist_embed(chi, embed_factor, space=space)
+        return twist_embed(chi, factor, space=space)
     if kind == "gaussian":
         chi = wrapped_gaussian(theta, ic.get("center", math.pi),
                                ic.get("width", 0.5), ic.get("momentum", 0.0))
-        return twist_embed(chi, embed_factor, space=space)
+        return twist_embed(chi, factor, space=space)
     if kind == "spinor_gaussian":
-        if not isinstance(embed_factor, MatrixRep):
+        if not isinstance(factor, MatrixRep):
             raise ConfigError("spinor initial state needs a matrix factor")
         amps = np.array([complex(re, im) for re, im in ic["amplitudes"]])
-        if len(amps) != embed_factor.dim:
+        if len(amps) != factor.dim:
             raise ConfigError("amplitude count must match the factor dimension")
         profile = wrapped_gaussian(theta, ic.get("center", math.pi),
                                    ic.get("width", 0.5), ic.get("momentum", 0.0))
         data = amps[:, None] * profile[None, :]
-        return twist_embed(data, embed_factor, space=space)
+        return twist_embed(data, factor, space=space)
     if kind.startswith("pair"):
         raise ConfigError(f"initial state {kind!r} needs a two-particle space")
     raise ConfigError(f"unknown initial state type {kind!r}")
@@ -386,12 +377,6 @@ class Scenario:
         self.potential = build_potential(cfg, n_points)
         self.numerics = numerics(cfg)
         self.seed = cfg.get("seed")
-
-    @property
-    def flux_gauge(self):
-        if isinstance(self.factor, tuple):
-            return (self.factor[1], self.factor[2])
-        return None
 
     def initial_state(self):
         return build_initial_state(self.cfg, self.space, self.factor)

@@ -6,9 +6,9 @@ The velocity on the ring, in the gauge-fixed storage, is
                / (chi, chi) / radius^2
 
 which reproduces the cover-side phase-gradient formula; for a flux-gauge
-state the constant -e A shift appears instead of the twist angles.  Fields
-derived this way are deck equivariant, so the motion downstairs does not
-depend on the choice of lift.
+state, stored with the unreduced twist angle beta = -e flux, the same term
+is the constant -e A shift.  Fields derived this way are deck equivariant,
+so the motion downstairs does not depend on the choice of lift.
 
 Integration is RK4 in the base coordinates with spectral (trigonometric)
 interpolation of the wave in space and half-step propagation in time; the
@@ -26,26 +26,23 @@ import numpy as np
 
 from .covering import TWO_PI, RingPoint, Winding
 from .errors import ConfigError, PhysicsError
-from .propagation import evolve, evolve_vector_potential, fourier_modes
+from .propagation import evolve, fourier_modes
 
 DEFAULT_EPS_NODE = 1e-12
 
 STATUS_COMPLETED = "completed"
 STATUS_HALTED = "halted-at-node"
-STATUS_LEFT_RESOLUTION = "left-resolution"  # never emitted on compact grids
 
 
 # ---------------------------------------------------------------------------
 # velocity fields
 # ---------------------------------------------------------------------------
 
-def velocity_field(state, flux_gauge=None, eps_node=DEFAULT_EPS_NODE):
+def velocity_field(state, eps_node=DEFAULT_EPS_NODE):
     """Velocity samples on the base grid plus a node mask.
 
-    ``flux_gauge`` is None for twisted states, or (flux, charge) when the
-    state lives in the plainly periodic vector-potential gauge.  Returns
-    (v, node_mask): velocity is meaningless where the density is below
-    eps_node times its maximum, and those samples are flagged.
+    Returns (v, node_mask): velocity is meaningless where the density is
+    below eps_node times its maximum, and those samples are flagged.
     """
     if state.space.kind == "two_particle_ring":
         return _velocity_field_torus(state, eps_node)
@@ -58,9 +55,6 @@ def velocity_field(state, flux_gauge=None, eps_node=DEFAULT_EPS_NODE):
     current = np.sum(np.imag(np.conj(values) * dvalues), axis=0)
     current = current + np.sum(
         (state.sector_betas[:, None] / TWO_PI) * np.abs(values) ** 2, axis=0)
-    if flux_gauge is not None:
-        flux, charge = flux_gauge
-        current = current - charge * flux / TWO_PI * rho
     node_mask = rho < eps_node * np.max(rho)
     v = np.zeros_like(rho)
     ok = ~node_mask
@@ -112,7 +106,7 @@ class _RingEvaluator:
 
     COEFF_CUT = 1e-13
 
-    def __init__(self, state, flux_gauge=None, velocity_factor=1.0):
+    def __init__(self, state, velocity_factor=1.0):
         n = state.n_points
         modes = fourier_modes(n)
         coeffs = np.fft.fft(state.values, axis=1) / n              # (k, n)
@@ -122,10 +116,6 @@ class _RingEvaluator:
         self.coeffs = coeffs[:, keep]
         self.dcoeffs = self.coeffs * (1j * self.modes[None, :])
         self.betas = state.sector_betas / TWO_PI
-        self.offset = 0.0
-        if flux_gauge is not None:
-            flux, charge = flux_gauge
-            self.offset = -charge * flux / TWO_PI
         self.inv_r2 = 1.0 / state.radius ** 2
         self.max_density = float(np.max(np.sum(np.abs(state.values) ** 2, axis=0)))
         self.velocity_factor = velocity_factor
@@ -137,7 +127,6 @@ class _RingEvaluator:
         rho = np.sum(np.abs(chi) ** 2, axis=1)
         current = np.sum(np.imag(np.conj(chi) * dchi), axis=1)
         current += np.abs(chi) ** 2 @ self.betas
-        current += self.offset * rho
         safe = np.maximum(rho, 1e-300)
         return self.velocity_factor * current / safe * self.inv_r2, rho
 
@@ -182,7 +171,7 @@ class TransportResult:
 
 
 def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
-              flux_gauge=None, velocity_factor=1.0, record_every=1):
+              velocity_factor=1.0, record_every=1):
     """Integrate a bundle of Bohmian trajectories driven by the evolving wave.
 
     The wave advances by two half-steps per trajectory step, providing the
@@ -200,13 +189,7 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
     def make_eval(s):
         if two_particle:
             return _TorusEvaluator(s, velocity_factor)
-        return _RingEvaluator(s, flux_gauge, velocity_factor)
-
-    def advance(s, tau):
-        if flux_gauge is not None:
-            flux, charge = flux_gauge
-            return evolve_vector_potential(s, flux, potential, tau, 1, charge)
-        return evolve(s, potential, tau, 1)
+        return _RingEvaluator(s, velocity_factor)
 
     m = q.shape[0]
     active = np.ones(m, dtype=bool)
@@ -217,8 +200,8 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
     ev0 = make_eval(state)
     t = 0.0
     for step in range(n_steps):
-        s_half = advance(state, 0.5 * dt)
-        s_full = advance(s_half, 0.5 * dt)
+        s_half = evolve(state, potential, 0.5 * dt, 1)
+        s_full = evolve(s_half, potential, 0.5 * dt, 1)
         ev_half = make_eval(s_half)
         ev_full = make_eval(s_full)
         if np.any(active):
@@ -295,8 +278,7 @@ class Trajectory:
 
 
 def integrate_trajectory(state, potential, q0, dt, t_final,
-                         eps_node=DEFAULT_EPS_NODE, flux_gauge=None,
-                         record_every=1):
+                         eps_node=DEFAULT_EPS_NODE, record_every=1):
     """Single Bohmian trajectory from q0 over [0, t_final]."""
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
@@ -304,8 +286,7 @@ def integrate_trajectory(state, potential, q0, dt, t_final,
     single = np.atleast_1d(np.asarray(q0, dtype=float))
     q0_arr = single.reshape(1, -1) if single.size > 1 else single
     result, _ = transport(state, potential, q0_arr, dt, n_steps,
-                          eps_node=eps_node, flux_gauge=flux_gauge,
-                          record_every=record_every)
+                          eps_node=eps_node, record_every=record_every)
     path = result.positions[:, 0]
     halt = result.halt_times[0]
     return Trajectory(times=result.times, unwrapped=path,

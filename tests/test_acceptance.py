@@ -70,17 +70,16 @@ def test_01_twisted_spectrum():
 def test_02_gauge_equivalence():
     """Flux-gauge and twisted-gauge runs agree in trajectories and spectra."""
     flux, charge = np.pi, 1.0
-    state_a = make_gaussian_state(Character.ring(0.0), 3.0, 0.6, 1.0)
-    state_t = gauge_map(state_a, flux, charge)
+    state_a = make_gaussian_state(Character.ring(-charge * flux), 3.0, 0.6, 1.0)
+    state_t = gauge_map(state_a)
     deviation = 0.0
     for q0 in np.linspace(0.0, TWO_PI, 5, endpoint=False):
-        traj_a = integrate_trajectory(state_a, Potential.zero(), q0, 1e-3, 1.0,
-                                      flux_gauge=(flux, charge))
+        traj_a = integrate_trajectory(state_a, Potential.zero(), q0, 1e-3, 1.0)
         traj_t = integrate_trajectory(state_t, Potential.zero(), q0, 1e-3, 1.0)
         deviation = max(deviation, float(np.max(
             np.abs(traj_a.unwrapped - traj_t.unwrapped))))
     assert deviation <= 1e-6
-    spec_a = spectrum(("flux", flux, charge), Potential.zero(), 8)
+    spec_a = spectrum(Character.ring(-charge * flux), Potential.zero(), 8)
     spec_t = spectrum(Character.ring(state_t.beta), Potential.zero(), 8)
     spec_diff = float(np.max(np.abs(np.sort(spec_a) - np.sort(spec_t))))
     assert spec_diff <= 1e-10
@@ -93,8 +92,8 @@ def test_03_flux_periodicity():
     """Spectra at flux and flux + 2 pi coincide as sets."""
     worst = 0.0
     for flux in (0.0, 1.234, np.pi):
-        a = spectrum(("flux", flux, 1.0), Potential.zero(), 8)
-        b = spectrum(("flux", flux + TWO_PI, 1.0), Potential.zero(), 8)
+        a = spectrum(Character.ring(-flux), Potential.zero(), 8)
+        b = spectrum(Character.ring(-(flux + TWO_PI)), Potential.zero(), 8)
         worst = max(worst, float(np.max(np.abs(np.sort(a) - np.sort(b)))))
     assert worst <= 1e-10
     report("flux-periodicity", f"max sorted-spectrum difference {worst:.2e}")

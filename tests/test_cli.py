@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from topobohm.cli import main
-from topobohm.scenario import SCENARIO_SCHEMA_TAG
+from topobohm.propagation import evolve, state_from_dict
+from topobohm.scenario import SCENARIO_SCHEMA_TAG, Scenario
 
 BASE = {
     "schema": SCENARIO_SCHEMA_TAG,
@@ -186,6 +187,35 @@ def test_grw_run(tmp_path):
     assert "grw-twist-preservation" in ids
 
 
+def test_grw_flux_scenario_evolves_in_the_field(tmp_path):
+    # a flux factor is the twist exp(-i e flux); without collapses the run
+    # must match the character scenario of that angle
+    densities = []
+    for name, factor in (("flux", {"type": "flux", "flux": math.pi / 2}),
+                         ("char", {"type": "character", "beta": -math.pi / 2})):
+        cfg_dict = dict(BASE, factor=factor, seed=4,
+                        numerics={"dt": 1e-3, "t_final": 0.5},
+                        grw={"lam": 0, "a": 0.3})
+        cfg = write_config(tmp_path, cfg_dict, f"{name}.json")
+        out = tmp_path / name
+        assert main(["grw", "--config", cfg, "--out", str(out)]) == 0
+        densities.append(state_from_dict(read_json(out / "state.json")).density())
+    assert np.max(np.abs(densities[0] - densities[1])) <= 1e-12
+
+
+def test_flux_state_json_resumes(tmp_path):
+    cfg_dict = dict(BASE, factor={"type": "flux", "flux": 5.0, "charge": 1.0})
+    finals = {}
+    for t_final in (0.05, 0.1):
+        cfg_dict["numerics"] = {"dt": 1e-3, "t_final": t_final}
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / f"t{t_final}"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        finals[t_final] = state_from_dict(read_json(out / "state.json"))
+    resumed = evolve(finals[0.05], Scenario(cfg_dict).potential, 1e-3, 50)
+    assert np.array_equal(resumed.values, finals[0.1].values)
+
+
 def test_equivariance_run(tmp_path):
     cfg_dict = dict(BASE)
     cfg_dict["initial_state"] = {"type": "gaussian", "center": 2.0,
@@ -275,7 +305,7 @@ def test_evolve_spinor_state_through_runner(tmp_path):
     assert state["twist"]["type"] == "matrix"
 
 
-def test_equivariance_in_flux_gauge(tmp_path):
+def test_equivariance_in_flux_scenario(tmp_path):
     cfg_dict = {
         "schema": SCENARIO_SCHEMA_TAG,
         "space": {"kind": "ring", "n_points": 256},

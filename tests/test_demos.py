@@ -1,0 +1,33 @@
+"""Smoke test: the fast demos run to completion against the public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# 04 (equivariance check, 10-15 s) and 07 (GRW collapse, about 4 s) are
+# left out: together they would more than double this file's run time, and
+# the API they use is already exercised by test_ensembles and test_collapse.
+FAST_DEMOS = [
+    "01_twisted_ring_spectra.py",
+    "02_aharonov_bohm_gauge_equivalence.py",
+    "03_bohmian_trajectories.py",
+    "05_factor_classification.py",
+    "06_twisted_representations.py",
+]
+
+
+@pytest.mark.parametrize("name", FAST_DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    # run in a scratch directory: demos may write plots to the working dir
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                            cwd=tmp_path, env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr

@@ -25,8 +25,6 @@ from topobohm.propagation import (
     spectrum,
     state_from_dict,
     state_to_dict,
-    step_splitstep,
-    step_vector_potential,
     symmetrized_product_state,
     twist_embed,
     wrapped_gaussian,
@@ -83,7 +81,7 @@ class TestSplitStep:
         # E_0 = (1/2)^2 / 2 = 1/8 for the half-turn twist
         state = make_eigenstate(0, Character.ring(np.pi))
         dt = 1e-3
-        stepped = step_splitstep(state, Potential.zero(), dt)
+        stepped = evolve(state, Potential.zero(), dt, 1)
         phase = np.angle(stepped.values[0, 0] / state.values[0, 0])
         assert phase == pytest.approx(-0.125 * dt, abs=1e-15)
 
@@ -112,7 +110,7 @@ class TestSplitStep:
         v = Potential.from_callable(lambda t: 0.5 * np.cos(t), 256)
         state = make_gaussian_state(Character.ring(np.pi), 3.0, 0.5, 1.0)
         for _ in range(20):
-            state = step_splitstep(state, v, 1e-3)
+            state = evolve(state, v, 1e-3, 1)
             assert abs(state.norm() - 1.0) <= 1e-10
 
     def test_long_run_norm_and_twist(self):
@@ -128,7 +126,16 @@ class TestSplitStep:
         state = make_spinor_state([chi, chi], rep)
         v = Potential.matrix_constant(pauli["x"], 64)
         with pytest.raises(IncompatibleFactorError, match="commute"):
-            step_splitstep(state, v, 1e-3)
+            evolve(state, v, 1e-3, 1)
+
+    def test_gate_checks_every_grid_point(self, pauli):
+        rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
+        chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
+        state = make_spinor_state([chi, 0.3 * chi], rep)
+        field = np.broadcast_to(pauli["z"], (64, 2, 2)).copy()
+        field[1] = pauli["x"]
+        with pytest.raises(IncompatibleFactorError, match="commute"):
+            evolve(state, Potential.matrix_field(field), 1e-3, 1)
 
     def test_commuting_matrix_potential_runs(self, pauli):
         rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
@@ -180,57 +187,46 @@ class TestSplitStep:
 
 class TestVectorPotential:
     def test_full_flux_quantum_spectrum_is_free(self):
-        with_flux = spectrum(("flux", TWO_PI, 1.0), Potential.zero(), 8)
+        with_flux = spectrum(Character.ring(-TWO_PI), Potential.zero(), 8)
         free = spectrum(Character.ring(0.0), Potential.zero(), 8)
         assert np.max(np.abs(np.sort(with_flux) - np.sort(free))) <= 1e-10
 
     def test_half_flux_ground_energy_doubly_degenerate(self):
-        levels = spectrum(("flux", np.pi, 1.0), Potential.zero(), 4)
+        levels = spectrum(Character.ring(-np.pi), Potential.zero(), 4)
         assert levels[0] == pytest.approx(0.125, abs=1e-10)
         assert levels[1] == pytest.approx(0.125, abs=1e-10)
         assert levels[2] == pytest.approx(1.125, abs=1e-10)
 
-    def test_zero_field_reduces_bit_exactly(self):
-        state = make_gaussian_state(Character.ring(0.0), 3.0, 0.5, 1.0)
-        v = Potential.from_callable(lambda t: 0.4 * np.cos(t), 256)
-        a = step_vector_potential(state, 0.0, v, 1e-3)
-        b = step_splitstep(state, v, 1e-3)
-        assert np.array_equal(a.values, b.values)
-
-    def test_twisted_input_rejected(self):
-        state = make_eigenstate(0, Character.ring(np.pi))
-        with pytest.raises(PhysicsError, match="untwisted"):
-            step_vector_potential(state, 0.5, Potential.zero(), 1e-3)
 
 
 class TestGaugeMap:
     def test_full_flux_gives_trivial_twist(self):
-        state = make_gaussian_state(Character.ring(0.0), 3.0, 0.5, 0.0)
-        mapped = gauge_map(state, TWO_PI, 1.0)
+        state = make_gaussian_state(Character.ring(-TWO_PI), 3.0, 0.5, 0.0)
+        mapped = gauge_map(state)
         assert abs(np.exp(1j * mapped.beta) - 1.0) <= 1e-12
 
     def test_half_flux_gives_antiperiodic_twist(self):
-        state = make_gaussian_state(Character.ring(0.0), 3.0, 0.5, 0.0)
-        mapped = gauge_map(state, np.pi, 1.0)
+        state = make_gaussian_state(Character.ring(-np.pi), 3.0, 0.5, 0.0)
+        mapped = gauge_map(state)
         assert np.exp(1j * mapped.beta) == pytest.approx(-1.0, abs=1e-12)
 
     def test_round_trip_is_identity(self):
-        state = make_gaussian_state(Character.ring(0.0), 3.0, 0.6, 1.0)
         for flux in (0.4, np.pi, 5.0):
-            back = gauge_unmap(gauge_map(state, flux, 1.0), flux, 1.0)
+            state = make_gaussian_state(Character.ring(-flux), 3.0, 0.6, 1.0)
+            back = gauge_unmap(gauge_map(state), flux, 1.0)
             assert np.max(np.abs(back.values - state.values)) <= 1e-12
 
     def test_step_diagram_commutes(self):
         flux, e = np.pi, 1.0
         v = Potential.from_callable(lambda t: 0.3 * np.cos(t), 256)
-        sa = make_gaussian_state(Character.ring(0.0), 3.0, 0.6, 1.0)
-        st = gauge_map(sa, flux, e)
+        sa = make_gaussian_state(Character.ring(-e * flux), 3.0, 0.6, 1.0)
+        st = gauge_map(sa)
         worst = 0.0
         for _ in range(25):
-            sa = step_vector_potential(sa, flux / TWO_PI, v, 1e-3, charge=e)
-            st = step_splitstep(st, v, 1e-3)
+            sa = evolve(sa, v, 1e-3, 1)
+            st = evolve(st, v, 1e-3, 1)
             worst = max(worst, float(np.max(np.abs(
-                gauge_map(sa, flux, e).values - st.values))))
+                gauge_map(sa).values - st.values))))
         assert worst <= 1e-9
 
 
@@ -245,8 +241,8 @@ class TestSpectrum:
         assert np.allclose(levels, [0.0, 0.5, 0.5, 2.0, 2.0], atol=1e-9)
 
     def test_flux_periodicity(self):
-        a = spectrum(("flux", 1.234, 1.0), Potential.zero(), 8)
-        b = spectrum(("flux", 1.234 + TWO_PI, 1.0), Potential.zero(), 8)
+        a = spectrum(Character.ring(-1.234), Potential.zero(), 8)
+        b = spectrum(Character.ring(-(1.234 + TWO_PI)), Potential.zero(), 8)
         assert np.max(np.abs(np.sort(a) - np.sort(b))) <= 1e-10
 
     def test_matrix_factor_merges_sector_spectra(self):
@@ -405,7 +401,7 @@ class TestGaugeFixingCrossValidation:
 
 
 def test_gauge_unmap_rejects_mismatched_flux():
-    state = make_gaussian_state(Character.ring(0.0), 3.0, 0.5, 0.0)
-    twisted = gauge_map(state, np.pi, 1.0)
+    state = make_gaussian_state(Character.ring(-np.pi), 3.0, 0.5, 0.0)
+    twisted = gauge_map(state)
     with pytest.raises(PhysicsError, match="gauge-equivalent"):
         gauge_unmap(twisted, 1.0, 1.0)

@@ -41,11 +41,11 @@ class TestVelocityField:
         v, _ = velocity_field(state)
         assert np.max(np.abs(v)) <= 1e-10
 
-    def test_flux_gauge_matches_twisted_gauge(self):
+    def test_flux_twist_matches_reduced_twist(self):
         flux, e = np.pi, 1.0
-        sa = make_gaussian_state(Character.ring(0.0), 3.0, 0.6, 1.0)
-        st = gauge_map(sa, flux, e)
-        va, _ = velocity_field(sa, flux_gauge=(flux, e))
+        sa = make_gaussian_state(Character.ring(-e * flux), 3.0, 0.6, 1.0)
+        st = gauge_map(sa)
+        va, _ = velocity_field(sa)
         vt, _ = velocity_field(st)
         assert np.max(np.abs(va - vt)) <= 1e-10
 
@@ -129,11 +129,10 @@ class TestIntegrateTrajectory:
 
     def test_gauge_invariance_of_trajectories(self):
         flux, e = np.pi, 1.0
-        sa = make_gaussian_state(Character.ring(0.0), 3.0, 0.6, 1.0)
-        st = gauge_map(sa, flux, e)
+        sa = make_gaussian_state(Character.ring(-e * flux), 3.0, 0.6, 1.0)
+        st = gauge_map(sa)
         for q0 in (0.5, 3.0):
-            ta = integrate_trajectory(sa, Potential.zero(), q0, 1e-3, 0.25,
-                                      flux_gauge=(flux, e))
+            ta = integrate_trajectory(sa, Potential.zero(), q0, 1e-3, 0.25)
             tt = integrate_trajectory(st, Potential.zero(), q0, 1e-3, 0.25)
             assert np.max(np.abs(ta.unwrapped - tt.unwrapped)) <= 1e-6
 
