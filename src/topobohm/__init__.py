@@ -59,6 +59,7 @@ from .propagation import (
 )
 from .trajectories import (
     Trajectory,
+    integrate_trajectories,
     integrate_trajectory,
     lift_trajectory,
     transport,

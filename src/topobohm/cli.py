@@ -35,7 +35,7 @@ from .factors import (
     verify_twisted_law,
 )
 from .propagation import evolve, gauge_map, spectrum, state_to_dict
-from .trajectories import integrate_trajectory
+from .trajectories import integrate_trajectories
 from .ensembles import verify_equivariance
 from .collapse import simulate_grw
 from .scenario import SCENARIO_SCHEMA_TAG, Scenario, canonical_config_bytes
@@ -240,10 +240,10 @@ def cmd_trajectories(scenario, ctx):
     header = ("trajectory", "t", "angle", "winding", "status") \
         if scenario.space.kind == "ring" else \
         ("trajectory", "t", "angle1", "angle2", "winding1", "winding2", "status")
-    for i, start in enumerate(tc["starts"]):
-        traj = integrate_trajectory(state, scenario.potential, start, dt,
-                                    nm["t_final"], eps_node=nm["eps_node"],
+    bundle = integrate_trajectories(state, scenario.potential, tc["starts"],
+                                    dt, nm["t_final"], eps_node=nm["eps_node"],
                                     record_every=tc.get("record_every", 1))
+    for i, traj in enumerate(bundle):
         for row in traj.csv_rows():
             rows.append((i,) + row)
     write_csv(ctx.path("trajectories.csv"), header, rows)
@@ -308,13 +308,13 @@ def cmd_ab_compare(scenario, ctx):
         mapped = gauge_map(sa)
         diagram = max(diagram, float(np.max(np.abs(mapped.values - st.values))))
 
-    starts = list(np.linspace(0.0, TWO_PI, 5, endpoint=False))
+    starts = np.linspace(0.0, TWO_PI, 5, endpoint=False)
     deviation = 0.0
-    for q0 in starts:
-        traj_a = integrate_trajectory(state_a, scenario.potential, q0, dt,
+    bundle_a = integrate_trajectories(state_a, scenario.potential, starts, dt,
                                       t_final)
-        traj_t = integrate_trajectory(state_t, scenario.potential, q0, dt,
+    bundle_t = integrate_trajectories(state_t, scenario.potential, starts, dt,
                                       t_final)
+    for traj_a, traj_t in zip(bundle_a, bundle_t):
         deviation = max(deviation, float(np.max(np.abs(
             traj_a.unwrapped - traj_t.unwrapped))))
 
@@ -344,9 +344,13 @@ def cmd_ab_compare(scenario, ctx):
 def cmd_classify(scenario, ctx):
     factor = scenario.factor
     dim = 1 if isinstance(factor, Character) else factor.dim
-    samples = scenario.potential.sample_matrices(dim)
+    potential = scenario.potential
+    samples = potential.sample_matrices(dim)
+    field = potential.values if potential.kind in ("matrix", "covariant") \
+        else None
     verdict = classify_dynamics(factor, samples,
-                                scenario.numerics["word_length_cap"])
+                                scenario.numerics["word_length_cap"],
+                                field=field)
     if verdict.label == "incompatible":
         write_json(ctx.path("classification.json"), verdict.__dict__)
         raise PhysicsError(
@@ -493,8 +497,12 @@ def main(argv=None):
     ctx = None
     try:
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    cfg = json.load(fh)
+            except OSError as exc:
+                raise ConfigError(f"cannot read {args.config}: "
+                                  f"{exc.strerror or exc}") from exc
         elif args.subcommand in _DEFAULT_CONFIGS:
             cfg = json.loads(json.dumps(_DEFAULT_CONFIGS[args.subcommand]))
         else:

@@ -704,15 +704,22 @@ class Classification:
         return self.label != "incompatible"
 
 
-def classify_dynamics(factor, potential_samples, word_length_cap=6):
+def classify_dynamics(factor, potential_samples, word_length_cap=6,
+                      field=None):
     """Sort a factor/potential pair into its dynamics class.
 
     C0: trivial factor (the plain dynamics on the base).
     C1: every generator a unit scalar, i.e. the factor is a character.
-    C2: genuinely matrix valued, commuting with every sampled potential.
+    C2: genuinely matrix valued, commuting with the potential.
     incompatible: the commutation gate fails, or the sampled potentials
     already generate the full matrix algebra while the factor is not scalar
     (only characters survive a generic potential).
+
+    ``field``, the whole (m, k, k) potential field, is what the commutation
+    verdict checks when it is given, so a point between the samples cannot
+    slip through; without it the samples are checked.  The algebra span is
+    always computed from the samples: its word products grow as a power of
+    their number.
     """
     samples = [np.asarray(v, dtype=complex) for v in potential_samples]
     if not samples:
@@ -725,7 +732,7 @@ def classify_dynamics(factor, potential_samples, word_length_cap=6):
     else:
         scalar = factor.is_scalar
         trivial = factor.is_trivial
-        commutes = check_commutes(factor, samples)
+        commutes = check_commutes(factor, samples if field is None else field)
         dim = factor.dim
     if samples[0].ndim == 0 or samples[0].shape == ():
         samples = [np.atleast_2d(v) for v in samples]

@@ -29,6 +29,9 @@ from .errors import ConfigError, PhysicsError
 from .propagation import evolve, fourier_modes
 
 DEFAULT_EPS_NODE = 1e-12
+# Fourier coefficients below this fraction of the spectral peak are dropped
+# before point evaluation
+COEFF_CUT = 1e-13
 
 STATUS_COMPLETED = "completed"
 STATUS_HALTED = "halted-at-node"
@@ -98,60 +101,100 @@ def velocity_sheets(state, n_sheets=3):
 class _RingEvaluator:
     """Spectral point evaluation of the velocity of one wave snapshot.
 
-    Fourier coefficients below 1e-13 of the spectral peak are dropped before
-    evaluation; a smooth packet occupies a few dozen modes, which makes the
-    per-point trigonometric sums cheap without leaving band-limited-exact
-    territory at any tolerance the trajectories care about.
+    Fourier coefficients below COEFF_CUT of the spectral peak are dropped; a
+    smooth packet keeps a few dozen modes.  The kept modes are filled out to
+    their contiguous span [lo, hi], gaps taking zero coefficients, so any
+    spectrum is evaluated correctly.  The chi and d chi coefficients of all
+    sectors are stacked, highest mode first, and summed by Horner's rule in
+    z = exp(i theta): one complex exp per point, then one multiply-add per
+    mode on a (2k, M) accumulator.  The sums lack the factor exp(i lo theta)
+    that every term shares; chi and d chi carry the same factor, so it
+    cancels in |chi|^2 and in Im(conj(chi) d chi), the only two things the
+    velocity uses.
     """
-
-    COEFF_CUT = 1e-13
 
     def __init__(self, state, velocity_factor=1.0):
         n = state.n_points
-        modes = fourier_modes(n)
+        modes = fourier_modes(n).astype(int)
         coeffs = np.fft.fft(state.values, axis=1) / n              # (k, n)
         weight = np.max(np.abs(coeffs), axis=0)
-        keep = weight > self.COEFF_CUT * np.max(weight)
-        self.modes = modes[keep]
-        self.coeffs = coeffs[:, keep]
-        self.dcoeffs = self.coeffs * (1j * self.modes[None, :])
-        self.betas = state.sector_betas / TWO_PI
+        keep = weight > COEFF_CUT * np.max(weight)
+        hi = int(np.max(modes[keep]))
+        span = np.arange(hi, int(np.min(modes[keep])) - 1, -1)    # hi .. lo
+        chi = np.zeros((coeffs.shape[0], span.size), dtype=complex)
+        chi[:, hi - modes[keep]] = coeffs[:, keep]
+        rows = np.concatenate([chi, chi * (1j * span)])            # (2k, L)
+        self.rows = np.ascontiguousarray(rows.T)[:, :, None]       # (L, 2k, 1)
+        self.betas = (state.sector_betas / TWO_PI)[:, None]
         self.inv_r2 = 1.0 / state.radius ** 2
         self.max_density = float(np.max(np.sum(np.abs(state.values) ** 2, axis=0)))
         self.velocity_factor = velocity_factor
 
     def __call__(self, thetas):
-        basis = np.exp(1j * np.outer(thetas, self.modes))          # (M, m)
-        chi = basis @ self.coeffs.T                                # (M, k)
-        dchi = basis @ self.dcoeffs.T
-        rho = np.sum(np.abs(chi) ** 2, axis=1)
-        current = np.sum(np.imag(np.conj(chi) * dchi), axis=1)
-        current += np.abs(chi) ** 2 @ self.betas
+        z = np.exp(1j * thetas)
+        acc = np.empty((self.rows.shape[1], z.size), dtype=complex)
+        acc[...] = self.rows[0]
+        for row in self.rows[1:]:
+            acc *= z
+            acc += row
+        k = acc.shape[0] // 2
+        chi, dchi = acc[:k], acc[k:]
+        density = chi.real ** 2 + chi.imag ** 2                     # (k, M)
+        rho = np.sum(density, axis=0)
+        current = np.sum(chi.real * dchi.imag - chi.imag * dchi.real
+                         + self.betas * density, axis=0)
         safe = np.maximum(rho, 1e-300)
         return self.velocity_factor * current / safe * self.inv_r2, rho
 
 
 class _TorusEvaluator:
+    """Spectral point evaluation of the velocity of a two-particle wave.
+
+    The same COEFF_CUT is applied to the n x n Fourier coefficients C, and
+    each axis keeps the contiguous span of its kept modes (a from lo1, b from
+    lo2).  The power bases z1^j and z2^j, z = exp(i q), are built by a
+    running product from one complex exp per coordinate; one BLAS product
+    against the stacked [C | i a C | C i b] gives the first-axis sums of psi,
+    d1 psi and d2 psi, and three row sums against the second basis finish
+    them.  The factor z1^lo1 z2^lo2 common to all three cancels in the
+    density and in Im(conj(psi) d psi).
+    """
+
     def __init__(self, state, velocity_factor=1.0):
         n = state.n_points
-        self.modes = fourier_modes(n)
-        self.coeffs = np.fft.fft2(state.values) / n ** 2
+        modes = fourier_modes(n).astype(int)
+        coeffs = np.fft.fft2(state.values) / n ** 2
+        weight = np.abs(coeffs)
+        keep = weight > COEFF_CUT * np.max(weight)
+        rows, cols = np.nonzero(keep)
+        a, b = modes[rows], modes[cols]
+        span_a = np.arange(a.min(), a.max() + 1)
+        span_b = np.arange(b.min(), b.max() + 1)
+        c = np.zeros((span_a.size, span_b.size), dtype=complex)
+        c[a - span_a[0], b - span_b[0]] = coeffs[rows, cols]
+        self.stacked = np.hstack([c, (1j * span_a)[:, None] * c,
+                                  c * (1j * span_b)[None, :]])     # (na, 3 nb)
         self.inv_r2 = 1.0 / state.radius ** 2
         self.max_density = float(np.max(np.abs(state.values) ** 2))
         self.velocity_factor = velocity_factor
 
+    @staticmethod
+    def _powers(angles, count):
+        p = np.empty((angles.size, count), dtype=complex)
+        p[:, 0] = 1.0
+        p[:, 1:] = np.exp(1j * angles)[:, None]
+        return np.cumprod(p, axis=1, out=p)
+
     def __call__(self, q):
-        e1 = np.exp(1j * np.outer(q[:, 0], self.modes))            # (M, n)
-        e2 = np.exp(1j * np.outer(q[:, 1], self.modes))
-        t = e1 @ self.coeffs                                       # (M, n)
-        psi = np.sum(t * e2, axis=1)
-        d1 = np.sum((e1 * (1j * self.modes)) @ self.coeffs * e2, axis=1)
-        d2 = np.sum(t * (e2 * (1j * self.modes)), axis=1)
-        rho = np.abs(psi) ** 2
+        nb = self.stacked.shape[1] // 3
+        t = self._powers(q[:, 0], self.stacked.shape[0]) @ self.stacked
+        psi, d1, d2 = np.einsum("mij,mj->im", t.reshape(-1, 3, nb),
+                                self._powers(q[:, 1], nb))
+        rho = psi.real ** 2 + psi.imag ** 2
         safe = np.maximum(rho, 1e-300)
-        v = np.stack([np.imag(np.conj(psi) * d1) / safe,
-                      np.imag(np.conj(psi) * d2) / safe], axis=1)
-        return self.velocity_factor * v * self.inv_r2, rho
+        v = np.stack([psi.real * d1.imag - psi.imag * d1.real,
+                      psi.real * d2.imag - psi.imag * d2.real], axis=1)
+        return self.velocity_factor * v / safe[:, None] * self.inv_r2, rho
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +211,13 @@ class TransportResult:
     @property
     def node_halt_fraction(self):
         return float(np.mean(self.status != STATUS_COMPLETED))
+
+    def trajectory(self, i):
+        """The path of particle i as a Trajectory."""
+        halt = self.halt_times[i]
+        return Trajectory(times=self.times, unwrapped=self.positions[:, i],
+                          status=str(self.status[i]),
+                          halt_time=None if np.isnan(halt) else float(halt))
 
 
 def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
@@ -277,21 +327,29 @@ class Trajectory:
                        self.status)
 
 
-def integrate_trajectory(state, potential, q0, dt, t_final,
-                         eps_node=DEFAULT_EPS_NODE, record_every=1):
-    """Single Bohmian trajectory from q0 over [0, t_final]."""
+def integrate_trajectories(state, potential, starts, dt, t_final,
+                           eps_node=DEFAULT_EPS_NODE, record_every=1):
+    """Bohmian trajectories from each start over [0, t_final], as one bundle.
+
+    The wave is propagated once for all starts, and the guiding field is
+    evaluated point by point, so each path is the one its start would follow
+    alone.  Ring starts are angles; two-particle starts are angle pairs.
+    """
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ConfigError("t_final must be an integer multiple of dt")
-    single = np.atleast_1d(np.asarray(q0, dtype=float))
-    q0_arr = single.reshape(1, -1) if single.size > 1 else single
-    result, _ = transport(state, potential, q0_arr, dt, n_steps,
-                          eps_node=eps_node, record_every=record_every)
-    path = result.positions[:, 0]
-    halt = result.halt_times[0]
-    return Trajectory(times=result.times, unwrapped=path,
-                      status=str(result.status[0]),
-                      halt_time=None if np.isnan(halt) else float(halt))
+    result, _ = transport(state, potential, np.asarray(starts, dtype=float),
+                          dt, n_steps, eps_node=eps_node,
+                          record_every=record_every)
+    return [result.trajectory(i) for i in range(len(result.status))]
+
+
+def integrate_trajectory(state, potential, q0, dt, t_final,
+                         eps_node=DEFAULT_EPS_NODE, record_every=1):
+    """Single Bohmian trajectory from q0 over [0, t_final]."""
+    return integrate_trajectories(state, potential, [q0], dt, t_final,
+                                  eps_node=eps_node,
+                                  record_every=record_every)[0]
 
 
 def lift_trajectory(traj, q0_hat):

@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from topobohm import scenario as scenario_module
 from topobohm.cli import main
-from topobohm.propagation import evolve, state_from_dict
-from topobohm.scenario import SCENARIO_SCHEMA_TAG, Scenario
+from topobohm.propagation import Potential, evolve, state_from_dict
+from topobohm.scenario import PAULI, SCENARIO_SCHEMA_TAG, Scenario
+from topobohm.trajectories import integrate_trajectory
 
 BASE = {
     "schema": SCENARIO_SCHEMA_TAG,
@@ -64,6 +66,12 @@ class TestExitCodes:
         manifest = read_json(tmp_path / "o" / "manifest.json")
         assert manifest["status"] == "failed"
         assert manifest["failure"]["family"] == "numerics"
+
+    def test_unreadable_config_is_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["evolve", "--config", missing,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "error[config]: cannot read" in capsys.readouterr().err
 
     def test_missing_seed_is_two(self, tmp_path):
         cfg_dict = dict(BASE)
@@ -150,6 +158,25 @@ class TestClassify:
         }
         cfg = write_config(tmp_path, cfg_dict)
         out = tmp_path / "cls2"
+        assert main(["classify", "--config", cfg, "--out", str(out)]) == 3
+        verdict = read_json(out / "classification.json")
+        assert verdict["label"] == "incompatible"
+
+
+    def test_commutation_checks_the_whole_field(self, tmp_path, monkeypatch):
+        # sigma_z everywhere but sigma_x at index 1, which the every
+        # n/16-th point samples miss
+        field = np.broadcast_to(PAULI["z"], (64, 2, 2)).copy()
+        field[1] = PAULI["x"]
+        monkeypatch.setattr(scenario_module, "build_potential",
+                            lambda cfg, n: Potential.matrix_field(field))
+        cfg_dict = {
+            "schema": SCENARIO_SCHEMA_TAG,
+            "space": {"kind": "ring", "n_points": 64},
+            "factor": {"type": "spin_exp", "angle": 0.7, "axis": [0, 0, 1]},
+        }
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "cls3"
         assert main(["classify", "--config", cfg, "--out", str(out)]) == 3
         verdict = read_json(out / "classification.json")
         assert verdict["label"] == "incompatible"
@@ -345,6 +372,51 @@ def test_two_particle_through_runner(tmp_path):
     assert main(["trajectories", "--config", cfg, "--out", str(out2)]) == 0
     lines = (out2 / "trajectories.csv").read_text().strip().splitlines()
     assert lines[0] == "trajectory,t,angle1,angle2,winding1,winding2,status"
+
+
+def _assert_rows_match_lone_runs(cfg_dict, csv_path):
+    scenario = Scenario(cfg_dict)
+    nm = scenario.numerics
+    tc = cfg_dict["trajectories"]
+    expected = []
+    for i, start in enumerate(tc["starts"]):
+        traj = integrate_trajectory(scenario.initial_state(),
+                                    scenario.potential, start,
+                                    nm.get("transport_dt", nm["dt"]),
+                                    nm["t_final"], eps_node=nm["eps_node"],
+                                    record_every=tc["record_every"])
+        expected.extend(",".join(map(str, (i,) + row))
+                        for row in traj.csv_rows())
+    assert csv_path.read_text().strip().splitlines()[1:] == expected
+
+
+def test_trajectory_bundle_rows_equal_lone_runs(tmp_path):
+    cfg_dict = dict(BASE)
+    cfg_dict["trajectories"] = {"starts": [1.0, 2.0, 3.0, 4.5],
+                                "record_every": 10}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "traj"
+    assert main(["trajectories", "--config", cfg, "--out", str(out)]) == 0
+    _assert_rows_match_lone_runs(cfg_dict, out / "trajectories.csv")
+
+
+def test_two_particle_bundle_rows_equal_lone_runs(tmp_path):
+    cfg_dict = {
+        "schema": SCENARIO_SCHEMA_TAG,
+        "space": {"kind": "two_particle_ring", "n_points": 64},
+        "factor": {"type": "exchange", "sign": -1},
+        "potential": {"type": "pair_interaction",
+                      "terms": [{"amplitude": 0.3, "harmonic": 1}]},
+        "initial_state": {"type": "pair_gaussian", "centers": [2.0, 4.3],
+                          "width": 0.5, "momenta": [1.0, -1.0]},
+        "numerics": {"dt": 1e-3, "t_final": 0.05},
+        "trajectories": {"starts": [[2.0, 4.3], [1.5, 4.0], [2.4, 4.8]],
+                         "record_every": 10},
+    }
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "tp"
+    assert main(["trajectories", "--config", cfg, "--out", str(out)]) == 0
+    _assert_rows_match_lone_runs(cfg_dict, out / "trajectories.csv")
 
 
 def test_two_particle_asymmetric_potential_exits_three(tmp_path):

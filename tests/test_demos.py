@@ -9,13 +9,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# 04 (equivariance check, 10-15 s) and 07 (GRW collapse, about 4 s) are
-# left out: together they would more than double this file's run time, and
-# the API they use is already exercised by test_ensembles and test_collapse.
+# 07 (GRW collapse, about 4 s) is left out: it would add half again to this
+# file's run time, and the API it uses is already exercised by
+# test_collapse.
 FAST_DEMOS = [
     "01_twisted_ring_spectra.py",
     "02_aharonov_bohm_gauge_equivalence.py",
     "03_bohmian_trajectories.py",
+    "04_equivariance_check.py",
     "05_factor_classification.py",
     "06_twisted_representations.py",
 ]

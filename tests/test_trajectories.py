@@ -5,7 +5,7 @@ import pytest
 
 from topobohm.covering import TWO_PI, RingPoint, Winding, is_projectable_field
 from topobohm.errors import ConfigError, PhysicsError
-from topobohm.factors import Character
+from topobohm.factors import Character, MatrixRep
 from topobohm.propagation import (
     Potential,
     angle_grid,
@@ -13,13 +13,18 @@ from topobohm.propagation import (
     gauge_map,
     make_eigenstate,
     make_gaussian_state,
+    make_spinor_state,
     symmetrized_product_state,
     twist_embed,
     wrapped_gaussian,
 )
+from topobohm.scenario import spin_exponential
 from topobohm.trajectories import (
     STATUS_COMPLETED,
     STATUS_HALTED,
+    _RingEvaluator,
+    _TorusEvaluator,
+    integrate_trajectories,
     integrate_trajectory,
     lift_trajectory,
     trajectory_deck_offset,
@@ -63,6 +68,62 @@ class TestVelocityField:
         for _ in range(5):
             state = evolve(state, v, 1e-3, 40)
             assert is_projectable_field(velocity_sheets(state, 3), tol=1e-9)
+
+
+class TestPointEvaluators:
+    """The point evaluators at the grid points against the FFT field."""
+
+    @staticmethod
+    def assert_matches_grid(v_eval, rho_eval, v_grid, rho_grid):
+        assert np.max(np.abs(rho_eval - rho_grid)) <= 1e-12 * np.max(rho_grid)
+        ok = rho_grid > 1e-8 * np.max(rho_grid)
+        scale = max(1.0, np.max(np.abs(v_grid[ok])))
+        assert np.max(np.abs(v_eval - v_grid)[ok]) <= 1e-9 * scale
+
+    def check_ring(self, state):
+        v_grid, _ = velocity_field(state)
+        rho_grid = np.sum(np.abs(state.values) ** 2, axis=0)
+        v, rho = _RingEvaluator(state)(angle_grid(state.n_points))
+        self.assert_matches_grid(v, rho, v_grid, rho_grid)
+
+    def test_twisted_scalar_ring(self):
+        self.check_ring(make_gaussian_state(Character.ring(np.pi / 3), 2.0,
+                                            0.5, 1.5))
+
+    def test_unreduced_flux_twist(self):
+        flux, e = 7.3, 1.0
+        state = make_gaussian_state(Character.ring(-e * flux), 3.0, 0.6, 1.0)
+        assert abs(state.beta) > TWO_PI
+        self.check_ring(state)
+
+    def test_spinor_with_two_sector_betas(self):
+        rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
+        theta = angle_grid(128)
+        state = make_spinor_state(
+            [wrapped_gaussian(theta, 3.0, 0.5, 2.0),
+             0.3 * wrapped_gaussian(theta, 1.5, 0.4, -1.0)], rep)
+        assert len(set(np.round(state.sector_betas, 12))) == 2
+        self.check_ring(state)
+
+    def test_counterpropagating_packets_leave_a_gap_in_the_span(self):
+        theta = angle_grid(256)
+        data = wrapped_gaussian(theta, 2.0, 0.5, 12.0) \
+            + wrapped_gaussian(theta, 4.0, 0.5, -12.0)
+        state = twist_embed(data, Character.ring(0.4))
+        rows = _RingEvaluator(state).rows
+        assert np.any(np.all(rows == 0, axis=(1, 2)))
+        self.check_ring(state)
+
+    def test_antisymmetric_torus_pair(self):
+        state = symmetrized_product_state(
+            lambda t: wrapped_gaussian(t, 2.0, 0.5, 2.0),
+            lambda t: wrapped_gaussian(t, 4.3, 0.5, -1.0), -1, n_points=64)
+        v_grid, _ = velocity_field(state)
+        theta = angle_grid(64)
+        q = np.stack(np.meshgrid(theta, theta, indexing="ij"), axis=-1)
+        v, rho = _TorusEvaluator(state)(q.reshape(-1, 2))
+        self.assert_matches_grid(v.reshape(v_grid.shape), rho.reshape(64, 64),
+                                 v_grid, np.abs(state.values) ** 2)
 
 
 class TestIntegrateTrajectory:
@@ -152,6 +213,16 @@ class TestBundles:
         for snapshot in result.positions:
             gaps = np.diff(np.sort(snapshot))
             assert np.all(gaps > 0.0)
+
+    def test_bundle_paths_equal_lone_paths(self):
+        state = make_gaussian_state(Character.ring(np.pi), 2.0, 0.45, 2.0)
+        starts = [1.5, 2.0, 2.6]
+        bundle = integrate_trajectories(state, Potential.zero(), starts,
+                                        2e-3, 0.2)
+        for q0, traj in zip(starts, bundle):
+            alone = integrate_trajectory(state, Potential.zero(), q0, 2e-3, 0.2)
+            assert np.array_equal(traj.unwrapped, alone.unwrapped)
+            assert traj.status == alone.status
 
     def test_antisymmetric_pair_never_meets(self):
         state = symmetrized_product_state(
