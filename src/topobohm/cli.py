@@ -401,16 +401,15 @@ def cmd_grw(scenario, ctx):
     result = simulate_grw(state, scenario.potential, nm["t_final"],
                           gc.get("lam", 1.0), gc.get("a", 0.3), seed,
                           dt=nm["dt"],
-                          bound_refresh=gc.get("bound_refresh", 100),
                           allow_aperiodic=gc.get("allow_aperiodic", False))
     write_csv(ctx.path("events.csv"),
               ("t", "x", "pre_norm", "post_norm", "label"),
               [e.csv_row() for e in result.events])
     write_json(ctx.path("state.json"), state_to_dict(result.final_state))
-    if result.log:
-        write_json(ctx.path("grw_log.json"), result.log)
     ctx.record("grw-twist-preservation", result.max_twist_residual, 1e-9)
     return {"n_events": result.n_events,
+            "total_rate": result.total_rate,
+            "expected_events": result.total_rate * nm["t_final"],
             "max_twist_residual": result.max_twist_residual}
 
 

@@ -9,15 +9,17 @@ real periodic multiplier: it maps twisted-periodic states to
 twisted-periodic states with the same factor, and commutes with the
 exchange (anti)symmetrization.
 
-The event times form an inhomogeneous Poisson process simulated by exact
-thinning against a grid-sup rate bound, refreshed every ``bound_refresh``
-propagation steps; the collapse centre is drawn from r(x|psi) / total rate.
+For a normalized state the total rate, the integral of r(x|psi) over the
+centres, is lam * N * sum(bump) dx for N particles: the bumps are lifted
+from the base, so it does not depend on psi.  The event times therefore
+form a homogeneous Poisson process at that rate, and the collapse centre
+is drawn from r(x|psi) / total rate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +144,7 @@ def draw_center(state, lam, a, rng):
 class GrwResult:
     final_state: object
     events: list
-    log: list = field(default_factory=list)
+    total_rate: float = 0.0
     max_twist_residual: float = 0.0
     max_exchange_residual: float = 0.0
 
@@ -151,15 +153,31 @@ class GrwResult:
         return len(self.events)
 
 
-def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3,
-                 bound_refresh=100, bound_safety=1.05, allow_aperiodic=False):
-    """Schrodinger evolution punctuated by thinning-sampled collapses.
+def _advance(state, potential, span, dt):
+    """Evolve over ``span``: whole steps of ``dt``, then one remainder step.
 
-    Between events the state follows the split-step propagator; candidate
-    event times come from a homogeneous Poisson clock at the grid-sup rate
-    bound and are accepted with probability (actual total rate) / bound.  A
-    stale bound (actual rate above it) is refreshed and the interval retried,
-    with a log entry.  Deterministic for a given seed.
+    A span within 1e-9 (relative) of a whole number of steps takes exactly
+    that many, so a run whose length is a multiple of ``dt`` takes no
+    rounding-sized remainder step.
+    """
+    n_steps = round(span / dt)
+    if abs(span - n_steps * dt) > 1e-9 * span:
+        n_steps = math.floor(span / dt)
+        state = evolve(state, potential, dt, n_steps)
+        return evolve(state, potential, span - n_steps * dt, 1)
+    return evolve(state, potential, dt, n_steps)
+
+
+def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3,
+                 allow_aperiodic=False):
+    """Schrodinger evolution punctuated by GRW collapses.
+
+    The total collapse rate of a normalized state does not depend on the
+    state, so it is computed once and the waits between events are drawn
+    from the exponential law at that rate; lam = 0 gives no events.  Between
+    events the state follows the split-step propagator in steps of ``dt``
+    plus one shorter step to land on the event time.  Deterministic for a
+    given seed.
 
     Twist preservation is monitored at every event boundary; a residual
     above 1e-9 raises unless ``allow_aperiodic`` opts out of the periodicity
@@ -167,12 +185,13 @@ def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3,
     """
     if lam < 0:
         raise ConfigError("collapse rate constant must be nonnegative")
+    if t_final < 0:
+        raise ConfigError("t_final must be nonnegative")
     rng = np.random.default_rng(seed)
     state = state.normalized()
     two_particle = state.space.kind == "two_particle_ring"
-    events = []
-    log = []
-    result = GrwResult(final_state=state, events=events, log=log)
+    rate = total_rate(state, lam, a)
+    result = GrwResult(final_state=state, events=[], total_rate=rate)
 
     def monitor(s, when):
         res = s.twist_residual()
@@ -185,50 +204,17 @@ def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3,
             result.max_exchange_residual = max(result.max_exchange_residual, xres)
 
     t = 0.0
-    if lam == 0.0:
-        steps = int(round(t_final / dt))
-        state = evolve(state, potential, dt, steps)
-        remainder = t_final - steps * dt
-        if remainder > 1e-15:
-            state = evolve(state, potential, remainder, 1)
-        monitor(state, "final")
-        result.final_state = state
-        return result
-
-    bound = bound_safety * total_rate(state, lam, a)
-    steps_since_refresh = 0
-    while t < t_final - 1e-15:
-        wait = rng.exponential(1.0 / bound)
-        t_candidate = min(t + wait, t_final)
-        # advance in dt chunks, refreshing the bound on schedule
-        span = t_candidate - t
-        n_full = int(span / dt)
-        for _ in range(n_full):
-            state = evolve(state, potential, dt, 1)
-            steps_since_refresh += 1
-            if steps_since_refresh >= bound_refresh:
-                bound = max(bound, bound_safety * total_rate(state, lam, a))
-                steps_since_refresh = 0
-        remainder = span - n_full * dt
-        if remainder > 1e-15:
-            state = evolve(state, potential, remainder, 1)
-        t = t_candidate
-        if t >= t_final - 1e-15:
+    while True:
+        t_next = t + rng.exponential(1.0 / rate) if rate > 0 else math.inf
+        state = _advance(state, potential, min(t_next, t_final) - t, dt)
+        if t_next >= t_final:
             break
-        actual = total_rate(state, lam, a)
-        if actual > bound:
-            log.append({"t": t, "event": "stale-bound",
-                        "bound": bound, "actual": actual})
-            bound = bound_safety * actual
-            continue  # retry the interval from the refreshed bound
-        if rng.random() * bound <= actual:
-            center = draw_center(state, lam, a, rng)
-            state, event = apply_collapse(state, center, lam, a)
-            event.time = t
-            events.append(event)
-            monitor(state, f"event-{len(events)}")
-            bound = bound_safety * total_rate(state, lam, a)
-            steps_since_refresh = 0
+        t = t_next
+        center = draw_center(state, lam, a, rng)
+        state, event = apply_collapse(state, center, lam, a)
+        event.time = t
+        result.events.append(event)
+        monitor(state, f"event-{len(result.events)}")
     monitor(state, "final")
     result.final_state = state
     return result

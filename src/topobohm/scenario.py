@@ -164,6 +164,8 @@ SCENARIO_SCHEMA = {
                 "lam": {"type": "number", "minimum": 0},
                 "a": {"type": "number", "exclusiveMinimum": 0},
                 "allow_aperiodic": {"type": "boolean"},
+                # accepted and ignored, so older scenarios still validate:
+                # GRW events run on a homogeneous clock with no rate bound
                 "bound_refresh": {"type": "integer", "minimum": 1},
             },
         },

@@ -199,7 +199,7 @@ def test_twisted_check(tmp_path):
     assert report["corruption_detected"]
 
 
-def test_grw_run(tmp_path):
+def test_grw_run(tmp_path, capsys):
     cfg_dict = dict(BASE)
     cfg_dict["numerics"] = {"dt": 2e-3, "t_final": 2.0}
     cfg_dict["grw"] = {"lam": 1.0, "a": 0.3}
@@ -209,9 +209,32 @@ def test_grw_run(tmp_path):
     assert main(["grw", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "events.csv").read_text().strip().splitlines()
     assert lines[0] == "t,x,pre_norm,post_norm,label"
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["n_events"] == len(lines) - 1
+    assert summary["expected_events"] == pytest.approx(
+        summary["total_rate"] * 2.0, rel=1e-15)
+    assert summary["total_rate"] == pytest.approx(
+        math.sqrt(2 * math.pi * 0.3 ** 2), rel=1e-10)  # lam sqrt(2 pi a^2)
     manifest = read_json(out / "manifest.json")
     ids = [inv["id"] for inv in manifest["invariants"]]
     assert "grw-twist-preservation" in ids
+
+
+def test_grw_accepts_and_ignores_bound_refresh(tmp_path):
+    artifacts = []
+    # lam 10: about 15 expected events, so events.csv has rows to compare
+    for name, grw in (("plain", {"lam": 10.0, "a": 0.3}),
+                      ("refresh", {"lam": 10.0, "a": 0.3, "bound_refresh": 50})):
+        cfg_dict = dict(BASE, seed=4, numerics={"dt": 2e-3, "t_final": 2.0},
+                        grw=grw)
+        cfg = write_config(tmp_path, cfg_dict, f"{name}.json")
+        out = tmp_path / name
+        assert main(["grw", "--config", cfg, "--out", str(out)]) == 0
+        assert not (out / "grw_log.json").exists()
+        artifacts.append({f: (out / f).read_bytes()
+                          for f in ("events.csv", "state.json")})
+    assert artifacts[0] == artifacts[1]
+    assert len(artifacts[0]["events.csv"].splitlines()) > 1  # some events
 
 
 def test_grw_flux_scenario_evolves_in_the_field(tmp_path):

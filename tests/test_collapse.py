@@ -150,6 +150,23 @@ class TestSimulate:
         assert np.max(np.abs(result.final_state.values
                              - reference.values)) <= 1e-12
 
+    def test_zero_rate_lands_on_t_final_between_steps(self):
+        # 0.0026 is 2.6 steps of 1e-3: two whole steps and one 0.0006 step
+        state = make_gaussian_state(Character.ring(np.pi), 3.0, 0.5, 1.0,
+                                    n_points=64)
+        v = Potential.from_callable(lambda t: 0.3 * np.cos(t), 64)
+        result = simulate_grw(state, v, 0.0026, 0.0, A, seed=1, dt=1e-3)
+        reference = evolve(evolve(state.normalized(), v, 1e-3, 2), v, 0.0006, 1)
+        assert np.max(np.abs(result.final_state.values
+                             - reference.values)) <= 1e-12
+
+    @pytest.mark.parametrize("t_final,lam,match", [
+        (-0.5, LAM, "t_final"), (0.5, -1.0, "rate constant")])
+    def test_negative_inputs_rejected(self, t_final, lam, match):
+        state = make_eigenstate(0, Character.ring(0.0))
+        with pytest.raises(ConfigError, match=match):
+            simulate_grw(state, Potential.zero(), t_final, lam, A, seed=1)
+
     def test_event_times_increase_and_twist_survives(self):
         state = make_gaussian_state(Character.ring(np.pi), 3.0, 0.5, 1.0,
                                     n_points=128)
@@ -188,6 +205,51 @@ class TestSimulate:
         result = simulate_grw(state, Potential.zero(), 1.0, LAM, A,
                               seed=41, dt=2e-3)
         assert result.max_exchange_residual <= 1e-9
+
+
+def _ring_case():
+    state = make_gaussian_state(Character.ring(np.pi), 3.0, 0.5, 1.0,
+                                n_points=128)
+    return state, Potential.from_callable(lambda t: 0.3 * np.cos(t), 128), 1
+
+
+def _spinor_case():
+    from topobohm.factors import MatrixRep
+    from topobohm.propagation import make_spinor_state
+    from topobohm.scenario import spin_exponential
+    rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
+    theta = angle_grid(128)
+    profile = wrapped_gaussian(theta, 3.0, 0.5)
+    state = make_spinor_state([0.8 * profile, 0.6j * profile], rep)
+    field = np.zeros((128, 2, 2))
+    field[:, 0, 0] = 0.3 * np.cos(theta)
+    field[:, 1, 1] = -0.2 * np.sin(theta)  # diagonal: commutes with the factor
+    return state, Potential.matrix_field(field), 1
+
+
+def _pair_case():
+    state = symmetrized_product_state(
+        lambda t: wrapped_gaussian(t, 2.0, 0.5),
+        lambda t: wrapped_gaussian(t, 4.3, 0.5), -1, n_points=64)
+    one = 0.3 * np.cos(angle_grid(64))
+    return state, Potential.scalar(one[:, None] + one[None, :]), 2
+
+
+@pytest.mark.parametrize("case", [_ring_case, _spinor_case, _pair_case],
+                         ids=["ring", "spinor", "antisymmetric-pair"])
+def test_total_rate_is_state_independent(case):
+    """The homogeneous GRW clock rests on this: for a normalized state the
+    total rate is lam * N * sum(bump) dx, through evolution and collapses."""
+    state, potential, n_particles = case()
+    state = state.normalized()
+    bump = localization_bump(state.theta, 0.0, A)
+    expected = LAM * n_particles * float(np.sum(bump)) * state.dx
+    assert abs(total_rate(state, LAM, A) - expected) <= 1e-12 * expected
+    for x in (1.0, 2.5, 4.0):
+        state = evolve(state, potential, 1e-3, 50)
+        assert abs(total_rate(state, LAM, A) - expected) <= 1e-12 * expected
+        state, _ = apply_collapse(state, x, LAM, A)
+        assert abs(total_rate(state, LAM, A) - expected) <= 1e-12 * expected
 
 
 def test_spinor_collapse_preserves_twist():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from topobohm.covering import TWO_PI
 from topobohm.errors import ConfigError, PhysicsError
@@ -77,6 +79,53 @@ class TestSampler:
         expected = density_bin_masses(rho, 64) * n
         _, p = scipy.stats.chisquare(counts, expected)
         assert p > 0.001
+
+
+# grid densities with exact zeros mixed in, so some cells have two zero ends
+grid_densities = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+                          min_size=2, max_size=64).map(np.array)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+class TestSamplerProperties:
+    """Properties of the inverse-CDF sampler that draws every collapse
+    centre and every ensemble start."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(rho=grid_densities, seed=seeds)
+    def test_samples_lie_on_the_circle(self, rho, seed):
+        assume(rho.max() > 0)
+        x = sample_from_grid_density(rho, 200, np.random.default_rng(seed))
+        assert np.all((x >= 0.0) & (x < TWO_PI))
+
+    @settings(derandomize=True, deadline=None)
+    @given(rho=grid_densities, seed=seeds)
+    def test_no_sample_inside_a_dead_cell(self, rho, seed):
+        # a cell whose two end values are zero carries no mass; a sample may
+        # touch its end points only from a neighbouring live cell
+        assume(rho.max() > 0)
+        m = rho.size
+        live = (rho > 0) | (np.roll(rho, -1) > 0)
+        x = sample_from_grid_density(rho, 200, np.random.default_rng(seed))
+        pos = x / (TWO_PI / m)
+        cell = np.floor(pos).astype(int) % m
+        frac = pos - np.floor(pos)
+        ok = (live[cell] | ((frac < 1e-9) & live[cell - 1])
+              | ((frac > 1 - 1e-9) & live[(cell + 1) % m]))
+        assert np.all(ok)
+
+    @settings(derandomize=True, deadline=None)
+    @given(m=st.integers(2, 64), level=st.floats(1e-3, 1e3), seed=seeds)
+    def test_constant_density_fills_cells_binomially(self, m, level, seed):
+        n = 4000
+        x = sample_from_grid_density(np.full(m, level), n,
+                                     np.random.default_rng(seed))
+        counts = np.bincount(np.minimum((x / (TWO_PI / m)).astype(int), m - 1),
+                             minlength=m)
+        alpha = 1e-6 / m  # two-sided, Bonferroni over the cells
+        lo = scipy.stats.binom.ppf(alpha / 2, n, 1 / m)
+        hi = scipy.stats.binom.isf(alpha / 2, n, 1 / m)
+        assert np.all((counts >= lo) & (counts <= hi))
 
 
 class TestDistances:
