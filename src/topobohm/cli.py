@@ -12,6 +12,7 @@ incompatibility, 4 numerical tolerance breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -34,7 +35,13 @@ from .factors import (
     random_unitary,
     verify_twisted_law,
 )
-from .propagation import evolve, gauge_map, spectrum, state_to_dict
+from .propagation import (
+    evolve,
+    factor_commutes,
+    gauge_map,
+    spectrum,
+    state_to_dict,
+)
 from .trajectories import integrate_trajectories
 from .ensembles import verify_equivariance
 from .collapse import simulate_grw
@@ -54,9 +61,15 @@ DEFAULT_OUT_ENV = "TOPOBOHM_OUT"
 
 def _atomic_write(path, text):
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        # leave no partial file behind, whatever stopped the write
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_json(path, payload):
@@ -345,12 +358,9 @@ def cmd_classify(scenario, ctx):
     factor = scenario.factor
     dim = 1 if isinstance(factor, Character) else factor.dim
     potential = scenario.potential
-    samples = potential.sample_matrices(dim)
-    field = potential.values if potential.kind in ("matrix", "covariant") \
-        else None
-    verdict = classify_dynamics(factor, samples,
+    verdict = classify_dynamics(factor, potential.sample_matrices(dim),
                                 scenario.numerics["word_length_cap"],
-                                field=field)
+                                commutes=factor_commutes(factor, potential))
     if verdict.label == "incompatible":
         write_json(ctx.path("classification.json"), verdict.__dict__)
         raise PhysicsError(

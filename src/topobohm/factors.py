@@ -705,7 +705,7 @@ class Classification:
 
 
 def classify_dynamics(factor, potential_samples, word_length_cap=6,
-                      field=None):
+                      commutes=None):
     """Sort a factor/potential pair into its dynamics class.
 
     C0: trivial factor (the plain dynamics on the base).
@@ -715,11 +715,11 @@ def classify_dynamics(factor, potential_samples, word_length_cap=6,
     already generate the full matrix algebra while the factor is not scalar
     (only characters survive a generic potential).
 
-    ``field``, the whole (m, k, k) potential field, is what the commutation
-    verdict checks when it is given, so a point between the samples cannot
-    slip through; without it the samples are checked.  The algebra span is
-    always computed from the samples: its word products grow as a power of
-    their number.
+    ``commutes`` is the commutation verdict when the caller has one, such
+    as the split-step gate's over the whole field (so a point between the
+    samples cannot slip through); without it the samples are checked.  The
+    algebra span is always computed from the samples: its word products
+    grow as a power of their number.
     """
     samples = [np.asarray(v, dtype=complex) for v in potential_samples]
     if not samples:
@@ -732,7 +732,8 @@ def classify_dynamics(factor, potential_samples, word_length_cap=6,
     else:
         scalar = factor.is_scalar
         trivial = factor.is_trivial
-        commutes = check_commutes(factor, samples if field is None else field)
+        if commutes is None:
+            commutes = check_commutes(factor, samples)
         dim = factor.dim
     if samples[0].ndim == 0 or samples[0].shape == ():
         samples = [np.atleast_2d(v) for v in samples]

@@ -77,11 +77,21 @@ class Potential:
       covariant  -- cover-side Hermitian field stored in its gauge-fixed
                     periodic form, shape (n, k, k); covariance under the deck
                     action then holds for any periodic data by construction
+
+    ``values`` is a read-only copy of the data it was given: ``evolve``
+    reuses its set-up for the same potential object, which is sound only
+    while the field cannot change in place.
     """
 
     kind: str
     values: np.ndarray = None
     label: str = ""
+
+    def __post_init__(self):
+        if self.values is not None:
+            values = np.array(self.values, order="C")
+            values.flags.writeable = False
+            object.__setattr__(self, "values", values)
 
     @classmethod
     def zero(cls):
@@ -102,7 +112,7 @@ class Potential:
         if max_abs(m - m.conj().T) > 1e-12:
             raise ConfigError("matrix potential must be Hermitian")
         return cls(kind="matrix", values=np.broadcast_to(
-            m, (n_points,) + m.shape).copy(), label=label)
+            m, (n_points,) + m.shape), label=label)
 
     @classmethod
     def matrix_field(cls, values, label="matrix"):
@@ -164,7 +174,10 @@ class WaveGrid:
     sector_basis: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
+        # C order, so norms and densities sum in the same order whatever
+        # layout the caller passed
+        object.__setattr__(self, "values",
+                           np.ascontiguousarray(self.values, dtype=complex))
         if self.space.kind == "ring":
             if self.values.ndim != 2:
                 raise ConfigError("ring values must have shape (components, n)")
@@ -463,22 +476,22 @@ def _sector_potential(state, potential):
     return ("matrix", v)
 
 
-def _gate_factor_potential(state, potential):
-    """Refuse to step unless the factor is compatible with the potential.
+def factor_commutes(factor, potential):
+    """The commutation rule of the split step, shared with ``classify``.
 
-    Scalar potentials and covariant cover-side fields always pass; a matrix
-    potential must commute with the factor at every grid point, else the
-    periodicity condition would not be preserved by the evolution.
+    Characters commute with everything, and so do scalar potentials and
+    covariant cover-side fields of the factor's dimension (covariance holds
+    by construction in their gauge-fixed storage).  A matrix potential must
+    commute with the factor at every grid point, else the evolution would
+    not preserve the periodicity condition.
     """
-    if potential.kind != "matrix":
-        return
-    if isinstance(state.twist, Character):
-        return
-    if not check_commutes(state.twist, potential.values):
-        raise IncompatibleFactorError(
-            "matrix potential does not commute with the topological factor at "
-            "every configuration point; the twist would not survive the "
-            "evolution, so the step is refused")
+    if isinstance(factor, Character) or potential.kind in ("zero", "scalar"):
+        return True
+    if potential.kind == "covariant":
+        if potential.values.shape[1:] != (factor.dim, factor.dim):
+            raise ConfigError("covariant field dimension does not match factor")
+        return True
+    return check_commutes(factor, potential.values)
 
 
 def _kinetic_phase(state, dt):
@@ -491,13 +504,17 @@ def _kinetic_phase(state, dt):
 
 
 def _potential_half_phase(kind, data, dt):
+    """exp(-i dt V / 2): a field on the grid, or for a matrix potential the
+    (k, k, n) array of pointwise unitaries, sector-major so that the kick's
+    sum runs over contiguous grid rows."""
     if kind == "none":
         return None
     if kind == "scalar":
         return np.exp(-0.5j * dt * data)
     eigvals, eigvecs = np.linalg.eigh(data)
     phase = np.exp(-0.5j * dt * eigvals)
-    return np.einsum("nab,nb,ncb->nac", eigvecs, phase, eigvecs.conj())
+    pointwise = np.einsum("nab,nb,ncb->nac", eigvecs, phase, eigvecs.conj())
+    return np.ascontiguousarray(np.moveaxis(pointwise, 0, -1))
 
 
 def _apply_half_potential(values, kind, phase):
@@ -505,7 +522,54 @@ def _apply_half_potential(values, kind, phase):
         return values
     if kind == "scalar":
         return values * phase
-    return np.einsum("nab,bn->an", phase, values)
+    return np.einsum("abn,bn->an", phase, values)
+
+
+def _array_key(a):
+    return None if a is None else (a.shape, a.dtype.str, a.tobytes())
+
+
+def _twist_key(twist):
+    if isinstance(twist, MatrixRep):
+        return (twist.group_id,) + tuple(_array_key(g) for g in twist.generators)
+    return twist
+
+
+def _layout_key(state):
+    """What the split step reads of a state besides its values, by value."""
+    return (state.space, state.values.shape, _array_key(state.sector_betas),
+            _array_key(state.sector_basis), _twist_key(state.twist))
+
+
+class SplitStep:
+    """The set-up of one V/2 - T - V/2 step for a state layout, a potential
+    and dt: the gate verdict, the kinetic multiplier, the half-potential
+    phase and the FFT pair.  Building it raises ``IncompatibleFactorError``
+    when the factor does not commute with the potential."""
+
+    def __init__(self, state, potential, dt):
+        if not factor_commutes(state.twist, potential):
+            raise IncompatibleFactorError(
+                "matrix potential does not commute with the topological factor "
+                "at every configuration point; the twist would not survive the "
+                "evolution, so the step is refused")
+        self.potential = potential  # held, so its id is not reused
+        self.dt = dt
+        self.layout = _layout_key(state)
+        self.kind, data = _sector_potential(state, potential)
+        self.half_v = _potential_half_phase(self.kind, data, dt)
+        self.kinetic = _kinetic_phase(state, dt)
+        if state.space.kind == "two_particle_ring":
+            self.fft, self.ifft = np.fft.fft2, np.fft.ifft2
+        else:  # ring values are (components, n): transform the last axis
+            self.fft, self.ifft = np.fft.fft, np.fft.ifft
+
+    def serves(self, state, potential, dt):
+        return (potential is self.potential and dt == self.dt
+                and _layout_key(state) == self.layout)
+
+
+_last_step = None
 
 
 def evolve(state, potential, dt, n_steps, renormalize=False):
@@ -516,19 +580,23 @@ def evolve(state, potential, dt, n_steps, renormalize=False):
     left unreduced, beta = -e flux, is the flux gauge with kinetic term
     (n - e flux / 2 pi)^2 / 2.  Two-particle states step on the torus under
     an exchange-symmetric scalar potential.
+
+    The step's set-up (a ``SplitStep``) is kept from the last call and
+    reused when the potential is the same object, dt is equal and the
+    state's layout (space, shape, sector angles and basis, twist) is equal
+    by value, so a run that calls ``evolve`` in chunks or one step at a time
+    pays for it once.  The results do not depend on that reuse.
     """
+    global _last_step
     if dt <= 0:
         raise ConfigError("dt must be positive")
     if n_steps == 0:
         return state
-    _gate_factor_potential(state, potential)
-    kind, data = _sector_potential(state, potential)
-    half_v = _potential_half_phase(kind, data, dt)
-    kinetic = _kinetic_phase(state, dt)
-    if state.space.kind == "two_particle_ring":
-        fft, ifft = np.fft.fft2, np.fft.ifft2
-    else:  # ring values are (components, n): transform the last axis
-        fft, ifft = np.fft.fft, np.fft.ifft
+    step = _last_step
+    if step is None or not step.serves(state, potential, dt):
+        step = _last_step = SplitStep(state, potential, dt)
+    kind, half_v, kinetic = step.kind, step.half_v, step.kinetic
+    fft, ifft = step.fft, step.ifft
     values = state.values
     for _ in range(n_steps):
         values = _apply_half_potential(values, kind, half_v)

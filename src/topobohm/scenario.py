@@ -301,8 +301,7 @@ def build_potential(cfg, n_points):
         return Potential.matrix_constant(_matrix(pc["matrix"]), n_points)
     if kind == "covariant_const":
         m = _matrix(pc["matrix"])
-        return Potential.covariant(np.broadcast_to(
-            m, (n_points,) + m.shape).copy())
+        return Potential.covariant(np.broadcast_to(m, (n_points,) + m.shape))
     if kind == "pair_onebody":
         one = _trig_values(pc.get("terms", []), theta)
         return Potential.scalar(one[:, None] + one[None, :], label="pair-onebody")

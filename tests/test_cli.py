@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from topobohm import scenario as scenario_module
-from topobohm.cli import main
+from topobohm.cli import main, write_json
 from topobohm.propagation import Potential, evolve, state_from_dict
 from topobohm.scenario import PAULI, SCENARIO_SCHEMA_TAG, Scenario
 from topobohm.trajectories import integrate_trajectory
@@ -180,6 +181,52 @@ class TestClassify:
         assert main(["classify", "--config", cfg, "--out", str(out)]) == 3
         verdict = read_json(out / "classification.json")
         assert verdict["label"] == "incompatible"
+
+    def test_covariant_field_passes_classify_and_evolve(self, tmp_path):
+        # sigma_z does not commute with an x-axis factor, but a covariant
+        # field passes the split-step gate by construction; classify must
+        # apply the same rule
+        cfg_dict = dict(BASE,
+                        factor={"type": "spin_exp", "angle": 1.0,
+                                "axis": [1, 0, 0]},
+                        potential={"type": "covariant_const",
+                                   "matrix": [[[1, 0], [0, 0]],
+                                              [[0, 0], [-1, 0]]]},
+                        initial_state={"type": "spinor_gaussian",
+                                       "amplitudes": [[1, 0], [0, 0.5]],
+                                       "center": 3.0, "width": 0.5})
+        cfg = write_config(tmp_path, cfg_dict)
+        for sub in ("classify", "evolve"):
+            assert main([sub, "--config", cfg,
+                         "--out", str(tmp_path / sub)]) == 0
+        verdict = read_json(tmp_path / "classify" / "classification.json")
+        assert verdict["label"] == "C2"
+
+    def test_covariant_field_of_another_dimension_exits_two(self, tmp_path):
+        cfg_dict = dict(BASE,
+                        factor={"type": "spin_exp", "angle": 1.0,
+                                "axis": [1, 0, 0]},
+                        potential={"type": "covariant_const",
+                                   "matrix": [[[1, 0], [0, 0], [0, 0]],
+                                              [[0, 0], [1, 0], [0, 0]],
+                                              [[0, 0], [0, 0], [-1, 0]]]},
+                        initial_state={"type": "spinor_gaussian",
+                                       "amplitudes": [[1, 0], [0, 0.5]],
+                                       "center": 3.0, "width": 0.5})
+        cfg = write_config(tmp_path, cfg_dict)
+        for sub in ("classify", "evolve"):
+            assert main([sub, "--config", cfg,
+                         "--out", str(tmp_path / sub)]) == 2
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="no space"):
+        write_json(str(tmp_path / "report.json"), {"a": 1})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_twisted_check(tmp_path):

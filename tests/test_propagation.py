@@ -2,16 +2,27 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from topobohm.covering import TWO_PI
+from topobohm import propagation
+from topobohm.covering import TWO_PI, CoveringSpace
 from topobohm.errors import ConfigError, IncompatibleFactorError, PhysicsError
-from topobohm.factors import Character, MatrixRep, unitary_fractional_power
+from topobohm.factors import (
+    Character,
+    MatrixRep,
+    unitary_eig,
+    unitary_fractional_power,
+)
 from topobohm.propagation import (
     Potential,
     SheetWindowIntegrator,
+    WaveGrid,
     angle_grid,
     crank_nicolson_evolve,
     evolve,
@@ -35,6 +46,11 @@ from topobohm.scenario import spin_exponential
 
 def l2_diff(a, b):
     return float(np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * a.dx))
+
+
+def bits(a):
+    """The raw 64-bit words of an array, so -0.0 and 0.0 count as different."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestTwistEmbed:
@@ -185,6 +201,111 @@ class TestSplitStep:
         assert 3.2 <= ratio <= 4.8
 
 
+def _memo_case(name):
+    """A state and a potential for each layout the split step handles."""
+    n = 64
+    theta = angle_grid(n)
+    chi = wrapped_gaussian(theta, 3.0, 0.5, 1.0)
+    sigma_z = np.diag([1.0, -1.0])
+    if name == "scalar-ring":
+        return (make_gaussian_state(Character.ring(np.pi / 3), 3.0, 0.5, 1.0,
+                                    n_points=n),
+                Potential.from_callable(lambda t: 0.4 * np.cos(t), n))
+    if name == "spinor-matrix":
+        # a field commuting with a z-axis factor, varying along the ring
+        field = (np.cos(theta)[:, None, None] * sigma_z
+                 + np.sin(2 * theta)[:, None, None] * np.eye(2))
+        rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
+        return (make_spinor_state([chi, 0.4j * chi], rep),
+                Potential.matrix_field(field))
+    if name == "spinor-covariant":
+        rep = MatrixRep.ring(spin_exponential(0.6, [1, 0, 0]))
+        return (make_spinor_state([chi, 0.4 * chi], rep),
+                Potential.covariant(np.broadcast_to(sigma_z, (n, 2, 2))))
+    one = 0.3 * np.cos(angle_grid(32))
+    return (symmetrized_product_state(
+                lambda t: np.exp(-(t - 2.0) ** 2), lambda t: np.exp(-(t - 4.0) ** 2),
+                -1, n_points=32),
+            Potential.scalar(one[:, None] + one[None, :]))
+
+
+class TestEvolveMemo:
+    """``evolve`` reuses its last set-up; no result may depend on that."""
+
+    @pytest.mark.parametrize("name", ["scalar-ring", "spinor-matrix",
+                                      "spinor-covariant", "antisymmetric-pair"])
+    def test_chunked_calls_equal_one_call(self, name):
+        state, potential = _memo_case(name)
+        whole = evolve(state, potential, 1e-3, 100)
+        chunked = evolve(evolve(state, potential, 1e-3, 37), potential, 1e-3, 63)
+        assert np.array_equal(bits(chunked.values), bits(whole.values))
+
+    def test_no_stale_set_up_is_served(self, monkeypatch):
+        state, potential = _memo_case("spinor-matrix")
+        other_field = potential.values * 1.5
+        variants = {
+            "potential": (state, Potential.matrix_field(other_field), 1e-3),
+            "dt": (state, potential, 2e-3),
+            "sector_betas": (replace(state, sector_betas=state.sector_betas + 0.3),
+                             potential, 1e-3),
+            "sector_basis": (replace(state, sector_basis=state.sector_basis[:, ::-1]),
+                             potential, 1e-3),
+            # the field does not commute with an x-axis factor: refused
+            "twist": (replace(state, twist=MatrixRep.ring(
+                spin_exponential(0.7, [1, 0, 0]))), potential, 1e-3),
+            "space": (replace(state, space=CoveringSpace.ring(radius=2.0)),
+                      potential, 1e-3),
+        }
+
+        def outcome(s, v, dt):
+            try:
+                return bits(evolve(s, v, dt, 20).values)
+            except IncompatibleFactorError as exc:
+                return type(exc)
+
+        for name, (s, v, dt) in variants.items():
+            evolve(state, potential, 1e-3, 20)
+            after_first_call = outcome(s, v, dt)
+            monkeypatch.setattr(propagation, "_last_step", None)
+            fresh = outcome(s, v, dt)
+            if isinstance(fresh, np.ndarray):
+                assert np.array_equal(after_first_call, fresh), name
+            else:
+                assert after_first_call is fresh, name
+
+    def test_potential_values_are_a_read_only_copy(self):
+        arr = np.cos(angle_grid(64))
+        potentials = (Potential.scalar(arr), Potential(kind="scalar", values=arr))
+        for potential in potentials:
+            with pytest.raises(ValueError):
+                potential.values[0] = 5.0
+        arr[0] = 5.0  # the caller's array stays writable, and apart
+        assert all(potential.values[0] == 1.0 for potential in potentials)
+
+    def test_incompatible_pair_refused_on_every_call(self, pauli):
+        state, potential = _memo_case("spinor-matrix")
+        evolve(state, potential, 1e-3, 1)
+        cached = propagation._last_step
+        refused = Potential.matrix_constant(pauli["x"], 64)
+        for _ in range(2):
+            with pytest.raises(IncompatibleFactorError):
+                evolve(state, refused, 1e-3, 1)
+        assert propagation._last_step is cached
+
+
+def test_norm_does_not_depend_on_memory_layout():
+    # seed 0 draws a state whose norm, summed in Fortran order, differs in
+    # its last bit from the C-order sum
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
+    rep = MatrixRep.ring(np.eye(2))
+    c_order, f_order = (
+        WaveGrid(space=CoveringSpace.ring(), values=values, twist=rep,
+                 sector_betas=np.zeros(2), sector_basis=np.eye(2))
+        for values in (v, np.asfortranarray(v)))
+    assert c_order.norm() == f_order.norm()
+
+
 class TestVectorPotential:
     def test_full_flux_quantum_spectrum_is_free(self):
         with_flux = spectrum(Character.ring(-TWO_PI), Potential.zero(), 8)
@@ -215,6 +336,19 @@ class TestGaugeMap:
             state = make_gaussian_state(Character.ring(-flux), 3.0, 0.6, 1.0)
             back = gauge_unmap(gauge_map(state), flux, 1.0)
             assert np.max(np.abs(back.values - state.values)) <= 1e-12
+
+    @settings(derandomize=True, deadline=None)
+    @given(flux=st.floats(-25.0, 25.0), charge=st.sampled_from([1.0, -1.0, 2.0]),
+           momentum=st.floats(-3.0, 3.0))
+    def test_unmap_inverts_map_over_windings(self, flux, charge, momentum):
+        state = make_gaussian_state(Character.ring(-charge * flux), 3.0, 0.6,
+                                    momentum, n_points=64)
+        back = gauge_unmap(gauge_map(state), flux, charge)
+        assert back.twist == state.twist
+        assert np.array_equal(bits(back.sector_betas), bits(state.sector_betas))
+        # exp(-i m theta) exp(i m theta) is 1 to a few ulp
+        assert np.max(np.abs(back.values - state.values)) \
+            <= 1e-14 * np.max(np.abs(state.values))
 
     def test_step_diagram_commutes(self):
         flux, e = np.pi, 1.0
@@ -348,6 +482,35 @@ class TestStateSerialization:
         back = state_from_dict(state_to_dict(state))
         assert np.array_equal(back.values, state.values)
         assert back.exchange_sign == -1
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["scalar", "spinor", "torus"]),
+           n=st.sampled_from([4, 8, 16]), fortran=st.booleans())
+    def test_json_round_trip_is_exact(self, data, kind, n, fortran):
+        shape = {"scalar": (1, n), "spinor": (2, n), "torus": (n, n)}[kind]
+        values = data.draw(hnp.arrays(complex, shape, elements=st.complex_numbers(
+            allow_nan=False, allow_infinity=False)))
+        if fortran:
+            values = np.asfortranarray(values)
+        angle = data.draw(st.floats(-20.0, 20.0))
+        if kind == "torus":
+            state = WaveGrid(space=CoveringSpace.two_particle_ring(), values=values,
+                             twist=Character.exchange(2, -1))
+        elif kind == "scalar":
+            state = WaveGrid(space=CoveringSpace.ring(), values=values,
+                             twist=Character.ring(angle),
+                             sector_betas=np.array([angle]))
+        else:
+            rep = MatrixRep.ring(spin_exponential(angle, [0.6, 0.0, 0.8]))
+            eigvals, basis = unitary_eig(rep.generators[0])
+            state = WaveGrid(space=CoveringSpace.ring(), values=values, twist=rep,
+                             sector_betas=np.angle(eigvals), sector_basis=basis)
+        back = state_from_dict(json.loads(json.dumps(state_to_dict(state))))
+        assert np.array_equal(bits(back.values), bits(values))
+        if kind != "torus":
+            assert np.array_equal(bits(back.sector_betas), bits(state.sector_betas))
+        if kind == "spinor":
+            assert np.array_equal(bits(back.sector_basis), bits(state.sector_basis))
 
     def test_unknown_schema_rejected(self):
         state = make_eigenstate(0, Character.ring(0.0), n_points=32)
