@@ -6,7 +6,8 @@ manifest (config digest, seed, invariant residuals, file inventory); runs
 are reproducible bit for bit from config + seed, wall time aside.
 
 Exit codes partition failures: 0 success, 2 config/schema, 3 physics
-incompatibility, 4 numerical tolerance breach.
+incompatibility, 4 numerical tolerance breach, 5 internal error (any other
+exception, such as an I/O error while writing or a bug).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +53,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_PHYSICS = 3
 EXIT_NUMERICS = 4
+EXIT_INTERNAL = 5
 
 DEFAULT_OUT_ENV = "TOPOBOHM_OUT"
 
@@ -543,6 +546,14 @@ def main(argv=None):
         print(f"error[numerics]: invariant '{exc.invariant}': {exc}",
               file=sys.stderr)
         return EXIT_NUMERICS
+    except Exception as exc:
+        # anything else is a fault of the program or its host, not of the
+        # scenario: it still ends in a documented code and a manifest
+        message = f"{type(exc).__name__}: {exc}"
+        with contextlib.suppress(OSError):  # the failure may be the disk's
+            _emit_failure(ctx, "internal", message, traceback.format_exc())
+        print(f"error[internal]: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _summarize(result):
@@ -557,10 +568,12 @@ def _summarize(result):
     return out
 
 
-def _emit_failure(ctx, family, exc):
+def _emit_failure(ctx, family, exc, trace=None):
     if ctx is not None:
-        ctx.emit_manifest(status="failed",
-                          failure={"family": family, "message": str(exc)})
+        failure = {"family": family, "message": str(exc)}
+        if trace is not None:
+            failure["traceback"] = trace
+        ctx.emit_manifest(status="failed", failure=failure)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 The three failure families map onto the batch runner's exit codes:
 config/schema problems (2), physics incompatibilities (3), and numerical
-tolerance breaches (4).
+tolerance breaches (4).  Any other exception is an internal error (5).
 """
 
 

@@ -569,7 +569,7 @@ class SplitStep:
                 and _layout_key(state) == self.layout)
 
 
-_last_step = None
+_recent_steps = ()  # most recently used first
 
 
 def evolve(state, potential, dt, n_steps, renormalize=False):
@@ -581,20 +581,24 @@ def evolve(state, potential, dt, n_steps, renormalize=False):
     (n - e flux / 2 pi)^2 / 2.  Two-particle states step on the torus under
     an exchange-symmetric scalar potential.
 
-    The step's set-up (a ``SplitStep``) is kept from the last call and
-    reused when the potential is the same object, dt is equal and the
-    state's layout (space, shape, sector angles and basis, twist) is equal
-    by value, so a run that calls ``evolve`` in chunks or one step at a time
-    pays for it once.  The results do not depend on that reuse.
+    The set-ups (``SplitStep``) of the two most recently used step sizes
+    and layouts are kept, and one is reused when the potential is the same
+    object, dt is equal and the state's layout (space, shape, sector angles
+    and basis, twist) is equal by value.  A run that calls ``evolve`` in
+    chunks or one step at a time pays for its set-up once, and so does one
+    that alternates whole steps with remainder steps of another size, as
+    GRW does between events.  The results do not depend on that reuse.
     """
-    global _last_step
+    global _recent_steps
     if dt <= 0:
         raise ConfigError("dt must be positive")
     if n_steps == 0:
         return state
-    step = _last_step
-    if step is None or not step.serves(state, potential, dt):
-        step = _last_step = SplitStep(state, potential, dt)
+    step = next((s for s in _recent_steps if s.serves(state, potential, dt)),
+                None)
+    if step is None:
+        step = SplitStep(state, potential, dt)
+    _recent_steps = (step,) + tuple(s for s in _recent_steps if s is not step)[:1]
     kind, half_v, kinetic = step.kind, step.half_v, step.kinetic
     fft, ifft = step.fft, step.ifft
     values = state.values

@@ -152,12 +152,17 @@ class _TorusEvaluator:
 
     The same COEFF_CUT is applied to the n x n Fourier coefficients C, and
     each axis keeps the contiguous span of its kept modes (a from lo1, b from
-    lo2).  The power bases z1^j and z2^j, z = exp(i q), are built by a
-    running product from one complex exp per coordinate; one BLAS product
-    against the stacked [C | i a C | C i b] gives the first-axis sums of psi,
-    d1 psi and d2 psi, and three row sums against the second basis finish
-    them.  The factor z1^lo1 z2^lo2 common to all three cancels in the
-    density and in Im(conj(psi) d psi).
+    lo2).  Everything is stored mode-major, one contiguous row of M points
+    per mode.  The power bases P1[j] = z1^j and P2[j] = z2^j, z = exp(i q),
+    are built row by row, each row the previous one times z.  One BLAS
+    product [C^T ; (i a C)^T] @ P1 gives the first-axis sums T of psi and
+    d1 psi, (2 nb, M); multiplying by P2 in place and summing over the mode
+    axis finishes them.  d2 psi needs no GEMM block of its own: its factor
+    i b belongs to the second axis alone, so it can be applied after the
+    first-axis sum, as weights on the psi block:
+    psi = sum_j T_psi[j] P2[j] and d2 psi = sum_j (i b_j) T_psi[j] P2[j].
+    The factor z1^lo1 z2^lo2 common to all three cancels in the density and
+    in Im(conj(psi) d psi).
     """
 
     def __init__(self, state, velocity_factor=1.0):
@@ -170,26 +175,30 @@ class _TorusEvaluator:
         a, b = modes[rows], modes[cols]
         span_a = np.arange(a.min(), a.max() + 1)
         span_b = np.arange(b.min(), b.max() + 1)
-        c = np.zeros((span_a.size, span_b.size), dtype=complex)
-        c[a - span_a[0], b - span_b[0]] = coeffs[rows, cols]
-        self.stacked = np.hstack([c, (1j * span_a)[:, None] * c,
-                                  c * (1j * span_b)[None, :]])     # (na, 3 nb)
+        c = np.zeros((span_b.size, span_a.size), dtype=complex)   # C^T
+        c[b - span_b[0], a - span_a[0]] = coeffs[rows, cols]
+        self.blocks = np.vstack([c, c * (1j * span_a)])             # (2 nb, na)
+        self.ib = 1j * span_b
         self.inv_r2 = 1.0 / state.radius ** 2
         self.max_density = float(np.max(np.abs(state.values) ** 2))
         self.velocity_factor = velocity_factor
 
     @staticmethod
     def _powers(angles, count):
-        p = np.empty((angles.size, count), dtype=complex)
-        p[:, 0] = 1.0
-        p[:, 1:] = np.exp(1j * angles)[:, None]
-        return np.cumprod(p, axis=1, out=p)
+        z = np.exp(1j * angles)
+        p = np.empty((count, angles.size), dtype=complex)
+        p[0] = 1.0
+        for j in range(1, count):
+            np.multiply(p[j - 1], z, out=p[j])
+        return p
 
     def __call__(self, q):
-        nb = self.stacked.shape[1] // 3
-        t = self._powers(q[:, 0], self.stacked.shape[0]) @ self.stacked
-        psi, d1, d2 = np.einsum("mij,mj->im", t.reshape(-1, 3, nb),
-                                self._powers(q[:, 1], nb))
+        nb = self.ib.size
+        u = self.blocks @ self._powers(q[:, 0], self.blocks.shape[1])
+        u = u.reshape(2, nb, -1)                                    # T_psi, T_d1
+        u *= self._powers(q[:, 1], nb)
+        psi, d1 = np.sum(u, axis=1)
+        d2 = self.ib @ u[0]
         rho = psi.real ** 2 + psi.imag ** 2
         safe = np.maximum(rho, 1e-300)
         v = np.stack([psi.real * d1.imag - psi.imag * d1.real,

@@ -80,6 +80,34 @@ class TestExitCodes:
         cfg = write_config(tmp_path, cfg_dict)
         assert main(["grw", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_unexpected_exception_is_five(self, tmp_path, capsys, monkeypatch):
+        from topobohm import cli
+
+        def broken(scenario, ctx):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setitem(cli.COMMANDS, "evolve", broken)
+        cfg = write_config(tmp_path, BASE)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err.strip() == \
+            "error[internal]: RuntimeError: disk on fire"
+        manifest = read_json(tmp_path / "o" / "manifest.json")
+        cli.validate_manifest(manifest)
+        assert manifest["status"] == "failed"
+        assert manifest["failure"]["family"] == "internal"
+        assert "disk on fire" in manifest["failure"]["traceback"]
+
+    def test_unwritable_output_is_five(self, tmp_path, capsys, monkeypatch):
+        # the artifacts and then the failure manifest cannot be written
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        cfg = write_config(tmp_path, BASE)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err.strip() == \
+            "error[internal]: OSError: no space left on device"
+
 
 class TestEvolve:
     def test_outputs_and_manifest(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from topobohm import propagation
 from topobohm.covering import TWO_PI
 from topobohm.errors import ConfigError, PhysicsError
 from topobohm.factors import Character
@@ -177,6 +178,26 @@ class TestSimulate:
         assert times == sorted(times)
         assert result.max_twist_residual <= 1e-9
         assert result.final_state.norm() == pytest.approx(1.0, abs=1e-10)
+
+    def test_one_set_up_per_step_size(self, monkeypatch):
+        # every interval ends on an event time with a remainder step of its
+        # own size; the whole steps between them must reuse one set-up
+        built = []
+        original = propagation.SplitStep.__init__
+
+        def counting_init(step, *args):
+            built.append(args[2])
+            original(step, *args)
+
+        monkeypatch.setattr(propagation.SplitStep, "__init__", counting_init)
+        state = make_gaussian_state(Character.ring(np.pi), 3.0, 0.5, 1.0,
+                                    n_points=64)
+        v = Potential.from_callable(lambda t: 0.3 * np.cos(t), 64)
+        t_final = 5.0 / (LAM * np.sqrt(2 * np.pi * A ** 2))
+        result = simulate_grw(state, v, t_final, LAM, A, seed=11, dt=2e-3)
+        assert result.n_events >= 3
+        assert built.count(2e-3) == 1
+        assert len(built) <= 1 + result.n_events + 1
 
     def test_seed_determinism(self):
         state = make_gaussian_state(Character.ring(np.pi), 3.0, 0.5, 1.0,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topobohm.covering import (
     TWO_PI,
@@ -120,6 +122,27 @@ class TestDeckCompose:
             s = space.random_deck(rng, max_word_length=4)
             assert deck_compose(s, s.inverse()).is_identity
             assert deck_compose(s.inverse(), s).is_identity
+
+
+@pytest.mark.parametrize("group", ["ring", "sym", "free", "nfermion"])
+class TestDeckGroupLaws:
+    """``deck_compose`` is a group product on every kind of deck group."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_associativity(self, deck_groups, group, data):
+        elements, _ = deck_groups[group]
+        a, b, c = data.draw(st.tuples(elements, elements, elements))
+        assert deck_compose(deck_compose(a, b), c) == deck_compose(a, deck_compose(b, c))
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_identity_and_inverse(self, deck_groups, group, data):
+        elements, identity = deck_groups[group]
+        a = data.draw(elements)
+        assert deck_compose(identity, a) == a == deck_compose(a, identity)
+        assert deck_compose(a, a.inverse()) == identity
+        assert deck_compose(a.inverse(), a) == identity
 
 
 class TestWords:

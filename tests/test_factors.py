@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topobohm.covering import (
     CoveringSpace,
@@ -10,6 +12,7 @@ from topobohm.covering import (
     Permutation,
     SemidirectElement,
     Winding,
+    deck_compose,
 )
 from topobohm.errors import ConfigError, NonUnimodularFactorError
 from topobohm.factors import (
@@ -82,6 +85,58 @@ class TestHomomorphism:
                    for _ in range(64)]
         value = rep.evaluate(FreeWord.from_letters(letters, 2))
         assert np.max(np.abs(value.conj().T @ value - np.eye(3))) <= 1e-10
+
+
+phases = st.floats(-np.pi, np.pi).map(lambda angle: np.exp(1j * angle))
+
+
+def _characters(group):
+    if group == "ring":
+        return st.floats(-10.0, 10.0).map(Character.ring)
+    if group == "sym":
+        return st.sampled_from((1, -1)).map(lambda sign: Character.exchange(4, sign))
+    if group == "free":
+        return st.lists(phases, min_size=2, max_size=2).map(Character.free)
+    return st.builds(lambda ph, sign: Character.nfermion(3, ph, sign=sign),
+                     st.lists(phases, min_size=2, max_size=2),
+                     st.sampled_from((1, -1)))
+
+
+def _matrix_rep(group, seed):
+    rng = np.random.default_rng(seed)
+    if group == "ring":
+        return MatrixRep.ring(random_unitary(3, rng))
+    if group == "sym":  # S_4 permuting the axes of C^4, times a sign
+        swaps = [np.eye(4)[list(Permutation.swap(4, i, i + 1).images)]
+                 for i in range(3)]
+        return MatrixRep.exchange(4, [-s for s in swaps])
+    return MatrixRep.free((random_unitary(3, rng), random_unitary(3, rng)))
+
+
+class TestHomomorphismLaws:
+    """value(a b) = value(a) value(b) on random deck elements."""
+
+    @pytest.mark.parametrize("group", ["ring", "sym", "free", "nfermion"])
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_character_value(self, deck_groups, group, data):
+        elements, identity = deck_groups[group]
+        ch = data.draw(_characters(group))
+        a, b = data.draw(st.tuples(elements, elements))
+        assert ch.value(identity) == 1
+        assert abs(ch.value(deck_compose(a, b))
+                   - ch.value(a) * ch.value(b)) <= 1e-12
+
+    @pytest.mark.parametrize("group", ["ring", "sym", "free"])
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matrix_rep_evaluate(self, deck_groups, group, data, seed):
+        elements, identity = deck_groups[group]
+        rep = _matrix_rep(group, seed)
+        a, b = data.draw(st.tuples(elements, elements))
+        assert np.array_equal(rep.evaluate(identity), np.eye(rep.dim))
+        lhs = rep.evaluate(deck_compose(a, b))
+        assert np.max(np.abs(lhs - rep.evaluate(a) @ rep.evaluate(b))) <= 1e-12
 
 
 class TestEnumerateCharacters:

@@ -266,7 +266,7 @@ class TestEvolveMemo:
         for name, (s, v, dt) in variants.items():
             evolve(state, potential, 1e-3, 20)
             after_first_call = outcome(s, v, dt)
-            monkeypatch.setattr(propagation, "_last_step", None)
+            monkeypatch.setattr(propagation, "_recent_steps", ())
             fresh = outcome(s, v, dt)
             if isinstance(fresh, np.ndarray):
                 assert np.array_equal(after_first_call, fresh), name
@@ -285,12 +285,12 @@ class TestEvolveMemo:
     def test_incompatible_pair_refused_on_every_call(self, pauli):
         state, potential = _memo_case("spinor-matrix")
         evolve(state, potential, 1e-3, 1)
-        cached = propagation._last_step
+        cached = propagation._recent_steps
         refused = Potential.matrix_constant(pauli["x"], 64)
         for _ in range(2):
             with pytest.raises(IncompatibleFactorError):
                 evolve(state, refused, 1e-3, 1)
-        assert propagation._last_step is cached
+        assert propagation._recent_steps is cached
 
 
 def test_norm_does_not_depend_on_memory_layout():

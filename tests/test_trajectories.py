@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from topobohm.covering import TWO_PI, RingPoint, Winding, is_projectable_field
+from topobohm.covering import (
+    TWO_PI,
+    CoveringSpace,
+    RingPoint,
+    Winding,
+    is_projectable_field,
+)
 from topobohm.errors import ConfigError, PhysicsError
 from topobohm.factors import Character, MatrixRep
 from topobohm.propagation import (
@@ -14,6 +20,7 @@ from topobohm.propagation import (
     make_eigenstate,
     make_gaussian_state,
     make_spinor_state,
+    make_two_particle_state,
     symmetrized_product_state,
     twist_embed,
     wrapped_gaussian,
@@ -22,6 +29,7 @@ from topobohm.scenario import spin_exponential
 from topobohm.trajectories import (
     STATUS_COMPLETED,
     STATUS_HALTED,
+    COEFF_CUT,
     _RingEvaluator,
     _TorusEvaluator,
     integrate_trajectories,
@@ -124,6 +132,52 @@ class TestPointEvaluators:
         v, rho = _TorusEvaluator(state)(q.reshape(-1, 2))
         self.assert_matches_grid(v.reshape(v_grid.shape), rho.reshape(64, 64),
                                  v_grid, np.abs(state.values) ** 2)
+
+    def test_torus_off_grid_against_direct_sum(self):
+        # a product that is in no exchange sector, so a transposed C or
+        # swapped axes would change the field: axis 1 holds two packets at
+        # momenta +-12 (a gap in its span), axis 2 two narrower packets.
+        # The direct sum runs over the coefficients the evaluator keeps, so
+        # it checks the evaluation, not the COEFF_CUT truncation.
+        n = 64
+        theta = angle_grid(n)
+        f1 = wrapped_gaussian(theta, 2.0, 1.0, 12.0) \
+            + 0.7 * wrapped_gaussian(theta, 4.5, 1.0, -12.0)
+        f2 = wrapped_gaussian(theta, 3.5, 0.6, 3.0) \
+            + 0.5 * wrapped_gaussian(theta, 1.0, 0.6, -2.0)
+        state = make_two_particle_state(
+            np.outer(f1, f2), -1, space=CoveringSpace.two_particle_ring(radius=1.5),
+            enforce=False)
+        coeffs = np.fft.fft2(state.values) / n ** 2
+        kept = np.abs(coeffs) > COEFF_CUT * np.max(np.abs(coeffs))
+        coeffs = np.where(kept, coeffs, 0.0)
+        modes = np.fft.fftfreq(n, d=1.0 / n)
+        kept_a, kept_b = modes[np.any(kept, axis=1)], modes[np.any(kept, axis=0)]
+        span_a = kept_a.max() - kept_a.min() + 1
+        assert kept_a.size < span_a                            # a gap
+        assert span_a != kept_b.max() - kept_b.min() + 1       # na != nb
+
+        q = np.random.default_rng(4).uniform(0, TWO_PI, (500, 2))
+        e1 = np.exp(1j * q[:, :1] * modes)                    # (M, n)
+        e2 = np.exp(1j * q[:, 1:] * modes)
+        psi = np.einsum("ma,ab,mb->m", e1, coeffs, e2)
+        d1 = np.einsum("ma,ab,mb->m", e1 * 1j * modes, coeffs, e2)
+        d2 = np.einsum("ma,ab,mb->m", e1, coeffs, e2 * 1j * modes)
+        rho_ref = np.abs(psi) ** 2
+        v_ref = np.stack([np.imag(np.conj(psi) * d1),
+                          np.imag(np.conj(psi) * d2)], axis=1) \
+            / rho_ref[:, None] / 1.5 ** 2
+
+        v, rho = _TorusEvaluator(state)(q)
+        assert np.max(np.abs(rho - rho_ref)) <= 1e-13 * np.max(rho_ref)
+        ok = rho_ref > 1e-6 * np.max(rho_ref)
+        assert np.count_nonzero(ok) > 100
+        for axis in (0, 1):
+            err = np.abs(v[ok, axis] - v_ref[ok, axis])
+            assert np.max(err) <= 1e-10 * np.max(np.abs(v_ref[ok, axis]))
+
+        v_neg, rho_neg = _TorusEvaluator(state, velocity_factor=-1.0)(q)
+        assert np.array_equal(v_neg, -v) and np.array_equal(rho_neg, rho)
 
 
 class TestIntegrateTrajectory:
