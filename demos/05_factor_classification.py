@@ -2,9 +2,9 @@
 
 Characters (unit scalars) commute with everything.  A genuinely
 matrix-valued factor survives only when it commutes with the potential at
-every point; once the sampled potentials generate the full matrix algebra,
+every point; once the potential field generates the full matrix algebra,
 nothing but characters remains.  The classifier below reports the dynamics
-class and the generated-algebra span.
+class and the dimension of the algebra its field generates.
 """
 
 import numpy as np
@@ -47,6 +47,11 @@ for _ in range(2):
     random_potentials.append(h + h.conj().T)
 show("same factor vs generic potentials",
      MatrixRep.ring(spin_exponential(0.7, [0, 0, 1])), random_potentials)
+# a whole field: sigma_z at 63 of 64 points and sigma_x at one of them
+whole_field = np.broadcast_to(PAULI["z"], (64, 2, 2)).copy()
+whole_field[1] = PAULI["x"]
+show("whole field: sigma_z, sigma_x at 1 pt",
+     MatrixRep.ring(spin_exponential(0.7, [0, 0, 1])), whole_field)
 
 print("\na commuting matrix factor splits into character sectors:")
 rep = MatrixRep.ring(spin_exponential(0.8, [1, 0, 0]))

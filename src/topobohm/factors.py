@@ -14,15 +14,16 @@ of a covering space:
                          covering the N-fermion semidirect construction.
 
 The module also houses the executable classifier (trivial / character /
-matrix-compatible / incompatible) and the generated-algebra span test that
-backs the genericity verdict.
+matrix-compatible / incompatible), which reports the dimension of the
+algebra the whole potential field generates: once that is the full matrix
+algebra, only characters commute with it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -271,13 +272,6 @@ class FiniteGroup:
                 return h
         raise ConfigError(f"element {g!r} has no inverse")
 
-    def element_order(self, g):
-        order, acc = 1, g
-        while acc != self.identity:
-            acc = self.compose(acc, g)
-            order += 1
-        return order
-
     def subgroup_closure(self, seed_elements):
         members = {self.identity}
         frontier = [self.identity]
@@ -462,7 +456,6 @@ class MatrixRep:
 
     group_id: tuple
     generators: tuple
-    verified_potentials: set = field(default_factory=set, compare=False)
 
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=complex) for m in self.generators)
@@ -489,11 +482,6 @@ class MatrixRep:
     @classmethod
     def free(cls, matrices):
         return cls(group_id=("free", len(matrices)), generators=tuple(matrices))
-
-    @classmethod
-    def from_character(cls, character, dim, space):
-        gens = [val * np.eye(dim) for val in character.generator_values(space)]
-        return cls(group_id=character.group_id, generators=tuple(gens))
 
     def _check_relations(self):
         if self.group_id[0] == "sym":
@@ -626,18 +614,12 @@ def random_unitary(dim, rng):
 # commutation gate and classifier
 # ---------------------------------------------------------------------------
 
-def _potential_digest(samples):
-    return hash(np.ascontiguousarray(samples).tobytes())
-
-
 def check_commutes(factor, potential_samples, tol=COMMUTE_TOL):
     """True iff every generator factor commutes with every sampled potential.
 
     Samples are Hermitian k x k matrices on the factor's value space, given
     as a list or as one (m, k, k) array such as a whole potential field.
-    Scalar factors (characters) commute with everything.  A passing check is
-    recorded on the representation as a certificate keyed by a digest of the
-    samples.
+    Scalar factors (characters) commute with everything.
     """
     samples = np.asarray(potential_samples, dtype=complex)
     if len(samples) == 0:
@@ -658,36 +640,40 @@ def check_commutes(factor, potential_samples, tol=COMMUTE_TOL):
         # product, where a stacked matmul loops over the k x k matrices
         gv = np.moveaxis(np.tensordot(g, samples, axes=(1, 1)), 0, 1)
         worst = max(worst, max_abs(gv - np.tensordot(samples, g, axes=1)))
-    ok = worst <= tol
-    if ok:
-        factor.verified_potentials.add(_potential_digest(samples))
-    return ok
+    return worst <= tol
 
 
-def generated_algebra_span(potential_samples, word_length_cap=6):
-    """Dimension of the linear span of sample products up to the length cap.
+def _commutant(basis):
+    """Orthonormal basis of the matrices that commute with every element.
 
-    Rank is counted by singular values above 1e-8 after normalizing each
-    product to unit max entry; the span equals the full matrix algebra when
-    the rank reaches k^2.
+    X commutes with A iff (A kron I - I kron A^T) vec(X) = 0 for the
+    row-major vec, so the commutant is the null space of those maps stacked
+    over the basis.  The elements have unit norm, so the rank cut is
+    absolute.
     """
-    samples = [np.asarray(v, dtype=complex) for v in potential_samples]
-    k = samples[0].shape[0]
-    products = [np.eye(k, dtype=complex)]
-    level = [np.eye(k, dtype=complex)]
-    for _ in range(word_length_cap):
-        level = [v @ p for v in samples for p in level]
-        products.extend(level)
-        if len(products) > 4000:
-            break
-    rows = []
-    for p in products:
-        scale = max_abs(p)
-        if scale > 0:
-            rows.append((p / scale).ravel())
-    matrix = np.stack(rows)
-    singular_values = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(singular_values > SPAN_SINGULAR_VALUE_CUT))
+    k = basis.shape[-1]
+    eye = np.eye(k)
+    maps = np.concatenate([np.kron(a, eye) - np.kron(eye, a.T) for a in basis])
+    _, s, vh = np.linalg.svd(maps)
+    return vh[int(np.sum(s > SPAN_SINGULAR_VALUE_CUT)):].reshape(-1, k, k)
+
+
+def _generated_algebra_dim(field):
+    """Dimension of the unital algebra generated by Hermitian matrices.
+
+    The identity and the (m, k, k) stack are reduced to an orthonormal basis
+    of their linear span (singular values above ``SPAN_SINGULAR_VALUE_CUT``
+    of the largest).  That span is closed under the adjoint, so the algebra
+    it generates is its bicommutant (von Neumann's double-commutant theorem,
+    finite-dimensional case): two null spaces of at most k^4 x k^2 systems,
+    with no word products and, past one QR of the stack, no cost in m.
+    """
+    k = field.shape[-1]
+    rows = np.concatenate([np.eye(k).reshape(1, k * k),
+                           field.reshape(len(field), k * k)])
+    _, s, vh = np.linalg.svd(np.linalg.qr(rows, mode="r"), full_matrices=False)
+    span = vh[s > SPAN_SINGULAR_VALUE_CUT * s[0]].reshape(-1, k, k)
+    return len(_commutant(_commutant(span)))
 
 
 @dataclass(frozen=True)
@@ -704,56 +690,45 @@ class Classification:
         return self.label != "incompatible"
 
 
-def classify_dynamics(factor, potential_samples, word_length_cap=6,
-                      commutes=None):
+def classify_dynamics(factor, field, compatible=None):
     """Sort a factor/potential pair into its dynamics class.
 
     C0: trivial factor (the plain dynamics on the base).
     C1: every generator a unit scalar, i.e. the factor is a character.
-    C2: genuinely matrix valued, commuting with the potential.
-    incompatible: the commutation gate fails, or the sampled potentials
-    already generate the full matrix algebra while the factor is not scalar
-    (only characters survive a generic potential).
+    C2: genuinely matrix valued and compatible with the potential.
+    incompatible: the factor is not compatible with the potential.
 
-    ``commutes`` is the commutation verdict when the caller has one, such
-    as the split-step gate's over the whole field (so a point between the
-    samples cannot slip through); without it the samples are checked.  The
-    algebra span is always computed from the samples: its word products
-    grow as a power of their number.
+    ``field`` is an (m, k, k) stack of Hermitian potential values: a whole
+    field, or a few samples of one.  The verdict's ``commutes`` is
+    ``check_commutes`` on that stack, and ``span_dim`` the dimension of the
+    algebra it generates; at k^2, the full matrix algebra, only characters
+    commute with it (Schur's lemma).  ``compatible`` decides the label and
+    defaults to ``commutes``.  The CLI passes the split-step gate's rule,
+    under which a covariant field is compatible by construction even where
+    it does not commute with the factor pointwise.
     """
-    samples = [np.asarray(v, dtype=complex) for v in potential_samples]
-    if not samples:
-        raise ConfigError("need at least one potential sample")
-    if isinstance(factor, Character):
-        scalar = True
-        trivial = factor.is_trivial
-        commutes = True
-        dim = 1
-    else:
-        scalar = factor.is_scalar
-        trivial = factor.is_trivial
-        if commutes is None:
-            commutes = check_commutes(factor, samples)
-        dim = factor.dim
-    if samples[0].ndim == 0 or samples[0].shape == ():
-        samples = [np.atleast_2d(v) for v in samples]
-    span_dim = generated_algebra_span(samples, word_length_cap)
-    spans_full = span_dim == samples[0].shape[0] ** 2
-    if not commutes:
-        return Classification("incompatible", False, scalar, span_dim, spans_full,
-                              "factor fails to commute with the sampled potential")
-    if spans_full and not scalar and dim == samples[0].shape[0]:
-        return Classification("incompatible", commutes, scalar, span_dim, spans_full,
-                              "sampled potentials generate the full matrix algebra; "
-                              "only scalar factors are compatible")
-    if trivial:
-        return Classification("C0", True, scalar, span_dim, spans_full,
-                              "trivial factor: plain dynamics")
+    field = np.asarray(field, dtype=complex)
+    commutes = check_commutes(factor, field)
+    if compatible is None:
+        compatible = commutes
+    scalar = isinstance(factor, Character) or factor.is_scalar
+    span_dim = _generated_algebra_dim(field)
+
+    def verdict(label, detail):
+        return Classification(label, commutes, scalar, span_dim,
+                              span_dim == field.shape[1] ** 2, detail)
+
+    if not compatible:
+        return verdict("incompatible",
+                       "factor fails to commute with the sampled potential")
+    if factor.is_trivial:
+        return verdict("C0", "trivial factor: plain dynamics")
     if scalar:
-        return Classification("C1", True, True, span_dim, spans_full,
-                              "character factor: compatible with every potential")
-    return Classification("C2", True, False, span_dim, spans_full,
-                          "matrix factor commuting with the sampled potentials")
+        return verdict("C1", "character factor: compatible with every potential")
+    if not commutes:
+        return verdict("C2", "matrix factor compatible by construction with a "
+                       "covariant field it does not commute with pointwise")
+    return verdict("C2", "matrix factor commuting with the sampled potentials")
 
 
 # ---------------------------------------------------------------------------

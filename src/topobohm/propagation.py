@@ -132,17 +132,6 @@ class Potential:
     def is_zero(self):
         return self.kind == "zero"
 
-    def sample_matrices(self, dim):
-        """Representative Hermitian samples for the commutation gate."""
-        if self.kind == "zero":
-            return [np.zeros((dim, dim))]
-        if self.kind == "scalar":
-            flat = np.unique(np.round(np.asarray(self.values).ravel(), 14))
-            picks = flat[:: max(1, len(flat) // 8)]
-            return [v * np.eye(dim) for v in picks]
-        step = max(1, self.values.shape[0] // 16)
-        return [self.values[i] for i in range(0, self.values.shape[0], step)]
-
 
 # ---------------------------------------------------------------------------
 # wave grids

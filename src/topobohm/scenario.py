@@ -132,6 +132,8 @@ SCENARIO_SCHEMA = {
                 "max_twist_residual": {"type": "number", "minimum": 0},
                 "monitor_every": {"type": "integer", "minimum": 1},
                 "transport_dt": {"type": "number", "exclusiveMinimum": 0},
+                # accepted and ignored, so older scenarios still validate:
+                # classify takes the algebra of the whole field, not words
                 "word_length_cap": {"type": "integer", "minimum": 1},
             },
         },
@@ -205,7 +207,6 @@ NUMERICS_DEFAULTS = {
     "max_norm_drift": 1e-7,
     "max_twist_residual": 1e-9,
     "monitor_every": 100,
-    "word_length_cap": 6,
 }
 
 

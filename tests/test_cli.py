@@ -26,6 +26,26 @@ BASE = {
 }
 
 
+SPINOR = {"type": "spinor_gaussian", "amplitudes": [[1, 0], [0, 0.5]],
+          "center": 3.0, "width": 0.5}
+
+
+def off_sample_field(n=64):
+    # sigma_z everywhere but sigma_x at index 1, a point that a sample of
+    # every n/16-th point misses
+    field = np.broadcast_to(PAULI["z"], (n, 2, 2)).copy()
+    field[1] = PAULI["x"]
+    return field
+
+
+def spanning_covariant_field(n=64):
+    # cos t sigma_z + sin t sigma_x: generates all of M_2 and commutes
+    # nowhere with an x-axis factor, yet is covariant by construction
+    theta = 2 * np.pi * np.arange(n) / n
+    return (np.cos(theta)[:, None, None] * PAULI["z"]
+            + np.sin(theta)[:, None, None] * PAULI["x"])
+
+
 def write_config(tmp_path, cfg, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -122,6 +142,9 @@ class TestEvolve:
         assert {"state.json", "monitor.csv"} <= names
         for inv in manifest["invariants"]:
             assert inv["passed"]
+        structural = {inv["id"]: inv.get("structural", False)
+                      for inv in manifest["invariants"]}
+        assert structural == {"norm-drift": False, "twist-preservation": True}
 
     def test_manifests_are_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -193,12 +216,9 @@ class TestClassify:
 
 
     def test_commutation_checks_the_whole_field(self, tmp_path, monkeypatch):
-        # sigma_z everywhere but sigma_x at index 1, which the every
-        # n/16-th point samples miss
-        field = np.broadcast_to(PAULI["z"], (64, 2, 2)).copy()
-        field[1] = PAULI["x"]
-        monkeypatch.setattr(scenario_module, "build_potential",
-                            lambda cfg, n: Potential.matrix_field(field))
+        monkeypatch.setattr(
+            scenario_module, "build_potential",
+            lambda cfg, n: Potential.matrix_field(off_sample_field(n)))
         cfg_dict = {
             "schema": SCENARIO_SCHEMA_TAG,
             "space": {"kind": "ring", "n_points": 64},
@@ -209,6 +229,7 @@ class TestClassify:
         assert main(["classify", "--config", cfg, "--out", str(out)]) == 3
         verdict = read_json(out / "classification.json")
         assert verdict["label"] == "incompatible"
+        assert verdict["span_dim"] == 4  # the one sigma_x point counts
 
     def test_covariant_field_passes_classify_and_evolve(self, tmp_path):
         # sigma_z does not commute with an x-axis factor, but a covariant
@@ -229,6 +250,71 @@ class TestClassify:
                          "--out", str(tmp_path / sub)]) == 0
         verdict = read_json(tmp_path / "classify" / "classification.json")
         assert verdict["label"] == "C2"
+        assert not verdict["commutes"]  # the literal pointwise check
+
+    def test_spanning_covariant_field_is_c2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            scenario_module, "build_potential",
+            lambda cfg, n: Potential.covariant(spanning_covariant_field(n)))
+        cfg_dict = dict(BASE, factor={"type": "spin_exp", "angle": 0.7,
+                                      "axis": [1, 0, 0]},
+                        initial_state=SPINOR)
+        cfg = write_config(tmp_path, cfg_dict)
+        for sub in ("classify", "evolve"):
+            assert main([sub, "--config", cfg,
+                         "--out", str(tmp_path / sub)]) == 0
+        verdict = read_json(tmp_path / "classify" / "classification.json")
+        assert verdict["label"] == "C2"
+        assert not verdict["commutes"]
+        assert verdict["span_dim"] == 4
+        assert verdict["spans_full_algebra"]
+        assert "compatible by construction" in verdict["detail"]
+
+    def test_word_length_cap_is_accepted_and_ignored(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(
+            scenario_module, "build_potential",
+            lambda cfg, n: Potential.covariant(spanning_covariant_field(n)))
+        written = []
+        for name, numerics in (("plain", {}), ("capped", {"word_length_cap": 1})):
+            cfg_dict = dict(BASE, factor={"type": "spin_exp", "angle": 0.7,
+                                          "axis": [1, 0, 0]},
+                            initial_state=SPINOR, numerics=numerics)
+            cfg = write_config(tmp_path, cfg_dict, f"{name}.json")
+            out = tmp_path / name
+            assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+            written.append((out / "classification.json").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("factor_axis, potential", [
+        ([0, 0, 1], {"type": "zero"}),
+        ([0, 0, 1], {"type": "matrix_const",
+                     "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}),
+        ([0, 0, 1], lambda n: Potential.matrix_field(off_sample_field(n))),
+        ([1, 0, 0], {"type": "covariant_const",
+                     "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}),
+        ([1, 0, 0], {"type": "covariant_const",
+                     "matrix": [[[1, 0], [0, 0], [0, 0]],
+                                [[0, 0], [1, 0], [0, 0]],
+                                [[0, 0], [0, 0], [-1, 0]]]}),
+        ([1, 0, 0], lambda n: Potential.covariant(spanning_covariant_field(n))),
+    ], ids=["zero", "matrix-const", "off-sample", "covariant-z",
+            "covariant-3x3", "covariant-spanning"])
+    def test_classify_refuses_exactly_what_evolve_refuses(
+            self, tmp_path, monkeypatch, factor_axis, potential):
+        cfg_dict = dict(BASE, factor={"type": "spin_exp", "angle": 0.7,
+                                      "axis": factor_axis},
+                        initial_state=SPINOR)
+        if callable(potential):
+            monkeypatch.setattr(scenario_module, "build_potential",
+                                lambda cfg, n: potential(n))
+        else:
+            cfg_dict["potential"] = potential
+        cfg = write_config(tmp_path, cfg_dict)
+        codes = {sub: main([sub, "--config", cfg, "--out", str(tmp_path / sub)])
+                 for sub in ("classify", "evolve")}
+        assert (codes["classify"] == 3) == (codes["evolve"] == 3)
+        assert codes["classify"] == codes["evolve"]
 
     def test_covariant_field_of_another_dimension_exits_two(self, tmp_path):
         cfg_dict = dict(BASE,
@@ -291,8 +377,9 @@ def test_grw_run(tmp_path, capsys):
     assert summary["total_rate"] == pytest.approx(
         math.sqrt(2 * math.pi * 0.3 ** 2), rel=1e-10)  # lam sqrt(2 pi a^2)
     manifest = read_json(out / "manifest.json")
-    ids = [inv["id"] for inv in manifest["invariants"]]
-    assert "grw-twist-preservation" in ids
+    structural = {inv["id"]: inv.get("structural", False)
+                  for inv in manifest["invariants"]}
+    assert structural["grw-twist-preservation"] is True
 
 
 def test_grw_accepts_and_ignores_bound_refresh(tmp_path):

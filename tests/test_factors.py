@@ -216,11 +216,6 @@ class TestCheckCommutes:
         with pytest.raises(ConfigError, match="Hermitian"):
             check_commutes(rep, [np.array([[0, 1], [0, 0]])])
 
-    def test_certificate_recorded(self, pauli):
-        rep = MatrixRep.ring(spin_exponential(0.4, [0, 0, 1]))
-        assert check_commutes(rep, [pauli["z"]])
-        assert len(rep.verified_potentials) == 1
-
 
 class TestClassify:
     def test_character_is_c1(self):
@@ -259,6 +254,79 @@ class TestClassify:
             [u @ v @ u.conj().T for v in samples])
         assert before.label == after.label == "C2"
         assert before.span_dim == after.span_dim
+
+
+def word_closure_dim(mats, tol=1e-8):
+    """Uncapped reference: grow the span of words until no product is new.
+
+    Each product that leaves the span joins it and is multiplied again, so
+    the final span contains the identity and is closed under left
+    multiplication by every generator, i.e. it is the generated algebra.
+    """
+    k = mats[0].shape[0]
+    basis = []
+
+    def join(m):
+        v = m.ravel() / np.linalg.norm(m)
+        for _ in range(2):  # Gram-Schmidt twice against rounding
+            for b in basis:
+                v = v - (b.conj() @ v) * b
+        if np.linalg.norm(v) <= tol:
+            return False
+        basis.append(v / np.linalg.norm(v))
+        return True
+
+    frontier = [np.eye(k, dtype=complex)]
+    join(frontier[0])
+    while frontier:
+        p = frontier.pop()
+        for a in mats:
+            q = a @ p
+            if np.linalg.norm(q) > 0 and join(q):
+                frontier.append(q / np.linalg.norm(q))
+    return len(basis)
+
+
+def random_hermitian(d, rng):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return a + a.conj().T
+
+
+@st.composite
+def block_hermitian_sets(draw):
+    """Hermitian sets of the form sum over blocks of A_i kron I_(m_i), k <= 4.
+
+    Block sizes d_i and multiplicities m_i are drawn (m_i = 2 gives the
+    A kron I_2 form), so the generated algebra has dimension from 1 up to
+    16; a random unitary then hides the block structure.
+    """
+    shapes = [(d, m) for d in (1, 2, 3, 4) for m in (1, 2) if d * m <= 4]
+    blocks, k = [], 0
+    for d, m in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=4)):
+        if k + d * m <= 4:
+            blocks.append((d, m))
+            k += d * m
+    count = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(count):
+        mats.append(scipy.linalg.block_diag(
+            *(np.kron(random_hermitian(d, rng), np.eye(m)) for d, m in blocks)))
+    if draw(st.booleans()):
+        mats.append(0.5 * np.eye(k))
+    return np.array(mats, dtype=complex), random_unitary(k, rng)
+
+
+class TestAlgebraDimension:
+    @settings(derandomize=True, deadline=None)
+    @given(block_hermitian_sets())
+    def test_span_dim_is_the_word_closure(self, drawn):
+        mats, u = drawn
+        conjugated = np.array([u @ v @ u.conj().T for v in mats])
+        verdict = classify_dynamics(Character.ring(0.0), mats)
+        assert verdict.span_dim == word_closure_dim(list(mats))
+        assert classify_dynamics(Character.ring(0.0),
+                                 conjugated).span_dim == verdict.span_dim
 
 
 class TestDecompose:
