@@ -43,6 +43,7 @@ from .propagation import (
     gauge_map,
     spectrum,
     state_to_dict,
+    whole_steps,
 )
 from .trajectories import integrate_trajectories
 from .ensembles import verify_equivariance
@@ -212,8 +213,7 @@ class RunContext:
 def cmd_evolve(scenario, ctx):
     nm = scenario.numerics
     dt = nm["dt"]
-    t_final = nm["t_final"]
-    n_steps = int(round(t_final / dt))
+    n_steps = whole_steps(nm["t_final"], dt)
     every = nm["monitor_every"]
     state = scenario.initial_state()
     norm0 = state.norm()
@@ -307,7 +307,7 @@ def cmd_ab_compare(scenario, ctx):
     nm = scenario.numerics
     dt = nm["dt"]
     t_final = nm["t_final"]
-    n_steps = int(round(t_final / dt))
+    n_steps = whole_steps(t_final, dt)
 
     untwisted = scenario.initial_state()
     if abs(math.remainder(untwisted.beta, TWO_PI)) > 1e-12:

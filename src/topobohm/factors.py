@@ -720,7 +720,7 @@ def classify_dynamics(factor, field, compatible=None):
 
     if not compatible:
         return verdict("incompatible",
-                       "factor fails to commute with the sampled potential")
+                       "factor fails to commute with the whole field")
     if factor.is_trivial:
         return verdict("C0", "trivial factor: plain dynamics")
     if scalar:
@@ -728,7 +728,7 @@ def classify_dynamics(factor, field, compatible=None):
     if not commutes:
         return verdict("C2", "matrix factor compatible by construction with a "
                        "covariant field it does not commute with pointwise")
-    return verdict("C2", "matrix factor commuting with the sampled potentials")
+    return verdict("C2", "matrix factor commuting with the whole field")
 
 
 # ---------------------------------------------------------------------------

@@ -506,14 +506,6 @@ def _potential_half_phase(kind, data, dt):
     return np.ascontiguousarray(np.moveaxis(pointwise, 0, -1))
 
 
-def _apply_half_potential(values, kind, phase):
-    if kind == "none":
-        return values
-    if kind == "scalar":
-        return values * phase
-    return np.einsum("abn,bn->an", phase, values)
-
-
 def _array_key(a):
     return None if a is None else (a.shape, a.dtype.str, a.tobytes())
 
@@ -530,11 +522,26 @@ def _layout_key(state):
             _array_key(state.sector_basis), _twist_key(state.twist))
 
 
+# states of at most this many complex values step by one stored dense
+# unitary: at 128 values the vector-matrix product takes about a third of
+# the time of the FFT step, whose cost there is mostly per-call overhead;
+# at 256 the two are about even, and at 512 the product is 6x slower
+DENSE_STEP_MAX = 128
+
+
 class SplitStep:
     """The set-up of one V/2 - T - V/2 step for a state layout, a potential
     and dt: the gate verdict, the kinetic multiplier, the half-potential
     phase and the FFT pair.  Building it raises ``IncompatibleFactorError``
-    when the factor does not commute with the potential."""
+    when the factor does not commute with the potential, before anything
+    else is built.
+
+    A state of at most ``DENSE_STEP_MAX`` values also gets ``matrix``, the
+    whole step as one (size, size) unitary: row j is ``apply`` of the j-th
+    unit vector, so ``flat @ matrix`` is one step of the flattened values
+    and the step keeps a single definition.  Larger states have ``matrix``
+    None and step by ``apply``.
+    """
 
     def __init__(self, state, potential, dt):
         if not factor_commutes(state.twist, potential):
@@ -552,10 +559,30 @@ class SplitStep:
             self.fft, self.ifft = np.fft.fft2, np.fft.ifft2
         else:  # ring values are (components, n): transform the last axis
             self.fft, self.ifft = np.fft.fft, np.fft.ifft
+        size = state.values.size
+        self.matrix = None
+        if size <= DENSE_STEP_MAX:
+            basis = np.eye(size, dtype=complex).reshape(
+                (size,) + state.values.shape)
+            self.matrix = self.apply(basis).reshape(size, size)
 
     def serves(self, state, potential, dt):
         return (potential is self.potential and dt == self.dt
                 and _layout_key(state) == self.layout)
+
+    def _half_kick(self, values):
+        if self.kind == "none":
+            return values
+        if self.kind == "scalar":
+            return values * self.half_v
+        return np.einsum("abn,...bn->...an", self.half_v, values)
+
+    def apply(self, values):
+        """One step of ``values``: the state's shape, after any leading
+        batch axes."""
+        values = self._half_kick(values)
+        values = self.ifft(self.kinetic * self.fft(values))
+        return self._half_kick(values)
 
 
 _recent_steps = ()  # most recently used first
@@ -577,6 +604,11 @@ def evolve(state, potential, dt, n_steps, renormalize=False):
     chunks or one step at a time pays for its set-up once, and so does one
     that alternates whole steps with remainder steps of another size, as
     GRW does between events.  The results do not depend on that reuse.
+
+    A state of at most ``DENSE_STEP_MAX`` values (k n on the ring, n^2 on
+    the torus) steps by one product with the set-up's stored unitary; a
+    larger one by the FFT pair.  The path depends only on the state's size,
+    so every step of a run, chunked or not, is the same operation.
     """
     global _recent_steps
     if dt <= 0:
@@ -588,17 +620,29 @@ def evolve(state, potential, dt, n_steps, renormalize=False):
     if step is None:
         step = SplitStep(state, potential, dt)
     _recent_steps = (step,) + tuple(s for s in _recent_steps if s is not step)[:1]
-    kind, half_v, kinetic = step.kind, step.half_v, step.kinetic
-    fft, ifft = step.fft, step.ifft
     values = state.values
-    for _ in range(n_steps):
-        values = _apply_half_potential(values, kind, half_v)
-        values = ifft(kinetic * fft(values))
-        values = _apply_half_potential(values, kind, half_v)
+    if step.matrix is not None:
+        flat = values.reshape(-1)
+        for _ in range(n_steps):
+            flat = flat @ step.matrix
+        values = flat.reshape(values.shape)
+    else:
+        for _ in range(n_steps):
+            values = step.apply(values)
     out = state.with_values(values)
     if renormalize:
         out = out.normalized()
     return out
+
+
+def whole_steps(t_final, dt):
+    """The number of dt steps that make up t_final, refused unless it is
+    whole to a relative 1e-9: a run never stops short of or past t_final."""
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise ConfigError("t_final must be an integer multiple of dt",
+                          field_path="$.numerics.t_final")
+    return n_steps
 
 
 # ---------------------------------------------------------------------------

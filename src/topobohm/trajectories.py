@@ -26,7 +26,7 @@ import numpy as np
 
 from .covering import TWO_PI, RingPoint, Winding
 from .errors import ConfigError, PhysicsError
-from .propagation import evolve, fourier_modes
+from .propagation import evolve, fourier_modes, whole_steps
 
 DEFAULT_EPS_NODE = 1e-12
 # Fourier coefficients below this fraction of the spectral peak are dropped
@@ -344,11 +344,8 @@ def integrate_trajectories(state, potential, starts, dt, t_final,
     evaluated point by point, so each path is the one its start would follow
     alone.  Ring starts are angles; two-particle starts are angle pairs.
     """
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ConfigError("t_final must be an integer multiple of dt")
     result, _ = transport(state, potential, np.asarray(starts, dtype=float),
-                          dt, n_steps, eps_node=eps_node,
+                          dt, whole_steps(t_final, dt), eps_node=eps_node,
                           record_every=record_every)
     return [result.trajectory(i) for i in range(len(result.status))]
 

@@ -88,6 +88,17 @@ class TestExitCodes:
         assert manifest["status"] == "failed"
         assert manifest["failure"]["family"] == "numerics"
 
+    @pytest.mark.parametrize("t_final", [0.0004, 0.0026])
+    def test_t_final_off_the_step_grid_is_two(self, tmp_path, t_final):
+        # 0.0004 would round to no step at all, 0.0026 to t = 0.003
+        bad = dict(BASE, numerics={"dt": 1e-3, "t_final": t_final})
+        cfg = write_config(tmp_path, bad)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        manifest = read_json(tmp_path / "o" / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert manifest["failure"]["family"] == "config"
+        assert "multiple of dt" in manifest["failure"]["message"]
+
     def test_unreadable_config_is_two(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         assert main(["evolve", "--config", missing,

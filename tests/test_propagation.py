@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +19,7 @@ from topobohm.errors import ConfigError, IncompatibleFactorError, PhysicsError
 from topobohm.factors import (
     Character,
     MatrixRep,
+    max_abs,
     unitary_eig,
     unitary_fractional_power,
 )
@@ -291,6 +295,83 @@ class TestEvolveMemo:
             with pytest.raises(IncompatibleFactorError):
                 evolve(state, refused, 1e-3, 1)
         assert propagation._recent_steps is cached
+
+
+def _dense_case(name):
+    """Layouts of at most ``DENSE_STEP_MAX`` values."""
+    if name == "scalar-ring":
+        return (make_gaussian_state(Character.ring(np.pi / 3), 3.0, 0.5, 1.0,
+                                    n_points=128),
+                Potential.from_callable(lambda t: 0.4 * np.cos(t), 128))
+    if name == "flux-unreduced":
+        return (make_gaussian_state(Character.ring(-7.3), 3.0, 0.5, 1.0,
+                                    n_points=128),
+                Potential.from_callable(lambda t: 0.4 * np.sin(2 * t), 128))
+    if name == "antisymmetric-pair":
+        one = 0.3 * np.cos(angle_grid(8))
+        return (symmetrized_product_state(
+                    lambda t: np.exp(-(t - 2.0) ** 2),
+                    lambda t: np.exp(-(t - 4.0) ** 2), -1, n_points=8),
+                Potential.scalar(one[:, None] + one[None, :]))
+    return _memo_case(name)
+
+
+class TestDenseStep:
+    """Small states step by one stored unitary; it is the FFT step's matrix."""
+
+    @pytest.mark.parametrize("name", ["scalar-ring", "flux-unreduced",
+                                      "spinor-matrix", "spinor-covariant",
+                                      "antisymmetric-pair"])
+    def test_dense_path_agrees_with_fft_path(self, name, monkeypatch):
+        state, potential = _dense_case(name)
+        assert state.values.size <= propagation.DENSE_STEP_MAX
+        if name == "flux-unreduced":
+            assert state.sector_betas[0] == -7.3
+        dense = evolve(state, potential, 1e-3, 200)
+        assert propagation._recent_steps[0].matrix is not None
+        monkeypatch.setattr(propagation, "_recent_steps", ())
+        monkeypatch.setattr(propagation, "DENSE_STEP_MAX", 0)
+        fft = evolve(state, potential, 1e-3, 200)
+        assert propagation._recent_steps[0].matrix is None
+        assert max_abs(dense.values - fft.values) <= 1e-12
+        drift_dense = dense.norm() - state.norm()
+        drift_fft = fft.norm() - state.norm()
+        assert abs(drift_dense - drift_fft) <= 1e-12
+
+    def test_cut_selects_by_state_size(self):
+        for n, expect_matrix in ((128, True), (256, False)):
+            state = make_gaussian_state(Character.ring(0.4), 3.0, 0.5,
+                                        n_points=n)
+            step = propagation.SplitStep(state, Potential.zero(), 1e-3)
+            assert (step.matrix is not None) is expect_matrix
+        spinor, field = _memo_case("spinor-matrix")  # 2 x 64 values
+        matrix = propagation.SplitStep(spinor, field, 1e-3).matrix
+        assert matrix.shape == (128, 128)
+        assert max_abs(matrix @ matrix.conj().T - np.eye(128)) <= 1e-13
+        pair, pair_field = _memo_case("antisymmetric-pair")  # 32 x 32 values
+        assert propagation.SplitStep(pair, pair_field, 1e-3).matrix is None
+
+    def test_blas_thread_count_does_not_change_the_result(self):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from topobohm.factors import Character\n"
+            "from topobohm.propagation import Potential, evolve, "
+            "make_gaussian_state\n"
+            "state = make_gaussian_state(Character.ring(1.1), 3.0, 0.5, 1.0, "
+            "n_points=128)\n"
+            "v = Potential.from_callable(lambda t: 0.4 * np.cos(t), 128)\n"
+            "out = evolve(state, v, 1e-3, 3000)\n"
+            "print(hashlib.sha256(out.values.tobytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(propagation.__file__))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True, check=True)
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
 
 
 def test_norm_does_not_depend_on_memory_layout():
