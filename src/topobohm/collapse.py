@@ -118,20 +118,15 @@ def apply_collapse(state, x, lam, a, label=None):
     collapse there is impossible).  The multiplier is a real positive
     base-side profile, so the twist sector and exchange sector survive.
     """
-    rate = collapse_rate(state, x, lam, a, label)
-    if rate <= 0:
-        raise PhysicsError(f"collapse rate vanishes at x={x}; cannot collapse there")
     mult = np.sqrt(collapse_multiplier(state, x, lam, a, label))
     pre_norm = state.norm()
-    if state.space.kind == "ring":
-        values = state.values * mult[None, :]
-    else:
-        values = state.values * mult
-    collapsed = state.with_values(values)
-    post_norm = collapsed.norm()
+    values = state.values * mult  # a ring multiplier broadcasts over sectors
+    post_norm = state.with_values(values).norm()  # the rate r(x|psi), rooted
+    if post_norm == 0:
+        raise PhysicsError(f"collapse rate vanishes at x={x}; cannot collapse there")
     event = CollapseEvent(time=math.nan, center=float(x),
                           pre_norm=pre_norm, post_norm=post_norm, label=label)
-    return collapsed.with_values(values / post_norm), event
+    return state.with_values(values / post_norm), event
 
 
 def draw_center(state, lam, a, rng):

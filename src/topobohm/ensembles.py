@@ -17,6 +17,7 @@ import numpy as np
 
 from .covering import TWO_PI
 from .errors import ConfigError, PhysicsError
+from .propagation import whole_steps
 from .trajectories import transport
 
 DEFAULT_BINS = 64
@@ -179,7 +180,10 @@ def verify_equivariance(state, potential, n, t_final, checkpoints, seed,
 
     ``velocity_factor=-1`` runs the sign-flipped negative control.  The
     report is flagged invalid when more than 1% of trajectories halt at
-    nodes (which a smooth scenario should never approach).
+    nodes (which a smooth scenario should never approach).  Each checkpoint
+    must be a whole number of ``dt`` steps (the rule of ``whole_steps``),
+    so the ensemble is compared at the time it reports; an off-grid
+    checkpoint raises ``ConfigError``.
     """
     if n < 1000:
         raise ConfigError("need at least 10^3 samples for the band to mean much")
@@ -193,12 +197,17 @@ def verify_equivariance(state, potential, n, t_final, checkpoints, seed,
     times, tvs, kss = [], [], []
     current = state
     position = samples.copy()
-    t_prev = 0.0
+    done = 0
     worst_halt = 0.0
     threshold = equivariance_threshold(n, bins)
     passed = True
     for t in checkpoints:
-        n_steps = int(round((t - t_prev) / dt))
+        try:
+            n_steps = whole_steps(t, dt) - done
+        except ConfigError:
+            raise ConfigError(f"checkpoint {t:g} is not a whole number of "
+                              f"dt = {dt:g} steps",
+                              field_path="$.equivariance.checkpoints") from None
         if n_steps > 0:
             result, current = transport(
                 current, potential, position, dt, n_steps,
@@ -213,7 +222,7 @@ def verify_equivariance(state, potential, n, t_final, checkpoints, seed,
         kss.append(ks)
         if tv > threshold:
             passed = False
-        t_prev = t_prev + n_steps * dt
+        done += n_steps
     valid = worst_halt <= 0.01
     return EnsembleReport(
         n_samples=n, seed=seed, times=times, tv_values=tvs, ks_values=kss,

@@ -249,11 +249,7 @@ class WaveGrid:
         """Reconstruct the physical wave function on the fundamental sheet."""
         if self.space.kind == "two_particle_ring":
             return self.values.copy()
-        phases = np.exp(1j * np.outer(self.sector_betas, self.theta) / TWO_PI)
-        sector_psi = self.values * phases
-        if self.sector_basis is None:
-            return sector_psi
-        return self.sector_basis @ sector_psi
+        return self.reconstruct_sheets(1)[Winding(0)]
 
     def reconstruct_sheets(self, n_sheets=3):
         """Physical psi on deck translates, keyed by winding, for checks."""
@@ -277,8 +273,7 @@ class WaveGrid:
     def twist_residual(self, n_sheets=3):
         """Max deviation of psi(sigma qhat) from Gamma_sigma psi(qhat)."""
         if self.space.kind == "two_particle_ring":
-            sign = self.exchange_sign
-            return max_abs(self.values.T - sign * self.values)
+            return self.exchange_residual()
         sheets = self.reconstruct_sheets(n_sheets)
         base = sheets[Winding(0)]
         worst = 0.0
@@ -315,14 +310,32 @@ def wrapped_gaussian(theta, center, width, momentum=0.0, n_images=6):
     return out
 
 
+def _ring_sectors(factor):
+    """How a ring factor splits into character sectors: (betas, basis).
+
+    A character is one sector with no basis.  A matrix factor splits along
+    the eigenbasis of its generator (its columns map sector components back
+    to the value space), with eigenphases on the branch (-pi, pi].
+    """
+    if isinstance(factor, Character) and factor.group_id[0] == "ring":
+        return np.array([factor.beta]), None
+    if not isinstance(factor, MatrixRep) or factor.group_id != ("ring",):
+        group = getattr(factor, "group_id", type(factor).__name__)
+        raise ConfigError("a ring grid takes a ring character or ring matrix "
+                          f"factor, not a factor on {group}")
+    eigvals, basis = unitary_eig(factor.generators[0])
+    return np.angle(eigvals), basis
+
+
 def twist_embed(data, factor, space=None, data_is_periodic=True):
     """Build a gauge-fixed WaveGrid from wave data and a topological factor.
 
     ``data`` is either strictly periodic gauge-fixed data (interpreted as
     chi, the default) or one-sheet cover samples of psi itself
     (``data_is_periodic=False``), in which case the factor is peeled off by
-    its fractional power.  Matrix factors must have normal, commuting
-    generators; they are split into character sectors.  The result is
+    its fractional power.  The factor splits into sectors by
+    ``_ring_sectors``, the layout that the split step and ``spectrum``
+    read; a matrix factor's generator must be normal.  The result is
     normalized.
     """
     if space is None:
@@ -330,34 +343,17 @@ def twist_embed(data, factor, space=None, data_is_periodic=True):
     arr = np.asarray(data, dtype=complex)
     if arr.ndim == 1:
         arr = arr[None, :]
-    n = arr.shape[1]
-    _require_power_of_two(n)
-    theta = angle_grid(n)
-
-    if isinstance(factor, Character):
-        if factor.group_id[0] != "ring":
-            raise ConfigError("ring embedding expects a ring character")
-        if arr.shape[0] != 1:
-            raise ConfigError("a character twists a single component")
-        if not data_is_periodic:
-            arr = arr * np.exp(-1j * factor.beta * theta / TWO_PI)
-        state = WaveGrid(space=space, values=arr, twist=factor,
-                         sector_betas=np.array([factor.beta]))
-        return state.normalized()
-
-    if not isinstance(factor, MatrixRep) or factor.group_id != ("ring",):
-        raise ConfigError("ring embedding takes a ring character or matrix factor")
-    k = factor.dim
-    if arr.shape[0] != k:
-        raise ConfigError(f"spinor data needs {k} components")
-    eigvals, basis = unitary_eig(factor.generators[0])
-    betas = np.angle(eigvals)  # branch (-pi, pi]
+    _require_power_of_two(arr.shape[1])
+    betas, basis = _ring_sectors(factor)
+    if arr.shape[0] != len(betas):
+        raise ConfigError(f"the factor twists {len(betas)} component(s); the "
+                          f"data has {arr.shape[0]}")
+    if basis is not None:
+        arr = basis.conj().T @ arr
     if not data_is_periodic:
         # peel psi -> chi with the continuous fractional power of the factor
-        power = np.exp(-1j * np.outer(betas, theta) / TWO_PI)
-        arr = power * (basis.conj().T @ arr)
-    else:
-        arr = basis.conj().T @ arr
+        arr = np.exp(-1j * np.outer(betas, angle_grid(arr.shape[1]))
+                     / TWO_PI) * arr
     state = WaveGrid(space=space, values=arr, twist=factor,
                      sector_betas=betas, sector_basis=basis)
     return state.normalized()
@@ -483,13 +479,27 @@ def factor_commutes(factor, potential):
     return check_commutes(factor, potential.values)
 
 
-def _kinetic_phase(state, dt):
+def _require_commutes(factor, potential):
+    """The gate of every grid operator: the split step and ``spectrum``."""
+    if not factor_commutes(factor, potential):
+        raise IncompatibleFactorError(
+            "matrix potential does not commute with the topological factor "
+            "at every configuration point; the twist would not survive the "
+            "evolution, so the operator is refused")
+
+
+def _wavenumbers(state):
+    """(k, n) kinetic wavenumbers of a ring state, (n + beta / 2 pi) / radius
+    per sector, in FFT order."""
     modes = fourier_modes(state.n_points)
+    return (modes[None, :] + state.sector_betas[:, None] / TWO_PI) / state.radius
+
+
+def _kinetic_phase(state, dt):
     if state.space.kind == "two_particle_ring":
-        k = modes / state.radius
+        k = fourier_modes(state.n_points) / state.radius
         return np.exp(-0.5j * dt * (k[:, None] ** 2 + k[None, :] ** 2))
-    k = (modes[None, :] + state.sector_betas[:, None] / TWO_PI) / state.radius
-    return np.exp(-0.5j * dt * k ** 2)
+    return np.exp(-0.5j * dt * _wavenumbers(state) ** 2)
 
 
 def _potential_half_phase(kind, data, dt):
@@ -544,11 +554,7 @@ class SplitStep:
     """
 
     def __init__(self, state, potential, dt):
-        if not factor_commutes(state.twist, potential):
-            raise IncompatibleFactorError(
-                "matrix potential does not commute with the topological factor "
-                "at every configuration point; the twist would not survive the "
-                "evolution, so the step is refused")
+        _require_commutes(state.twist, potential)
         self.potential = potential  # held, so its id is not reused
         self.dt = dt
         self.layout = _layout_key(state)
@@ -697,66 +703,52 @@ def _require_scalar_ring(state):
 # spectra
 # ---------------------------------------------------------------------------
 
-def _dense_hamiltonian(n_points, betas, potential, radius=1.0):
-    """Dense grid Hamiltonian: spectral kinetic term plus the potential.
+def _dense_hamiltonian(state, potential):
+    """Dense grid Hamiltonian of a ring state's layout, shape (k n, k n).
 
-    ``betas`` is the per-sector twist angle array.
+    The spectral kinetic term of each sector sits on its diagonal block,
+    and the potential, read through the split step's ``_sector_potential``
+    (so a matrix field is rotated into the sector basis and its shape is
+    checked), sits on the point diagonals of all blocks.  The values of
+    ``state`` are not read.
     """
-    modes = fourier_modes(n_points)
-    k_sectors = [(modes + beta / TWO_PI) / radius for beta in betas]
-    n_comp = len(betas)
-    eye = np.eye(n_points, dtype=complex)
-    f_eye = np.fft.fft(eye, axis=0)
-    size = n_comp * n_points
-    h = np.zeros((size, size), dtype=complex)
-    for c, k in enumerate(k_sectors):
-        kin = np.fft.ifft(0.5 * (k[:, None] ** 2) * f_eye, axis=0)
-        sl = slice(c * n_points, (c + 1) * n_points)
-        h[sl, sl] = kin
-    if potential is not None and not potential.is_zero:
-        if potential.kind == "scalar":
-            v = np.asarray(potential.values, dtype=float)
-            for c in range(n_comp):
-                sl = slice(c * n_points, (c + 1) * n_points)
-                h[sl, sl] += np.diag(v)
-        else:
-            v = np.asarray(potential.values, dtype=complex)
-            if v.shape[1] != n_comp:
-                raise ConfigError(
-                    f"matrix potential dimension {v.shape[1]} does not match "
-                    f"the {n_comp} factor sector(s)")
-            for a in range(n_comp):
-                for b in range(n_comp):
-                    h[a * n_points:(a + 1) * n_points,
-                      b * n_points:(b + 1) * n_points] += np.diag(v[:, a, b])
-    return h
+    n, k = state.n_points, state.n_components
+    f_eye = np.fft.fft(np.eye(n, dtype=complex), axis=0)
+    kin = np.fft.ifft(0.5 * _wavenumbers(state)[:, :, None] ** 2 * f_eye,
+                      axis=1)
+    sectors = np.arange(k)
+    h = np.zeros((k, n, k, n), dtype=complex)
+    h[sectors, :, sectors, :] = kin
+    kind, data = _sector_potential(state, potential)
+    if kind != "none":
+        points = np.arange(n)
+        h[:, points, :, points] += (data[:, None, None] * np.eye(k)
+                                    if kind == "scalar" else data)
+    return h.reshape(k * n, k * n)
 
 
 def spectrum(factor, potential=None, n_levels=8,
              n_points=DEFAULT_N_POINTS, radius=1.0):
     """Lowest eigenvalues of the discretized twisted Hamiltonian.
 
-    ``factor`` is a ring Character or a ring MatrixRep (split into character
-    sectors); a flux is the Character of its unreduced angle -e flux.  Dense
-    Hermitian diagonalization of the grid operator; with V = 0 the levels
-    are ((n + beta / 2 pi) / radius)^2 / 2.
+    ``factor`` is a ring Character or a ring MatrixRep; a flux is the
+    Character of its unreduced angle -e flux.  The operator is the one that
+    ``evolve`` steps: the pair passes the split step's gate (else
+    ``IncompatibleFactorError``), the factor splits into the sectors that
+    ``twist_embed`` lays out, and ``_dense_hamiltonian`` builds the grid
+    operator, which is diagonalized densely.  With V = 0 the levels are
+    ((n + beta / 2 pi) / radius)^2 / 2.
     """
     if n_levels > n_points // 4:
         raise ConfigError("n_levels must not exceed n_points / 4")
-    sector_basis = None
-    if isinstance(factor, Character):
-        betas = np.array([factor.beta])
-    elif isinstance(factor, MatrixRep):
-        eigvals, sector_basis = unitary_eig(factor.generators[0])
-        betas = np.angle(eigvals)
-    else:
-        raise ConfigError("expected a ring Character or MatrixRep")
-    pot = potential
-    if pot is not None and pot.kind in ("matrix", "covariant") and sector_basis is not None:
-        v = np.einsum("ab,nbc,cd->nad", sector_basis.conj().T,
-                      np.asarray(pot.values, dtype=complex), sector_basis)
-        pot = Potential(kind="matrix", values=v, label=pot.label)
-    h = _dense_hamiltonian(n_points, betas, pot, radius)
+    if potential is None:
+        potential = Potential.zero()
+    _require_commutes(factor, potential)
+    betas, basis = _ring_sectors(factor)
+    layout = WaveGrid(space=CoveringSpace.ring(radius=radius),
+                      values=np.zeros((len(betas), n_points)), twist=factor,
+                      sector_betas=betas, sector_basis=basis)
+    h = _dense_hamiltonian(layout, potential)
     herm = max_abs(h - h.conj().T)
     if herm > 1e-10:
         raise ToleranceError("hamiltonian-hermiticity", herm, 1e-10)
@@ -777,8 +769,7 @@ def crank_nicolson_evolve(state, potential, dt, n_steps):
     """
     if state.space.kind != "ring" or not state.is_scalar:
         raise ConfigError("the Crank-Nicolson reference handles scalar ring states")
-    h = _dense_hamiltonian(state.n_points, state.sector_betas, potential,
-                           state.radius)
+    h = _dense_hamiltonian(state, potential)
     h = (h + h.conj().T) / 2.0
     eye = np.eye(state.n_points, dtype=complex)
     lhs = eye + 0.5j * dt * h

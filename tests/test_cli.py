@@ -323,9 +323,9 @@ class TestClassify:
             cfg_dict["potential"] = potential
         cfg = write_config(tmp_path, cfg_dict)
         codes = {sub: main([sub, "--config", cfg, "--out", str(tmp_path / sub)])
-                 for sub in ("classify", "evolve")}
+                 for sub in ("classify", "evolve", "spectrum")}
         assert (codes["classify"] == 3) == (codes["evolve"] == 3)
-        assert codes["classify"] == codes["evolve"]
+        assert codes["classify"] == codes["evolve"] == codes["spectrum"]
 
     def test_covariant_field_of_another_dimension_exits_two(self, tmp_path):
         cfg_dict = dict(BASE,
@@ -339,9 +339,26 @@ class TestClassify:
                                        "amplitudes": [[1, 0], [0, 0.5]],
                                        "center": 3.0, "width": 0.5})
         cfg = write_config(tmp_path, cfg_dict)
-        for sub in ("classify", "evolve"):
+        for sub in ("classify", "evolve", "spectrum"):
             assert main([sub, "--config", cfg,
                          "--out", str(tmp_path / sub)]) == 2
+
+    def test_two_particle_spectrum_exits_two(self, tmp_path):
+        # spectrum diagonalizes ring operators only; a torus scenario is a
+        # config error, not a ring operator with the pair field on it
+        cfg_dict = {
+            "schema": SCENARIO_SCHEMA_TAG,
+            "space": {"kind": "two_particle_ring", "n_points": 64},
+            "factor": {"type": "exchange", "sign": -1},
+            "potential": {"type": "pair_interaction",
+                          "terms": [{"amplitude": 0.3, "harmonic": 1}]},
+        }
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        manifest = read_json(out / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert manifest["failure"]["family"] == "config"
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
@@ -453,6 +470,23 @@ def test_equivariance_run(tmp_path):
     assert main(["equivariance", "--config", cfg, "--out", str(out)]) == 0
     report = read_json(out / "equivariance.json")
     assert report["passed"]
+
+
+@pytest.mark.parametrize("checkpoint", [0.003, 0.0005])
+def test_equivariance_off_grid_checkpoint_exits_two(tmp_path, capsys,
+                                                    checkpoint):
+    cfg_dict = dict(BASE, potential={"type": "zero"},
+                    numerics={"dt": 2e-3, "t_final": 0.01},
+                    equivariance={"n_samples": 1000,
+                                  "checkpoints": [checkpoint, 0.01]},
+                    seed=8)
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "eq"
+    assert main(["equivariance", "--config", cfg, "--out", str(out)]) == 2
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert f"checkpoint {checkpoint:g}" in manifest["failure"]["message"]
+    assert "$.equivariance.checkpoints" in capsys.readouterr().err
 
 
 def test_trajectories_run(tmp_path):

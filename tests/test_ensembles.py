@@ -183,3 +183,15 @@ class TestEquivariance:
         state = make_eigenstate(0, Character.ring(0.0))
         with pytest.raises(ConfigError, match="10\\^3"):
             verify_equivariance(state, Potential.zero(), 100, 0.1, [0.1], seed=1)
+
+    @pytest.mark.parametrize("checkpoint", [0.003, 0.0005])
+    def test_off_grid_checkpoint_rejected(self, checkpoint):
+        # 0.003 would be carried to 0.004 and 0.0005 would take no step at
+        # all, so either report would name a time it was not taken at
+        state = make_gaussian_state(Character.ring(np.pi), 2.0, 0.45, 2.0,
+                                    n_points=64)
+        with pytest.raises(ConfigError, match=f"checkpoint {checkpoint:g}") \
+                as info:
+            verify_equivariance(state, Potential.zero(), 1000, 0.01,
+                                [checkpoint, 0.01], seed=1, dt=2e-3)
+        assert info.value.field_path == "$.equivariance.checkpoints"

@@ -44,6 +44,7 @@ from topobohm.propagation import (
     twist_embed,
     wrapped_gaussian,
     _dense_hamiltonian,
+    _sector_potential,
 )
 from topobohm.scenario import spin_exponential
 
@@ -177,10 +178,7 @@ class TestSplitStep:
         v = Potential.covariant(w_field)
         out = evolve(state, v, 1e-3, 250)
         assert out.twist_residual() <= 1e-9
-        v_sector = np.einsum("ab,nbc,cd->nad", state.sector_basis.conj().T,
-                             w_field, state.sector_basis)
-        h = _dense_hamiltonian(n, state.sector_betas,
-                               Potential(kind="matrix", values=v_sector), 1.0)
+        h = _dense_hamiltonian(state, v)
         h = (h + h.conj().T) / 2
         w, q = np.linalg.eigh(h)
         flat = state.values.reshape(-1)
@@ -191,7 +189,7 @@ class TestSplitStep:
         v = Potential.from_callable(lambda t: 0.8 * np.cos(t) + 0.3 * np.sin(2 * t), 128)
         state = make_gaussian_state(Character.ring(np.pi / 2), 2.5, 0.7, 1.0,
                                     n_points=128)
-        h = _dense_hamiltonian(128, state.sector_betas, v, 1.0)
+        h = _dense_hamiltonian(state, v)
         h = (h + h.conj().T) / 2
         w, q = np.linalg.eigh(h)
         t_final = 0.25
@@ -445,7 +443,49 @@ class TestGaugeMap:
         assert worst <= 1e-9
 
 
+def _block_loop_hamiltonian(state, potential):
+    """Reference for ``_dense_hamiltonian``: the same sums, filled one
+    (n, n) block at a time."""
+    n, k = state.n_points, state.n_components
+    kind, data = _sector_potential(state, potential)
+    field = np.zeros((n, k, k)) if kind == "none" else (
+        data[:, None, None] * np.eye(k) if kind == "scalar" else data)
+    f_eye = np.fft.fft(np.eye(n, dtype=complex), axis=0)
+    modes = np.fft.fftfreq(n, d=1.0 / n)
+    h = np.zeros((k * n, k * n), dtype=complex)
+    for a in range(k):
+        wavenumber = (modes + state.sector_betas[a] / TWO_PI) / state.radius
+        h[a * n:(a + 1) * n, a * n:(a + 1) * n] = np.fft.ifft(
+            0.5 * (wavenumber[:, None] ** 2) * f_eye, axis=0)
+        for b in range(k):
+            h[a * n:(a + 1) * n, b * n:(b + 1) * n] += np.diag(field[:, a, b])
+    return h
+
+
 class TestSpectrum:
+    @pytest.mark.parametrize("case", ["scalar", "spinor-zero", "spinor-scalar",
+                                      "spinor-covariant"])
+    def test_dense_hamiltonian_equals_block_loop(self, case):
+        n = 32
+        theta = angle_grid(n)
+        space = CoveringSpace.ring(radius=1.3)
+        trig = Potential.scalar(0.3 * np.cos(theta) - 0.7 * np.sin(2 * theta))
+        if case == "scalar":
+            state = make_gaussian_state(Character.ring(-7.3), 3.0, 0.5,
+                                        n_points=n, space=space)
+            potential = trig
+        else:
+            rep = MatrixRep.ring(spin_exponential(0.9, [0.6, 0.0, 0.8]))
+            chi = wrapped_gaussian(theta, 3.0, 0.5)
+            state = make_spinor_state([chi, 0.4 * chi], rep, space=space)
+            a = np.random.default_rng(2).normal(size=(n, 2, 2, 2)) @ [1, 1j]
+            potential = {"spinor-zero": Potential.zero(),
+                         "spinor-scalar": trig,
+                         "spinor-covariant": Potential.covariant(
+                             a + np.conj(np.swapaxes(a, 1, 2)))}[case]
+        assert np.array_equal(bits(_dense_hamiltonian(state, potential)),
+                              bits(_block_loop_hamiltonian(state, potential)))
+
     def test_twisted_levels(self):
         levels = spectrum(Character.ring(np.pi), Potential.zero(), 6)
         expected = [0.125, 0.125, 1.125, 1.125, 3.125, 3.125]
@@ -468,6 +508,12 @@ class TestSpectrum:
         down = spectrum(Character.ring(phi), Potential.zero(), 8, n_points=64)
         union = np.sort(np.concatenate([up, down]))[:8]
         assert np.max(np.abs(merged - union)) <= 1e-10
+
+    def test_gate_refuses_a_non_commuting_pair(self, pauli):
+        rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
+        with pytest.raises(IncompatibleFactorError, match="commute"):
+            spectrum(rep, Potential.matrix_constant(pauli["x"], 64), 8,
+                     n_points=64)
 
     def test_level_cap(self):
         with pytest.raises(ConfigError, match="n_points / 4"):
