@@ -216,8 +216,8 @@ def cmd_evolve(scenario, ctx):
     n_steps = whole_steps(nm["t_final"], dt)
     every = nm["monitor_every"]
     state = scenario.initial_state()
-    norm0 = state.norm()
-    rows = [(0, 0.0, f"{state.norm():.15g}", 0.0, f"{state.twist_residual():.3e}")]
+    norm = norm0 = state.norm()
+    rows = [(0, 0.0, f"{norm0:.15g}", 0.0, f"{state.twist_residual():.3e}")]
     done = 0
     max_drift = 0.0
     max_twist = 0.0
@@ -225,18 +225,19 @@ def cmd_evolve(scenario, ctx):
         chunk = min(every, n_steps - done)
         state = evolve(state, scenario.potential, dt, chunk)
         done += chunk
-        drift = abs(state.norm() - norm0)
+        norm = state.norm()
+        drift = abs(norm - norm0)
         twist = state.twist_residual()
         max_drift = max(max_drift, drift)
         max_twist = max(max_twist, twist)
-        rows.append((done, done * dt, f"{state.norm():.15g}",
+        rows.append((done, done * dt, f"{norm:.15g}",
                      f"{drift:.3e}", f"{twist:.3e}"))
     write_csv(ctx.path("monitor.csv"),
               ("step", "t", "norm", "norm_drift", "twist_residual"), rows)
     write_json(ctx.path("state.json"), state_to_dict(state))
     ctx.check("norm-drift", max_drift, nm["max_norm_drift"])
     ctx.check("twist-preservation", max_twist, nm["max_twist_residual"])
-    return {"steps": n_steps, "final_norm": state.norm()}
+    return {"steps": n_steps, "final_norm": norm}
 
 
 def cmd_spectrum(scenario, ctx):
@@ -340,10 +341,10 @@ def cmd_ab_compare(scenario, ctx):
             traj_a.unwrapped - traj_t.unwrapped))))
 
     beta = state_t.beta
-    spec_a = spectrum(flux_twist, scenario.potential,
-                      n_levels=nm["n_levels"], n_points=scenario.n_points)
-    spec_t = spectrum(Character.ring(beta), scenario.potential,
-                      n_levels=nm["n_levels"], n_points=scenario.n_points)
+    spec_args = dict(n_levels=nm["n_levels"], n_points=scenario.n_points,
+                     radius=scenario.space.radius)
+    spec_a = spectrum(flux_twist, scenario.potential, **spec_args)
+    spec_t = spectrum(Character.ring(beta), scenario.potential, **spec_args)
     spec_diff = float(np.max(np.abs(spec_a - spec_t)))
 
     report = {

@@ -542,9 +542,11 @@ DENSE_STEP_MAX = 128
 class SplitStep:
     """The set-up of one V/2 - T - V/2 step for a state layout, a potential
     and dt: the gate verdict, the kinetic multiplier, the half-potential
-    phase and the FFT pair.  Building it raises ``IncompatibleFactorError``
-    when the factor does not commute with the potential, before anything
-    else is built.
+    phase and the FFT pair.  A scalar half-kick is one broadcast multiply;
+    a matrix half-kick is k^2 broadcast multiply-adds over the sector-major
+    (k, k, n) phase (see ``_half_kick``).  Building it raises
+    ``IncompatibleFactorError`` when the factor does not commute with the
+    potential, before anything else is built.
 
     A state of at most ``DENSE_STEP_MAX`` values also gets ``matrix``, the
     whole step as one (size, size) unitary: row j is ``apply`` of the j-th
@@ -577,11 +579,19 @@ class SplitStep:
                 and _layout_key(state) == self.layout)
 
     def _half_kick(self, values):
+        """exp(-i dt V / 2) on ``values`` (any leading batch axes).
+
+        A matrix kick is the sum over the k sector columns b of the
+        broadcast product half_v[:, b] * values[..., b, :], accumulated in
+        place: k^2 multiply-adds per grid point."""
         if self.kind == "none":
             return values
         if self.kind == "scalar":
             return values * self.half_v
-        return np.einsum("abn,...bn->...an", self.half_v, values)
+        out = self.half_v[:, 0] * values[..., 0:1, :]
+        for b in range(1, self.half_v.shape[1]):
+            out += self.half_v[:, b] * values[..., b:b + 1, :]
+        return out
 
     def apply(self, values):
         """One step of ``values``: the state's shape, after any leading
@@ -736,11 +746,13 @@ def spectrum(factor, potential=None, n_levels=8,
     ``evolve`` steps: the pair passes the split step's gate (else
     ``IncompatibleFactorError``), the factor splits into the sectors that
     ``twist_embed`` lays out, and ``_dense_hamiltonian`` builds the grid
-    operator, which is diagonalized densely.  With V = 0 the levels are
+    operator, whose lowest n_levels eigenvalues (ascending) come from one
+    dense subset eigensolve.  With V = 0 the levels are
     ((n + beta / 2 pi) / radius)^2 / 2.
     """
-    if n_levels > n_points // 4:
-        raise ConfigError("n_levels must not exceed n_points / 4")
+    if not 1 <= n_levels <= n_points // 4:
+        raise ConfigError("n_levels must be at least 1 and not exceed "
+                          "n_points / 4")
     if potential is None:
         potential = Potential.zero()
     _require_commutes(factor, potential)
@@ -752,8 +764,8 @@ def spectrum(factor, potential=None, n_levels=8,
     herm = max_abs(h - h.conj().T)
     if herm > 1e-10:
         raise ToleranceError("hamiltonian-hermiticity", herm, 1e-10)
-    levels = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-    return np.sort(levels)[:n_levels]
+    return scipy.linalg.eigh((h + h.conj().T) / 2.0, eigvals_only=True,
+                             subset_by_index=[0, n_levels - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,25 @@ def test_ab_compare_defaults(tmp_path):
     assert report["per_step_diagram_residual"] <= 1e-9
 
 
+def test_ab_compare_spectra_use_the_scenario_radius(tmp_path, monkeypatch):
+    from topobohm import cli
+    radii = []
+    real_spectrum = cli.spectrum
+
+    def recording(*args, **kwargs):
+        radii.append(kwargs.get("radius", 1.0))
+        return real_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "spectrum", recording)
+    cfg_dict = dict(BASE, space={"kind": "ring", "n_points": 64, "radius": 2.0},
+                    factor={"type": "character", "beta": 0.0},
+                    numerics={"dt": 1e-3, "t_final": 0.02})
+    cfg = write_config(tmp_path, cfg_dict)
+    assert main(["ab-compare", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 0
+    assert radii == [2.0, 2.0]
+
+
 class TestClassify:
     def test_magnetic_moment_factor_with_scalar_potential(self, tmp_path):
         cfg_dict = {

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -20,6 +21,7 @@ from topobohm.factors import (
     Character,
     MatrixRep,
     max_abs,
+    random_unitary,
     unitary_eig,
     unitary_fractional_power,
 )
@@ -167,6 +169,44 @@ class TestSplitStep:
         assert abs(out.norm() - 1.0) <= 1e-10
         assert out.twist_residual() <= 1e-9
 
+    @pytest.mark.parametrize("n", [256, 32])  # FFT path, dense path
+    @pytest.mark.parametrize("factor_case", ["tilted-spin-exp", "scalar-matrix"])
+    def test_commuting_matrix_potential_closed_form(self, pauli, n, factor_case):
+        # V = a I + b e.sigma commutes with the factor and with T, so the
+        # exact evolution is exp(-i V t) exp(-i T t) chi0, where T acts on
+        # the eigenspace projector P_s of the factor with twist angle beta_s.
+        # A commuting V is diagonal in a non-degenerate factor's sectors, so
+        # only the scalar-matrix factor e^{i phi} I gives the kick
+        # off-diagonal (complex, non-symmetric) sector entries.
+        tilted = np.array([0.48, 0.6, 0.64])
+        e_sigma = sum(c * pauli[ax] for c, ax in zip(tilted, "xyz"))
+        if factor_case == "tilted-spin-exp":
+            angle = 0.9
+            rep = MatrixRep.ring(spin_exponential(angle, tilted))
+            sectors = [(-angle, (np.eye(2) + e_sigma) / 2),
+                       (angle, (np.eye(2) - e_sigma) / 2)]
+        else:
+            rep = MatrixRep.ring(np.exp(0.7j) * np.eye(2))
+            sectors = [(0.7, np.eye(2))]
+        v_matrix = 0.3 * np.eye(2) + 1.1 * e_sigma
+        theta = angle_grid(n)
+        state = make_spinor_state(
+            [wrapped_gaussian(theta, 3.0, 0.5, 2.0),
+             0.5j * wrapped_gaussian(theta, 2.0, 0.4, -1.0)], rep)
+        t_final, n_steps = 0.5, 500
+        out = evolve(state, Potential.matrix_constant(v_matrix, n),
+                     t_final / n_steps, n_steps)
+        dense = propagation._recent_steps[0].matrix is not None
+        assert dense is (n == 32)
+        chi0 = state.sector_basis @ state.values
+        modes = np.fft.fftfreq(n, d=1.0 / n)
+        free = sum(projector @ np.fft.ifft(np.exp(
+                       -0.5j * t_final * (modes + beta / TWO_PI) ** 2)
+                       * np.fft.fft(chi0, axis=1), axis=1)
+                   for beta, projector in sectors)
+        exact = scipy.linalg.expm(-1j * t_final * v_matrix) @ free
+        assert max_abs(out.sector_basis @ out.values - exact) <= 1e-9
+
     def test_covariant_potential_against_exact_propagator(self, pauli):
         # gauge-fixed covariant field: constant sigma_z coupling the sectors
         # of an x-axis twist; cross-checked against the dense eigenpropagator
@@ -293,6 +333,44 @@ class TestEvolveMemo:
             with pytest.raises(IncompatibleFactorError):
                 evolve(state, refused, 1e-3, 1)
         assert propagation._recent_steps is cached
+
+
+def _kick_case(name):
+    """A matrix-kick layout: a field varying along the ring, a covariant
+    field coupling the sectors, or a random covariant field of a
+    3-component factor."""
+    if name != "three-component":
+        return _memo_case(name)
+    n = 64
+    rng = np.random.default_rng(7)
+    rep = MatrixRep.ring(random_unitary(3, rng))
+    chi = wrapped_gaussian(angle_grid(n), 3.0, 0.5, 1.0)
+    a = rng.normal(size=(n, 3, 3, 2)) @ [1, 1j]
+    return (make_spinor_state([chi, 0.4j * chi, 0.2 * chi[::-1]], rep),
+            Potential.covariant(a + np.conj(np.swapaxes(a, 1, 2))))
+
+
+def _einsum_step(step, values):
+    """Reference for ``SplitStep.apply`` on a matrix kind: the same V/2 - T -
+    V/2 step with the half-kicks written as one einsum."""
+    def kick(v):
+        return np.einsum("abn,...bn->...an", step.half_v, v)
+    return kick(step.ifft(step.kinetic * step.fft(kick(values))))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("name", ["spinor-matrix", "spinor-covariant",
+                                  "three-component"])
+def test_matrix_kick_equals_einsum(name, batch):
+    state, potential = _kick_case(name)
+    step = propagation.SplitStep(state, potential, 1e-2)
+    assert step.kind == "matrix"
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=batch + state.values.shape + (2,)) @ [1, 1j]
+    expected = _einsum_step(step, values)
+    got = step.apply(values)
+    assert got.shape == expected.shape
+    assert max_abs(got - expected) <= 1e-14 * max_abs(expected)
 
 
 def _dense_case(name):
@@ -518,6 +596,8 @@ class TestSpectrum:
     def test_level_cap(self):
         with pytest.raises(ConfigError, match="n_points / 4"):
             spectrum(Character.ring(0.0), Potential.zero(), 64, n_points=64)
+        with pytest.raises(ConfigError, match="at least 1"):
+            spectrum(Character.ring(0.0), Potential.zero(), 0, n_points=64)
 
 
 class TestTwoParticle:
