@@ -497,10 +497,15 @@ def _apply_overrides(cfg, args):
         if args.subcommand == "ab-compare":
             cfg.setdefault("compare", {})["flux"] = args.flux
         else:
-            cfg["factor"] = {"type": "flux", "flux": args.flux,
-                             "charge": args.charge if args.charge is not None else 1.0}
+            cfg["factor"] = {"type": "flux", "flux": args.flux, "charge": 1.0}
     if args.charge is not None and args.subcommand == "ab-compare":
         cfg.setdefault("compare", {})["charge"] = args.charge
+    elif args.charge is not None:
+        factor = cfg.get("factor")
+        if not isinstance(factor, dict) or factor.get("type") != "flux":
+            raise ConfigError("--charge needs a flux factor; this scenario's "
+                              "factor is not a flux", field_path="$.factor")
+        factor["charge"] = args.charge
     if args.t_final is not None:
         cfg.setdefault("numerics", {})["t_final"] = args.t_final
     if args.dt is not None:

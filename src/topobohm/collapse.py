@@ -159,7 +159,8 @@ def _advance(state, potential, span, dt):
     if abs(span - n_steps * dt) > 1e-9 * span:
         n_steps = math.floor(span / dt)
         state = evolve(state, potential, dt, n_steps)
-        return evolve(state, potential, span - n_steps * dt, 1)
+        last = evolve(state, potential, span - n_steps * dt, 1)
+        return state.with_values(last.values)  # keeps the whole-step set-up
     return evolve(state, potential, dt, n_steps)
 
 

@@ -27,7 +27,7 @@ Two slow reference integrators ship in-tree:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -79,8 +79,8 @@ class Potential:
                     action then holds for any periodic data by construction
 
     ``values`` is a read-only copy of the data it was given: ``evolve``
-    reuses its set-up for the same potential object, which is sound only
-    while the field cannot change in place.
+    reuses a state's set-up for the same potential object, which is sound
+    only while the field cannot change in place.
     """
 
     kind: str
@@ -154,6 +154,9 @@ class WaveGrid:
     (n, n), with the exchange sign as the twist.
 
     Norm convention: sum |chi|^2 dtheta = 1.
+
+    A state returned by ``evolve`` carries the ``SplitStep`` that made it;
+    ``with_values`` keeps it, and ``dataclasses.replace`` drops it.
     """
 
     space: CoveringSpace
@@ -161,6 +164,8 @@ class WaveGrid:
     twist: object
     sector_betas: np.ndarray = None
     sector_basis: np.ndarray = None
+    _split_step: object = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         # C order, so norms and densities sum in the same order whatever
@@ -175,6 +180,11 @@ class WaveGrid:
                 raise ConfigError("ring states need sector twist angles")
             object.__setattr__(self, "sector_betas",
                                np.asarray(self.sector_betas, dtype=float))
+            k = self.values.shape[0]
+            if self.sector_betas.shape != (k,) or np.shape(
+                    self.sector_basis) not in ((), (k, k)):
+                raise ConfigError(f"a ring state of {k} component(s) needs "
+                                  f"{k} sector angles and a {k} x {k} basis")
         elif self.space.kind == "two_particle_ring":
             if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
                 raise ConfigError("two-particle values must be square (n, n)")
@@ -221,7 +231,9 @@ class WaveGrid:
         return self.with_values(self.values / self.norm())
 
     def with_values(self, values):
-        return replace(self, values=values)
+        out = replace(self, values=values)
+        object.__setattr__(out, "_split_step", self._split_step)
+        return out
 
     # -- twist bookkeeping ----------------------------------------------------
 
@@ -516,22 +528,6 @@ def _potential_half_phase(kind, data, dt):
     return np.ascontiguousarray(np.moveaxis(pointwise, 0, -1))
 
 
-def _array_key(a):
-    return None if a is None else (a.shape, a.dtype.str, a.tobytes())
-
-
-def _twist_key(twist):
-    if isinstance(twist, MatrixRep):
-        return (twist.group_id,) + tuple(_array_key(g) for g in twist.generators)
-    return twist
-
-
-def _layout_key(state):
-    """What the split step reads of a state besides its values, by value."""
-    return (state.space, state.values.shape, _array_key(state.sector_betas),
-            _array_key(state.sector_basis), _twist_key(state.twist))
-
-
 # states of at most this many complex values step by one stored dense
 # unitary: at 128 values the vector-matrix product takes about a third of
 # the time of the FFT step, whose cost there is mostly per-call overhead;
@@ -546,7 +542,8 @@ class SplitStep:
     a matrix half-kick is k^2 broadcast multiply-adds over the sector-major
     (k, k, n) phase (see ``_half_kick``).  Building it raises
     ``IncompatibleFactorError`` when the factor does not commute with the
-    potential, before anything else is built.
+    potential, before anything else is built.  Of the layout it was built
+    for, only ``shape`` can change on a state that carries it.
 
     A state of at most ``DENSE_STEP_MAX`` values also gets ``matrix``, the
     whole step as one (size, size) unitary: row j is ``apply`` of the j-th
@@ -559,7 +556,7 @@ class SplitStep:
         _require_commutes(state.twist, potential)
         self.potential = potential  # held, so its id is not reused
         self.dt = dt
-        self.layout = _layout_key(state)
+        self.shape = state.values.shape
         self.kind, data = _sector_potential(state, potential)
         self.half_v = _potential_half_phase(self.kind, data, dt)
         self.kinetic = _kinetic_phase(state, dt)
@@ -573,10 +570,6 @@ class SplitStep:
             basis = np.eye(size, dtype=complex).reshape(
                 (size,) + state.values.shape)
             self.matrix = self.apply(basis).reshape(size, size)
-
-    def serves(self, state, potential, dt):
-        return (potential is self.potential and dt == self.dt
-                and _layout_key(state) == self.layout)
 
     def _half_kick(self, values):
         """exp(-i dt V / 2) on ``values`` (any leading batch axes).
@@ -601,10 +594,7 @@ class SplitStep:
         return self._half_kick(values)
 
 
-_recent_steps = ()  # most recently used first
-
-
-def evolve(state, potential, dt, n_steps, renormalize=False):
+def evolve(state, potential, dt, n_steps):
     """Advance a state by n_steps Strang-split V/2 - T - V/2 steps of size dt.
 
     Ring states step in the gauge-fixed storage, where the twist angles
@@ -613,29 +603,24 @@ def evolve(state, potential, dt, n_steps, renormalize=False):
     (n - e flux / 2 pi)^2 / 2.  Two-particle states step on the torus under
     an exchange-symmetric scalar potential.
 
-    The set-ups (``SplitStep``) of the two most recently used step sizes
-    and layouts are kept, and one is reused when the potential is the same
-    object, dt is equal and the state's layout (space, shape, sector angles
-    and basis, twist) is equal by value.  A run that calls ``evolve`` in
-    chunks or one step at a time pays for its set-up once, and so does one
-    that alternates whole steps with remainder steps of another size, as
-    GRW does between events.  The results do not depend on that reuse.
+    The returned state carries its set-up (``SplitStep``), which a call on
+    it reuses for the same potential object, an equal dt and values of the
+    same shape; any other call builds one, gate first.  A run in chunks or
+    single steps pays for its set-up once; no result depends on that reuse.
 
     A state of at most ``DENSE_STEP_MAX`` values (k n on the ring, n^2 on
     the torus) steps by one product with the set-up's stored unitary; a
     larger one by the FFT pair.  The path depends only on the state's size,
     so every step of a run, chunked or not, is the same operation.
     """
-    global _recent_steps
     if dt <= 0:
         raise ConfigError("dt must be positive")
     if n_steps == 0:
         return state
-    step = next((s for s in _recent_steps if s.serves(state, potential, dt)),
-                None)
-    if step is None:
+    step = state._split_step
+    if (step is None or step.potential is not potential or step.dt != dt
+            or step.shape != state.values.shape):
         step = SplitStep(state, potential, dt)
-    _recent_steps = (step,) + tuple(s for s in _recent_steps if s is not step)[:1]
     values = state.values
     if step.matrix is not None:
         flat = values.reshape(-1)
@@ -645,9 +630,8 @@ def evolve(state, potential, dt, n_steps, renormalize=False):
     else:
         for _ in range(n_steps):
             values = step.apply(values)
-    out = state.with_values(values)
-    if renormalize:
-        out = out.normalized()
+    out = replace(state, values=values)
+    object.__setattr__(out, "_split_step", step)
     return out
 
 

@@ -187,6 +187,24 @@ class TestSpectrum:
         assert level0 == pytest.approx(0.125, abs=1e-9)
 
 
+def test_charge_override_sets_the_flux_factor_charge(tmp_path):
+    cfg = write_config(tmp_path, dict(BASE, factor={"type": "flux", "flux": 1.0}))
+    betas = {}
+    for charge in ("2", "5"):
+        out = tmp_path / f"q{charge}"
+        assert main(["evolve", "--config", cfg, "--charge", charge,
+                     "--out", str(out)]) == 0
+        betas[charge] = read_json(out / "state.json")["sector_betas"]
+    assert betas == {"2": [-2.0], "5": [-5.0]}
+
+
+def test_charge_override_without_a_flux_factor_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    assert main(["evolve", "--config", cfg, "--charge", "2",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "not a flux" in capsys.readouterr().err
+
+
 def test_ab_compare_defaults(tmp_path):
     out = tmp_path / "ab"
     assert main(["ab-compare", "--flux", str(math.pi), "--charge", "1",

@@ -98,6 +98,18 @@ class TestTwistEmbed:
         with pytest.raises(ConfigError, match="power of two"):
             twist_embed(np.ones(100, dtype=complex), Character.ring(0.0))
 
+    def test_component_count_must_match_the_sectors(self):
+        # a spinor cut to one component would step as two by broadcasting
+        rep = MatrixRep.ring(spin_exponential(0.9, [1, 0, 0]))
+        chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
+        state = make_spinor_state([chi, 0.5 * chi], rep)
+        with pytest.raises(ConfigError, match="sector angles"):
+            state.with_values(state.values[:1])
+        with pytest.raises(ConfigError, match="sector angles"):
+            replace(state, sector_betas=state.sector_betas[:1])
+        with pytest.raises(ConfigError, match="sector angles"):
+            replace(state, sector_basis=state.sector_basis[:, :1])
+
 
 class TestSplitStep:
     def test_twisted_ground_phase_rotation(self):
@@ -196,7 +208,7 @@ class TestSplitStep:
         t_final, n_steps = 0.5, 500
         out = evolve(state, Potential.matrix_constant(v_matrix, n),
                      t_final / n_steps, n_steps)
-        dense = propagation._recent_steps[0].matrix is not None
+        dense = out._split_step.matrix is not None
         assert dense is (n == 32)
         chi0 = state.sector_basis @ state.values
         modes = np.fft.fftfreq(n, d=1.0 / n)
@@ -272,7 +284,8 @@ def _memo_case(name):
 
 
 class TestEvolveMemo:
-    """``evolve`` reuses its last set-up; no result may depend on that."""
+    """An evolved state carries its set-up, and ``evolve`` reuses it; no
+    result may depend on that."""
 
     @pytest.mark.parametrize("name", ["scalar-ring", "spinor-matrix",
                                       "spinor-covariant", "antisymmetric-pair"])
@@ -282,38 +295,68 @@ class TestEvolveMemo:
         chunked = evolve(evolve(state, potential, 1e-3, 37), potential, 1e-3, 63)
         assert np.array_equal(bits(chunked.values), bits(whole.values))
 
-    def test_no_stale_set_up_is_served(self, monkeypatch):
+    def test_the_set_up_rides_with_the_values(self):
         state, potential = _memo_case("spinor-matrix")
+        assert state._split_step is None
+        out = evolve(state, potential, 1e-3, 5)
+        step = out._split_step
+        assert step is not None and step.shape == state.values.shape
+        assert out.normalized()._split_step is step
+        assert evolve(out, potential, 1e-3, 5)._split_step is step
+        assert replace(out, space=CoveringSpace.ring(radius=2.0))._split_step is None
+
+    def test_no_stale_set_up_is_served(self):
+        state, potential = _memo_case("spinor-matrix")
+        out = evolve(state, potential, 1e-3, 20)  # carries its set-up
         other_field = potential.values * 1.5
         variants = {
-            "potential": (state, Potential.matrix_field(other_field), 1e-3),
-            "dt": (state, potential, 2e-3),
-            "sector_betas": (replace(state, sector_betas=state.sector_betas + 0.3),
+            "potential": (out, Potential.matrix_field(other_field), 1e-3),
+            "dt": (out, potential, 2e-3),
+            "sector_betas": (replace(out, sector_betas=out.sector_betas + 0.3),
                              potential, 1e-3),
-            "sector_basis": (replace(state, sector_basis=state.sector_basis[:, ::-1]),
+            "sector_basis": (replace(out, sector_basis=out.sector_basis[:, ::-1]),
                              potential, 1e-3),
             # the field does not commute with an x-axis factor: refused
-            "twist": (replace(state, twist=MatrixRep.ring(
+            "twist": (replace(out, twist=MatrixRep.ring(
                 spin_exponential(0.7, [1, 0, 0]))), potential, 1e-3),
-            "space": (replace(state, space=CoveringSpace.ring(radius=2.0)),
+            "space": (replace(out, space=CoveringSpace.ring(radius=2.0)),
                       potential, 1e-3),
+            # new values keep the set-up; on a finer grid the 64-point
+            # field no longer fits and is refused
+            "grid_size": (out.with_values(np.repeat(out.values, 2, axis=1)),
+                          potential, 1e-3),
         }
 
         def outcome(s, v, dt):
             try:
                 return bits(evolve(s, v, dt, 20).values)
-            except IncompatibleFactorError as exc:
+            except (ConfigError, IncompatibleFactorError) as exc:
                 return type(exc)
 
         for name, (s, v, dt) in variants.items():
-            evolve(state, potential, 1e-3, 20)
-            after_first_call = outcome(s, v, dt)
-            monkeypatch.setattr(propagation, "_recent_steps", ())
-            fresh = outcome(s, v, dt)
+            carried = outcome(s, v, dt)
+            fresh = outcome(replace(s), v, dt)  # replace drops the set-up
             if isinstance(fresh, np.ndarray):
-                assert np.array_equal(after_first_call, fresh), name
+                assert np.array_equal(carried, fresh), name
             else:
-                assert after_first_call is fresh, name
+                assert carried is fresh, name
+
+    def test_alternating_layouts_build_one_set_up_each(self, monkeypatch):
+        # the ab-compare pattern: two states stepped in turn, one step each
+        built = []
+        original = propagation.SplitStep.__init__
+
+        def counting_init(step, *args):
+            built.append(args[0].values.shape)
+            original(step, *args)
+
+        monkeypatch.setattr(propagation.SplitStep, "__init__", counting_init)
+        a, potential = _memo_case("scalar-ring")
+        b = replace(a, twist=Character.ring(-7.3), sector_betas=np.array([-7.3]))
+        for _ in range(5):
+            a = evolve(a, potential, 1e-3, 1)
+            b = evolve(b, potential, 1e-3, 1)
+        assert len(built) == 2
 
     def test_potential_values_are_a_read_only_copy(self):
         arr = np.cos(angle_grid(64))
@@ -326,13 +369,13 @@ class TestEvolveMemo:
 
     def test_incompatible_pair_refused_on_every_call(self, pauli):
         state, potential = _memo_case("spinor-matrix")
-        evolve(state, potential, 1e-3, 1)
-        cached = propagation._recent_steps
+        out = evolve(state, potential, 1e-3, 1)
+        cached = out._split_step
         refused = Potential.matrix_constant(pauli["x"], 64)
         for _ in range(2):
             with pytest.raises(IncompatibleFactorError):
-                evolve(state, refused, 1e-3, 1)
-        assert propagation._recent_steps is cached
+                evolve(out, refused, 1e-3, 1)
+        assert out._split_step is cached
 
 
 def _kick_case(name):
@@ -404,11 +447,10 @@ class TestDenseStep:
         if name == "flux-unreduced":
             assert state.sector_betas[0] == -7.3
         dense = evolve(state, potential, 1e-3, 200)
-        assert propagation._recent_steps[0].matrix is not None
-        monkeypatch.setattr(propagation, "_recent_steps", ())
+        assert dense._split_step.matrix is not None
         monkeypatch.setattr(propagation, "DENSE_STEP_MAX", 0)
         fft = evolve(state, potential, 1e-3, 200)
-        assert propagation._recent_steps[0].matrix is None
+        assert fft._split_step.matrix is None
         assert max_abs(dense.values - fft.values) <= 1e-12
         drift_dense = dense.norm() - state.norm()
         drift_fft = fft.norm() - state.norm()
