@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .covering import (
     CoveringSpace,
@@ -587,6 +586,9 @@ def _adjacent_transposition_word(perm):
 
 def unitary_eig(u, tol=1e-9):
     """Eigen-decomposition of a (normal) unitary matrix with unitary basis."""
+    # local import: a character or flux run never needs scipy's ~0.25 s load
+    import scipy.linalg
+
     u = np.asarray(u, dtype=complex)
     t, z = scipy.linalg.schur(u, output="complex")
     off = max_abs(t - np.diag(np.diag(t)))

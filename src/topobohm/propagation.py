@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .covering import TWO_PI, CoveringSpace, Winding
 from .errors import (
@@ -615,6 +614,7 @@ def evolve(state, potential, dt, n_steps):
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
+    require_step_count(n_steps)
     if n_steps == 0:
         return state
     step = state._split_step
@@ -633,6 +633,14 @@ def evolve(state, potential, dt, n_steps):
     out = replace(state, values=values)
     object.__setattr__(out, "_split_step", step)
     return out
+
+
+def require_step_count(n_steps):
+    """Refuse a step count that is negative or not an integer, which a
+    stepping loop would otherwise run as no steps or fail on as a bare
+    TypeError."""
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
+        raise ConfigError("n_steps must be a nonnegative integer")
 
 
 def whole_steps(t_final, dt):
@@ -734,6 +742,9 @@ def spectrum(factor, potential=None, n_levels=8,
     dense subset eigensolve.  With V = 0 the levels are
     ((n + beta / 2 pi) / radius)^2 / 2.
     """
+    # local import: runs that solve no eigenproblem skip scipy's ~0.25 s load
+    import scipy.linalg
+
     if not 1 <= n_levels <= n_points // 4:
         raise ConfigError("n_levels must be at least 1 and not exceed "
                           "n_points / 4")
@@ -763,6 +774,9 @@ def crank_nicolson_evolve(state, potential, dt, n_steps):
     (1 + i dt H / 2) psi' = (1 - i dt H / 2) psi against the explicitly
     built grid Hamiltonian.  Scalar ring states only; slow by design.
     """
+    # local import: only the reference integrators need scipy's LU solver
+    import scipy.linalg
+
     if state.space.kind != "ring" or not state.is_scalar:
         raise ConfigError("the Crank-Nicolson reference handles scalar ring states")
     h = _dense_hamiltonian(state, potential)
@@ -859,6 +873,9 @@ class SheetWindowIntegrator:
                              n_steps, residual_every)
 
     def run_from(self, psi_flat, dt, n_steps, residual_every=10):
+        # local import: only the reference integrators need scipy's LU solver
+        import scipy.linalg
+
         h = self._hamiltonian()
         eye = np.eye(h.shape[0], dtype=complex)
         lu, piv = scipy.linalg.lu_factor(eye + 0.5j * dt * h)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .covering import TWO_PI, RingPoint, Winding
 from .errors import ConfigError, PhysicsError
-from .propagation import evolve, fourier_modes, whole_steps
+from .propagation import evolve, fourier_modes, require_step_count, whole_steps
 
 DEFAULT_EPS_NODE = 1e-12
 # Fourier coefficients below this fraction of the spectral peak are dropped
@@ -239,6 +239,7 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
     control in the equivariance tests).  Positions are returned unwrapped
     (continuous lifts); reduce mod 2 pi for base angles.
     """
+    require_step_count(n_steps)
     two_particle = state.space.kind == "two_particle_ring"
     if two_particle:
         q = np.asarray(q0, dtype=float).reshape(-1, 2).copy()

@@ -1,9 +1,25 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from topobohm.covering import FreeWord, Permutation, SemidirectElement, Winding
 from topobohm.scenario import PAULI
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def src_env():
+    """The environment for a child Python process that imports the package
+    from this checkout's ``src``, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture

@@ -539,13 +539,65 @@ def test_trajectories_run(tmp_path):
     assert first[4] == "completed"
 
 
-def test_console_entry_point(tmp_path):
+def test_console_entry_point(tmp_path, src_env):
     result = subprocess.run(
         [sys.executable, "-m", "topobohm.cli", "spectrum", "--beta", "0",
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        env=src_env, capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["status"] == "ok"
+
+
+# Runs each (label, argv) pair through main() in one fresh interpreter and
+# prints, per label, the exit code and whether scipy and scipy.linalg are
+# loaded by then; "import" is the state right after importing the runner.
+COLD_START_CHILD = """
+import contextlib, io, json, sys
+import topobohm, topobohm.cli
+
+def loaded():
+    return ["scipy" in sys.modules, "scipy.linalg" in sys.modules]
+
+seen = {"import": [0] + loaded()}
+for label, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = topobohm.cli.main(argv)
+    seen[label] = [code] + loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_matrix_work(tmp_path, src_env):
+    # a character or flux run factors no matrix, so it must not pay for
+    # loading scipy; a matrix factor needs its Schur form and loads it
+    runs = []
+    for name, factor in (("character", BASE["factor"]),
+                         ("flux", {"type": "flux", "flux": 1.0})):
+        cfg_dict = dict(BASE, factor=factor, seed=3,
+                        trajectories={"starts": [1.0, 3.0]},
+                        equivariance={"n_samples": 1000,
+                                      "checkpoints": [0.05]},
+                        grw={"lam": 20.0, "a": 0.3})
+        cfg = write_config(tmp_path, cfg_dict, name=f"{name}.json")
+        for command in ("evolve", "trajectories", "equivariance", "grw"):
+            runs.append((f"{command}-{name}",
+                         [command, "--config", cfg,
+                          "--out", str(tmp_path / f"{command}-{name}")]))
+    spinor = write_config(tmp_path, dict(
+        BASE, factor={"type": "spin_exp", "angle": 0.7, "axis": [0, 0, 1]},
+        initial_state=SPINOR), name="spinor.json")
+    runs.append(("evolve-spinor", ["evolve", "--config", spinor,
+                                   "--out", str(tmp_path / "spinor")]))
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_START_CHILD, json.dumps(runs)],
+        env=src_env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout)
+    spinor_seen = seen.pop("evolve-spinor")
+    assert len(seen) == 9
+    for label, (code, has_scipy, _) in seen.items():
+        assert (code, has_scipy) == (0, False), label
+    assert spinor_seen == [0, True, True]
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch):

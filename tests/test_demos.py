@@ -1,6 +1,5 @@
 """Smoke test: the fast demos run to completion against the public API."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,12 +22,9 @@ FAST_DEMOS = [
 
 
 @pytest.mark.parametrize("name", FAST_DEMOS)
-def test_demo_runs(name, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+def test_demo_runs(name, tmp_path, src_env):
     # run in a scratch directory: demos may write plots to the working dir
     result = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
-                            cwd=tmp_path, env=env, capture_output=True,
+                            cwd=tmp_path, env=src_env, capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr

@@ -295,6 +295,19 @@ class TestEvolveMemo:
         chunked = evolve(evolve(state, potential, 1e-3, 37), potential, 1e-3, 63)
         assert np.array_equal(bits(chunked.values), bits(whole.values))
 
+    @pytest.mark.parametrize("n_steps", [-5, -1, 2.5, 3.0])
+    def test_step_count_must_be_a_nonnegative_integer(self, n_steps):
+        state, potential = _memo_case("scalar-ring")
+        with pytest.raises(ConfigError, match="nonnegative integer"):
+            evolve(state, potential, 1e-3, n_steps)
+
+    def test_zero_steps_return_the_state(self):
+        state, potential = _memo_case("scalar-ring")
+        assert evolve(state, potential, 1e-3, 0) is state
+        assert np.array_equal(
+            bits(evolve(state, potential, 1e-3, np.int64(3)).values),
+            bits(evolve(state, potential, 1e-3, 3).values))
+
     def test_the_set_up_rides_with_the_values(self):
         state, potential = _memo_case("spinor-matrix")
         assert state._split_step is None

@@ -268,6 +268,19 @@ class TestBundles:
             gaps = np.diff(np.sort(snapshot))
             assert np.all(gaps > 0.0)
 
+    @pytest.mark.parametrize("n_steps", [-3, 2.5])
+    def test_step_count_must_be_a_nonnegative_integer(self, n_steps):
+        state = make_gaussian_state(Character.ring(np.pi), 2.0, 0.45, 2.0)
+        with pytest.raises(ConfigError, match="nonnegative integer"):
+            transport(state, Potential.zero(), [1.5, 2.0], 2e-3, n_steps)
+
+    def test_zero_steps_record_the_starts(self):
+        state = make_gaussian_state(Character.ring(np.pi), 2.0, 0.45, 2.0)
+        result, final = transport(state, Potential.zero(), [1.5, 2.0], 2e-3, 0)
+        assert final is state
+        assert np.array_equal(result.times, [0.0])
+        assert np.array_equal(result.positions, [[1.5, 2.0]])
+
     def test_bundle_paths_equal_lone_paths(self):
         state = make_gaussian_state(Character.ring(np.pi), 2.0, 0.45, 2.0)
         starts = [1.5, 2.0, 2.6]
