@@ -467,24 +467,25 @@ _DEFAULT_CONFIGS = {
 
 
 def build_parser():
+    """One flat parser: the subcommand is a positional choice and every
+    option is shared; ``main`` refuses ``--allow-aperiodic`` outside grw."""
     parser = argparse.ArgumentParser(
         prog="topobohm",
         description="Bohmian dynamics with topological factors: batch runner")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="scenario JSON path")
-        p.add_argument("--out", help="output directory "
-                                     f"(default ${DEFAULT_OUT_ENV} or ./out)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--beta", type=float, help="override character twist angle")
-        p.add_argument("--flux", type=float, help="override flux")
-        p.add_argument("--charge", type=float, help="override charge")
-        p.add_argument("--t-final", type=float, dest="t_final")
-        p.add_argument("--dt", type=float)
-        p.add_argument("--n-levels", type=int, dest="n_levels")
-        if name == "grw":
-            p.add_argument("--allow-aperiodic", action="store_true")
+    parser.add_argument("subcommand", choices=COMMANDS)
+    parser.add_argument("--config", help="scenario JSON path")
+    parser.add_argument("--out", help="output directory "
+                                      f"(default ${DEFAULT_OUT_ENV} or ./out)")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--beta", type=float,
+                        help="override character twist angle")
+    parser.add_argument("--flux", type=float, help="override flux")
+    parser.add_argument("--charge", type=float, help="override charge")
+    parser.add_argument("--t-final", type=float, dest="t_final")
+    parser.add_argument("--dt", type=float)
+    parser.add_argument("--n-levels", type=int, dest="n_levels")
+    parser.add_argument("--allow-aperiodic", action="store_true",
+                        help="grw only: do not fail on a twist residual")
     return parser
 
 
@@ -512,14 +513,17 @@ def _apply_overrides(cfg, args):
         cfg.setdefault("numerics", {})["dt"] = args.dt
     if args.n_levels is not None:
         cfg.setdefault("numerics", {})["n_levels"] = args.n_levels
-    if getattr(args, "allow_aperiodic", False):
+    if args.allow_aperiodic:
         cfg.setdefault("grw", {}).setdefault("lam", 1.0)
         cfg["grw"]["allow_aperiodic"] = True
     return cfg
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.allow_aperiodic and args.subcommand != "grw":
+        parser.error("--allow-aperiodic applies to the grw subcommand only")
     out_dir = args.out or os.environ.get(DEFAULT_OUT_ENV) or "out"
     ctx = None
     try:

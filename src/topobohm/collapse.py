@@ -26,7 +26,7 @@ import numpy as np
 from .covering import TWO_PI
 from .errors import ConfigError, PhysicsError, ToleranceError
 from .ensembles import sample_from_grid_density
-from .propagation import evolve
+from .propagation import SplitStep, evolve
 
 TWIST_PRESERVATION_TOL = 1e-9
 
@@ -42,6 +42,16 @@ def localization_bump(theta, x, a):
     return np.exp(-d ** 2 / (2.0 * a ** 2))
 
 
+def _require_width(state, a):
+    """Refuse a bump width that is not positive or below the grid spacing:
+    a narrower bump is under-resolved and its total rate silently wrong."""
+    if a <= 0:
+        raise ConfigError("localization width a must be positive")
+    if a < state.dx:
+        raise ConfigError(f"localization width a = {a:g} is below the grid "
+                          f"spacing {state.dx:g}; the bump is not resolved")
+
+
 def collapse_multiplier(state, x, lam, a, label=None):
     """The rate-operator multiplier on the state's base grid.
 
@@ -49,8 +59,7 @@ def collapse_multiplier(state, x, lam, a, label=None):
     bump(theta_2)) for the identical-particle variant (label None), or the
     single labelled bump for the distinguishable variant.
     """
-    if a <= 0:
-        raise ConfigError("localization width a must be positive")
+    _require_width(state, a)
     theta = state.theta
     if state.space.kind == "ring":
         if label is not None:
@@ -77,7 +86,7 @@ def collapse_rate(state, x, lam, a, label=None):
 
 def rate_over_centers(state, lam, a):
     """r(x|psi) for every grid centre x at once (circular convolution)."""
-    n = state.n_points
+    _require_width(state, a)
     theta = state.theta
     kernel = localization_bump(theta, 0.0, a)
     kernel_hat = np.fft.fft(kernel)
@@ -153,14 +162,18 @@ def _advance(state, potential, span, dt):
 
     A span within 1e-9 (relative) of a whole number of steps takes exactly
     that many, so a run whose length is a multiple of ``dt`` takes no
-    rounding-sized remainder step.
+    rounding-sized remainder step.  The remainder is one ``SplitStep.apply``
+    (the FFT pair, gate included) on a set-up of its own, so it never builds
+    the dense step matrix; its values go back on the whole-step state, whose
+    set-up the next interval reuses.
     """
     n_steps = round(span / dt)
     if abs(span - n_steps * dt) > 1e-9 * span:
         n_steps = math.floor(span / dt)
         state = evolve(state, potential, dt, n_steps)
-        last = evolve(state, potential, span - n_steps * dt, 1)
-        return state.with_values(last.values)  # keeps the whole-step set-up
+        rem = span - n_steps * dt
+        return state.with_values(
+            SplitStep(state, potential, rem).apply(state.values))
     return evolve(state, potential, dt, n_steps)
 
 
@@ -172,8 +185,9 @@ def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3,
     state, so it is computed once and the waits between events are drawn
     from the exponential law at that rate; lam = 0 gives no events.  Between
     events the state follows the split-step propagator in steps of ``dt``
-    plus one shorter step to land on the event time.  Deterministic for a
-    given seed.
+    (``evolve``, one set-up for the run) plus one shorter step by the FFT
+    pair to land on the event time (``_advance``).  Deterministic for a
+    given seed.  A width ``a`` below the grid spacing raises ``ConfigError``.
 
     Twist preservation is monitored at every event boundary; a residual
     above 1e-9 raises unless ``allow_aperiodic`` opts out of the periodicity

@@ -26,6 +26,7 @@ Two slow reference integrators ship in-tree:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -544,11 +545,12 @@ class SplitStep:
     potential, before anything else is built.  Of the layout it was built
     for, only ``shape`` can change on a state that carries it.
 
-    A state of at most ``DENSE_STEP_MAX`` values also gets ``matrix``, the
-    whole step as one (size, size) unitary: row j is ``apply`` of the j-th
-    unit vector, so ``flat @ matrix`` is one step of the flattened values
-    and the step keeps a single definition.  Larger states have ``matrix``
-    None and step by ``apply``.
+    ``matrix`` is the whole step as one (size, size) unitary for a layout
+    of at most ``DENSE_STEP_MAX`` values, built on first access (``evolve``
+    reads it; a caller that only calls ``apply`` never pays for it): row j
+    is ``apply`` of the j-th unit vector, so ``flat @ matrix`` is one step
+    of the flattened values and the step keeps a single definition.  Larger
+    layouts have ``matrix`` None and step by ``apply``.
     """
 
     def __init__(self, state, potential, dt):
@@ -563,12 +565,14 @@ class SplitStep:
             self.fft, self.ifft = np.fft.fft2, np.fft.ifft2
         else:  # ring values are (components, n): transform the last axis
             self.fft, self.ifft = np.fft.fft, np.fft.ifft
-        size = state.values.size
-        self.matrix = None
-        if size <= DENSE_STEP_MAX:
-            basis = np.eye(size, dtype=complex).reshape(
-                (size,) + state.values.shape)
-            self.matrix = self.apply(basis).reshape(size, size)
+
+    @functools.cached_property
+    def matrix(self):
+        size = math.prod(self.shape)
+        if size > DENSE_STEP_MAX:
+            return None
+        basis = np.eye(size, dtype=complex).reshape((size,) + self.shape)
+        return self.apply(basis).reshape(size, size)
 
     def _half_kick(self, values):
         """exp(-i dt V / 2) on ``values`` (any leading batch axes).
@@ -608,9 +612,10 @@ def evolve(state, potential, dt, n_steps):
     single steps pays for its set-up once; no result depends on that reuse.
 
     A state of at most ``DENSE_STEP_MAX`` values (k n on the ring, n^2 on
-    the torus) steps by one product with the set-up's stored unitary; a
-    larger one by the FFT pair.  The path depends only on the state's size,
-    so every step of a run, chunked or not, is the same operation.
+    the torus) steps by one product with the set-up's unitary, built on the
+    set-up's first call here; a larger one by the FFT pair.  The path
+    depends only on the state's size, so every step of a run, chunked or
+    not, is the same operation.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -923,7 +928,7 @@ def _twist_from_dict(d):
 
 def _complex_matrix_to_pairs(m):
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _complex_matrix_from_pairs(rows):

@@ -111,6 +111,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, cfg_dict)
         assert main(["grw", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_unresolved_grw_width_is_two(self, tmp_path):
+        cfg_dict = dict(BASE, seed=3)
+        cfg_dict["grw"] = {"lam": 1.0, "a": 0.05}  # grid spacing 2 pi / 64
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "o"
+        assert main(["grw", "--config", cfg, "--out", str(out)]) == 2
+        manifest = read_json(out / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert manifest["failure"]["family"] == "config"
+        assert "grid spacing" in manifest["failure"]["message"]
+
     def test_unexpected_exception_is_five(self, tmp_path, capsys, monkeypatch):
         from topobohm import cli
 
@@ -546,6 +557,27 @@ def test_console_entry_point(tmp_path, src_env):
         env=src_env, capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["status"] == "ok"
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--allow-aperiodic"],
+    ["spectrum", "--beta", "0", "--allow-aperiodic"],
+    ["collapse", "--seed", "1"],
+], ids=["aperiodic-evolve", "aperiodic-spectrum", "unknown-subcommand"])
+def test_parser_refusals_exit_two(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_lists_every_subcommand(src_env):
+    from topobohm.cli import COMMANDS
+    result = subprocess.run([sys.executable, "-m", "topobohm.cli", "--help"],
+                            env=src_env, capture_output=True, text=True)
+    assert result.returncode == 0
+    for name in COMMANDS:
+        assert name in result.stdout
 
 
 # Runs each (label, argv) pair through main() in one fresh interpreter and

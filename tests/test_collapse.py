@@ -19,6 +19,7 @@ from topobohm.propagation import (
     wrapped_gaussian,
 )
 from topobohm.collapse import (
+    _advance,
     apply_collapse,
     collapse_multiplier,
     collapse_rate,
@@ -82,6 +83,31 @@ class TestRates:
         with pytest.raises(ConfigError, match="positive"):
             collapse_rate(state, 0.0, LAM, -0.1)
 
+    def test_width_below_grid_spacing_rejected(self):
+        # a half-spacing bump misses its total rate by 1.4% at n = 128
+        state = make_eigenstate(0, Character.ring(0.0), n_points=128)
+        a = 0.5 * state.dx
+        calls = (lambda: collapse_rate(state, 0.0, LAM, a),
+                 lambda: apply_collapse(state, 0.0, LAM, a),
+                 lambda: rate_over_centers(state, LAM, a),
+                 lambda: total_rate(state, LAM, a),
+                 lambda: draw_center(state, LAM, a, np.random.default_rng(0)),
+                 lambda: simulate_grw(state, Potential.zero(), 0.1, LAM, a,
+                                      seed=1, dt=2e-3),
+                 lambda: simulate_grw(state, Potential.zero(), 0.1, 0.0, a,
+                                      seed=1, dt=2e-3))
+        for call in calls:
+            with pytest.raises(ConfigError, match="grid spacing"):
+                call()
+
+    def test_width_of_one_grid_spacing_accepted(self):
+        state = make_eigenstate(0, Character.ring(0.0), n_points=128)
+        a = state.dx
+        expected = LAM * np.sqrt(2 * np.pi) * a
+        result = simulate_grw(state, Potential.zero(), 0.1, LAM, a, seed=1,
+                              dt=2e-3)
+        assert abs(result.total_rate - expected) <= 1e-8 * expected
+
     def test_wrapped_distance(self):
         assert wrapped_distance(0.1, TWO_PI - 0.1) == pytest.approx(0.2)
         assert wrapped_distance(1.0, 1.0 + np.pi) == pytest.approx(np.pi)
@@ -119,9 +145,10 @@ class TestApplyCollapse:
         assert collapsed.twist_residual() <= 1e-9
 
     def test_zero_rate_rejected(self):
-        # state concentrated opposite a very narrow bump: rate underflows to 0
+        # state concentrated opposite a very narrow bump: rate underflows to
+        # 0 (n = 1024 resolves the bump: its spacing 0.006 is below a)
         state = make_gaussian_state(Character.ring(0.0), 0.0, 0.05, 0.0,
-                                    n_points=128)
+                                    n_points=1024)
         with pytest.raises(PhysicsError, match="rate vanishes"):
             apply_collapse(state, np.pi, LAM, 0.01)
 
@@ -198,6 +225,39 @@ class TestSimulate:
         assert result.n_events >= 3
         assert built.count(2e-3) == 1
         assert len(built) <= 1 + result.n_events + 1
+
+    def test_remainders_never_build_the_dense_matrix(self, monkeypatch):
+        # at n = 128 the whole steps run on the dense matrix; the remainder
+        # step of each interval takes the FFT pair and builds none
+        made = []
+        original = propagation.SplitStep.__init__
+
+        def recording_init(step, *args):
+            made.append(step)
+            original(step, *args)
+
+        monkeypatch.setattr(propagation.SplitStep, "__init__", recording_init)
+        state = make_gaussian_state(Character.ring(np.pi), 3.0, 0.5, 1.0,
+                                    n_points=128)
+        v = Potential.from_callable(lambda t: 0.3 * np.cos(t), 128)
+        t_final = 5.0 / (LAM * np.sqrt(2 * np.pi * A ** 2))
+        result = simulate_grw(state, v, t_final, LAM, A, seed=11, dt=2e-3)
+        assert result.n_events >= 3
+        assert len(made) == result.n_events + 2
+        dense = [step.dt for step in made if "matrix" in vars(step)]
+        assert dense == [2e-3]
+
+    def test_remainder_agrees_with_a_dense_step(self):
+        state = make_gaussian_state(Character.ring(np.pi), 3.0, 0.5, 1.0,
+                                    n_points=128)
+        v = Potential.from_callable(lambda t: 0.3 * np.cos(t), 128)
+        dt = 2e-3
+        span = 7.4 * dt
+        got = _advance(state, v, span, dt)
+        whole = evolve(state, v, dt, 7)
+        expected = evolve(whole, v, span - 7 * dt, 1)
+        assert np.max(np.abs(got.values - expected.values)) <= 1e-13
+        assert got._split_step.dt == dt  # the next interval reuses it
 
     def test_seed_determinism(self):
         state = make_gaussian_state(Character.ring(np.pi), 3.0, 0.5, 1.0,

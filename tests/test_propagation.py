@@ -774,6 +774,16 @@ class TestStateSerialization:
         if kind == "spinor":
             assert np.array_equal(bits(back.sector_basis), bits(state.sector_basis))
 
+    def test_pair_encoding_keeps_every_bit(self):
+        m = np.empty((2, 4), dtype=complex)
+        m.real = [[0.0, -0.0, -0.0, 0.0], [1.5, -0.0, np.pi, 5e-324]]
+        m.imag = [[0.0, 0.0, -0.0, -0.0], [-2.5, -0.0, 0.0, 1e-300]]
+        for data in (m, m.T, m[:1]):
+            old = [[[float(z.real), float(z.imag)] for z in row] for row in data]
+            # JSON text spells each float's repr, so -0.0 stays apart from 0.0
+            assert json.dumps(propagation._complex_matrix_to_pairs(data)) \
+                == json.dumps(old)
+
     def test_unknown_schema_rejected(self):
         state = make_eigenstate(0, Character.ring(0.0), n_points=32)
         payload = state_to_dict(state)
