@@ -452,8 +452,12 @@ def _pair_potential(state, potential):
 def _sector_potential(state, potential):
     """Potential term of the gauge-fixed equation, in the sector basis.
 
-    Returns ("none", None), ("scalar", real field on the state grid) or
-    ("matrix", (n,k,k)).
+    Returns ("none", None), ("scalar", real field on the state grid),
+    ("diagonal", (k, n) real field: each sector's own field) or
+    ("matrix", (n, k, k)).  A matrix or covariant field that commutes with
+    a non-degenerate factor keeps each character sector (Schur), so in the
+    sector basis it is its real diagonal up to the rounding of the
+    rotation; it is then returned as "diagonal", and the sectors decouple.
     """
     if potential.is_zero:
         return ("none", None)
@@ -464,13 +468,33 @@ def _sector_potential(state, potential):
         if v.shape != (state.n_points,):
             raise ConfigError("scalar potential grid does not match the state")
         return ("scalar", v)
+    v = _sector_field(state, potential)
+    k = state.n_components
+    diag = np.diagonal(v, axis1=1, axis2=2).real
+    off = v - diag[:, :, None] * np.eye(k)
+    # A rounding bound, not a tolerance: k eps of the field's size, the
+    # order of what the rotation into the sector basis leaves off the
+    # diagonal of a field that keeps the sectors.  On the spinor-evolve
+    # layout (n = 4096, a tilted spin_exp factor, V = a I + b e.sigma) the
+    # remainder is about 1.3e-16 against a bound of 6e-16 (the half
+    # phase's off-diagonal about 3e-20); over 490 drawn axes and angles it
+    # stays under 2 eps max|v| in 99% of them.  A field above the bound
+    # keeps the full matrix kick, as a field that passes the gate only to
+    # COMMUTE_TOL (an off-diagonal of 1e-12, say) must.
+    if max_abs(off) <= k * np.finfo(float).eps * max_abs(v):
+        return ("diagonal", np.ascontiguousarray(diag.T))
+    return ("matrix", v)
+
+
+def _sector_field(state, potential):
+    """A matrix or covariant field as (n, k, k) in the state's sector basis."""
     v = np.asarray(potential.values, dtype=complex)
     if v.shape != (state.n_points, state.n_components, state.n_components):
         raise ConfigError("matrix potential shape does not match the state")
     if state.sector_basis is not None:
         v = np.einsum("ab,nbc,cd->nad",
                       state.sector_basis.conj().T, v, state.sector_basis)
-    return ("matrix", v)
+    return v
 
 
 def factor_commutes(factor, potential):
@@ -515,12 +539,13 @@ def _kinetic_phase(state, dt):
 
 
 def _potential_half_phase(kind, data, dt):
-    """exp(-i dt V / 2): a field on the grid, or for a matrix potential the
-    (k, k, n) array of pointwise unitaries, sector-major so that the kick's
-    sum runs over contiguous grid rows."""
+    """exp(-i dt V / 2): a field on the grid (one per sector for a diagonal
+    field), or for a matrix potential the (k, k, n) array of pointwise
+    unitaries, sector-major so that the kick's sum runs over contiguous
+    grid rows."""
     if kind == "none":
         return None
-    if kind == "scalar":
+    if kind in ("scalar", "diagonal"):
         return np.exp(-0.5j * dt * data)
     eigvals, eigvecs = np.linalg.eigh(data)
     phase = np.exp(-0.5j * dt * eigvals)
@@ -538,9 +563,10 @@ DENSE_STEP_MAX = 128
 class SplitStep:
     """The set-up of one V/2 - T - V/2 step for a state layout, a potential
     and dt: the gate verdict, the kinetic multiplier, the half-potential
-    phase and the FFT pair.  A scalar half-kick is one broadcast multiply;
-    a matrix half-kick is k^2 broadcast multiply-adds over the sector-major
-    (k, k, n) phase (see ``_half_kick``).  Building it raises
+    phase and the FFT pair.  A scalar or diagonal half-kick is one
+    broadcast multiply, by an (n,) or a (k, n) phase; a matrix half-kick is
+    k^2 broadcast multiply-adds over the sector-major (k, k, n) phase (see
+    ``_half_kick``).  Building it raises
     ``IncompatibleFactorError`` when the factor does not commute with the
     potential, before anything else is built.  Of the layout it was built
     for, only ``shape`` can change on a state that carries it.
@@ -582,7 +608,7 @@ class SplitStep:
         place: k^2 multiply-adds per grid point."""
         if self.kind == "none":
             return values
-        if self.kind == "scalar":
+        if self.kind in ("scalar", "diagonal"):
             return values * self.half_v
         out = self.half_v[:, 0] * values[..., 0:1, :]
         for b in range(1, self.half_v.shape[1]):
@@ -710,27 +736,32 @@ def _require_scalar_ring(state):
 # spectra
 # ---------------------------------------------------------------------------
 
+def _kinetic_blocks(state):
+    """(k, n, n): each sector's spectral kinetic operator on the grid, half
+    the squared wavenumbers (``_wavenumbers``) applied in Fourier space."""
+    f_eye = np.fft.fft(np.eye(state.n_points, dtype=complex), axis=0)
+    return np.fft.ifft(0.5 * _wavenumbers(state)[:, :, None] ** 2 * f_eye,
+                       axis=1)
+
+
 def _dense_hamiltonian(state, potential):
     """Dense grid Hamiltonian of a ring state's layout, shape (k n, k n).
 
-    The spectral kinetic term of each sector sits on its diagonal block,
-    and the potential, read through the split step's ``_sector_potential``
-    (so a matrix field is rotated into the sector basis and its shape is
-    checked), sits on the point diagonals of all blocks.  The values of
-    ``state`` are not read.
+    Each sector's kinetic block (``_kinetic_blocks``) sits on its diagonal
+    block, and the potential, read through the split step's
+    ``_sector_potential`` (so a matrix field is rotated into the sector
+    basis and its shape is checked), sits on the point diagonals of all
+    blocks.  The values of ``state`` are not read.
     """
     n, k = state.n_points, state.n_components
-    f_eye = np.fft.fft(np.eye(n, dtype=complex), axis=0)
-    kin = np.fft.ifft(0.5 * _wavenumbers(state)[:, :, None] ** 2 * f_eye,
-                      axis=1)
     sectors = np.arange(k)
     h = np.zeros((k, n, k, n), dtype=complex)
-    h[sectors, :, sectors, :] = kin
+    h[sectors, :, sectors, :] = _kinetic_blocks(state)
     kind, data = _sector_potential(state, potential)
     if kind != "none":
         points = np.arange(n)
-        h[:, points, :, points] += (data[:, None, None] * np.eye(k)
-                                    if kind == "scalar" else data)
+        h[:, points, :, points] += data if kind == "matrix" else (
+            np.broadcast_to(data, (k, n)).T[:, :, None] * np.eye(k))
     return h.reshape(k * n, k * n)
 
 
@@ -742,10 +773,14 @@ def spectrum(factor, potential=None, n_levels=8,
     Character of its unreduced angle -e flux.  The operator is the one that
     ``evolve`` steps: the pair passes the split step's gate (else
     ``IncompatibleFactorError``), the factor splits into the sectors that
-    ``twist_embed`` lays out, and ``_dense_hamiltonian`` builds the grid
-    operator, whose lowest n_levels eigenvalues (ascending) come from one
-    dense subset eigensolve.  With V = 0 the levels are
-    ((n + beta / 2 pi) / radius)^2 / 2.
+    ``twist_embed`` lays out, and the field is read in those sectors by
+    ``_sector_potential``.  When that field keeps each sector (kind none,
+    scalar or diagonal) the operator is a direct sum: each sector's n x n
+    block, its kinetic block plus its own field, gives its lowest n_levels
+    eigenvalues, and the lowest n_levels of their union are returned.  A
+    field that couples the sectors takes one subset eigensolve of the
+    whole ``_dense_hamiltonian``.  Levels are ascending.  With V = 0 they
+    are ((n + beta / 2 pi) / radius)^2 / 2.
     """
     # local import: runs that solve no eigenproblem skip scipy's ~0.25 s load
     import scipy.linalg
@@ -760,12 +795,23 @@ def spectrum(factor, potential=None, n_levels=8,
     layout = WaveGrid(space=CoveringSpace.ring(radius=radius),
                       values=np.zeros((len(betas), n_points)), twist=factor,
                       sector_betas=betas, sector_basis=basis)
-    h = _dense_hamiltonian(layout, potential)
-    herm = max_abs(h - h.conj().T)
-    if herm > 1e-10:
-        raise ToleranceError("hamiltonian-hermiticity", herm, 1e-10)
-    return scipy.linalg.eigh((h + h.conj().T) / 2.0, eigvals_only=True,
-                             subset_by_index=[0, n_levels - 1])
+    kind, data = _sector_potential(layout, potential)
+    if kind == "matrix":
+        blocks = _dense_hamiltonian(layout, potential)[None]
+    else:
+        blocks = _kinetic_blocks(layout)
+        if kind != "none":  # a scalar field (n,) is every sector's own
+            points = np.arange(n_points)
+            blocks[:, points, points] += data
+    levels = []
+    for h in blocks:
+        herm = max_abs(h - h.conj().T)
+        if herm > 1e-10:
+            raise ToleranceError("hamiltonian-hermiticity", herm, 1e-10)
+        levels.append(scipy.linalg.eigh((h + h.conj().T) / 2.0,
+                                        eigvals_only=True,
+                                        subset_by_index=[0, n_levels - 1]))
+    return np.sort(np.concatenate(levels))[:n_levels]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,15 @@ import numpy as np
 import pytest
 
 from topobohm import scenario as scenario_module
-from topobohm.cli import main, write_json
-from topobohm.propagation import Potential, evolve, state_from_dict
+from topobohm.cli import json_text, main, write_json
+from topobohm.propagation import (
+    Potential,
+    evolve,
+    make_spinor_state,
+    state_from_dict,
+    state_to_dict,
+    symmetrized_product_state,
+)
 from topobohm.scenario import PAULI, SCENARIO_SCHEMA_TAG, Scenario
 from topobohm.trajectories import integrate_trajectory
 
@@ -196,6 +203,18 @@ class TestSpectrum:
         rows = (out / "spectrum.csv").read_text().strip().splitlines()
         level0 = float(rows[1].split(",")[1])
         assert level0 == pytest.approx(0.125, abs=1e-9)
+
+    def test_incompatible_pair_exits_three(self, tmp_path):
+        cfg_dict = dict(BASE, factor={"type": "spin_exp", "angle": 0.7,
+                                      "axis": [0, 0, 1]},
+                        potential={"type": "matrix_const",
+                                   "matrix": [[[0, 0], [1, 0]],
+                                              [[1, 0], [0, 0]]]},
+                        initial_state=SPINOR)
+        out = tmp_path / "spec"
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+        assert read_json(out / "manifest.json")["status"] == "failed"
 
 
 def test_charge_override_sets_the_flux_factor_charge(tmp_path):
@@ -407,6 +426,62 @@ class TestClassify:
         manifest = read_json(out / "manifest.json")
         assert manifest["status"] == "failed"
         assert manifest["failure"]["family"] == "config"
+
+
+def _json_payloads(tmp_path):
+    """What ``write_json`` writes, and the corner cases of ``json``'s text."""
+    theta = 2 * np.pi * np.arange(64) / 64
+    scalar = Scenario(BASE).initial_state()
+    spinor = make_spinor_state(
+        [np.exp(np.cos(theta)), 0.5j * np.exp(np.sin(theta))],
+        Scenario(dict(BASE, factor={"type": "spin_exp", "angle": 0.7,
+                                    "axis": [0.48, 0.6, 0.64]})).factor)
+    pair = symmetrized_product_state(
+        lambda t: np.exp(-(t - 2.0) ** 2), lambda t: np.exp(-(t - 4.0) ** 2),
+        -1, n_points=16)
+    cfg_dict = dict(BASE, potential={"type": "zero"},
+                    numerics={"dt": 2e-3, "t_final": 0.01},
+                    equivariance={"n_samples": 1000, "checkpoints": [0.01]},
+                    seed=8)
+    out = tmp_path / "eq"
+    assert main(["equivariance", "--config", write_config(tmp_path, cfg_dict),
+                 "--out", str(out)]) == 0
+    nan, inf = float("nan"), float("inf")
+    return {
+        "scalar-state": state_to_dict(scalar),
+        "spinor-state": state_to_dict(spinor),
+        "pair-state": state_to_dict(pair),
+        "manifest": read_json(out / "manifest.json"),
+        "equivariance": read_json(out / "equivariance.json"),
+        "empty": [{}, [], [[]], [[], []], {"a": {}, "b": []}, ""],
+        "non-finite": [[nan, inf], [-inf, -0.0], [0.0, 5e-324]],
+        "mixed": [[[1.0, 2.0]], [[1.0, 2], [3.0, 4.0]], [[1.0], [2.0, 3.0]],
+                  (1.5, -0.0), [[True, 1.0]], [[None, 2.0]], [1.0, [2.0]],
+                  {"b": 1, "a": [1e300, -1e-300]}, {2: "x", 1: None},
+                  {1.5: "y"}, {None: 0}, [np.float64(0.1), 0.2], "\u00e9\n"],
+    }
+
+
+def test_json_text_equals_json_dumps(tmp_path):
+    for name, payload in _json_payloads(tmp_path).items():
+        expected = json.dumps(payload, sort_keys=True, indent=2)
+        assert json_text(payload) == expected, name
+
+
+def test_spinor_state_json_is_json_dumps_text(tmp_path):
+    cfg_dict = dict(BASE, factor={"type": "spin_exp", "angle": 0.7,
+                                  "axis": [0, 0, 1]},
+                    potential={"type": "matrix_const",
+                               "matrix": [[[0.5, 0], [0, 0]],
+                                          [[0, 0], [-0.5, 0]]]},
+                    initial_state=SPINOR)
+    out = tmp_path / "sp"
+    cfg = write_config(tmp_path, cfg_dict)
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("state.json", "manifest.json"):
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  indent=2) + "\n"
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):

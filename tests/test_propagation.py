@@ -46,9 +46,10 @@ from topobohm.propagation import (
     twist_embed,
     wrapped_gaussian,
     _dense_hamiltonian,
+    _potential_half_phase,
     _sector_potential,
 )
-from topobohm.scenario import spin_exponential
+from topobohm.scenario import PAULI, spin_exponential
 
 
 def l2_diff(a, b):
@@ -406,11 +407,16 @@ def _kick_case(name):
             Potential.covariant(a + np.conj(np.swapaxes(a, 1, 2))))
 
 
-def _einsum_step(step, values):
-    """Reference for ``SplitStep.apply`` on a matrix kind: the same V/2 - T -
-    V/2 step with the half-kicks written as one einsum."""
+def _einsum_step(state, potential, dt, values):
+    """Reference for ``SplitStep.apply``: the same V/2 - T - V/2 step with
+    the half-kicks written as one einsum over the full (k, k, n) phase of
+    the sector-basis field, whatever kind the step chose."""
+    step = propagation.SplitStep(state, potential, dt)
+    half_v = _potential_half_phase(
+        "matrix", propagation._sector_field(state, potential), dt)
+
     def kick(v):
-        return np.einsum("abn,...bn->...an", step.half_v, v)
+        return np.einsum("abn,...bn->...an", half_v, v)
     return kick(step.ifft(step.kinetic * step.fft(kick(values))))
 
 
@@ -418,15 +424,98 @@ def _einsum_step(step, values):
 @pytest.mark.parametrize("name", ["spinor-matrix", "spinor-covariant",
                                   "three-component"])
 def test_matrix_kick_equals_einsum(name, batch):
+    # a field commuting with a non-degenerate factor kicks each sector by
+    # its own phase; a field coupling the sectors takes the full kick
     state, potential = _kick_case(name)
     step = propagation.SplitStep(state, potential, 1e-2)
-    assert step.kind == "matrix"
+    assert step.kind == {"spinor-matrix": "diagonal"}.get(name, "matrix")
     rng = np.random.default_rng(11)
     values = rng.normal(size=batch + state.values.shape + (2,)) @ [1, 1j]
-    expected = _einsum_step(step, values)
+    expected = _einsum_step(state, potential, 1e-2, values)
     got = step.apply(values)
     assert got.shape == expected.shape
     assert max_abs(got - expected) <= 1e-14 * max_abs(expected)
+
+
+def _spinor_evolve_case(n=4096):
+    """The spinor-evolve layout: a tilted spin_exp factor, V = a I + b e.sigma
+    constant on the ring."""
+    tilted = np.array([0.48, 0.6, 0.64])
+    e_sigma = sum(c * PAULI[ax] for c, ax in zip(tilted, "xyz"))
+    rep = MatrixRep.ring(spin_exponential(1.3, tilted))
+    theta = angle_grid(n)
+    state = make_spinor_state([wrapped_gaussian(theta, 3.0, 0.5, 2.0),
+                               0.5j * wrapped_gaussian(theta, 2.0, 0.4, -1.0)],
+                              rep)
+    return state, Potential.matrix_constant(0.2 * np.eye(2) + 0.9 * e_sigma, n)
+
+
+class TestDiagonalKick:
+    """A field that keeps each character sector kicks by one (k, n) phase;
+    every other field keeps the kick it had."""
+
+    def test_near_commuting_field_keeps_the_matrix_kick(self, pauli):
+        # an off-diagonal of 1e-12 passes the gate (COMMUTE_TOL) but is far
+        # above rounding, so it is not dropped
+        rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
+        chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
+        state = make_spinor_state([chi, 0.4j * chi], rep)
+        exact = Potential.matrix_constant(pauli["z"], 64)
+        near = Potential.matrix_constant(pauli["z"] + 1e-12 * pauli["x"], 64)
+        assert propagation.SplitStep(state, exact, 1e-3).kind == "diagonal"
+        step = propagation.SplitStep(state, near, 1e-3)
+        assert step.kind == "matrix" and step.half_v.shape == (2, 2, 64)
+
+    def test_diagonal_step_equals_the_matrix_step(self):
+        state, potential = _spinor_evolve_case()
+        step = propagation.SplitStep(state, potential, 5e-4)
+        assert step.kind == "diagonal" and step.half_v.shape == (2, 4096)
+        expected = _einsum_step(state, potential, 5e-4, state.values)
+        got = step.apply(state.values)
+        assert max_abs(got - expected) <= 1e-14 * max_abs(expected)
+
+    @pytest.mark.parametrize("n", [64, 512])  # dense path, FFT path
+    def test_diagonal_run_in_chunks_equals_one_call(self, n):
+        state, potential = _spinor_evolve_case(n)
+        whole = evolve(state, potential, 1e-3, 100)
+        assert whole._split_step.kind == "diagonal"
+        assert (whole._split_step.matrix is not None) is (n == 64)
+        chunked = evolve(evolve(state, potential, 1e-3, 37), potential, 1e-3, 63)
+        assert np.array_equal(bits(chunked.values), bits(whole.values))
+
+    @pytest.mark.parametrize("name", ["scalar-ring", "flux-ring", "pair"])
+    def test_fields_without_a_matrix_step_as_written_out(self, name):
+        # the scalar Strang step written out from its formulas, operands in
+        # the package's order (numpy's complex product need not commute bit
+        # for bit): the runs that never reach a matrix kick keep every bit
+        dt = 1e-3
+        if name == "pair":
+            modes = np.fft.fftfreq(32, d=1.0 / 32)
+            one = 0.3 * np.cos(angle_grid(32))
+            v = one[:, None] + one[None, :]
+            state = symmetrized_product_state(
+                lambda t: np.exp(-(t - 2.0) ** 2),
+                lambda t: np.exp(-(t - 4.0) ** 2), -1, n_points=32)
+            kinetic = np.exp(-0.5j * dt * (modes[:, None] ** 2
+                                           + modes[None, :] ** 2))
+            fft, ifft = np.fft.fft2, np.fft.ifft2
+        else:
+            modes = np.fft.fftfreq(256, d=1.0 / 256)
+            theta = angle_grid(256)
+            beta = np.pi / 3 if name == "scalar-ring" else -7.3
+            v = 0.4 * np.cos(theta) - 0.2 * np.sin(2 * theta)
+            state = make_gaussian_state(Character.ring(beta), 3.0, 0.5, 1.0,
+                                        n_points=256)
+            kinetic = np.exp(-0.5j * dt * (
+                modes[None, :] + np.array([beta])[:, None] / TWO_PI) ** 2)
+            fft, ifft = np.fft.fft, np.fft.ifft
+        out = evolve(state, Potential.scalar(v), dt, 50)
+        assert out._split_step.kind == "scalar"
+        half = np.exp(-0.5j * dt * v)
+        values = state.values
+        for _ in range(50):
+            values = ifft(kinetic * fft(values * half)) * half
+        assert out.values.tobytes() == values.tobytes()
 
 
 def _dense_case(name):
@@ -581,8 +670,10 @@ def _block_loop_hamiltonian(state, potential):
     (n, n) block at a time."""
     n, k = state.n_points, state.n_components
     kind, data = _sector_potential(state, potential)
-    field = np.zeros((n, k, k)) if kind == "none" else (
-        data[:, None, None] * np.eye(k) if kind == "scalar" else data)
+    field = {"none": lambda: np.zeros((n, k, k)),
+             "scalar": lambda: data[:, None, None] * np.eye(k),
+             "diagonal": lambda: data.T[:, :, None] * np.eye(k),
+             "matrix": lambda: data}[kind]()
     f_eye = np.fft.fft(np.eye(n, dtype=complex), axis=0)
     modes = np.fft.fftfreq(n, d=1.0 / n)
     h = np.zeros((k * n, k * n), dtype=complex)
@@ -641,6 +732,52 @@ class TestSpectrum:
         down = spectrum(Character.ring(phi), Potential.zero(), 8, n_points=64)
         union = np.sort(np.concatenate([up, down]))[:8]
         assert np.max(np.abs(merged - union)) <= 1e-10
+
+    @staticmethod
+    def _recorded_solves(monkeypatch):
+        """The shapes of the matrices that ``spectrum`` diagonalizes."""
+        shapes = []
+        original = scipy.linalg.eigh
+
+        def recording(h, **kwargs):
+            shapes.append(h.shape)
+            return original(h, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recording)
+        return shapes
+
+    @pytest.mark.parametrize("field", ["zero", "scalar", "matrix-const"])
+    def test_block_spectra_equal_the_full_solve(self, field, pauli,
+                                                monkeypatch):
+        n, n_levels = 128, 12
+        theta = angle_grid(n)
+        tilted = np.array([0.48, 0.6, 0.64])
+        e_sigma = sum(c * pauli[ax] for c, ax in zip(tilted, "xyz"))
+        rep = MatrixRep.ring(spin_exponential(0.9, tilted))
+        potential = {
+            "zero": Potential.zero(),
+            "scalar": Potential.scalar(0.7 * np.cos(theta) + 0.2 * np.sin(3 * theta)),
+            "matrix-const": Potential.matrix_constant(
+                0.2 * np.eye(2) + 0.9 * e_sigma, n)}[field]
+        shapes = self._recorded_solves(monkeypatch)
+        levels = spectrum(rep, potential, n_levels, n_points=n, radius=1.3)
+        assert shapes == [(n, n), (n, n)]
+        betas, basis = propagation._ring_sectors(rep)
+        layout = WaveGrid(space=CoveringSpace.ring(radius=1.3),
+                          values=np.zeros((2, n)), twist=rep,
+                          sector_betas=betas, sector_basis=basis)
+        h = _dense_hamiltonian(layout, potential)
+        full = np.linalg.eigvalsh((h + h.conj().T) / 2)[:n_levels]
+        assert np.max(np.abs(levels - full)) <= 1e-10
+
+    def test_a_field_coupling_the_sectors_takes_the_full_solve(
+            self, pauli, monkeypatch):
+        n = 64
+        rep = MatrixRep.ring(spin_exponential(0.6, [1, 0, 0]))
+        potential = Potential.covariant(np.broadcast_to(pauli["z"], (n, 2, 2)))
+        shapes = self._recorded_solves(monkeypatch)
+        spectrum(rep, potential, 8, n_points=n)
+        assert shapes == [(2 * n, 2 * n)]
 
     def test_gate_refuses_a_non_commuting_pair(self, pauli):
         rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
