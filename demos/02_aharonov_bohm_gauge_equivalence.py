@@ -14,7 +14,7 @@ from topobohm import (
     Character,
     Potential,
     gauge_map,
-    integrate_trajectory,
+    integrate_trajectories,
     make_gaussian_state,
     spectrum,
     velocity_field,
@@ -33,11 +33,13 @@ v_twist, _ = velocity_field(state_twist)
 print(f"velocity fields agree to {np.max(np.abs(v_flux - v_twist)):.2e}")
 
 print("\ntrajectories from matched starts (t = 0 .. 1):")
+starts = (0.5, 2.0, 3.5, 5.0)
+# one bundle per gauge: each path is the one its start would follow alone
+bundle_a = integrate_trajectories(state_flux, Potential.zero(), starts, 1e-3, 1.0)
+bundle_b = integrate_trajectories(state_twist, Potential.zero(), starts, 1e-3, 1.0)
 worst = 0.0
 paths = {}
-for q0 in (0.5, 2.0, 3.5, 5.0):
-    traj_a = integrate_trajectory(state_flux, Potential.zero(), q0, 1e-3, 1.0)
-    traj_b = integrate_trajectory(state_twist, Potential.zero(), q0, 1e-3, 1.0)
+for q0, traj_a, traj_b in zip(starts, bundle_a, bundle_b):
     dev = np.max(np.abs(traj_a.unwrapped - traj_b.unwrapped))
     worst = max(worst, dev)
     paths[q0] = (traj_a.times, traj_a.unwrapped)

@@ -501,33 +501,26 @@ def is_projectable_field(samples: Mapping, tol: float) -> bool:
     function of theta, and the pushforward is trivial).  The field is
     projectable iff all entries agree with the identity entry within ``tol``.
     """
-    if len(samples) < 2:
-        raise ConfigError("need samples on at least 2 deck translates")
-    identity_key = None
-    for key in samples:
-        if key.is_identity:
-            identity_key = key
-            break
-    if identity_key is None:
-        raise ConfigError("samples must include the identity deck element")
-    base = np.asarray(samples[identity_key])
-    for sigma, values in samples.items():
-        arr = np.asarray(values)
-        if arr.shape != base.shape:
-            raise ConfigError("sample arrays must share one base-grid shape")
-        if np.max(np.abs(arr - base)) > tol:
-            return False
-    return True
+    return projectability_residual(samples) <= tol
 
 
 def projectability_residual(samples: Mapping) -> float:
-    """Max deviation over deck translates from the identity sheet."""
-    identity_key = next(k for k in samples if k.is_identity)
+    """Max deviation over deck translates from the identity sheet.
+
+    Raises ``ConfigError`` unless there are samples on at least two deck
+    translates, one of them the identity, all of one shape.  A NaN sample
+    gives a NaN residual, which no tolerance accepts.
+    """
+    if len(samples) < 2:
+        raise ConfigError("need samples on at least 2 deck translates")
+    identity_key = next((k for k in samples if k.is_identity), None)
+    if identity_key is None:
+        raise ConfigError("samples must include the identity deck element")
     base = np.asarray(samples[identity_key])
-    residual = 0.0
-    for values in samples.values():
-        residual = max(residual, float(np.max(np.abs(np.asarray(values) - base))))
-    return residual
+    arrays = [np.asarray(values) for values in samples.values()]
+    if any(arr.shape != base.shape for arr in arrays):
+        raise ConfigError("sample arrays must share one base-grid shape")
+    return float(np.max([np.max(np.abs(arr - base)) for arr in arrays]))
 
 
 def project_density(samples: Mapping, dx: float, tol: float = 1e-9):
@@ -537,10 +530,8 @@ def project_density(samples: Mapping, dx: float, tol: float = 1e-9):
     signature of a non-unit-modulus factor or a corrupted state).  The
     returned base density is normalized to unit mass with cell size ``dx``.
     """
-    if len(samples) < 2:
-        raise ConfigError("need samples on at least 2 deck translates")
     residual = projectability_residual(samples)
-    if residual > tol:
+    if not residual <= tol:
         raise PhysicsError(
             f"density is not deck-invariant (residual {residual:.3e} > {tol:.1e}); "
             "no equivariant base density exists"

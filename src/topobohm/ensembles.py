@@ -27,6 +27,14 @@ DEFAULT_BINS = 64
 # inverse-CDF sampling on the periodic grid
 # ---------------------------------------------------------------------------
 
+def _trapezoid_cells(rho):
+    """Cell width, right-hand neighbours and trapezoid cell masses of a
+    periodic grid density."""
+    h = TWO_PI / rho.size
+    right = np.roll(rho, -1)
+    return h, right, 0.5 * (rho + right) * h
+
+
 def sample_from_grid_density(rho, n, rng):
     """Draw n points from a periodic grid density via inverse CDF.
 
@@ -42,10 +50,8 @@ def sample_from_grid_density(rho, n, rng):
     if np.max(rho) == 0.0:
         raise PhysicsError("density vanishes everywhere; nothing to sample")
     m = rho.size
-    h = TWO_PI / m
+    h, right, cell_mass = _trapezoid_cells(rho)
     left = rho
-    right = np.roll(rho, -1)
-    cell_mass = 0.5 * (left + right) * h
     cdf = np.concatenate([[0.0], np.cumsum(cell_mass)])
     total = cdf[-1]
     u = rng.random(n) * total
@@ -96,9 +102,7 @@ def density_bin_masses(rho, bins):
     m = rho.size
     if bins > m or m % bins != 0:
         raise ConfigError("bins must divide the grid size")
-    h = TWO_PI / m
-    right = np.roll(rho, -1)
-    cell_mass = 0.5 * (rho + right) * h
+    _, _, cell_mass = _trapezoid_cells(rho)
     masses = cell_mass.reshape(bins, m // bins).sum(axis=1)
     return masses / masses.sum()
 
@@ -115,10 +119,8 @@ def ks_distance(samples, rho, cut=0.0):
     """Kolmogorov-Smirnov distance with the circle cut open at ``cut``."""
     rho = np.asarray(rho, dtype=float)
     m = rho.size
-    h = TWO_PI / m
+    h, _, cell_mass = _trapezoid_cells(rho)
     shifted = np.sort(np.mod(np.asarray(samples) - cut, TWO_PI))
-    right = np.roll(rho, -1)
-    cell_mass = 0.5 * (rho + right) * h
     offset = int(round(np.mod(cut, TWO_PI) / h)) % m
     cell_mass = np.roll(cell_mass, -offset)
     cdf_grid = np.concatenate([[0.0], np.cumsum(cell_mass)])

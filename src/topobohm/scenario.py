@@ -165,9 +165,10 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "lam": {"type": "number", "minimum": 0},
                 "a": {"type": "number", "exclusiveMinimum": 0},
-                "allow_aperiodic": {"type": "boolean"},
                 # accepted and ignored, so older scenarios still validate:
-                # GRW events run on a homogeneous clock with no rate bound
+                # GRW events run on a homogeneous clock with no rate bound,
+                # and no state can opt out of the twist check
+                "allow_aperiodic": {"type": "boolean"},
                 "bound_refresh": {"type": "integer", "minimum": 1},
             },
         },

@@ -7,8 +7,11 @@ The velocity on the ring, in the gauge-fixed storage, is
 
 which reproduces the cover-side phase-gradient formula; for a flux-gauge
 state, stored with the unreduced twist angle beta = -e flux, the same term
-is the constant -e A shift.  Fields derived this way are deck equivariant,
-so the motion downstairs does not depend on the choice of lift.
+is the constant -e A shift.  The gauge-fixed storage holds one sheet, so a
+field derived this way is deck equivariant by construction and the motion
+downstairs does not depend on the choice of lift; there is no cover-side
+field here to check.  Projectability is tested where it can fail, on the
+ungauged cover sheets of ``propagation.SheetWindowIntegrator``.
 
 Integration is RK4 in the base coordinates with spectral (trigonometric)
 interpolation of the wave in space and half-step propagation in time; the
@@ -79,23 +82,6 @@ def _velocity_field_torus(state, eps_node):
     v[..., 0][ok] = np.imag(np.conj(values[ok]) * d1[ok]) / rho[ok]
     v[..., 1][ok] = np.imag(np.conj(values[ok]) * d2[ok]) / rho[ok]
     return v / state.radius ** 2, node_mask
-
-
-def velocity_sheets(state, n_sheets=3):
-    """Cover-side velocity on deck translates, for the projectability test.
-
-    Sheet arrays are computed honestly from the reconstructed psi on each
-    sheet (not copied), so the deck-equivariance check is a real check.
-    """
-    sheets = state.reconstruct_sheets(n_sheets)
-    modes = fourier_modes(state.n_points)
-    out = {}
-    for winding, psi in sheets.items():
-        dpsi = np.fft.ifft(1j * modes[None, :] * np.fft.fft(psi, axis=1), axis=1)
-        rho = np.sum(np.abs(psi) ** 2, axis=0)
-        current = np.sum(np.imag(np.conj(psi) * dpsi), axis=0)
-        out[winding] = current / rho / state.radius ** 2
-    return out
 
 
 class _RingEvaluator:

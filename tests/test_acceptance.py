@@ -37,7 +37,7 @@ from topobohm.propagation import (
     symmetrized_product_state,
     wrapped_gaussian,
 )
-from topobohm.trajectories import integrate_trajectory
+from topobohm.trajectories import integrate_trajectories
 from topobohm.ensembles import verify_equivariance
 from topobohm.collapse import simulate_grw, total_rate
 from topobohm.scenario import SCENARIO_SCHEMA_TAG, spin_exponential, PAULI
@@ -72,12 +72,11 @@ def test_02_gauge_equivalence():
     flux, charge = np.pi, 1.0
     state_a = make_gaussian_state(Character.ring(-charge * flux), 3.0, 0.6, 1.0)
     state_t = gauge_map(state_a)
-    deviation = 0.0
-    for q0 in np.linspace(0.0, TWO_PI, 5, endpoint=False):
-        traj_a = integrate_trajectory(state_a, Potential.zero(), q0, 1e-3, 1.0)
-        traj_t = integrate_trajectory(state_t, Potential.zero(), q0, 1e-3, 1.0)
-        deviation = max(deviation, float(np.max(
-            np.abs(traj_a.unwrapped - traj_t.unwrapped))))
+    starts = np.linspace(0.0, TWO_PI, 5, endpoint=False)
+    bundle_a = integrate_trajectories(state_a, Potential.zero(), starts, 1e-3, 1.0)
+    bundle_t = integrate_trajectories(state_t, Potential.zero(), starts, 1e-3, 1.0)
+    deviation = max(float(np.max(np.abs(traj_a.unwrapped - traj_t.unwrapped)))
+                    for traj_a, traj_t in zip(bundle_a, bundle_t))
     assert deviation <= 1e-6
     spec_a = spectrum(Character.ring(-charge * flux), Potential.zero(), 8)
     spec_t = spectrum(Character.ring(state_t.beta), Potential.zero(), 8)

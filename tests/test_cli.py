@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from topobohm import scenario as scenario_module
 from topobohm.cli import json_text, main, write_json
 from topobohm.propagation import (
     Potential,
+    WaveGrid,
     evolve,
     make_spinor_state,
     state_from_dict,
@@ -185,6 +187,38 @@ class TestEvolve:
             manifest.pop("wall_time_s")
             m.append(manifest)
         assert m[0] == m[1]
+
+    def test_twist_is_checked_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        residual = WaveGrid.twist_residual
+
+        def counting(state, *args, **kwargs):
+            calls.append(1)
+            return residual(state, *args, **kwargs)
+
+        monkeypatch.setattr(WaveGrid, "twist_residual", counting)
+        cfg = write_config(tmp_path, dict(BASE, numerics={
+            "dt": 1e-3, "t_final": 0.05, "monitor_every": 10}))
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        rows = (out / "monitor.csv").read_text().strip().splitlines()
+        assert rows[0] == "step,t,norm,norm_drift"
+        assert len(rows) == 7                       # step 0 and five chunks
+
+    def test_twist_layout_mismatch_is_four(self, tmp_path, monkeypatch):
+        # sector angles that disagree with the factor: the stored layout
+        # no longer fixes the twist the factor asks for
+        initial = Scenario.initial_state
+        monkeypatch.setattr(Scenario, "initial_state", lambda self: replace(
+            initial(self), sector_betas=initial(self).sector_betas + 0.5))
+        cfg = write_config(tmp_path, BASE)
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 4
+        manifest = read_json(out / "manifest.json")
+        assert manifest["failure"]["family"] == "numerics"
+        passed = {inv["id"]: inv["passed"] for inv in manifest["invariants"]}
+        assert passed == {"norm-drift": True, "twist-preservation": False}
 
 
 class TestSpectrum:
@@ -535,9 +569,11 @@ def test_grw_run(tmp_path, capsys):
 
 def test_grw_accepts_and_ignores_bound_refresh(tmp_path):
     artifacts = []
-    # lam 10: about 15 expected events, so events.csv has rows to compare
+    # lam 10: about 15 expected events, so events.csv has rows to compare;
+    # allow_aperiodic is accepted and ignored the same way
     for name, grw in (("plain", {"lam": 10.0, "a": 0.3}),
-                      ("refresh", {"lam": 10.0, "a": 0.3, "bound_refresh": 50})):
+                      ("refresh", {"lam": 10.0, "a": 0.3, "bound_refresh": 50,
+                                   "allow_aperiodic": True})):
         cfg_dict = dict(BASE, seed=4, numerics={"dt": 2e-3, "t_final": 2.0},
                         grw=grw)
         cfg = write_config(tmp_path, cfg_dict, f"{name}.json")
@@ -635,10 +671,9 @@ def test_console_entry_point(tmp_path, src_env):
 
 
 @pytest.mark.parametrize("argv", [
-    ["evolve", "--allow-aperiodic"],
-    ["spectrum", "--beta", "0", "--allow-aperiodic"],
+    ["grw", "--allow-aperiodic"],
     ["collapse", "--seed", "1"],
-], ids=["aperiodic-evolve", "aperiodic-spectrum", "unknown-subcommand"])
+], ids=["aperiodic-grw", "unknown-subcommand"])
 def test_parser_refusals_exit_two(argv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "o")])

@@ -1,12 +1,14 @@
 """Spontaneous collapse: rates, collapse maps, and the event process."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from topobohm import propagation
 from topobohm.covering import TWO_PI
-from topobohm.errors import ConfigError, PhysicsError
+from topobohm.errors import ConfigError, PhysicsError, ToleranceError
 from topobohm.factors import Character
 from topobohm.propagation import (
     Potential,
@@ -345,11 +347,11 @@ def test_spinor_collapse_preserves_twist():
     assert collapsed.norm() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_allow_aperiodic_escape_hatch():
-    # the flag only disables the twist-residual monitor raising; the collapse
-    # operator itself never needs the periodicity bookkeeping
+def test_twist_layout_mismatch_raises():
+    # sector angles that disagree with the factor break the twist that the
+    # factor asks for; no option lets the run go on
     state = make_gaussian_state(Character.ring(np.pi), 3.0, 0.5, 1.0,
                                 n_points=64)
-    result = simulate_grw(state, Potential.zero(), 1.0, LAM, A, seed=3,
-                          dt=2e-3, allow_aperiodic=True)
-    assert result.final_state.norm() == pytest.approx(1.0, abs=1e-10)
+    state = replace(state, sector_betas=state.sector_betas + 0.5)
+    with pytest.raises(ToleranceError, match="twist-preservation"):
+        simulate_grw(state, Potential.zero(), 1.0, LAM, A, seed=3, dt=2e-3)

@@ -1,5 +1,7 @@
 """Deck-group algebra, actions, projectability, and projection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,14 @@ from topobohm.covering import (
     project_density,
 )
 from topobohm.errors import ConfigError, PhysicsError
-from topobohm.factors import Character
-from topobohm.propagation import make_eigenstate, twist_embed, angle_grid, wrapped_gaussian
-from topobohm.trajectories import velocity_sheets
+from topobohm.factors import Character, MatrixRep
+from topobohm.propagation import (
+    SheetWindowIntegrator,
+    angle_grid,
+    make_eigenstate,
+    wrapped_gaussian,
+)
+from topobohm.scenario import PAULI, spin_exponential
 
 
 def word(*letters, g=2):
@@ -183,10 +190,30 @@ class TestProjectability:
         samples = {Winding(k): 2 * (theta + TWO_PI * k) for k in range(3)}
         assert not is_projectable_field(samples, tol=1e-9)
 
-    def test_velocity_of_embedded_state_projects(self):
-        state = twist_embed(wrapped_gaussian(angle_grid(256), 3.0, 0.5, 2.0),
-                            Character.ring(1.0))
-        assert is_projectable_field(velocity_sheets(state, 3), tol=1e-9)
+    @pytest.mark.parametrize("axis, projects", [("z", True), ("x", False)],
+                             ids=["commuting-z", "noncommuting-x"])
+    def test_cover_sheet_velocity(self, axis, projects):
+        # the ungauged sheet window keeps the twist only while the potential
+        # commutes with the factor: sigma_z does, sigma_x does not (the
+        # sheets then differ by 2.5e-6, against 1.3e-14 under sigma_z)
+        rep = MatrixRep.ring(spin_exponential(math.pi / 2, [0, 0, 1]))
+        integ = SheetWindowIntegrator(rep, PAULI[axis], n_points=64)
+        psi, _ = integ.run(wrapped_gaussian(angle_grid(64), math.pi, 0.5),
+                           1e-3, 100)
+        psi = psi.reshape(integ.n_sheets * integ.n, integ.k)
+        dpsi = np.gradient(psi, TWO_PI / integ.n * integ.radius, axis=0)
+        rho = np.sum(np.abs(psi) ** 2, axis=1)
+        v = np.sum(np.imag(np.conj(psi) * dpsi), axis=1) / rho / integ.radius
+        rho = rho.reshape(integ.n_sheets, integ.n)
+        v = v.reshape(integ.n_sheets, integ.n)
+        mid = integ.n_sheets // 2
+        ok = rho[mid] > 1e-3 * np.max(rho[mid])
+        samples = {Winding(0): v[mid][ok], Winding(1): v[mid + 1][ok]}
+        assert is_projectable_field(samples, tol=1e-10) == projects
+
+    def test_nan_sample_does_not_project(self):
+        samples = {Winding(0): np.zeros(8), Winding(1): np.full(8, np.nan)}
+        assert not is_projectable_field(samples, tol=1e-9)
 
     def test_needs_two_sheets(self):
         with pytest.raises(ConfigError, match="2 deck translates"):
@@ -207,6 +234,14 @@ class TestProjectDensity:
         samples = {Winding(k): base * 1.1 ** (2 * k) for k in range(3)}
         with pytest.raises(PhysicsError, match="deck-invariant"):
             project_density(samples, dx=TWO_PI / 32)
+
+    @pytest.mark.parametrize("samples, match", [
+        ({Winding(0): np.ones(8), Winding(1): np.ones(1)}, "one base-grid shape"),
+        ({Winding(1): np.ones(8), Winding(2): np.ones(8)}, "identity deck element"),
+    ], ids=["mismatched-shapes", "no-identity-sheet"])
+    def test_malformed_samples_refused(self, samples, match):
+        with pytest.raises(ConfigError, match=match):
+            project_density(samples, dx=TWO_PI / 8)
 
     def test_uniform_density_normalizes(self):
         samples = {Winding(k): np.full(32, 7.0) for k in range(2)}

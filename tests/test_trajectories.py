@@ -8,14 +8,12 @@ from topobohm.covering import (
     CoveringSpace,
     RingPoint,
     Winding,
-    is_projectable_field,
 )
 from topobohm.errors import ConfigError, PhysicsError
 from topobohm.factors import Character, MatrixRep
 from topobohm.propagation import (
     Potential,
     angle_grid,
-    evolve,
     gauge_map,
     make_eigenstate,
     make_gaussian_state,
@@ -38,7 +36,6 @@ from topobohm.trajectories import (
     trajectory_deck_offset,
     transport,
     velocity_field,
-    velocity_sheets,
 )
 
 
@@ -69,13 +66,6 @@ class TestVelocityField:
         _, mask = velocity_field(state, eps_node=1e-6)
         assert mask.any()
         assert mask[512]
-
-    def test_evolved_fields_stay_projectable(self):
-        state = make_gaussian_state(Character.ring(np.pi / 2), 2.0, 0.5, 2.0)
-        v = Potential.from_callable(lambda t: 0.4 * np.cos(t), 256)
-        for _ in range(5):
-            state = evolve(state, v, 1e-3, 40)
-            assert is_projectable_field(velocity_sheets(state, 3), tol=1e-9)
 
 
 class TestPointEvaluators:
