@@ -23,6 +23,7 @@ halt policy does not disturb ensemble statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,105 @@ DEFAULT_EPS_NODE = 1e-12
 # Fourier coefficients below this fraction of the spectral peak are dropped
 # before point evaluation
 COEFF_CUT = 1e-13
+# BLAS rounds the columns beyond the last multiple of its kernel's width
+# through another kernel; the torus evaluator pads its points to a multiple
+# of this, so each point's bits do not depend on the bundle's size
+_GEMM_COLUMNS = 8
 
 STATUS_COMPLETED = "completed"
 STATUS_HALTED = "halted-at-node"
+
+
+# ---------------------------------------------------------------------------
+# unit phases
+# ---------------------------------------------------------------------------
+
+# exp(i theta) = T[j mod N] exp(i r) with j = rint(theta N / 2 pi) and
+# |r| <= pi / N (Tang, ACM TOMS 15:144, 1989).  The step 2 pi / N is split
+# Cody-Waite style: _H1 and _H2 carry 19 bits each, so j _H1 and j _H2 are
+# exact for |j| < 2^34, which covers |theta| <= _PHASE_LIMIT; _H3 carries the
+# rest of the step together with 2 pi's own low double, without which the
+# error would grow with |theta|.
+_PHASE_N = 4096
+_PHASE_LIMIT = 2.0 ** 24
+_TWO_PI_LO = 2.4492935982947064e-16         # 2 pi - TWO_PI
+_PHASE_STEP = TWO_PI / _PHASE_N
+_PHASE_STEP_LO = _TWO_PI_LO / _PHASE_N
+
+
+def _leading_bits(x, bits):
+    m, e = math.frexp(x)
+    return math.ldexp(math.floor(math.ldexp(m, bits)), e - bits)
+
+
+_H1 = _leading_bits(_PHASE_STEP, 19)
+_H2 = _leading_bits(_PHASE_STEP - _H1, 19)
+_H3 = (_PHASE_STEP - _H1 - _H2) + _PHASE_STEP_LO
+
+
+def _phase_table():
+    """exp(2 pi i j / N) for j < N, each part within 1 ulp.
+
+    libm gives the first octant, its angles corrected to first order for
+    the low part of the step; the rest follows by exact symmetries.
+    """
+    eighth = _PHASE_N // 8
+    j = np.arange(eighth + 1)
+    angle, low = _PHASE_STEP * j, _PHASE_STEP_LO * j
+    cos, sin = np.cos(angle), np.sin(angle)
+    cos, sin = cos - low * sin, sin + low * cos
+    re = np.concatenate([cos, sin[eighth - 1:0:-1]])        # first quadrant
+    im = np.concatenate([sin, cos[eighth - 1:0:-1]])
+    table = np.concatenate([re + 1j * im, -im + 1j * re,
+                            -re - 1j * im, im - 1j * re])
+    table.flags.writeable = False
+    return table
+
+
+_PHASE_TABLE = _phase_table()
+
+
+def _unit_phase(theta):
+    """exp(i theta) for a float array, within about 1 eps of libm's value.
+
+    Element by element: a bundle gives each angle the bits it gets alone.
+    Angles beyond _PHASE_LIMIT and non-finite angles take np.exp's value.
+    """
+    theta = np.asarray(theta, dtype=float)
+    wild = None
+    if theta.size and not (-_PHASE_LIMIT <= theta.min()
+                           and theta.max() <= _PHASE_LIMIT):
+        wild = ~(np.abs(theta) <= _PHASE_LIMIT)
+        theta_ok = np.where(wild, 0.0, theta)
+    else:
+        theta_ok = theta
+    j = theta_ok * (_PHASE_N / TWO_PI)
+    np.rint(j, out=j)
+    t = j * _H1
+    r = theta_ok - t
+    r -= np.multiply(j, _H2, out=t)
+    r -= np.multiply(j, _H3, out=t)
+    r2 = np.multiply(r, r, out=t)
+    c = r2 * (1.0 / 24.0)                   # cos r - 1 = -r^2/2 + r^4/24
+    c -= 0.5
+    c *= r2
+    s = r2 * r                              # sin r = r - r^3/6
+    s *= 1.0 / 6.0
+    np.subtract(r, s, out=s)
+    em1 = np.empty(theta.shape, dtype=complex)          # exp(i r) - 1
+    em1.real = c
+    em1.imag = s
+    idx = j.astype(np.intp)
+    idx &= _PHASE_N - 1
+    table = _PHASE_TABLE[idx]
+    # T + T (exp(i r) - 1): the product is small, so its rounding is too.
+    # The multiply is out of place: an in-place complex multiply rounds a
+    # length-1 array differently from a longer one
+    out = table * em1
+    out += table
+    if wild is not None:
+        out[wild] = np.exp(1j * theta[wild])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +185,18 @@ class _RingEvaluator:
     """Spectral point evaluation of the velocity of one wave snapshot.
 
     Fourier coefficients below COEFF_CUT of the spectral peak are dropped; a
-    smooth packet keeps a few dozen modes.  The kept modes are filled out to
-    their contiguous span [lo, hi], gaps taking zero coefficients, so any
-    spectrum is evaluated correctly.  The chi and d chi coefficients of all
-    sectors are stacked, highest mode first, and summed by Horner's rule in
-    z = exp(i theta): one complex exp per point, then one multiply-add per
-    mode on a (2k, M) accumulator.  The sums lack the factor exp(i lo theta)
-    that every term shares; chi and d chi carry the same factor, so it
-    cancels in |chi|^2 and in Im(conj(chi) d chi), the only two things the
-    velocity uses.
+    smooth packet keeps a few dozen modes.  ``truncation`` is the l1 norm of
+    the dropped coefficients of all sectors over the peak coefficient, so
+    the kept sum misses each chi_j by at most truncation x peak at any
+    point.  The kept modes are filled out to their contiguous span [lo, hi],
+    gaps taking zero coefficients, so any spectrum is evaluated correctly.
+    The chi and d chi coefficients of all sectors are stacked, highest mode
+    first, and summed by Horner's rule in z = exp(i theta): one table phase
+    per point (``_unit_phase``, about 1 eps from libm's exp), then one
+    multiply-add per mode on a (2k, M) accumulator.  The sums lack the
+    factor exp(i lo theta) that every term shares; chi and d chi carry the
+    same factor, so it cancels in |chi|^2 and in Im(conj(chi) d chi), the
+    only two things the velocity uses.
     """
 
     def __init__(self, state, velocity_factor=1.0):
@@ -105,6 +205,8 @@ class _RingEvaluator:
         coeffs = np.fft.fft(state.values, axis=1) / n              # (k, n)
         weight = np.max(np.abs(coeffs), axis=0)
         keep = weight > COEFF_CUT * np.max(weight)
+        self.truncation = float(np.sum(np.abs(coeffs[:, ~keep]))
+                                / np.max(weight))
         hi = int(np.max(modes[keep]))
         span = np.arange(hi, int(np.min(modes[keep])) - 1, -1)    # hi .. lo
         chi = np.zeros((coeffs.shape[0], span.size), dtype=complex)
@@ -117,7 +219,7 @@ class _RingEvaluator:
         self.velocity_factor = velocity_factor
 
     def __call__(self, thetas):
-        z = np.exp(1j * thetas)
+        z = _unit_phase(thetas)
         acc = np.empty((self.rows.shape[1], z.size), dtype=complex)
         acc[...] = self.rows[0]
         for row in self.rows[1:]:
@@ -139,16 +241,19 @@ class _TorusEvaluator:
     The same COEFF_CUT is applied to the n x n Fourier coefficients C, and
     each axis keeps the contiguous span of its kept modes (a from lo1, b from
     lo2).  Everything is stored mode-major, one contiguous row of M points
-    per mode.  The power bases P1[j] = z1^j and P2[j] = z2^j, z = exp(i q),
-    are built row by row, each row the previous one times z.  One BLAS
-    product [C^T ; (i a C)^T] @ P1 gives the first-axis sums T of psi and
-    d1 psi, (2 nb, M); multiplying by P2 in place and summing over the mode
-    axis finishes them.  d2 psi needs no GEMM block of its own: its factor
-    i b belongs to the second axis alone, so it can be applied after the
-    first-axis sum, as weights on the psi block:
+    per mode.  The power bases P1[j] = z1^j and P2[j] = z2^j, z = exp(i q)
+    from the table phase ``_unit_phase``, are built row by row, each row the
+    previous one times z.  One BLAS product [C^T ; (i a C)^T] @ P1 gives the
+    first-axis sums T of psi and d1 psi, (2 nb, M); multiplying by P2 in
+    place and summing over the mode axis finishes them.  The points are
+    padded with zeros to a multiple of _GEMM_COLUMNS, so a bundle gives each
+    point the bits it gets alone.  d2 psi needs no GEMM block of its own:
+    its factor i b belongs to the second axis alone, so it can be applied
+    after the first-axis sum, as weights on the psi block:
     psi = sum_j T_psi[j] P2[j] and d2 psi = sum_j (i b_j) T_psi[j] P2[j].
     The factor z1^lo1 z2^lo2 common to all three cancels in the density and
-    in Im(conj(psi) d psi).
+    in Im(conj(psi) d psi).  ``truncation`` is the l1 norm of the dropped
+    coefficients over the peak one, a bound on |psi_kept - psi| / peak.
     """
 
     def __init__(self, state, velocity_factor=1.0):
@@ -157,6 +262,7 @@ class _TorusEvaluator:
         coeffs = np.fft.fft2(state.values) / n ** 2
         weight = np.abs(coeffs)
         keep = weight > COEFF_CUT * np.max(weight)
+        self.truncation = float(np.sum(weight[~keep]) / np.max(weight))
         rows, cols = np.nonzero(keep)
         a, b = modes[rows], modes[cols]
         span_a = np.arange(a.min(), a.max() + 1)
@@ -171,7 +277,7 @@ class _TorusEvaluator:
 
     @staticmethod
     def _powers(angles, count):
-        z = np.exp(1j * angles)
+        z = _unit_phase(angles)
         p = np.empty((count, angles.size), dtype=complex)
         p[0] = 1.0
         for j in range(1, count):
@@ -180,11 +286,13 @@ class _TorusEvaluator:
 
     def __call__(self, q):
         nb = self.ib.size
+        m = q.shape[0]
+        q = np.concatenate([q, np.zeros((-m % _GEMM_COLUMNS, 2))])
         u = self.blocks @ self._powers(q[:, 0], self.blocks.shape[1])
         u = u.reshape(2, nb, -1)                                    # T_psi, T_d1
         u *= self._powers(q[:, 1], nb)
-        psi, d1 = np.sum(u, axis=1)
-        d2 = self.ib @ u[0]
+        psi, d1 = np.sum(u, axis=1)[:, :m]
+        d2 = (self.ib @ u[0])[:m]
         rho = psi.real ** 2 + psi.imag ** 2
         safe = np.maximum(rho, 1e-300)
         v = np.stack([psi.real * d1.imag - psi.imag * d1.real,
@@ -202,6 +310,7 @@ class TransportResult:
     positions: np.ndarray      # (n_records, M) or (n_records, M, 2), unwrapped
     status: np.ndarray         # (M,) strings
     halt_times: np.ndarray     # (M,) float, nan when not halted
+    truncation: float          # max over the snapshots of evaluator truncation
 
     @property
     def node_halt_fraction(self):
@@ -223,7 +332,9 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
     mid-step snapshot RK4 needs.  ``velocity_factor`` rescales the guiding
     field (the -1 setting is the deliberately wrong field used as a negative
     control in the equivariance tests).  Positions are returned unwrapped
-    (continuous lifts); reduce mod 2 pi for base angles.
+    (continuous lifts); reduce mod 2 pi for base angles.  The result's
+    ``truncation`` is the largest dropped-coefficient l1 norm, over the peak
+    coefficient, of all the snapshots that guided the bundle.
     """
     require_step_count(n_steps)
     two_particle = state.space.kind == "two_particle_ring"
@@ -244,12 +355,14 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
     times = [0.0]
     records = [q.copy()]
     ev0 = make_eval(state)
+    truncation = ev0.truncation
     t = 0.0
     for step in range(n_steps):
         s_half = evolve(state, potential, 0.5 * dt, 1)
         s_full = evolve(s_half, potential, 0.5 * dt, 1)
         ev_half = make_eval(s_half)
         ev_full = make_eval(s_full)
+        truncation = max(truncation, ev_half.truncation, ev_full.truncation)
         if np.any(active):
             qa = q[active]
             k1, r1 = ev0(qa)
@@ -282,6 +395,7 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
         positions=np.stack(records),
         status=status,
         halt_times=halt_times,
+        truncation=truncation,
     ), state
 
 

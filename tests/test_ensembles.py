@@ -16,6 +16,7 @@ from topobohm.propagation import (
     make_gaussian_state,
     wrapped_gaussian,
 )
+from topobohm.scenario import SCENARIO_SCHEMA_TAG, Scenario
 from topobohm.ensembles import (
     density_bin_masses,
     equivariance_threshold,
@@ -171,6 +172,36 @@ class TestEquivariance:
                                      velocity_factor=-1.0)
         assert report.tv_values[0] > 0.2
         assert not report.passed
+
+    # three draws from the ring-ensemble benchmark's ranges: n = 256, a
+    # twist or a flux, |momentum| 2.5-4, width 0.42-0.48, one trig harmonic
+    # of amplitude 0.2-0.8, 10^4 particles over 50 steps of 2e-3
+    BENCHMARK_DRAWS = [
+        ({"type": "character", "beta": 2.31}, 3.62, 0.44, 1.17, 0.58, 10417),
+        ({"type": "flux", "flux": -4.05, "charge": 1.0}, -2.74, 0.47, 4.62,
+         0.31, 20233),
+        ({"type": "character", "beta": -0.86}, -3.95, 0.42, 2.98, 0.77, 4242),
+    ]
+
+    @pytest.mark.parametrize("draw", range(len(BENCHMARK_DRAWS)))
+    def test_benchmark_draws_pass_and_fail_under_flipped_field(self, draw):
+        factor, momentum, width, center, amplitude, seed = \
+            self.BENCHMARK_DRAWS[draw]
+        scenario = Scenario({
+            "schema": SCENARIO_SCHEMA_TAG,
+            "space": {"kind": "ring", "n_points": 256},
+            "factor": factor,
+            "potential": {"type": "trig", "terms": [
+                {"amplitude": amplitude, "harmonic": 1, "phase": 1.3 * draw}]},
+            "initial_state": {"type": "gaussian", "center": center,
+                              "width": width, "momentum": momentum},
+            "numerics": {"dt": 2e-3, "t_final": 0.1}})
+        args = (scenario.initial_state(), scenario.potential, 10_000, 0.1,
+                [0.05, 0.1], seed)
+        report = verify_equivariance(*args, dt=2e-3)
+        assert report.passed and report.valid
+        flipped = verify_equivariance(*args, dt=2e-3, velocity_factor=-1.0)
+        assert flipped.valid and not flipped.passed
 
     def test_reports_are_byte_deterministic(self):
         state = make_gaussian_state(Character.ring(np.pi), 2.0, 0.45, 2.0)

@@ -1,5 +1,7 @@
 """Velocity fields and Bohmian trajectory integration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from topobohm.factors import Character, MatrixRep
 from topobohm.propagation import (
     Potential,
     angle_grid,
+    evolve,
+    fourier_modes,
     gauge_map,
     make_eigenstate,
     make_gaussian_state,
@@ -28,8 +32,10 @@ from topobohm.trajectories import (
     STATUS_COMPLETED,
     STATUS_HALTED,
     COEFF_CUT,
+    _PHASE_LIMIT,
     _RingEvaluator,
     _TorusEvaluator,
+    _unit_phase,
     integrate_trajectories,
     integrate_trajectory,
     lift_trajectory,
@@ -66,6 +72,66 @@ class TestVelocityField:
         _, mask = velocity_field(state, eps_node=1e-6)
         assert mask.any()
         assert mask[512]
+
+
+EPS = np.finfo(float).eps
+
+
+class TestUnitPhase:
+    """The table phase against libm's exp, bit by bit where it must be."""
+
+    @staticmethod
+    def assert_near_libm(theta):
+        err = np.abs(_unit_phase(theta) - np.exp(1j * theta))
+        assert np.max(err) <= 4 * EPS
+
+    @pytest.mark.parametrize("bound", [TWO_PI, 1e3, 1e6])
+    def test_uniform_draws(self, bound):
+        rng = np.random.default_rng(int(bound))
+        self.assert_near_libm(rng.uniform(-bound, bound, 100_000))
+
+    def test_negative_angles(self):
+        rng = np.random.default_rng(2)
+        self.assert_near_libm(-rng.uniform(0, 1e4, 100_000))
+
+    def test_table_nodes_and_midpoints(self):
+        # at a node the remainder is rounding only; midway between nodes
+        # rint meets its ties and the remainder is largest
+        k = np.concatenate([np.arange(-8192, 8193),
+                            4096 * 1000 + np.arange(-50, 50)])
+        step = TWO_PI / 4096
+        self.assert_near_libm(k * step)
+        self.assert_near_libm((k + 0.5) * step)
+
+    def test_signed_zero_gives_one(self):
+        z = _unit_phase(np.array([0.0, -0.0]))
+        assert np.array_equal(z, [1.0, 1.0])
+        assert not np.any(np.signbit(z.imag))
+
+    def test_bundle_elements_equal_lone_elements(self):
+        theta = np.random.default_rng(3).uniform(-50, 50, 17)
+        for length in range(1, 18):
+            bundle = _unit_phase(theta[:length])
+            alone = np.concatenate([_unit_phase(theta[i:i + 1])
+                                    for i in range(length)])
+            assert np.array_equal(bundle.view(np.int64), alone.view(np.int64))
+
+    def test_extremes_take_libm_values(self):
+        wild = np.array([_PHASE_LIMIT * (1 + EPS), -3e7, 1e10, -1e300,
+                         np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_unit_phase(wild), np.exp(1j * wild))
+            mixed = np.array([0.3, 1e300, -2.0])
+            z = _unit_phase(mixed)
+        assert z[1] == np.exp(1j * 1e300)
+        assert z[0] == _unit_phase(mixed[:1])[0]
+        assert z[2] == _unit_phase(mixed[2:])[0]
+        odd = np.array([np.inf, -np.inf, np.nan, 1.0])
+        with np.errstate(invalid="ignore"):
+            z, libm = _unit_phase(odd), np.exp(1j * odd)
+        np.testing.assert_array_equal(z[:3], libm[:3])
+        assert z[3] == _unit_phase(odd[3:])[0]
 
 
 class TestPointEvaluators:
@@ -168,6 +234,116 @@ class TestPointEvaluators:
 
         v_neg, rho_neg = _TorusEvaluator(state, velocity_factor=-1.0)(q)
         assert np.array_equal(v_neg, -v) and np.array_equal(rho_neg, rho)
+
+    def test_unwrapped_angles_give_the_base_field(self):
+        # a lift is off by |theta| eps from its base angle once rounded
+        state = make_gaussian_state(Character.ring(0.9), 2.0, 0.45, 3.0)
+        ev = _RingEvaluator(state)
+        theta = np.random.default_rng(5).uniform(0, TWO_PI, 2000)
+        v0, rho0 = ev(theta)
+        ok = rho0 > 1e-6 * np.max(rho0)
+        for w in (-3, 50, 10 ** 5):
+            lifted = theta + TWO_PI * w
+            v, rho = ev(lifted)
+            scale = 16 * np.max(np.abs(lifted)) * EPS
+            assert np.max(np.abs(rho - rho0)) <= (1e-14 + scale) * np.max(rho0)
+            assert np.max(np.abs(v - v0)[ok]) \
+                <= (1e-11 + scale) * np.max(np.abs(v0[ok]))
+
+
+def _full_sum(coeffs, angles):
+    """sum_k c_k exp(i k . q) over every coefficient, in extended precision."""
+    n = coeffs.shape[0]
+    modes = fourier_modes(n).astype(np.longdouble)
+    angles = np.asarray(angles, dtype=np.longdouble).reshape(len(angles), -1)
+    bases = []
+    for axis in range(angles.shape[1]):
+        phase = np.outer(angles[:, axis], modes)
+        bases.append(np.cos(phase) + 1j * np.sin(phase))
+    c = coeffs.astype(np.clongdouble)
+    if len(bases) == 1:
+        return bases[0] @ c
+    return np.einsum("ma,ab,mb->m", bases[0], c, bases[1])
+
+
+class TestTruncation:
+    """The l1 norm of the coefficients COEFF_CUT drops, per snapshot."""
+
+    @staticmethod
+    def ring():
+        return make_gaussian_state(Character.ring(np.pi), 2.0, 0.45, 2.0)
+
+    @staticmethod
+    def narrow():
+        return make_gaussian_state(Character.ring(0.5), 2.0, 0.15, 2.0,
+                                   n_points=1024)
+
+    @staticmethod
+    def pair():
+        return symmetrized_product_state(
+            lambda t: wrapped_gaussian(t, 2.0, 0.5, 1.0),
+            lambda t: wrapped_gaussian(t, 4.3, 0.5, -1.0), -1, n_points=64)
+
+    def test_figures(self):
+        # about 8e-15, 1.3e-13 and 1.4e-12: the pair drops over ten times
+        # the cut that bounds each coefficient
+        assert 1e-15 < _RingEvaluator(self.ring()).truncation < 3e-14
+        assert 5e-14 < _RingEvaluator(self.narrow()).truncation < 5e-13
+        pair = _TorusEvaluator(self.pair()).truncation
+        assert 10 * COEFF_CUT < pair < 5e-12
+
+    def test_spinor_sums_its_sectors(self):
+        rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
+        theta = angle_grid(128)
+        parts = [wrapped_gaussian(theta, 3.0, 0.5, 2.0),
+                 0.3 * wrapped_gaussian(theta, 1.5, 0.4, -1.0)]
+        spinor = _RingEvaluator(make_spinor_state(parts, rep)).truncation
+        coeffs = np.fft.fft(make_spinor_state(parts, rep).values, axis=1)
+        weight = np.max(np.abs(coeffs), axis=0)
+        dropped = weight <= COEFF_CUT * np.max(weight)
+        per_sector = np.sum(np.abs(coeffs[:, dropped]), axis=1) \
+            / np.max(weight)
+        assert spinor == pytest.approx(np.sum(per_sector), rel=1e-12, abs=0)
+        assert spinor > np.max(per_sector)
+
+    @pytest.mark.parametrize("name", ["ring", "narrow", "pair"])
+    def test_bounds_the_distance_to_the_full_sum(self, name):
+        state = getattr(self, name)()
+        rng = np.random.default_rng(6)
+        if name == "pair":
+            q = rng.uniform(0, TWO_PI, (500, 2))
+            ev = _TorusEvaluator(state)
+            coeffs = np.fft.fft2(state.values) / state.n_points ** 2
+        else:
+            q = rng.uniform(0, TWO_PI, 500)
+            ev = _RingEvaluator(state)
+            coeffs = np.fft.fft(state.values[0]) / state.n_points
+        peak = np.max(np.abs(coeffs))
+        bound = ev.truncation * peak
+        kept = np.where(np.abs(coeffs) > COEFF_CUT * peak, coeffs, 0.0)
+        psi_full = _full_sum(coeffs, q)
+        gap = np.abs(_full_sum(kept, q) - psi_full)
+        assert np.max(gap) <= bound
+        assert np.max(gap) > 0.1 * bound           # the bound is not idle
+        # the evaluator sums the kept span to rounding; where the
+        # truncation dominates that rounding (the pair), it bounds the
+        # evaluator's own distance to the full sum
+        _, rho = ev(q)
+        err = np.abs(np.sqrt(rho) - np.abs(psi_full)).astype(float)
+        assert np.max(err) <= bound + 1e-13 * peak
+        if name == "pair":
+            assert np.max(err) <= bound
+
+    def test_transport_reports_the_worst_snapshot(self):
+        state, dt = self.ring(), 2e-3
+        potential = Potential.from_callable(lambda t: 0.5 * np.cos(t - 0.3),
+                                            state.n_points)
+        result, _ = transport(state, potential, [1.5, 2.0], dt, 6)
+        worst, s = _RingEvaluator(state).truncation, state
+        for _ in range(12):
+            s = evolve(s, potential, 0.5 * dt, 1)
+            worst = max(worst, _RingEvaluator(s).truncation)
+        assert result.truncation == worst
 
 
 class TestIntegrateTrajectory:
@@ -280,6 +456,19 @@ class TestBundles:
             alone = integrate_trajectory(state, Potential.zero(), q0, 2e-3, 0.2)
             assert np.array_equal(traj.unwrapped, alone.unwrapped)
             assert traj.status == alone.status
+
+    def test_pair_bundle_equals_lone_pairs(self):
+        state = symmetrized_product_state(
+            lambda t: wrapped_gaussian(t, 2.0, 0.5, 1.0),
+            lambda t: wrapped_gaussian(t, 4.3, 0.5, -1.0), -1, n_points=64)
+        starts = np.array([[2.0, 4.3], [1.7, 4.0], [2.4, 4.8]])
+        bundle, _ = transport(state, Potential.zero(), starts, 2e-3, 100)
+        for i, start in enumerate(starts):
+            alone, _ = transport(state, Potential.zero(), start[None], 2e-3,
+                                 100)
+            assert np.array_equal(bundle.positions[:, i],
+                                  alone.positions[:, 0])
+            assert bundle.status[i] == alone.status[0]
 
     def test_antisymmetric_pair_never_meets(self):
         state = symmetrized_product_state(
