@@ -44,6 +44,7 @@ from .factors import (
     MatrixRep,
     check_commutes,
     max_abs,
+    unitarity_residual,
     unitary_eig,
 )
 
@@ -472,16 +473,18 @@ def _sector_potential(state, potential):
     k = state.n_components
     diag = np.diagonal(v, axis1=1, axis2=2).real
     off = v - diag[:, :, None] * np.eye(k)
-    # A rounding bound, not a tolerance: k eps of the field's size, the
-    # order of what the rotation into the sector basis leaves off the
-    # diagonal of a field that keeps the sectors.  On the spinor-evolve
-    # layout (n = 4096, a tilted spin_exp factor, V = a I + b e.sigma) the
-    # remainder is about 1.3e-16 against a bound of 6e-16 (the half
-    # phase's off-diagonal about 3e-20); over 490 drawn axes and angles it
-    # stays under 2 eps max|v| in 99% of them.  A field above the bound
-    # keeps the full matrix kick, as a field that passes the gate only to
-    # COMMUTE_TOL (an off-diagonal of 1e-12, say) must.
-    if max_abs(off) <= k * np.finfo(float).eps * max_abs(v):
+    # A rounding bound, not a tolerance, read off the rotation B into the
+    # sector basis: for a field that keeps the sectors, B^H V B leaves
+    # |B^H B - I| max|v| off the diagonal from B's departure from
+    # unitarity, plus 2 k eps max|v| from the rounding of the rotation's
+    # two k-term products.  Over the spinor-evolve workload's drawn fields
+    # (seeds 1-10, 490 axes and angles) the remainder reaches 0.76 of it.
+    # A field above the bound keeps the full matrix kick, as a field that
+    # passes the gate only to COMMUTE_TOL (an off-diagonal of 1e-12, say)
+    # must.
+    basis = state.sector_basis
+    drift = 0.0 if basis is None else unitarity_residual(basis)
+    if max_abs(off) <= (drift + 2 * k * np.finfo(float).eps) * max_abs(v):
         return ("diagonal", np.ascontiguousarray(diag.T))
     return ("matrix", v)
 

@@ -239,19 +239,24 @@ class _TorusEvaluator:
     """Spectral point evaluation of the velocity of a two-particle wave.
 
     The same COEFF_CUT is applied to the n x n Fourier coefficients C, and
-    each axis keeps the contiguous span of its kept modes (a from lo1, b from
-    lo2).  Everything is stored mode-major, one contiguous row of M points
-    per mode.  The power bases P1[j] = z1^j and P2[j] = z2^j, z = exp(i q)
-    from the table phase ``_unit_phase``, are built row by row, each row the
-    previous one times z.  One BLAS product [C^T ; (i a C)^T] @ P1 gives the
-    first-axis sums T of psi and d1 psi, (2 nb, M); multiplying by P2 in
+    each axis is evaluated over its kept modes only: the sorted distinct a,
+    and the sorted distinct b, of the kept coefficients.  A mode that no
+    kept coefficient uses gets no row or column, so an aliased tail mode
+    across the Nyquist edge adds no zeros to the product.  Everything is
+    stored mode-major, one contiguous row of M points per mode.  The power
+    bases P1[j] = z1^(a_j - a_0) and P2[j] = z2^(b_j - b_0), z = exp(i q)
+    from the table phase ``_unit_phase``, come from one recurrence that
+    walks every mode of the span, each row the previous one times z, and
+    stores the kept rows; so a row has the same bits whatever is kept
+    around it.  One BLAS product [C^T ; (i a C)^T] @ P1 gives the
+    first-axis sums T of psi and d1 psi, (2 |B|, M); multiplying by P2 in
     place and summing over the mode axis finishes them.  The points are
     padded with zeros to a multiple of _GEMM_COLUMNS, so a bundle gives each
     point the bits it gets alone.  d2 psi needs no GEMM block of its own:
     its factor i b belongs to the second axis alone, so it can be applied
     after the first-axis sum, as weights on the psi block:
     psi = sum_j T_psi[j] P2[j] and d2 psi = sum_j (i b_j) T_psi[j] P2[j].
-    The factor z1^lo1 z2^lo2 common to all three cancels in the density and
+    The factor z1^a_0 z2^b_0 common to all three cancels in the density and
     in Im(conj(psi) d psi).  ``truncation`` is the l1 norm of the dropped
     coefficients over the peak one, a bound on |psi_kept - psi| / peak.
     """
@@ -265,32 +270,44 @@ class _TorusEvaluator:
         self.truncation = float(np.sum(weight[~keep]) / np.max(weight))
         rows, cols = np.nonzero(keep)
         a, b = modes[rows], modes[cols]
-        span_a = np.arange(a.min(), a.max() + 1)
-        span_b = np.arange(b.min(), b.max() + 1)
-        c = np.zeros((span_b.size, span_a.size), dtype=complex)   # C^T
-        c[b - span_b[0], a - span_a[0]] = coeffs[rows, cols]
-        self.blocks = np.vstack([c, c * (1j * span_a)])             # (2 nb, na)
-        self.ib = 1j * span_b
+        self.modes_a, self.modes_b = np.unique(a), np.unique(b)
+        c = np.zeros((self.modes_b.size, self.modes_a.size), dtype=complex)
+        c[np.searchsorted(self.modes_b, b),
+          np.searchsorted(self.modes_a, a)] = coeffs[rows, cols]   # C^T
+        self.blocks = np.vstack([c, c * (1j * self.modes_a)])       # (2|B|, |A|)
+        self.ib = 1j * self.modes_b
         self.inv_r2 = 1.0 / state.radius ** 2
         self.max_density = float(np.max(np.abs(state.values) ** 2))
         self.velocity_factor = velocity_factor
 
     @staticmethod
-    def _powers(angles, count):
+    def _powers(angles, modes):
+        """z^(m - modes[0]) for each of the sorted modes m, one row each.
+
+        The recurrence steps through the modes between two kept ones too,
+        into a two-row scratch, so each row has the bits of a contiguous
+        recurrence.
+        """
         z = _unit_phase(angles)
-        p = np.empty((count, angles.size), dtype=complex)
+        p = np.empty((modes.size, angles.size), dtype=complex)
         p[0] = 1.0
-        for j in range(1, count):
-            np.multiply(p[j - 1], z, out=p[j])
+        scratch = np.empty((2, angles.size), dtype=complex)
+        prev = p[0]
+        for j, step in enumerate(np.diff(modes).tolist(), start=1):
+            for g in range(step - 1):
+                np.multiply(prev, z, out=scratch[g % 2])
+                prev = scratch[g % 2]
+            np.multiply(prev, z, out=p[j])
+            prev = p[j]
         return p
 
     def __call__(self, q):
         nb = self.ib.size
         m = q.shape[0]
         q = np.concatenate([q, np.zeros((-m % _GEMM_COLUMNS, 2))])
-        u = self.blocks @ self._powers(q[:, 0], self.blocks.shape[1])
+        u = self.blocks @ self._powers(q[:, 0], self.modes_a)
         u = u.reshape(2, nb, -1)                                    # T_psi, T_d1
-        u *= self._powers(q[:, 1], nb)
+        u *= self._powers(q[:, 1], self.modes_b)
         psi, d1 = np.sum(u, axis=1)[:, :m]
         d2 = (self.ib @ u[0])[:m]
         rho = psi.real ** 2 + psi.imag ** 2

@@ -466,6 +466,24 @@ class TestDiagonalKick:
         step = propagation.SplitStep(state, near, 1e-3)
         assert step.kind == "matrix" and step.half_v.shape == (2, 2, 64)
 
+    def test_rotation_rounding_past_k_eps_takes_the_diagonal_kick(self):
+        # a field drawn by the spinor-evolve workload: its sector-basis
+        # remainder is 4.6 eps max|v|, past k eps but within the rounding
+        # of the rotation that produced it
+        axis = [0.13206532306221344, 0.9427892784581975, -0.3061161983115965]
+        rep = MatrixRep.ring(spin_exponential(0.3104920555851662, axis))
+        x = 0.11108287761136652 + 0.7929995823577797j
+        v = np.array([[-0.31924044779809935, np.conj(x)],
+                      [x, 0.19572089714004337]])
+        chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
+        state = make_spinor_state([chi, 0.4j * chi], rep)
+        potential = Potential.matrix_constant(v, 64)
+        field = propagation._sector_field(state, potential)
+        diag = np.diagonal(field, axis1=1, axis2=2)
+        off = field - diag[:, :, None] * np.eye(2)
+        assert max_abs(off) > 2 * np.finfo(float).eps * max_abs(field)
+        assert propagation.SplitStep(state, potential, 1e-3).kind == "diagonal"
+
     def test_diagonal_step_equals_the_matrix_step(self):
         state, potential = _spinor_evolve_case()
         step = propagation.SplitStep(state, potential, 5e-4)

@@ -235,6 +235,29 @@ class TestPointEvaluators:
         v_neg, rho_neg = _TorusEvaluator(state, velocity_factor=-1.0)(q)
         assert np.array_equal(v_neg, -v) and np.array_equal(rho_neg, rho)
 
+    def test_torus_evaluator_works_on_kept_modes_only(self):
+        state = _gapped_pair()
+        coeffs = np.fft.fft2(state.values) / 64 ** 2
+        kept = np.abs(coeffs) > COEFF_CUT * np.max(np.abs(coeffs))
+        n_a = np.count_nonzero(np.any(kept, axis=1))
+        n_b = np.count_nonzero(np.any(kept, axis=0))
+        ev = _TorusEvaluator(state)
+        assert ev.blocks.shape == (2 * n_b, n_a)
+        assert not np.any(np.all(ev.blocks == 0, axis=0))
+        assert not np.any(np.all(ev.blocks == 0, axis=1))
+
+        # each stored row is the row of its mode in a contiguous recurrence
+        angles = np.random.default_rng(6).uniform(-40.0, 40.0, 13)
+        z = _unit_phase(angles)
+        for modes in (ev.modes_a, ev.modes_b):
+            plain = np.empty((modes[-1] - modes[0] + 1, angles.size),
+                             dtype=complex)
+            plain[0] = 1.0
+            for j in range(1, len(plain)):
+                np.multiply(plain[j - 1], z, out=plain[j])
+            assert np.array_equal(_TorusEvaluator._powers(angles, modes),
+                                  plain[modes - modes[0]])
+
     def test_unwrapped_angles_give_the_base_field(self):
         # a lift is off by |theta| eps from its base angle once rounded
         state = make_gaussian_state(Character.ring(0.9), 2.0, 0.45, 3.0)
@@ -249,6 +272,17 @@ class TestPointEvaluators:
             assert np.max(np.abs(rho - rho0)) <= (1e-14 + scale) * np.max(rho0)
             assert np.max(np.abs(v - v0)[ok]) \
                 <= (1e-11 + scale) * np.max(np.abs(v0[ok]))
+
+
+def _gapped_pair():
+    """An antisymmetric pair whose packets' momenta share a sign.
+
+    One packet's tail aliases across the Nyquist edge, so each axis keeps
+    45 modes in a span of 64.
+    """
+    return symmetrized_product_state(
+        lambda t: wrapped_gaussian(t, 2.0, 0.241, -10.8),
+        lambda t: wrapped_gaussian(t, 4.3, 0.241, -11.19), -1, n_points=64)
 
 
 def _full_sum(coeffs, angles):
@@ -462,6 +496,21 @@ class TestBundles:
             lambda t: wrapped_gaussian(t, 2.0, 0.5, 1.0),
             lambda t: wrapped_gaussian(t, 4.3, 0.5, -1.0), -1, n_points=64)
         starts = np.array([[2.0, 4.3], [1.7, 4.0], [2.4, 4.8]])
+        bundle, _ = transport(state, Potential.zero(), starts, 2e-3, 100)
+        for i, start in enumerate(starts):
+            alone, _ = transport(state, Potential.zero(), start[None], 2e-3,
+                                 100)
+            assert np.array_equal(bundle.positions[:, i],
+                                  alone.positions[:, 0])
+            assert bundle.status[i] == alone.status[0]
+
+    def test_gapped_pair_bundle_equals_lone_pairs(self):
+        state = _gapped_pair()
+        ev = _TorusEvaluator(state)
+        for modes in (ev.modes_a, ev.modes_b):
+            assert modes.size == 45
+            assert modes[-1] - modes[0] + 1 == 64
+        starts = np.array([[2.0, 4.3], [1.8, 4.4], [4.3, 2.0]])
         bundle, _ = transport(state, Potential.zero(), starts, 2e-3, 100)
         for i, start in enumerate(starts):
             alone, _ = transport(state, Potential.zero(), start[None], 2e-3,
