@@ -49,7 +49,6 @@ from .propagation import (
     gauge_unmap,
     make_eigenstate,
     make_gaussian_state,
-    make_plain_state,
     make_two_particle_state,
     pair_eigenstate,
     spectrum,

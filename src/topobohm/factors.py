@@ -43,6 +43,10 @@ RELATION_TOL = 1e-12
 COMMUTE_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 SPAN_SINGULAR_VALUE_CUT = 1e-8
+# ratio of the weights in the generator sum that character_sectors splits:
+# modulus below one and the golden angle, so no simple relation between the
+# generators' phases makes two joint eigenspaces share an eigenvalue
+SECTOR_WEIGHT = 0.7 * np.exp(1j * math.pi * (3.0 - math.sqrt(5.0)))
 
 NFERMION_TENSOR_DIM_CAP = 27
 
@@ -143,9 +147,6 @@ class Character:
             out *= self.generator_phases[gen] ** exp
         return complex(out)
 
-    def generator_values(self, space):
-        return [self.value(g) for g in space.deck_generators()]
-
 
 def _principal_angle(beta):
     return math.remainder(beta, 2.0 * math.pi)
@@ -204,21 +205,11 @@ def homomorphism_residual(factor, space, n_pairs=1000, seed=0, max_word_length=5
     """Max |f(s t) - f(s) f(t)| over seeded random deck pairs.
 
     Works for characters and matrix representations alike (matrix case uses
-    the max-abs matrix norm).
+    the max-abs matrix norm): the twisted law of the untwisted table.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_pairs):
-        s = space.random_deck(rng, max_word_length=max_word_length)
-        t = space.random_deck(rng, max_word_length=max_word_length)
-        st = deck_compose(s, t)
-        if isinstance(factor, Character):
-            err = abs(factor.value(st) - factor.value(s) * factor.value(t))
-        else:
-            err = max_abs(factor.evaluate(st)
-                          - factor.evaluate(s) @ factor.evaluate(t))
-        worst = max(worst, float(err))
-    return worst
+    return verify_twisted_law(TwistedRepTable.from_matrix_rep(factor, space),
+                              samples=n_pairs, seed=seed,
+                              max_word_length=max_word_length)
 
 
 # ---------------------------------------------------------------------------
@@ -737,63 +728,69 @@ def classify_dynamics(factor, field, compatible=None):
 # character decomposition of abelian matrix factors
 # ---------------------------------------------------------------------------
 
-def decompose_by_character(factor, tol=1e-10):
-    """Split a matrix factor over an abelian deck group into character sectors.
+def character_sectors(factor):
+    """How an abelian factor splits into character sectors: (phases, basis).
 
-    Returns a list of (Character, basis) pairs, where basis columns span the
-    joint eigenspace carrying that character.  The projectors reconstruct
-    the generators: sum_i gamma_sigma^(i) P_i = Gamma_sigma.
+    ``phases[g, j]`` is generator g's eigenphase on column j of the unitary
+    ``basis``, on (-pi, pi]; the columns map sector components back to the
+    value space.  A character is one sector with no basis (a ring
+    character keeps its twist angle unreduced).  A one-generator matrix
+    factor takes the Schur basis and eigenphases of its generator.  Several
+    commuting generators take the Schur basis of the fixed combination
+    sum_g SECTOR_WEIGHT^g Gamma_g, which separates their joint eigenspaces
+    unless two of its eigenvalues collide; a basis that leaves any
+    generator off-diagonal beyond ``COMMUTE_TOL`` raises ``ConfigError``.
     """
-    if factor.group_id[0] not in ("ring", "free"):
+    kind = factor.group_id[0]
+    if kind not in ("ring", "free"):
         raise ConfigError("character decomposition needs an abelian deck group")
+    if isinstance(factor, Character):
+        if kind == "ring":
+            return np.array([[factor.beta]]), None
+        return np.angle(factor.generator_phases)[:, None], None
     gens = factor.generators
+    if len(gens) == 1:
+        eigvals, basis = unitary_eig(gens[0])
+        return np.angle(eigvals)[None], basis
     for a, b in itertools.combinations(gens, 2):
-        if max_abs(a @ b - b @ a) > tol:
+        if max_abs(a @ b - b @ a) > COMMUTE_TOL:
             raise ConfigError(
                 "generators do not commute; no simultaneous character "
                 "decomposition exists")
-    basis = _simultaneous_unitary_diagonalization(gens, tol)
-    k = factor.dim
-    phase_rows = []
-    for g in gens:
-        d = basis.conj().T @ g @ basis
-        phase_rows.append(np.angle(np.diag(d)))
-    phase_rows = np.array(phase_rows)  # (n_gens, k)
-    keys = [tuple(np.round(phase_rows[:, j], 9)) for j in range(k)]
+    _, basis = unitary_eig(sum(SECTOR_WEIGHT ** j * g for j, g in enumerate(gens)))
+    rotated = [basis.conj().T @ g @ basis for g in gens]
+    if max(max_abs(d - np.diag(np.diag(d))) for d in rotated) > COMMUTE_TOL:
+        raise ConfigError("the generators' joint eigenspaces collide in the "
+                          "weighted sum; no character split found")
+    return np.angle([np.diag(d) for d in rotated]), basis
+
+
+def decompose_by_character(factor):
+    """Split a factor over an abelian deck group into character sectors.
+
+    Returns a list of (Character, basis) pairs: the columns of
+    ``character_sectors`` grouped by their generator phases rounded to 9
+    decimals, in ascending order, so each basis is made of the columns that
+    a state's sector layout uses, and each character carries the phases of
+    its first column.  The projectors reconstruct the generators:
+    sum_i gamma_sigma^(i) P_i = Gamma_sigma.  A character is its own one
+    sector, with basis None.
+    """
+    phases, basis = character_sectors(factor)
+    if basis is None:
+        return [(factor, None)]
     sectors = {}
-    for j, key in enumerate(keys):
+    for j, key in enumerate(map(tuple, np.round(phases.T, 9))):
         sectors.setdefault(key, []).append(j)
     out = []
     for key in sorted(sectors):
         cols = sectors[key]
         if factor.group_id[0] == "ring":
-            character = Character.ring(float(key[0]))
+            character = Character.ring(float(phases[0, cols[0]]))
         else:
-            character = Character.free([np.exp(1j * a) for a in key])
+            character = Character.free(np.exp(1j * phases[:, cols[0]]))
         out.append((character, basis[:, cols].copy()))
     return out
-
-
-def _simultaneous_unitary_diagonalization(unitaries, tol, attempts=4):
-    k = unitaries[0].shape[0]
-    rng = np.random.default_rng(20240917)
-    for _ in range(attempts):
-        h = np.zeros((k, k), dtype=complex)
-        for u in unitaries:
-            c = rng.normal() + 1j * rng.normal()
-            h += c * u + np.conj(c) * u.conj().T
-        # h is Hermitian and commutes with every generator; a generic
-        # combination separates all joint eigenspaces.
-        _, basis = np.linalg.eigh(h)
-        ok = True
-        for u in unitaries:
-            d = basis.conj().T @ u @ basis
-            if max_abs(d - np.diag(np.diag(d))) > tol:
-                ok = False
-                break
-        if ok:
-            return basis
-    raise ConfigError("failed to simultaneously diagonalize the generators")
 
 
 # ---------------------------------------------------------------------------
@@ -879,8 +876,11 @@ class TwistedRepTable:
 
     @classmethod
     def from_matrix_rep(cls, rep, space):
+        """Untwisted table of a matrix rep, or of a character as 1 x 1."""
+        factor_fn = rep.evaluate if isinstance(rep, MatrixRep) \
+            else lambda sigma: [[rep.value(sigma)]]
         return cls(space,
-                   factor_fn=rep.evaluate,
+                   factor_fn=factor_fn,
                    holonomy_fn=lambda sigma: np.eye(rep.dim),
                    dim=rep.dim,
                    description="untwisted (trivial holonomy)")

@@ -9,7 +9,8 @@ so the twist is a structural property of the container rather than a
 numerically drifting constraint.  In this gauge the kinetic operator acts in
 Fourier space with shifted wavenumbers (n + beta / 2 pi) per character
 sector, which enforces the twist exactly; a matrix factor is first split
-into character sectors by simultaneous diagonalization of its generators.
+into character sectors along the Schur basis of its generator
+(``factors.character_sectors``, the one split of every abelian factor).
 A constant vector potential needs no dynamics of its own: flux-gauge data
 with kinetic term (n - e flux / 2 pi)^2 / 2 are the stored data of a state
 whose twist angle is left unreduced at beta = -e flux, so one split-step
@@ -42,10 +43,10 @@ from .errors import (
 from .factors import (
     Character,
     MatrixRep,
+    character_sectors,
     check_commutes,
     max_abs,
     unitarity_residual,
-    unitary_eig,
 )
 
 DEFAULT_N_POINTS = 256
@@ -326,18 +327,17 @@ def wrapped_gaussian(theta, center, width, momentum=0.0, n_images=6):
 def _ring_sectors(factor):
     """How a ring factor splits into character sectors: (betas, basis).
 
-    A character is one sector with no basis.  A matrix factor splits along
-    the eigenbasis of its generator (its columns map sector components back
-    to the value space), with eigenphases on the branch (-pi, pi].
+    The split is ``factors.character_sectors``: a character is one sector
+    with no basis, a matrix factor the Schur basis of its generator (its
+    columns map sector components back to the value space), with
+    eigenphases on the branch (-pi, pi].
     """
-    if isinstance(factor, Character) and factor.group_id[0] == "ring":
-        return np.array([factor.beta]), None
-    if not isinstance(factor, MatrixRep) or factor.group_id != ("ring",):
-        group = getattr(factor, "group_id", type(factor).__name__)
+    group = getattr(factor, "group_id", type(factor).__name__)
+    if group != ("ring",):
         raise ConfigError("a ring grid takes a ring character or ring matrix "
                           f"factor, not a factor on {group}")
-    eigvals, basis = unitary_eig(factor.generators[0])
-    return np.angle(eigvals), basis
+    phases, basis = character_sectors(factor)
+    return phases[0], basis
 
 
 def twist_embed(data, factor, space=None, data_is_periodic=True):
@@ -388,12 +388,6 @@ def make_gaussian_state(factor, center, width, momentum=0.0,
 
 def make_spinor_state(component_data, factor, space=None):
     return twist_embed(np.stack(component_data), factor, space=space)
-
-
-def make_plain_state(psi_values, space=None):
-    """Untwisted periodic state."""
-    return twist_embed(np.asarray(psi_values, dtype=complex),
-                       Character.ring(0.0), space=space)
 
 
 SECTOR_TOL = 1e-10

@@ -390,10 +390,7 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
             hit_node = (r1 < threshold) | (r2 < threshold) \
                 | (r3 < threshold) | (r4 < threshold)
             move = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if np.ndim(move) > 1:
-                move[hit_node] = 0.0
-            else:
-                move = np.where(hit_node, 0.0, move)
+            move[hit_node] = 0.0
             q_new = qa + move
             q[active] = q_new
             if np.any(hit_node):

@@ -17,6 +17,7 @@ from topobohm.propagation import (
     wrapped_gaussian,
 )
 from topobohm.scenario import SCENARIO_SCHEMA_TAG, Scenario
+from topobohm import ensembles
 from topobohm.ensembles import (
     density_bin_masses,
     equivariance_threshold,
@@ -26,6 +27,7 @@ from topobohm.ensembles import (
     tv_distance,
     verify_equivariance,
 )
+from topobohm.trajectories import STATUS_COMPLETED, STATUS_HALTED, TransportResult
 
 KS_99 = 1.63  # one-sided 99% critical coefficient c / sqrt(n)
 
@@ -209,6 +211,36 @@ class TestEquivariance:
         a = verify_equivariance(state, Potential.zero(), **kwargs)
         b = verify_equivariance(state, Potential.zero(), **kwargs)
         assert a.to_json() == b.to_json()
+
+    def test_halted_particles_stay_halted_across_checkpoints(self, monkeypatch):
+        # a stub transport halts the first 80 particles it is given in each
+        # segment (0.8% of the ensemble) and moves the rest by one radian
+        calls = []
+
+        def halting_transport(state, potential, q0, dt, n_steps, **kwargs):
+            q0 = np.asarray(q0, dtype=float)
+            calls.append(q0.copy())
+            status = np.full(q0.size, STATUS_COMPLETED, dtype=object)
+            status[:80] = STATUS_HALTED
+            final = np.where(status == STATUS_HALTED, q0, q0 + 1.0)
+            result = TransportResult(
+                times=np.array([0.0, n_steps * dt]),
+                positions=np.stack([q0, final]), status=status,
+                halt_times=np.where(status == STATUS_HALTED, 0.0, np.nan),
+                truncation=0.0)
+            return result, state
+
+        monkeypatch.setattr(ensembles, "transport", halting_transport)
+        state = make_eigenstate(0, Character.ring(0.0), n_points=64)
+        report = verify_equivariance(state, Potential.zero(), 10_000, 0.02,
+                                     [0.01, 0.02], seed=3, dt=2e-3)
+        first, second = calls
+        assert second.size == 10_000 - 80
+        # the second segment starts where the first left the movers
+        assert np.array_equal(second, first[80:] + 1.0)
+        # two disjoint halts of 0.8% each: 1.6% over the run, past the 1%
+        assert report.node_halt_fraction == 160 / 10_000
+        assert not report.valid and not report.passed
 
     def test_small_samples_rejected(self):
         state = make_eigenstate(0, Character.ring(0.0))

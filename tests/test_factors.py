@@ -21,6 +21,7 @@ from topobohm.factors import (
     MatrixRep,
     TwistedRepTable,
     check_commutes,
+    character_sectors,
     check_covariant_potential,
     classify_dynamics,
     decompose_by_character,
@@ -33,6 +34,7 @@ from topobohm.factors import (
     unitary_fractional_power,
     verify_twisted_law,
 )
+from topobohm.propagation import twist_embed
 from topobohm.scenario import spin_exponential
 
 
@@ -329,6 +331,11 @@ class TestAlgebraDimension:
                                  conjugated).span_dim == verdict.span_dim
 
 
+def _degenerate_generator():
+    u = random_unitary(3, np.random.default_rng(11))
+    return u @ np.diag(np.exp(1j * np.array([0.3, 0.3, -1.1]))) @ u.conj().T
+
+
 class TestDecompose:
     def test_already_diagonal(self):
         rep = MatrixRep.ring(np.diag([np.exp(1j * np.pi / 3),
@@ -369,6 +376,56 @@ class TestDecompose:
                               scipy.linalg.expm(1j * pauli["z"])))
         with pytest.raises(ConfigError, match="commute"):
             decompose_by_character(rep)
+
+    @pytest.mark.parametrize("generator", [
+        spin_exponential(0.8, [1, 0, 0]),
+        spin_exponential(1.9, [0.48, -0.6, 0.64]),
+        _degenerate_generator(),
+        np.eye(3),
+    ], ids=["x-axis", "tilted", "degenerate", "identity"])
+    def test_sectors_are_the_state_layout_columns(self, generator):
+        rep = MatrixRep.ring(generator)
+        layout = twist_embed(np.ones((rep.dim, 16)), rep)
+        betas, basis = layout.sector_betas, layout.sector_basis
+        widths = 0
+        for character, sector_basis in decompose_by_character(rep):
+            cols = [j for j in range(rep.dim)
+                    if np.round(betas[j], 9) == np.round(character.beta, 9)]
+            assert character.beta == betas[cols[0]]
+            assert np.array_equal(sector_basis, basis[:, cols])
+            widths += len(cols)
+        assert widths == rep.dim
+
+    def test_ring_character_decomposes_to_itself(self):
+        # a twist angle is kept unreduced, as the flux gauge stores it
+        for character in (Character.ring(0.7), Character.ring(-7.5)):
+            assert decompose_by_character(character) == [(character, None)]
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 4), n_gens=st.integers(2, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_commuting_free_split(self, data, k, n_gens, seed):
+        # commuting generators, each with a repeated eigenvalue
+        u = random_unitary(k, np.random.default_rng(seed))
+        gens = []
+        for _ in range(n_gens):
+            angles = data.draw(st.lists(st.floats(-np.pi, np.pi),
+                                        min_size=k - 1, max_size=k - 1))
+            angles = np.array(angles[:1] + angles)
+            gens.append(u @ np.diag(np.exp(1j * angles)) @ u.conj().T)
+        rep = MatrixRep.free(gens)
+        phases, basis = character_sectors(rep)
+        again = character_sectors(rep)
+        assert np.array_equal(phases, again[0])
+        assert np.array_equal(basis, again[1])
+        for g, gen in enumerate(gens):
+            rebuilt = (basis * np.exp(1j * phases[g])) @ basis.conj().T
+            assert np.max(np.abs(rebuilt - gen)) <= 1e-10
+        sectors = decompose_by_character(rep)
+        for g, gen in enumerate(gens):
+            rebuilt = sum(c.generator_phases[g] * (b @ b.conj().T)
+                          for c, b in sectors)
+            assert np.max(np.abs(rebuilt - gen)) <= 1e-10
 
 
 class TestNFermionFactor:
@@ -420,6 +477,21 @@ class TestTwistedLaw:
         rep = MatrixRep.free((random_unitary(2, rng),))
         table = TwistedRepTable.from_matrix_rep(rep, CoveringSpace.free_cover(1))
         assert verify_twisted_law(table, samples=300, seed=3) <= 1e-12
+
+    @pytest.mark.parametrize("character,space", [
+        (Character.ring(0.9), CoveringSpace.ring(sheet_window=30)),
+        (Character.free([np.exp(0.4j), np.exp(-1.2j)]), CoveringSpace.free_cover(2)),
+        (Character.exchange(2, -1), CoveringSpace.two_particle_ring()),
+    ], ids=["ring", "free", "exchange"])
+    def test_character_embeds_as_one_by_one(self, character, space):
+        table = TwistedRepTable.from_matrix_rep(character, space)
+        sigma = space.deck_generators()[0]
+        assert table.factor(sigma).shape == (1, 1)
+        assert table.factor(sigma)[0, 0] == character.value(sigma)
+        assert verify_twisted_law(table, samples=300, seed=3) <= 1e-12
+        # the law holds for the character, so a wrong entry must break it
+        bad = table.corrupted(sigma, 1j * character.value(sigma) * np.eye(1))
+        assert verify_twisted_law(bad, samples=300, seed=3) > 0.1
 
     def test_nfermion_table(self, rng):
         table = TwistedRepTable.nfermion(2, 2, [random_unitary(2, rng)])
