@@ -22,7 +22,6 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -40,6 +39,7 @@ from .factors import (
     verify_twisted_law,
 )
 from .propagation import (
+    complex_matrix_from_pairs,
     evolve,
     factor_commutes,
     gauge_map,
@@ -49,8 +49,13 @@ from .propagation import (
 )
 from .trajectories import integrate_trajectories
 from .ensembles import verify_equivariance
-from .collapse import simulate_grw
-from .scenario import SCENARIO_SCHEMA_TAG, Scenario, canonical_config_bytes
+from .collapse import TWIST_PRESERVATION_TOL, simulate_grw
+from .scenario import (
+    SCENARIO_SCHEMA_TAG,
+    Scenario,
+    canonical_config_bytes,
+    flux_and_charge,
+)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -353,25 +358,18 @@ def cmd_equivariance(scenario, ctx):
 
 
 def cmd_ab_compare(scenario, ctx):
-    cmp_cfg = scenario.cfg.get("compare", {})
-    flux = cmp_cfg.get("flux", math.pi)
-    charge = cmp_cfg.get("charge", 1.0)
-    traj_tol = cmp_cfg.get("trajectory_tolerance", 1e-6)
-    spec_tol = cmp_cfg.get("spectrum_tolerance", 1e-10)
+    if scenario.cfg["factor"]["type"] != "flux":
+        raise ConfigError("ab-compare compares the two gauges of a flux; this "
+                          "scenario's factor is not a flux",
+                          field_path="$.factor")
+    flux, charge = flux_and_charge(scenario.cfg)
     nm = scenario.numerics
     dt = nm["dt"]
     t_final = nm["t_final"]
     n_steps = whole_steps(t_final, dt)
 
-    untwisted = scenario.initial_state()
-    if abs(math.remainder(untwisted.beta, TWO_PI)) > 1e-12:
-        raise PhysicsError(
-            "ab-compare threads the flux through untwisted scenario data; "
-            "got a twisted state")
-    # the flux gauge is the same data under the unreduced twist -e flux
-    flux_twist = Character.ring(-charge * flux)
-    state_a = replace(untwisted, twist=flux_twist,
-                      sector_betas=np.array([flux_twist.beta]))
+    # a flux factor's state is the flux gauge: its twist -e flux unreduced
+    state_a = scenario.initial_state()
     state_t = gauge_map(state_a)
 
     # per-step commuting diagram: flux-step then map vs map then twisted-step
@@ -396,7 +394,7 @@ def cmd_ab_compare(scenario, ctx):
     beta = state_t.beta
     spec_args = dict(n_levels=nm["n_levels"], n_points=scenario.n_points,
                      radius=scenario.space.radius)
-    spec_a = spectrum(flux_twist, scenario.potential, **spec_args)
+    spec_a = spectrum(scenario.factor, scenario.potential, **spec_args)
     spec_t = spectrum(Character.ring(beta), scenario.potential, **spec_args)
     spec_diff = float(np.max(np.abs(spec_a - spec_t)))
 
@@ -410,8 +408,8 @@ def cmd_ab_compare(scenario, ctx):
         "n_steps": n_steps,
     }
     write_json(ctx.path("ab_compare.json"), report)
-    ctx.check("gauge-trajectory-deviation", deviation, traj_tol)
-    ctx.check("gauge-spectrum-difference", spec_diff, spec_tol)
+    ctx.check("gauge-trajectory-deviation", deviation, 1e-6)
+    ctx.check("gauge-spectrum-difference", spec_diff, 1e-10)
     ctx.check("gauge-diagram-residual", diagram, 1e-9)
     return report
 
@@ -444,8 +442,7 @@ def cmd_twisted_check(scenario, ctx):
     seed = scenario.require_seed()
     rng = np.random.default_rng(seed)
     if "generators" in tw:
-        gens = [np.array([[complex(re, im) for re, im in row] for row in g])
-                for g in tw["generators"]]
+        gens = [complex_matrix_from_pairs(g) for g in tw["generators"]]
     else:
         gens = [random_unitary(tw["w_dim"], rng)
                 for _ in range(tw.get("random_generators", 1))]
@@ -481,7 +478,8 @@ def cmd_grw(scenario, ctx):
               ("t", "x", "pre_norm", "post_norm", "label"),
               [e.csv_row() for e in result.events])
     write_json(ctx.path("state.json"), state_to_dict(result.final_state))
-    ctx.record("grw-twist-preservation", result.max_twist_residual, 1e-9)
+    ctx.record("grw-twist-preservation", result.max_twist_residual,
+               TWIST_PRESERVATION_TOL)
     return {"n_events": result.n_events,
             "total_rate": result.total_rate,
             "expected_events": result.total_rate * nm["t_final"],
@@ -509,11 +507,10 @@ _DEFAULT_CONFIGS = {
     "ab-compare": {
         "schema": SCENARIO_SCHEMA_TAG,
         "space": {"kind": "ring", "n_points": 256},
-        "factor": {"type": "character", "beta": 0.0},
+        "factor": {"type": "flux", "flux": math.pi, "charge": 1.0},
         "potential": {"type": "zero"},
         "initial_state": {"type": "gaussian", "center": 3.0, "width": 0.6,
                           "momentum": 1.0},
-        "compare": {},
     },
 }
 
@@ -531,8 +528,10 @@ def build_parser():
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--beta", type=float,
                         help="override character twist angle")
-    parser.add_argument("--flux", type=float, help="override flux")
-    parser.add_argument("--charge", type=float, help="override charge")
+    parser.add_argument("--flux", type=float,
+                        help="replace the factor by a flux of charge 1")
+    parser.add_argument("--charge", type=float,
+                        help="set the flux factor's charge")
     parser.add_argument("--t-final", type=float, dest="t_final")
     parser.add_argument("--dt", type=float)
     parser.add_argument("--n-levels", type=int, dest="n_levels")
@@ -545,13 +544,8 @@ def _apply_overrides(cfg, args):
     if args.beta is not None:
         cfg["factor"] = {"type": "character", "beta": args.beta}
     if args.flux is not None:
-        if args.subcommand == "ab-compare":
-            cfg.setdefault("compare", {})["flux"] = args.flux
-        else:
-            cfg["factor"] = {"type": "flux", "flux": args.flux, "charge": 1.0}
-    if args.charge is not None and args.subcommand == "ab-compare":
-        cfg.setdefault("compare", {})["charge"] = args.charge
-    elif args.charge is not None:
+        cfg["factor"] = {"type": "flux", "flux": args.flux, "charge": 1.0}
+    if args.charge is not None:
         factor = cfg.get("factor")
         if not isinstance(factor, dict) or factor.get("type") != "flux":
             raise ConfigError("--charge needs a flux factor; this scenario's "

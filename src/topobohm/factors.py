@@ -111,6 +111,11 @@ class Character:
         return 1
 
     @property
+    def sign(self):
+        """The exchange sign, +1 or -1: ``exchange(n, c.sign) == c``."""
+        return 1 if self.parity_exponent == 0 else -1
+
+    @property
     def is_trivial(self):
         kind = self.group_id[0]
         if kind == "ring":

@@ -257,7 +257,7 @@ class WaveGrid:
     def exchange_sign(self):
         if self.space.kind != "two_particle_ring":
             raise ConfigError("exchange sign is defined for two-particle states")
-        return +1 if self.twist.parity_exponent == 0 else -1
+        return self.twist.sign
 
     def psi(self):
         """Reconstruct the physical wave function on the fundamental sheet."""
@@ -946,8 +946,8 @@ def _twist_to_dict(twist):
         if twist.group_id[0] == "ring":
             return {"type": "character", "group": "ring", "beta": twist.beta}
         if twist.group_id[0] == "sym":
-            sign = +1 if twist.parity_exponent == 0 else -1
-            return {"type": "exchange", "n": twist.group_id[1], "sign": sign}
+            return {"type": "exchange", "n": twist.group_id[1],
+                    "sign": twist.sign}
         raise ConfigError(f"cannot serialize character on {twist.group_id}")
     if isinstance(twist, MatrixRep):
         return {
@@ -964,7 +964,7 @@ def _twist_from_dict(d):
     if d["type"] == "exchange":
         return Character.exchange(int(d["n"]), int(d["sign"]))
     if d["type"] == "matrix":
-        gens = [_complex_matrix_from_pairs(g) for g in d["generators"]]
+        gens = [complex_matrix_from_pairs(g) for g in d["generators"]]
         return MatrixRep(group_id=tuple(d["group"]), generators=tuple(gens))
     raise ConfigError(f"unknown twist type {d['type']!r}")
 
@@ -974,7 +974,7 @@ def _complex_matrix_to_pairs(m):
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def _complex_matrix_from_pairs(rows):
+def complex_matrix_from_pairs(rows):
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
@@ -1007,13 +1007,13 @@ def state_from_dict(d):
     if sp["kind"] == "ring":
         space = CoveringSpace.ring(radius=sp["radius"],
                                    sheet_window=sp["sheet_window"])
-        values = _complex_matrix_from_pairs(d["components"])
-        basis = (_complex_matrix_from_pairs(d["sector_basis"])
+        values = complex_matrix_from_pairs(d["components"])
+        basis = (complex_matrix_from_pairs(d["sector_basis"])
                  if "sector_basis" in d else None)
         return WaveGrid(space=space, values=values, twist=twist,
                         sector_betas=np.array(d["sector_betas"]),
                         sector_basis=basis)
     space = CoveringSpace.two_particle_ring(radius=sp["radius"],
                                             sheet_window=sp["sheet_window"])
-    values = _complex_matrix_from_pairs(d["components"])
+    values = complex_matrix_from_pairs(d["components"])
     return WaveGrid(space=space, values=values, twist=twist)

@@ -19,8 +19,12 @@ from .covering import CoveringSpace
 from .errors import ConfigError
 from .factors import Character, MatrixRep
 from .propagation import (
+    DEFAULT_N_POINTS,
     Potential,
     angle_grid,
+    complex_matrix_from_pairs,
+    make_eigenstate,
+    make_gaussian_state,
     pair_eigenstate,
     symmetrized_product_state,
     twist_embed,
@@ -55,7 +59,6 @@ SCENARIO_SCHEMA = {
                 "kind": {"enum": ["ring", "two_particle_ring"]},
                 "n_points": {"type": "integer", "minimum": 4},
                 "radius": {"type": "number", "exclusiveMinimum": 0},
-                "sheet_window": {"type": "integer", "minimum": 3},
             },
         },
         "factor": {
@@ -132,9 +135,6 @@ SCENARIO_SCHEMA = {
                 "max_twist_residual": {"type": "number", "minimum": 0},
                 "monitor_every": {"type": "integer", "minimum": 1},
                 "transport_dt": {"type": "number", "exclusiveMinimum": 0},
-                # accepted and ignored, so older scenarios still validate:
-                # classify takes the algebra of the whole field, not words
-                "word_length_cap": {"type": "integer", "minimum": 1},
             },
         },
         "trajectories": {
@@ -165,11 +165,6 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "lam": {"type": "number", "minimum": 0},
                 "a": {"type": "number", "exclusiveMinimum": 0},
-                # accepted and ignored, so older scenarios still validate:
-                # GRW events run on a homogeneous clock with no rate bound,
-                # and no state can opt out of the twist check
-                "allow_aperiodic": {"type": "boolean"},
-                "bound_refresh": {"type": "integer", "minimum": 1},
             },
         },
         "twisted": {
@@ -183,16 +178,6 @@ SCENARIO_SCHEMA = {
                 "random_generators": {"type": "integer", "minimum": 0},
                 "samples": {"type": "integer", "minimum": 1},
                 "corrupt": {"type": "boolean"},
-            },
-        },
-        "compare": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "flux": {"type": "number"},
-                "charge": {"type": "number"},
-                "trajectory_tolerance": {"type": "number"},
-                "spectrum_tolerance": {"type": "number"},
             },
         },
     },
@@ -224,10 +209,6 @@ def canonical_config_bytes(cfg):
     return json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _matrix(cfg_matrix):
-    return np.array([[complex(re, im) for re, im in row] for row in cfg_matrix])
-
-
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -247,10 +228,15 @@ def build_space(cfg):
     sp = cfg.get("space", {})
     kind = sp.get("kind", "ring")
     radius = sp.get("radius", 1.0)
-    window = sp.get("sheet_window", 3)
     if kind == "ring":
-        return CoveringSpace.ring(radius=radius, sheet_window=window)
-    return CoveringSpace.two_particle_ring(radius=radius, sheet_window=window)
+        return CoveringSpace.ring(radius=radius)
+    return CoveringSpace.two_particle_ring(radius=radius)
+
+
+def flux_and_charge(cfg):
+    """The (flux, charge) of a scenario's ``flux`` factor, defaults filled."""
+    fc = cfg["factor"]
+    return fc.get("flux", 0.0), fc.get("charge", 1.0)
 
 
 def build_factor(cfg):
@@ -265,11 +251,12 @@ def build_factor(cfg):
     if kind == "character":
         return Character.ring(fc.get("beta", 0.0))
     if kind == "flux":
-        return Character.ring(-fc.get("charge", 1.0) * fc.get("flux", 0.0))
+        flux, charge = flux_and_charge(cfg)
+        return Character.ring(-charge * flux)
     if kind == "exchange":
         return Character.exchange(2, fc.get("sign", 1))
     if kind == "matrix":
-        return MatrixRep.ring(_matrix(fc["generator"]))
+        return MatrixRep.ring(complex_matrix_from_pairs(fc["generator"]))
     if kind == "spin_exp":
         return MatrixRep.ring(spin_exponential(fc.get("angle", 0.0),
                                                fc.get("axis", [0, 0, 1])))
@@ -300,32 +287,28 @@ def build_potential(cfg, n_points):
                 f"tabulated potential needs {n_points} values, got {values.shape}")
         return Potential.scalar(values, label="tabulated")
     if kind == "matrix_const":
-        return Potential.matrix_constant(_matrix(pc["matrix"]), n_points)
+        return Potential.matrix_constant(complex_matrix_from_pairs(pc["matrix"]),
+                                         n_points)
     if kind == "covariant_const":
-        m = _matrix(pc["matrix"])
+        m = complex_matrix_from_pairs(pc["matrix"])
         return Potential.covariant(np.broadcast_to(m, (n_points,) + m.shape))
     if kind == "pair_onebody":
         one = _trig_values(pc.get("terms", []), theta)
         return Potential.scalar(one[:, None] + one[None, :], label="pair-onebody")
     if kind == "pair_interaction":
         delta = theta[:, None] - theta[None, :]
-        v = np.zeros_like(delta)
-        for term in pc.get("terms", []):
-            v += term["amplitude"] * np.cos(term["harmonic"] * delta
-                                            + term.get("phase", 0.0))
-        return Potential.scalar(v, label="pair-interaction")
+        return Potential.scalar(_trig_values(pc.get("terms", []), delta),
+                                label="pair-interaction")
     raise ConfigError(f"unknown potential type {kind!r}")
 
 
-def build_initial_state(cfg, space, factor):
+def build_initial_state(cfg, space, factor, n_points):
     ic = cfg.get("initial_state", {"type": "eigenstate", "n": 0})
-    n_points = cfg.get("space", {}).get("n_points", 256)
     kind = ic["type"]
-    theta = angle_grid(n_points)
     if space.kind == "two_particle_ring":
         if not isinstance(factor, Character) or factor.group_id[0] != "sym":
             raise ConfigError("two-particle scenarios need an exchange factor")
-        sign = +1 if factor.parity_exponent == 0 else -1
+        sign = factor.sign
         if kind == "pair_eigenstate":
             return pair_eigenstate(ic.get("n1", 0), ic.get("n2", 1), sign,
                                    n_points, space)
@@ -340,19 +323,19 @@ def build_initial_state(cfg, space, factor):
         raise ConfigError(
             f"a two-particle space needs a pair initial state, got {kind!r}")
     if kind == "eigenstate":
-        chi = np.exp(1j * ic.get("n", 0) * theta) / math.sqrt(2 * math.pi)
-        return twist_embed(chi, factor, space=space)
+        return make_eigenstate(ic.get("n", 0), factor, n_points, space)
     if kind == "gaussian":
-        chi = wrapped_gaussian(theta, ic.get("center", math.pi),
-                               ic.get("width", 0.5), ic.get("momentum", 0.0))
-        return twist_embed(chi, factor, space=space)
+        return make_gaussian_state(factor, ic.get("center", math.pi),
+                                   ic.get("width", 0.5),
+                                   ic.get("momentum", 0.0), n_points, space)
     if kind == "spinor_gaussian":
         if not isinstance(factor, MatrixRep):
             raise ConfigError("spinor initial state needs a matrix factor")
         amps = np.array([complex(re, im) for re, im in ic["amplitudes"]])
         if len(amps) != factor.dim:
             raise ConfigError("amplitude count must match the factor dimension")
-        profile = wrapped_gaussian(theta, ic.get("center", math.pi),
+        profile = wrapped_gaussian(angle_grid(n_points),
+                                   ic.get("center", math.pi),
                                    ic.get("width", 0.5), ic.get("momentum", 0.0))
         data = amps[:, None] * profile[None, :]
         return twist_embed(data, factor, space=space)
@@ -375,14 +358,14 @@ class Scenario:
         self.cfg = cfg
         self.space = build_space(cfg)
         self.factor = build_factor(cfg)
-        n_points = cfg.get("space", {}).get("n_points", 256)
-        self.n_points = n_points
-        self.potential = build_potential(cfg, n_points)
+        self.n_points = cfg.get("space", {}).get("n_points", DEFAULT_N_POINTS)
+        self.potential = build_potential(cfg, self.n_points)
         self.numerics = numerics(cfg)
         self.seed = cfg.get("seed")
 
     def initial_state(self):
-        return build_initial_state(self.cfg, self.space, self.factor)
+        return build_initial_state(self.cfg, self.space, self.factor,
+                                   self.n_points)
 
     def require_seed(self):
         if self.seed is None:

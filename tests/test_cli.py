@@ -290,12 +290,24 @@ def test_ab_compare_spectra_use_the_scenario_radius(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "spectrum", recording)
     cfg_dict = dict(BASE, space={"kind": "ring", "n_points": 64, "radius": 2.0},
-                    factor={"type": "character", "beta": 0.0},
+                    factor={"type": "flux", "flux": math.pi},
                     numerics={"dt": 1e-3, "t_final": 0.02})
     cfg = write_config(tmp_path, cfg_dict)
     assert main(["ab-compare", "--config", cfg, "--out",
                  str(tmp_path / "o")]) == 0
     assert radii == [2.0, 2.0]
+
+
+@pytest.mark.parametrize("override", [[], ["--beta", "0"]])
+def test_ab_compare_needs_a_flux_factor(tmp_path, capsys, override):
+    # BASE's factor is a character (beta = pi), and --beta sets another
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "o"
+    assert main(["ab-compare", "--config", cfg, *override,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "at $.factor" in err and "not a flux" in err
+    assert read_json(out / "manifest.json")["failure"]["family"] == "config"
 
 
 class TestClassify:
@@ -381,22 +393,6 @@ class TestClassify:
         assert verdict["span_dim"] == 4
         assert verdict["spans_full_algebra"]
         assert "compatible by construction" in verdict["detail"]
-
-    def test_word_length_cap_is_accepted_and_ignored(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setattr(
-            scenario_module, "build_potential",
-            lambda cfg, n: Potential.covariant(spanning_covariant_field(n)))
-        written = []
-        for name, numerics in (("plain", {}), ("capped", {"word_length_cap": 1})):
-            cfg_dict = dict(BASE, factor={"type": "spin_exp", "angle": 0.7,
-                                          "axis": [1, 0, 0]},
-                            initial_state=SPINOR, numerics=numerics)
-            cfg = write_config(tmp_path, cfg_dict, f"{name}.json")
-            out = tmp_path / name
-            assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
-            written.append((out / "classification.json").read_bytes())
-        assert written[0] == written[1]
 
     @pytest.mark.parametrize("factor_axis, potential", [
         ([0, 0, 1], {"type": "zero"}),
@@ -567,23 +563,37 @@ def test_grw_run(tmp_path, capsys):
     assert structural["grw-twist-preservation"] is True
 
 
-def test_grw_accepts_and_ignores_bound_refresh(tmp_path):
-    artifacts = []
-    # lam 10: about 15 expected events, so events.csv has rows to compare;
-    # allow_aperiodic is accepted and ignored the same way
-    for name, grw in (("plain", {"lam": 10.0, "a": 0.3}),
-                      ("refresh", {"lam": 10.0, "a": 0.3, "bound_refresh": 50,
-                                   "allow_aperiodic": True})):
-        cfg_dict = dict(BASE, seed=4, numerics={"dt": 2e-3, "t_final": 2.0},
-                        grw=grw)
-        cfg = write_config(tmp_path, cfg_dict, f"{name}.json")
-        out = tmp_path / name
-        assert main(["grw", "--config", cfg, "--out", str(out)]) == 0
-        assert not (out / "grw_log.json").exists()
-        artifacts.append({f: (out / f).read_bytes()
-                          for f in ("events.csv", "state.json")})
-    assert artifacts[0] == artifacts[1]
-    assert len(artifacts[0]["events.csv"].splitlines()) > 1  # some events
+# keys that earlier schemas took although no run read them (or, for the
+# compare block, a second flux beside the flux factor): each now exits 2
+# in a config of the subcommand that took it, and the error names the key,
+# or the block when the whole block is gone
+@pytest.mark.parametrize("subcommand, path, value", [
+    ("classify", "numerics.word_length_cap", 1),
+    ("grw", "grw.bound_refresh", 50),
+    ("grw", "grw.allow_aperiodic", True),
+    ("evolve", "space.sheet_window", 5),
+    ("ab-compare", "compare.flux", math.pi),
+    ("ab-compare", "compare.charge", 1.0),
+    ("ab-compare", "compare.trajectory_tolerance", 1e-6),
+    ("ab-compare", "compare.spectrum_tolerance", 1e-10),
+])
+def test_removed_scenario_keys_exit_two(tmp_path, capsys, subcommand, path,
+                                        value):
+    block, key = path.split(".")
+    cfg_dict = dict(BASE, seed=4, grw={"lam": 1.0, "a": 0.3})
+    if subcommand == "ab-compare":
+        cfg_dict["factor"] = {"type": "flux", "flux": math.pi}
+    cfg = write_config(tmp_path, cfg_dict, "without.json")
+    assert main([subcommand, "--config", cfg,
+                 "--out", str(tmp_path / "without")]) == 0
+    named = key if block in cfg_dict else block
+    cfg_dict[block] = {**cfg_dict.get(block, {}), key: value}
+    cfg = write_config(tmp_path, cfg_dict, "with.json")
+    capsys.readouterr()
+    assert main([subcommand, "--config", cfg,
+                 "--out", str(tmp_path / "with")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{named}' was unexpected" in err
 
 
 def test_grw_flux_scenario_evolves_in_the_field(tmp_path):

@@ -1,10 +1,15 @@
-"""Smoke test: the fast demos run to completion against the public API."""
+"""Smoke test: the fast demos run to completion against the public API,
+and every scenario that README.md shows builds."""
 
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from topobohm.scenario import Scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +33,13 @@ def test_demo_runs(name, tmp_path, src_env):
                             cwd=tmp_path, env=src_env, capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_scenarios_build():
+    # every JSON block of README.md is a scenario, so the README cannot
+    # show a key that the schema refuses
+    blocks = re.findall(r"```json\n(.*?)```",
+                        (ROOT / "README.md").read_text(), flags=re.S)
+    assert blocks
+    for block in blocks:
+        Scenario(json.loads(block))
