@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -37,6 +38,7 @@ from .factors import (
     classify_dynamics,
     random_unitary,
     verify_twisted_law,
+    worse,
 )
 from .propagation import (
     complex_matrix_from_pairs,
@@ -225,11 +227,15 @@ class RunContext:
             raise ToleranceError(invariant_id, residual, tolerance)
 
     def record(self, invariant_id, residual, tolerance=None):
+        """Add an invariant to the manifest; returns whether it passed.  A
+        non-finite residual fails, with a tolerance or without."""
+        residual = float(residual)
         entry = {
             "id": invariant_id,
-            "residual": float(residual),
+            "residual": residual,
             "tolerance": None if tolerance is None else float(tolerance),
-            "passed": True if tolerance is None else bool(residual <= tolerance),
+            "passed": math.isfinite(residual) and (
+                tolerance is None or bool(residual <= tolerance)),
         }
         if invariant_id in STRUCTURAL_INVARIANTS:
             entry["structural"] = True
@@ -286,7 +292,7 @@ def cmd_evolve(scenario, ctx):
         done += chunk
         norm = state.norm()
         drift = abs(norm - norm0)
-        max_drift = max(max_drift, drift)
+        max_drift = worse(max_drift, drift)
         rows.append((done, done * dt, f"{norm:.15g}", f"{drift:.3e}"))
     write_csv(ctx.path("monitor.csv"), ("step", "t", "norm", "norm_drift"), rows)
     write_json(ctx.path("state.json"), state_to_dict(state))
@@ -352,7 +358,7 @@ def cmd_equivariance(scenario, ctx):
     if not report.valid:
         raise PhysicsError("more than 1% of trajectories halted at nodes; "
                            "the scenario is not smooth enough to verify")
-    worst = max(report.tv_values)
+    worst = functools.reduce(worse, report.tv_values)
     ctx.check("equivariance-tv", worst, report.tv_threshold)
     return {"tv_values": report.tv_values, "threshold": report.tv_threshold}
 
@@ -515,6 +521,7 @@ _DEFAULT_CONFIGS = {
 }
 
 
+@functools.cache
 def build_parser():
     """One flat parser: the subcommand is a positional choice and every
     option is shared."""

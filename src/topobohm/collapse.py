@@ -30,6 +30,7 @@ import numpy as np
 from .covering import TWO_PI
 from .errors import ConfigError, PhysicsError, ToleranceError
 from .ensembles import sample_from_grid_density
+from .factors import worse
 from .propagation import SplitStep, evolve
 
 TWIST_PRESERVATION_TOL = 1e-9
@@ -209,7 +210,7 @@ def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3):
     def monitor(s, when):
         # a pair's twist residual is its exchange residual
         res = s.twist_residual()
-        result.max_twist_residual = max(result.max_twist_residual, res)
+        result.max_twist_residual = worse(result.max_twist_residual, res)
         if two_particle:
             result.max_exchange_residual = result.max_twist_residual
         if not res <= TWIST_PRESERVATION_TOL:

@@ -214,9 +214,10 @@ def verify_equivariance(state, potential, n, t_final, checkpoints, seed,
                               field_path="$.equivariance.checkpoints") from None
         if n_steps > 0:
             moving = np.flatnonzero(~halted)
+            # only the segment's last positions are read
             result, current = transport(
                 current, potential, position[moving], dt, n_steps,
-                velocity_factor=velocity_factor)
+                velocity_factor=velocity_factor, record_every=n_steps)
             position[moving] = result.positions[-1]
             halted[moving] = result.status != STATUS_COMPLETED
         rho = current.density()

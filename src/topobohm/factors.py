@@ -55,6 +55,13 @@ def max_abs(a):
     return float(np.max(np.abs(a))) if np.size(a) else 0.0
 
 
+def worse(worst, residual):
+    """The larger of two residuals, NaN when either is NaN: the fold of
+    every worst-residual loop.  ``max(0.0, nan)`` is 0.0, so a plain
+    ``max`` fold would report a NaN residual as clean."""
+    return float(np.maximum(worst, residual))
+
+
 def unitarity_residual(u):
     u = np.asarray(u)
     return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
@@ -326,8 +333,8 @@ class FiniteGroupCharacter:
         worst = 0.0
         for a in self.group.elements:
             for b in self.group.elements:
-                worst = max(worst, abs(self.table[self.group.compose(a, b)]
-                                       - self.table[a] * self.table[b]))
+                worst = worse(worst, abs(self.table[self.group.compose(a, b)]
+                                         - self.table[a] * self.table[b]))
         return worst
 
     def __repr__(self):
@@ -349,7 +356,7 @@ def conjugacy_residual(rep_a, rep_b, u):
         raise ConfigError("conjugator must be unitary")
     worst = 0.0
     for ga, gb in zip(rep_a.generators, rep_b.generators):
-        worst = max(worst, max_abs(gb - u @ ga @ u.conj().T))
+        worst = worse(worst, max_abs(gb - u @ ga @ u.conj().T))
     return worst
 
 
@@ -637,7 +644,7 @@ def check_commutes(factor, potential_samples, tol=COMMUTE_TOL):
         # g V - V g for all samples at once; tensordot runs each as one BLAS
         # product, where a stacked matmul loops over the k x k matrices
         gv = np.moveaxis(np.tensordot(g, samples, axes=(1, 1)), 0, 1)
-        worst = max(worst, max_abs(gv - np.tensordot(samples, g, axes=1)))
+        worst = worse(worst, max_abs(gv - np.tensordot(samples, g, axes=1)))
     return worst <= tol
 
 
@@ -939,7 +946,7 @@ def verify_twisted_law(table, samples=1000, seed=0, max_word_length=4):
         lhs = table.factor(deck_compose(s1, s2))
         h2 = table.holonomy(s2)
         rhs = h2 @ table.factor(s1) @ h2.conj().T @ table.factor(s2)
-        worst = max(worst, max_abs(lhs - rhs))
+        worst = worse(worst, max_abs(lhs - rhs))
     return worst
 
 

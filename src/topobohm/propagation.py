@@ -47,6 +47,7 @@ from .factors import (
     check_commutes,
     max_abs,
     unitarity_residual,
+    worse,
 )
 
 DEFAULT_N_POINTS = 256
@@ -230,7 +231,13 @@ class WaveGrid:
         return np.abs(self.values) ** 2
 
     def normalized(self):
-        return self.with_values(self.values / self.norm())
+        """The state scaled to unit norm; a zero or non-finite norm, which
+        no scaling makes one, raises ``ConfigError``."""
+        norm = self.norm()
+        if not (norm > 0 and math.isfinite(norm)):
+            raise ConfigError(f"the state's norm is {norm}; it cannot be "
+                              "normalized")
+        return self.with_values(self.values / norm)
 
     def with_values(self, values):
         out = replace(self, values=values)
@@ -293,7 +300,7 @@ class WaveGrid:
         worst = 0.0
         for winding, psi_s in sheets.items():
             gamma = self._factor_matrix(winding)
-            worst = max(worst, max_abs(psi_s - gamma @ base))
+            worst = worse(worst, max_abs(psi_s - gamma @ base))
         return worst
 
     def _factor_matrix(self, winding):
@@ -568,6 +575,17 @@ class SplitStep:
     potential, before anything else is built.  Of the layout it was built
     for, only ``shape`` can change on a state that carries it.
 
+    ``apply`` allocates only the first half-kick's output (a copy when there
+    is no potential) and works on it in place from there: ``fft`` and
+    ``ifft`` transform their argument in place, axis by axis (the last axis
+    on the ring; the last, then the second last on the torus, the order of
+    ``np.fft.fft2`` itself), and the kinetic multiply and a scalar or
+    diagonal second kick write into it.  Every multiply keeps its operand
+    order (phase * values for the kinetic term, values * phase for a kick):
+    numpy's complex product is not commutative bit for bit.  The torus
+    does not use ``np.fft.ifft2(..., out=)``, which numpy 2.4 accepts but
+    ignores, leaving the array untransformed.
+
     ``matrix`` is the whole step as one (size, size) unitary for a layout
     of at most ``DENSE_STEP_MAX`` values, built on first access (``evolve``
     reads it; a caller that only calls ``apply`` never pays for it): row j
@@ -584,10 +602,8 @@ class SplitStep:
         self.kind, data = _sector_potential(state, potential)
         self.half_v = _potential_half_phase(self.kind, data, dt)
         self.kinetic = _kinetic_phase(state, dt)
-        if state.space.kind == "two_particle_ring":
-            self.fft, self.ifft = np.fft.fft2, np.fft.ifft2
-        else:  # ring values are (components, n): transform the last axis
-            self.fft, self.ifft = np.fft.fft, np.fft.ifft
+        self._axes = ((-1, -2) if state.space.kind == "two_particle_ring"
+                      else (-1,))
 
     @functools.cached_property
     def matrix(self):
@@ -597,15 +613,31 @@ class SplitStep:
         basis = np.eye(size, dtype=complex).reshape((size,) + self.shape)
         return self.apply(basis).reshape(size, size)
 
-    def _half_kick(self, values):
-        """exp(-i dt V / 2) on ``values`` (any leading batch axes).
+    def fft(self, values):
+        """The forward transform of ``values``, in place; returns it."""
+        for axis in self._axes:
+            np.fft.fft(values, axis=axis, out=values)
+        return values
+
+    def ifft(self, values):
+        """The inverse transform of ``values``, in place; returns it."""
+        for axis in self._axes:
+            np.fft.ifft(values, axis=axis, out=values)
+        return values
+
+    def _half_kick(self, values, in_place=False):
+        """exp(-i dt V / 2) on ``values`` (any leading batch axes): a new
+        array, or for ``in_place`` and a kind other than matrix, ``values``
+        itself written over.
 
         A matrix kick is the sum over the k sector columns b of the
         broadcast product half_v[:, b] * values[..., b, :], accumulated in
         place: k^2 multiply-adds per grid point."""
         if self.kind == "none":
-            return values
+            return values if in_place else np.array(values, dtype=complex)
         if self.kind in ("scalar", "diagonal"):
+            if in_place:
+                return np.multiply(values, self.half_v, out=values)
             return values * self.half_v
         out = self.half_v[:, 0] * values[..., 0:1, :]
         for b in range(1, self.half_v.shape[1]):
@@ -614,10 +646,10 @@ class SplitStep:
 
     def apply(self, values):
         """One step of ``values``: the state's shape, after any leading
-        batch axes."""
-        values = self._half_kick(values)
-        values = self.ifft(self.kinetic * self.fft(values))
-        return self._half_kick(values)
+        batch axes.  Returns a new array; ``values`` is not written."""
+        v = self._half_kick(values)
+        self.ifft(np.multiply(self.kinetic, self.fft(v), out=v))
+        return self._half_kick(v, in_place=True)
 
 
 def evolve(state, potential, dt, n_steps):
@@ -636,9 +668,12 @@ def evolve(state, potential, dt, n_steps):
 
     A state of at most ``DENSE_STEP_MAX`` values (k n on the ring, n^2 on
     the torus) steps by one product with the set-up's unitary, built on the
-    set-up's first call here; a larger one by the FFT pair.  The path
-    depends only on the state's size, so every step of a run, chunked or
-    not, is the same operation.
+    set-up's first call here: a copy of the flattened values and one spare
+    buffer take turns as input and output of ``np.dot(..., out=)``, the
+    BLAS product of ``flat @ matrix`` with the same bits, so no step
+    allocates.  A larger state steps by ``SplitStep.apply``, which
+    allocates only its first half-kick's output.  The path depends only on the state's size, so every step of
+    a run, chunked or not, is the same operation.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -651,9 +686,11 @@ def evolve(state, potential, dt, n_steps):
         step = SplitStep(state, potential, dt)
     values = state.values
     if step.matrix is not None:
-        flat = values.reshape(-1)
+        flat = values.reshape(-1).copy()
+        spare = np.empty_like(flat)
         for _ in range(n_steps):
-            flat = flat @ step.matrix
+            np.dot(flat, step.matrix, out=spare)
+            flat, spare = spare, flat
         values = flat.reshape(values.shape)
     else:
         for _ in range(n_steps):

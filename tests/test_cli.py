@@ -10,8 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from topobohm import cli
 from topobohm import scenario as scenario_module
 from topobohm.cli import json_text, main, write_json
+from topobohm.errors import ToleranceError
 from topobohm.propagation import (
     Potential,
     WaveGrid,
@@ -132,8 +134,6 @@ class TestExitCodes:
         assert "grid spacing" in manifest["failure"]["message"]
 
     def test_unexpected_exception_is_five(self, tmp_path, capsys, monkeypatch):
-        from topobohm import cli
-
         def broken(scenario, ctx):
             raise RuntimeError("disk on fire")
 
@@ -147,6 +147,41 @@ class TestExitCodes:
         assert manifest["status"] == "failed"
         assert manifest["failure"]["family"] == "internal"
         assert "disk on fire" in manifest["failure"]["traceback"]
+
+    @pytest.mark.parametrize("subcommand", ["evolve", "grw"])
+    def test_zero_state_is_two(self, tmp_path, capsys, subcommand):
+        # all-zero amplitudes have no norm to scale to one; the run used to
+        # step NaN to exit 0 with its checks recorded as passed
+        zero = dict(BASE, factor={"type": "spin_exp", "angle": 0.7,
+                                  "axis": [0, 0, 1]},
+                    potential={"type": "zero"},
+                    initial_state={"type": "spinor_gaussian",
+                                   "amplitudes": [[0, 0], [0, 0]]},
+                    grw={"lam": 1.0, "a": 0.3}, seed=1)
+        cfg = write_config(tmp_path, zero)
+        assert main([subcommand, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "norm" in capsys.readouterr().err
+
+    def test_non_finite_residual_fails(self, tmp_path):
+        ctx = cli.RunContext(str(tmp_path), "evolve", dict(BASE), None)
+        for residual in (math.nan, math.inf):
+            assert not ctx.record("drift", residual, 1.0)
+            assert not ctx.record("drift", residual)
+            with pytest.raises(ToleranceError):
+                ctx.check("drift", residual, 1.0)
+        assert ctx.record("drift", 0.5, 1.0) and ctx.record("drift", 0.5)
+        assert [inv["passed"] for inv in ctx.invariants] == [False] * 6 + [
+            True] * 2
+
+    def test_argument_errors_exit_as_argparse_does(self, capsys):
+        # the parser is built once per process and reused by every call
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["no-such-subcommand"])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+        assert cli.build_parser() is cli.build_parser()
 
     def test_unwritable_output_is_five(self, tmp_path, capsys, monkeypatch):
         # the artifacts and then the failure manifest cannot be written
@@ -280,7 +315,6 @@ def test_ab_compare_defaults(tmp_path):
 
 
 def test_ab_compare_spectra_use_the_scenario_radius(tmp_path, monkeypatch):
-    from topobohm import cli
     radii = []
     real_spectrum = cli.spectrum
 

@@ -1,5 +1,7 @@
 """Characters, matrix representations, twisted tables, classification."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -33,6 +35,7 @@ from topobohm.factors import (
     random_unitary,
     unitary_fractional_power,
     verify_twisted_law,
+    worse,
 )
 from topobohm.propagation import twist_embed
 from topobohm.scenario import spin_exponential
@@ -212,6 +215,16 @@ class TestCheckCommutes:
     def test_quarter_turn_fails_against_sigma_x(self, pauli):
         gamma = spin_exponential(np.pi / 2, [0, 0, 1])
         assert not check_commutes(MatrixRep.ring(gamma), [pauli["x"]])
+
+    def test_nan_field_fails_the_gate(self, pauli):
+        # a NaN commutator is no evidence of commuting
+        rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
+        assert not check_commutes(rep, [pauli["z"], np.full((2, 2), np.nan)])
+
+    def test_worse_keeps_a_nan_from_either_side(self):
+        assert worse(0.0, 2.0) == worse(2.0, 0.0) == 2.0
+        assert math.isnan(worse(0.0, math.nan))
+        assert math.isnan(worse(math.nan, 0.0))
 
     def test_non_hermitian_sample_rejected(self):
         rep = MatrixRep.ring(np.eye(2))

@@ -95,6 +95,17 @@ class TestTwistEmbed:
         reference = twist_embed(chi, Character.ring(beta))
         assert l2_diff(state, reference) <= 1e-12
 
+    def test_zero_or_non_finite_data_is_refused(self):
+        for data in (np.zeros(64), np.full(64, np.nan)):
+            with pytest.raises(ConfigError, match="norm"):
+                twist_embed(data, Character.ring(0.3))
+
+    def test_nan_values_give_a_nan_twist_residual(self):
+        state = make_gaussian_state(Character.ring(0.3), 3.0, 0.5, n_points=64)
+        values = state.values.copy()
+        values[0, 5] = np.nan
+        assert math.isnan(state.with_values(values).twist_residual())
+
     def test_power_of_two_enforced(self):
         with pytest.raises(ConfigError, match="power of two"):
             twist_embed(np.ones(100, dtype=complex), Character.ring(0.0))
@@ -610,6 +621,115 @@ class TestDenseStep:
                                     capture_output=True, text=True, check=True)
             digests.add(result.stdout.strip())
         assert len(digests) == 1
+
+
+def _in_place_case(kind, layout, dense):
+    """A state and potential whose step has the given kind, on the ring or
+    the torus, of at most ``DENSE_STEP_MAX`` values (dense) or more."""
+    if layout == "torus":
+        n = 8 if dense else 16
+        one = 0.3 * np.cos(angle_grid(n))
+        state = symmetrized_product_state(
+            lambda t: np.exp(-(t - 2.0) ** 2), lambda t: np.exp(-(t - 4.0) ** 2),
+            -1, n_points=n)
+        return state, (Potential.zero() if kind == "none"
+                       else Potential.scalar(one[:, None] + one[None, :]))
+    if kind == "diagonal":
+        return _spinor_evolve_case(64 if dense else 128)
+    if kind == "matrix":  # a covariant field coupling three sectors
+        n = 32 if dense else 64
+        rng = np.random.default_rng(7)
+        rep = MatrixRep.ring(random_unitary(3, rng))
+        chi = wrapped_gaussian(angle_grid(n), 3.0, 0.5, 1.0)
+        a = rng.normal(size=(n, 3, 3, 2)) @ [1, 1j]
+        return (make_spinor_state([chi, 0.4j * chi, 0.2 * chi[::-1]], rep),
+                Potential.covariant(a + np.conj(np.swapaxes(a, 1, 2))))
+    n = 128 if dense else 256
+    state = make_gaussian_state(Character.ring(0.7), 3.0, 0.5, 1.0, n_points=n)
+    return state, (Potential.zero() if kind == "none"
+                   else Potential.from_callable(lambda t: 0.4 * np.cos(t), n))
+
+
+def _out_of_place_step(step, values, torus):
+    """The split step as it was written before it worked in place: every
+    operation makes a new array, each multiply in the package's operand
+    order."""
+    def kick(v):
+        if step.kind == "none":
+            return v
+        if step.kind in ("scalar", "diagonal"):
+            return v * step.half_v
+        out = step.half_v[:, 0] * v[..., 0:1, :]
+        for b in range(1, step.half_v.shape[1]):
+            out += step.half_v[:, b] * v[..., b:b + 1, :]
+        return out
+    fft, ifft = (np.fft.fft2, np.fft.ifft2) if torus else (np.fft.fft,
+                                                           np.fft.ifft)
+    return kick(ifft(step.kinetic * fft(kick(values))))
+
+
+_IN_PLACE_CASES = [(kind, layout, dense)
+                   for kind, layout in (("none", "ring"), ("scalar", "ring"),
+                                        ("diagonal", "ring"),
+                                        ("matrix", "ring"), ("none", "torus"),
+                                        ("scalar", "torus"))
+                   for dense in (True, False)]
+
+
+class TestInPlaceStep:
+    """``apply`` works in place on the one array it allocates: it writes
+    nothing it was given and keeps every bit of the out-of-place step."""
+
+    @pytest.mark.parametrize("kind,layout,dense", _IN_PLACE_CASES)
+    def test_apply_writes_only_its_own_array(self, kind, layout, dense):
+        state, potential = _in_place_case(kind, layout, dense)
+        step = propagation.SplitStep(state, potential, 1e-3)
+        assert step.kind == kind
+        assert (step.matrix is not None) is dense
+        torus = layout == "torus"
+        rng = np.random.default_rng(5)
+        batch = rng.normal(size=(3,) + state.values.shape + (2,)) @ [1, 1j]
+        for values in (state.values, batch):
+            before = values.copy()
+            got = step.apply(values)
+            assert got is not values
+            assert np.array_equal(bits(values), bits(before))
+            expected = _out_of_place_step(step, before, torus)
+            assert np.array_equal(bits(got), bits(expected))
+        if dense:  # the matrix's rows are the out-of-place steps of the units
+            size = state.values.size
+            units = np.eye(size, dtype=complex).reshape((size,) + step.shape)
+            expected = _out_of_place_step(step, units, torus)
+            assert np.array_equal(bits(step.matrix),
+                                  bits(expected.reshape(size, size)))
+
+    @pytest.mark.parametrize("kind,layout,dense", _IN_PLACE_CASES)
+    def test_evolve_keeps_the_out_of_place_bits(self, kind, layout, dense):
+        state, potential = _in_place_case(kind, layout, dense)
+        before = state.values.copy()
+        out = evolve(state, potential, 1e-3, 5)
+        assert np.array_equal(bits(state.values), bits(before))
+        step = out._split_step
+        values = before
+        for _ in range(5):
+            if dense:  # the dense step as written before its reused buffers
+                values = (values.reshape(-1) @ step.matrix).reshape(
+                    values.shape)
+            else:
+                values = _out_of_place_step(step, values, layout == "torus")
+        assert np.array_equal(bits(out.values), bits(values))
+
+    def test_per_axis_in_place_transforms_are_fft2_and_ifft2(self):
+        # the torus steps by one-axis transforms, last axis first, in place:
+        # np.fft.ifft2(..., out=) would leave its array untransformed
+        rng = np.random.default_rng(9)
+        values = rng.normal(size=(2, 16, 16, 2)) @ [1, 1j]
+        for one_axis, two_axes in ((np.fft.fft, np.fft.fft2),
+                                   (np.fft.ifft, np.fft.ifft2)):
+            work = values.copy()
+            for axis in (-1, -2):
+                one_axis(work, axis=axis, out=work)
+            assert np.array_equal(bits(work), bits(two_axes(values)))
 
 
 def test_norm_does_not_depend_on_memory_layout():
