@@ -607,8 +607,8 @@ def main(argv=None):
         return EXIT_PHYSICS
     except ToleranceError as exc:
         _emit_failure(ctx, "numerics", exc)
-        print(f"error[numerics]: invariant '{exc.invariant}': {exc}",
-              file=sys.stderr)
+        # the message starts with the invariant's id
+        print(f"error[numerics]: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except Exception as exc:
         # anything else is a fault of the program or its host, not of the

@@ -17,7 +17,15 @@ is drawn from r(x|psi) / total rate.
 
 The twist is checked after every collapse and at the end of a run, with no
 opt-out: a collapse is a second operator besides the split step, so the
-check that one ``evolve`` run makes once is made here per event.
+check that one ``evolve`` run makes once is made here per event; a later
+collapse can shrink a defect that a final check alone would miss.
+
+A run builds what its events share once, on its first state: the width
+check and the bump kernel's FFT of the rate density (``_RateDensity``), and
+the sheet phases and factor matrices of the twist monitor
+(``propagation.TwistMonitor``).  ``rate_over_centers``, ``draw_center`` and
+``WaveGrid.twist_residual`` build the same set-up per call, so a run and a
+single call share one code path.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .covering import TWO_PI
 from .errors import ConfigError, PhysicsError, ToleranceError
 from .ensembles import sample_from_grid_density
 from .factors import worse
-from .propagation import SplitStep, evolve
+from .propagation import SplitStep, TwistMonitor, evolve
 
 TWIST_PRESERVATION_TOL = 1e-9
 
@@ -89,21 +97,30 @@ def collapse_rate(state, x, lam, a, label=None):
     return float(np.sum(mult * rho) * state.dx ** 2)
 
 
+class _RateDensity:
+    """r(x|psi) for every grid centre x at once, for states of one layout:
+    the width check and the bump kernel's FFT are built once, and each call
+    is one circular convolution (an FFT pair) of the base density, or of
+    the sum of a pair's two marginals, against the kernel."""
+
+    def __init__(self, state, lam, a):
+        _require_width(state, a)
+        self.lam = lam
+        self.dx = state.dx
+        self.ring = state.space.kind == "ring"
+        self.kernel_hat = np.fft.fft(localization_bump(state.theta, 0.0, a))
+
+    def __call__(self, state):
+        rho = state.density()
+        if not self.ring:
+            rho = rho.sum(axis=1) * self.dx + rho.sum(axis=0) * self.dx
+        conv = np.real(np.fft.ifft(self.kernel_hat * np.fft.fft(rho)))
+        return self.lam * conv * self.dx
+
+
 def rate_over_centers(state, lam, a):
     """r(x|psi) for every grid centre x at once (circular convolution)."""
-    _require_width(state, a)
-    theta = state.theta
-    kernel = localization_bump(theta, 0.0, a)
-    kernel_hat = np.fft.fft(kernel)
-    if state.space.kind == "ring":
-        rho = state.density()
-        conv = np.real(np.fft.ifft(kernel_hat * np.fft.fft(rho)))
-        return lam * conv * state.dx
-    rho = state.density()
-    marg1 = rho.sum(axis=1) * state.dx
-    marg2 = rho.sum(axis=0) * state.dx
-    conv = np.real(np.fft.ifft(kernel_hat * np.fft.fft(marg1 + marg2)))
-    return lam * conv * state.dx
+    return _RateDensity(state, lam, a)(state)
 
 
 def total_rate(state, lam, a):
@@ -134,19 +151,25 @@ def apply_collapse(state, x, lam, a, label=None):
     """
     mult = np.sqrt(collapse_multiplier(state, x, lam, a, label))
     pre_norm = state.norm()
-    values = state.values * mult  # a ring multiplier broadcasts over sectors
-    post_norm = state.with_values(values).norm()  # the rate r(x|psi), rooted
+    # a ring multiplier broadcasts over sectors; the product is a fresh
+    # array that the collapsed state owns, so it is normalized in place
+    collapsed = state.with_values(state.values * mult)
+    post_norm = collapsed.norm()  # the rate r(x|psi), rooted
     if post_norm == 0:
         raise PhysicsError(f"collapse rate vanishes at x={x}; cannot collapse there")
+    np.divide(collapsed.values, post_norm, out=collapsed.values)
     event = CollapseEvent(time=math.nan, center=float(x),
                           pre_norm=pre_norm, post_norm=post_norm, label=label)
-    return state.with_values(values / post_norm), event
+    return collapsed, event
+
+
+def _draw(rates, rng):
+    return float(sample_from_grid_density(rates, 1, rng)[0])
 
 
 def draw_center(state, lam, a, rng):
     """Sample a collapse centre from r(x|psi) / integral r."""
-    return float(sample_from_grid_density(rate_over_centers(state, lam, a),
-                                          1, rng)[0])
+    return _draw(rate_over_centers(state, lam, a), rng)
 
 
 @dataclass
@@ -190,7 +213,8 @@ def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3):
     from the exponential law at that rate; lam = 0 gives no events.  Between
     events the state follows the split-step propagator in steps of ``dt``
     (``evolve``, one set-up for the run) plus one shorter step by the FFT
-    pair to land on the event time (``_advance``).  Deterministic for a
+    pair to land on the event time (``_advance``).  The rate density and
+    the twist monitor are set up once for the run.  Deterministic for a
     given seed.  A width ``a`` below the grid spacing raises ``ConfigError``.
 
     Twist preservation (the exchange sector, for a pair) is monitored after
@@ -206,10 +230,13 @@ def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3):
     two_particle = state.space.kind == "two_particle_ring"
     rate = total_rate(state, lam, a)
     result = GrwResult(final_state=state, events=[], total_rate=rate)
+    # every state of the run shares the initial state's layout
+    rates = _RateDensity(state, lam, a)
+    twist = TwistMonitor(state)
 
     def monitor(s, when):
         # a pair's twist residual is its exchange residual
-        res = s.twist_residual()
+        res = twist(s)
         result.max_twist_residual = worse(result.max_twist_residual, res)
         if two_particle:
             result.max_exchange_residual = result.max_twist_residual
@@ -224,7 +251,7 @@ def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3):
         if t_next >= t_final:
             break
         t = t_next
-        center = draw_center(state, lam, a, rng)
+        center = _draw(rates(state), rng)
         state, event = apply_collapse(state, center, lam, a)
         event.time = t
         result.events.append(event)

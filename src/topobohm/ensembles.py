@@ -31,7 +31,7 @@ def _trapezoid_cells(rho):
     """Cell width, right-hand neighbours and trapezoid cell masses of a
     periodic grid density."""
     h = TWO_PI / rho.size
-    right = np.roll(rho, -1)
+    right = np.concatenate((rho[1:], rho[:1]))
     return h, right, 0.5 * (rho + right) * h
 
 
@@ -39,27 +39,31 @@ def sample_from_grid_density(rho, n, rng):
     """Draw n points from a periodic grid density via inverse CDF.
 
     The density is trapezoid-interpolated between grid points, so each cell
-    mass is quadratic in the offset and inverted exactly.
+    mass is quadratic in the offset and inverted exactly.  A GRW run draws
+    one point per event, where the per-call cost of each numpy call counts:
+    the bounds of ``rho`` decide both refusals, and plain ufuncs clip.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1:
         raise ConfigError("grid density must be one-dimensional")
-    if np.any(rho < -1e-12 * np.max(np.abs(rho))):
+    lo, hi = rho.min(), rho.max()
+    # max |rho| is max(hi, -lo); with no value below -1e-12 of it, a
+    # density whose largest value is not positive is zero everywhere
+    if lo < -1e-12 * max(hi, -lo):
         raise ConfigError("density must be nonnegative")
-    rho = np.clip(rho, 0.0, None)
-    if np.max(rho) == 0.0:
+    if hi <= 0.0:
         raise PhysicsError("density vanishes everywhere; nothing to sample")
+    rho = np.maximum(rho, 0.0)
     m = rho.size
     h, right, cell_mass = _trapezoid_cells(rho)
-    left = rho
     cdf = np.concatenate([[0.0], np.cumsum(cell_mass)])
     total = cdf[-1]
     u = rng.random(n) * total
     cells = np.searchsorted(cdf, u, side="right") - 1
-    cells = np.clip(cells, 0, m - 1)
+    cells = np.minimum(np.maximum(cells, 0), m - 1)
     residual = u - cdf[cells]
-    a = left[cells]
-    slope = (right[cells] - left[cells]) / h
+    a = rho[cells]
+    slope = (right[cells] - a) / h
     # solve a*s + slope*s^2/2 = residual for s in [0, h]
     s = np.empty_like(residual)
     linear = np.abs(slope) < 1e-14 * np.maximum(a, 1e-30)
@@ -67,7 +71,7 @@ def sample_from_grid_density(rho, n, rng):
     q = ~linear
     disc = a[q] ** 2 + 2.0 * slope[q] * residual[q]
     s[q] = (np.sqrt(np.maximum(disc, 0.0)) - a[q]) / slope[q]
-    s = np.clip(s, 0.0, h)
+    s = np.minimum(np.maximum(s, 0.0), h)
     return np.mod(cells * h + s, TWO_PI)
 
 

@@ -47,7 +47,6 @@ from .factors import (
     check_commutes,
     max_abs,
     unitarity_residual,
-    worse,
 )
 
 DEFAULT_N_POINTS = 256
@@ -280,28 +279,12 @@ class WaveGrid:
                 Permutation.identity(2): self.values.copy(),
                 Permutation.swap(2, 0, 1): self.values.T.copy(),
             }
-        out = {}
-        for s in range(n_sheets):
-            phases = np.exp(
-                1j * self.sector_betas[:, None]
-                * (self.theta[None, :] + TWO_PI * s) / TWO_PI)
-            sector_psi = self.values * phases
-            psi_s = sector_psi if self.sector_basis is None \
-                else self.sector_basis @ sector_psi
-            out[Winding(s)] = psi_s
-        return out
+        psi = TwistMonitor(self, n_sheets).sheets(self.values)
+        return {Winding(s): psi[s] for s in range(n_sheets)}
 
     def twist_residual(self, n_sheets=3):
         """Max deviation of psi(sigma qhat) from Gamma_sigma psi(qhat)."""
-        if self.space.kind == "two_particle_ring":
-            return self.exchange_residual()
-        sheets = self.reconstruct_sheets(n_sheets)
-        base = sheets[Winding(0)]
-        worst = 0.0
-        for winding, psi_s in sheets.items():
-            gamma = self._factor_matrix(winding)
-            worst = worse(worst, max_abs(psi_s - gamma @ base))
-        return worst
+        return TwistMonitor(self, n_sheets)(self)
 
     def _factor_matrix(self, winding):
         if isinstance(self.twist, Character):
@@ -312,6 +295,41 @@ class WaveGrid:
         """Deviation from the declared exchange sector (torus states)."""
         sign = self.exchange_sign
         return max_abs(self.values.T - sign * self.values)
+
+
+class TwistMonitor:
+    """The twist residual of states that share one layout (grid, sector
+    angles, sector basis and factor), with its state-independent part built
+    once: the sheet phases of ``n_sheets`` deck translates in one broadcast
+    ``exp`` over (n_sheets, k, n), and the factor matrix of each sheet.
+
+    ``WaveGrid.twist_residual`` builds one per call; a run that checks many
+    states of one layout holds one.  A pair's twist residual is its exchange
+    residual, which has no state-independent part.
+    """
+
+    def __init__(self, state, n_sheets=3):
+        self.pair = state.space.kind == "two_particle_ring"
+        if self.pair:
+            return
+        windings = TWO_PI * np.arange(n_sheets)
+        self.phases = np.exp(
+            1j * state.sector_betas[None, :, None]
+            * (state.theta[None, None, :] + windings[:, None, None]) / TWO_PI)
+        self.basis = state.sector_basis
+        self.factors = np.stack([state._factor_matrix(Winding(s))
+                                 for s in range(n_sheets)])
+
+    def sheets(self, values):
+        """Physical psi of ring sector data on each sheet, (n_sheets, k, n)."""
+        sector_psi = values * self.phases
+        return sector_psi if self.basis is None else self.basis @ sector_psi
+
+    def __call__(self, state):
+        if self.pair:
+            return state.exchange_residual()
+        psi = self.sheets(state.values)
+        return max_abs(psi - self.factors @ psi[0])
 
 
 # ---------------------------------------------------------------------------

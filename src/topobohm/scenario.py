@@ -174,8 +174,9 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "n_particles": {"type": "integer", "minimum": 1, "maximum": 3},
                 "w_dim": {"type": "integer", "minimum": 1, "maximum": 3},
-                "generators": {"type": "array", "items": _COMPLEX_MATRIX},
-                "random_generators": {"type": "integer", "minimum": 0},
+                "generators": {"type": "array", "items": _COMPLEX_MATRIX,
+                               "minItems": 1},
+                "random_generators": {"type": "integer", "minimum": 1},
                 "samples": {"type": "integer", "minimum": 1},
                 "corrupt": {"type": "boolean"},
             },
@@ -196,6 +197,26 @@ NUMERICS_DEFAULTS = {
 }
 
 
+def _non_finite_keys(value):
+    """The keys down to the first NaN or infinity in a config, innermost
+    first, or None.  ``json.load`` reads the ``NaN`` and ``Infinity``
+    literals, and the schema's ``number`` admits them."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else []
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        keys = _non_finite_keys(item)
+        if keys is not None:
+            keys.append(key)
+            return keys
+    return None
+
+
 def validate_scenario(cfg):
     errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: e.json_path)
     if errors:
@@ -203,6 +224,12 @@ def validate_scenario(cfg):
         raise ConfigError(f"config violates the scenario schema at "
                           f"{err.json_path}: {err.message}",
                           field_path=err.json_path)
+    keys = _non_finite_keys(cfg)
+    if keys is not None:
+        where = "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                              for key in reversed(keys))
+        raise ConfigError(f"config holds a non-finite number at {where}",
+                          field_path=where)
 
 
 def canonical_config_bytes(cfg):
@@ -217,9 +244,14 @@ PAULI = {
 
 
 def spin_exponential(angle, axis):
-    """exp(-i angle (e . sigma)) for a unit 3-vector e (2x2 unitary)."""
+    """exp(-i angle (e . sigma)) for the unit 3-vector e along ``axis``
+    (2x2 unitary); an axis of zero or non-finite length has no direction."""
     e = np.asarray(axis, dtype=float)
-    e = e / np.linalg.norm(e)
+    length = np.linalg.norm(e)
+    if not (length > 0 and math.isfinite(length)):
+        raise ConfigError(f"spin axis {list(axis)} has no direction: its "
+                          f"length is {length}", field_path="$.factor.axis")
+    e = e / length
     e_sigma = e[0] * PAULI["x"] + e[1] * PAULI["y"] + e[2] * PAULI["z"]
     return math.cos(angle) * np.eye(2) - 1j * math.sin(angle) * e_sigma
 

@@ -13,7 +13,7 @@ import pytest
 from topobohm import cli
 from topobohm import scenario as scenario_module
 from topobohm.cli import json_text, main, write_json
-from topobohm.errors import ToleranceError
+from topobohm.errors import ConfigError, ToleranceError
 from topobohm.propagation import (
     Potential,
     WaveGrid,
@@ -162,6 +162,75 @@ class TestExitCodes:
         assert main([subcommand, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
         assert "norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["grw", "spectrum"])
+    @pytest.mark.parametrize("axis, where", [
+        ([0, 0, 0], "$.factor.axis"), ([math.inf, 0, 0], "$.factor.axis[0]")],
+        ids=["zero", "infinite"])
+    def test_spin_axis_without_direction_is_two(self, tmp_path, capsys,
+                                                subcommand, axis, where):
+        # a zero axis used to exit 5 on the NaN generator it normalized to
+        cfg_dict = dict(BASE, factor={"type": "spin_exp", "angle": 0.7,
+                                      "axis": axis},
+                        potential={"type": "zero"},
+                        initial_state=SPINOR, grw={"lam": 1.0, "a": 0.3},
+                        seed=1)
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error[config] at {where}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", [[0, 0, 0], [math.nan, 0, 1],
+                                      [0, math.inf, 0]])
+    def test_spin_exponential_refuses_an_axis_without_direction(self, axis):
+        with pytest.raises(ConfigError, match="no direction") as exc:
+            scenario_module.spin_exponential(0.7, axis)
+        assert exc.value.field_path == "$.factor.axis"
+
+    @pytest.mark.parametrize("twisted, where", [
+        ({"random_generators": 0}, "$.twisted.random_generators"),
+        ({"generators": []}, "$.twisted.generators")],
+        ids=["no-random-generators", "empty-generators"])
+    def test_twisted_check_without_generators_is_two(self, tmp_path, capsys,
+                                                     twisted, where):
+        cfg_dict = dict(BASE, seed=1, twisted=dict(
+            {"n_particles": 2, "w_dim": 2}, **twisted))
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "o"
+        assert main(["twisted-check", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error[config] at {where}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value, where", [
+        ("potential", {"type": "trig", "terms": [
+            {"amplitude": math.nan, "harmonic": 1}]},
+         "$.potential.terms[0].amplitude"),
+        ("numerics", {"dt": math.inf, "t_final": 0.05}, "$.numerics.dt"),
+        ("factor", {"type": "character", "beta": -math.inf}, "$.factor.beta"),
+    ], ids=["nan-amplitude", "infinite-dt", "minus-infinite-beta"])
+    def test_non_finite_number_is_two(self, tmp_path, capsys, section, value,
+                                      where):
+        # json.load reads NaN and Infinity, and the schema's number admits
+        # them; a NaN amplitude used to step NaN to exit 4
+        cfg = write_config(tmp_path, dict(BASE, **{section: value}))
+        assert any(literal in (tmp_path / "scenario.json").read_text()
+                   for literal in ("NaN", "Infinity"))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"error[config] at {where}:" in capsys.readouterr().err
+
+    def test_non_finite_override_is_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--beta", "nan"]) == 2
+        assert "error[config] at $.factor.beta:" in capsys.readouterr().err
+
+    def test_numerics_error_names_the_invariant_once(self, tmp_path, capsys):
+        bad = dict(BASE, numerics={"dt": 1e-3, "t_final": 0.05,
+                                   "max_norm_drift": 1e-30})
+        cfg = write_config(tmp_path, bad)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[numerics]: invariant 'norm-drift' violated:")
+        assert err.count("norm-drift") == 1
 
     def test_non_finite_residual_fails(self, tmp_path):
         ctx = cli.RunContext(str(tmp_path), "evolve", dict(BASE), None)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from topobohm import propagation
-from topobohm.covering import TWO_PI
+from topobohm import collapse, propagation
+from topobohm.covering import TWO_PI, Winding
 from topobohm.errors import ConfigError, PhysicsError, ToleranceError
 from topobohm.factors import Character
 from topobohm.propagation import (
     Potential,
+    TwistMonitor,
     angle_grid,
     evolve,
     make_eigenstate,
@@ -21,6 +22,7 @@ from topobohm.propagation import (
     wrapped_gaussian,
 )
 from topobohm.collapse import (
+    _RateDensity,
     _advance,
     apply_collapse,
     collapse_multiplier,
@@ -355,3 +357,71 @@ def test_twist_layout_mismatch_raises():
     state = replace(state, sector_betas=state.sector_betas + 0.5)
     with pytest.raises(ToleranceError, match="twist-preservation"):
         simulate_grw(state, Potential.zero(), 1.0, LAM, A, seed=3, dt=2e-3)
+
+
+def _reference_rates(state, lam, a):
+    """r(x|psi) over the centres as first written, kernel built per call."""
+    kernel_hat = np.fft.fft(localization_bump(state.theta, 0.0, a))
+    rho = state.density()
+    if state.space.kind != "ring":
+        rho = rho.sum(axis=1) * state.dx + rho.sum(axis=0) * state.dx
+    return lam * np.real(np.fft.ifft(kernel_hat * np.fft.fft(rho))) * state.dx
+
+
+def _reference_twist_residual(state, n_sheets=3):
+    """The twist residual as first written: one phase exp and one fold
+    step per sheet."""
+    if state.space.kind == "two_particle_ring":
+        return state.exchange_residual()
+    sheets = []
+    for s in range(n_sheets):
+        phases = np.exp(1j * state.sector_betas[:, None]
+                        * (state.theta[None, :] + TWO_PI * s) / TWO_PI)
+        sector_psi = state.values * phases
+        sheets.append(sector_psi if state.sector_basis is None
+                      else state.sector_basis @ sector_psi)
+    worst = 0.0
+    for s, psi_s in enumerate(sheets):
+        gamma = state._factor_matrix(Winding(s))
+        worst = max(worst, float(np.max(np.abs(psi_s - gamma @ sheets[0]))))
+    return worst
+
+
+@pytest.mark.parametrize("case", [_ring_case, _spinor_case, _pair_case],
+                         ids=["ring", "spinor", "antisymmetric-pair"])
+def test_run_set_up_reads_as_the_per_call_functions(case):
+    """A run builds its rate kernel and twist monitor on its first state and
+    reads them after every step and collapse: bit for bit what the public
+    functions, which build them per call, and the first formulas give."""
+    state, potential, _ = case()
+    state = state.normalized()
+    if state.space.kind == "ring" and state.n_components == 2:
+        assert state.sector_basis is not None
+    rates = _RateDensity(state, LAM, A)
+    twist = TwistMonitor(state)
+    for x in (1.0, 2.5, 4.0):
+        state = evolve(state, potential, 1e-3, 20)
+        state, _ = apply_collapse(state, x, LAM, A)
+        got = rates(state)
+        assert np.array_equal(got, rate_over_centers(state, LAM, A))
+        assert np.array_equal(got, _reference_rates(state, LAM, A))
+        residual = twist(state)
+        assert residual == state.twist_residual()
+        assert residual == _reference_twist_residual(state)
+
+
+def test_monitor_sees_every_event(monkeypatch):
+    # the label-0 bump multiplies by a function of the first coordinate
+    # only, which breaks the antisymmetry: the first collapse must trip the
+    # run's monitor, not the final check
+    original = collapse.collapse_multiplier
+
+    def labelled(state, x, lam, a, label=None):
+        return original(state, x, lam, a, label=0)
+
+    monkeypatch.setattr(collapse, "collapse_multiplier", labelled)
+    state = symmetrized_product_state(
+        lambda t: wrapped_gaussian(t, 2.0, 0.5),
+        lambda t: wrapped_gaussian(t, 4.3, 0.5), -1, n_points=64)
+    with pytest.raises(ToleranceError, match="twist-preservation@event-1"):
+        simulate_grw(state, Potential.zero(), 5.0, LAM, A, seed=41, dt=2e-3)

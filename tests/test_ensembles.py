@@ -131,6 +131,71 @@ class TestSamplerProperties:
         assert np.all((counts >= lo) & (counts <= hi))
 
 
+def _reference_sample(rho, n, rng):
+    """The sampler's arithmetic as first written: ``np.clip``, ``np.roll``
+    and the three reductions of its checks."""
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho < -1e-12 * np.max(np.abs(rho))):
+        raise ConfigError("density must be nonnegative")
+    rho = np.clip(rho, 0.0, None)
+    if np.max(rho) == 0.0:
+        raise PhysicsError("density vanishes everywhere; nothing to sample")
+    m = rho.size
+    h = TWO_PI / m
+    right = np.roll(rho, -1)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (rho + right) * h)])
+    u = rng.random(n) * cdf[-1]
+    cells = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, m - 1)
+    residual = u - cdf[cells]
+    a = rho[cells]
+    slope = (right[cells] - rho[cells]) / h
+    s = np.empty_like(residual)
+    linear = np.abs(slope) < 1e-14 * np.maximum(a, 1e-30)
+    s[linear] = residual[linear] / np.maximum(a[linear], 1e-300)
+    q = ~linear
+    disc = a[q] ** 2 + 2.0 * slope[q] * residual[q]
+    s[q] = (np.sqrt(np.maximum(disc, 0.0)) - a[q]) / slope[q]
+    return np.mod(cells * h + np.clip(s, 0.0, h), TWO_PI)
+
+
+class TestSamplerArithmetic:
+    """The sampler keeps its first arithmetic and refusals bit for bit."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(rho=grid_densities, seed=seeds, n=st.integers(1, 300))
+    def test_draws_equal_the_reference(self, rho, seed, n):
+        assume(rho.max() > 0)
+        got = sample_from_grid_density(rho, n, np.random.default_rng(seed))
+        expected = _reference_sample(rho, n, np.random.default_rng(seed))
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("dip, error", [
+        (-0.5e-12, None), (-2e-12, ConfigError)], ids=["rounding", "negative"])
+    def test_negative_values_refused_where_they_were(self, dip, error):
+        rho = np.abs(wrapped_gaussian(angle_grid(64), 2.0, 0.5)) ** 2
+        rho[40] = dip * rho.max()
+        if error is None:
+            got = sample_from_grid_density(rho, 50, np.random.default_rng(1))
+            expected = _reference_sample(rho, 50, np.random.default_rng(1))
+            assert np.array_equal(got, expected)
+        else:
+            for sampler in (sample_from_grid_density, _reference_sample):
+                with pytest.raises(error, match="nonnegative"):
+                    sampler(rho, 50, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("rho", [np.zeros(8), np.array([0.0, -0.0, 0.0])])
+    def test_zero_density_refused_as_before(self, rho):
+        for sampler in (sample_from_grid_density, _reference_sample):
+            with pytest.raises(PhysicsError, match="vanishes"):
+                sampler(rho, 5, np.random.default_rng(1))
+
+    def test_nan_passes_through_as_before(self):
+        rho = np.array([1.0, np.nan, 2.0, 0.5])
+        got = sample_from_grid_density(rho, 20, np.random.default_rng(2))
+        expected = _reference_sample(rho, 20, np.random.default_rng(2))
+        assert np.array_equal(got, expected, equal_nan=True)
+
+
 class TestDistances:
     def test_tv_of_matching_samples_is_small(self):
         rho = np.ones(256)
