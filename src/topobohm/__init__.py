@@ -13,16 +13,11 @@ __version__ = "0.1.0"
 
 from .covering import (
     CoveringSpace,
-    FreePoint,
     FreeWord,
     Permutation,
-    RingPoint,
     SemidirectElement,
     Winding,
-    deck_apply,
     deck_compose,
-    is_projectable_field,
-    project_density,
 )
 from .factors import (
     Character,
@@ -31,22 +26,17 @@ from .factors import (
     TwistedRepTable,
     character_table,
     check_commutes,
-    check_covariant_potential,
     classify_dynamics,
-    conjugacy_residual,
     decompose_by_character,
     enumerate_characters,
-    make_character,
     nfermion_factor,
     verify_twisted_law,
 )
 from .propagation import (
     Potential,
     WaveGrid,
-    crank_nicolson_evolve,
     evolve,
     gauge_map,
-    gauge_unmap,
     make_eigenstate,
     make_gaussian_state,
     make_two_particle_state,
@@ -59,8 +49,6 @@ from .propagation import (
 from .trajectories import (
     Trajectory,
     integrate_trajectories,
-    integrate_trajectory,
-    lift_trajectory,
     transport,
     velocity_field,
 )
@@ -73,7 +61,6 @@ from .ensembles import (
 from .collapse import (
     CollapseEvent,
     apply_collapse,
-    collapse_rate,
     simulate_grw,
     total_rate,
 )

@@ -27,8 +27,6 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-import jsonschema
-
 from . import __version__
 from .covering import TWO_PI
 from .errors import ConfigError, PhysicsError, ToleranceError
@@ -199,10 +197,6 @@ MANIFEST_SCHEMA = {
 # pair that does not commute.  The manifest marks them ``structural``.
 STRUCTURAL_INVARIANTS = frozenset({"twist-preservation",
                                    "grw-twist-preservation"})
-
-
-def validate_manifest(manifest):
-    jsonschema.validate(manifest, MANIFEST_SCHEMA)
 
 
 class RunContext:
@@ -447,12 +441,18 @@ def cmd_twisted_check(scenario, ctx):
                           field_path="$.twisted")
     seed = scenario.require_seed()
     rng = np.random.default_rng(seed)
+    w = tw["w_dim"]
     if "generators" in tw:
+        for i, g in enumerate(tw["generators"]):
+            if len(g) != w or any(len(row) != w for row in g):
+                raise ConfigError(f"a generator acts on the w_dim = {w} "
+                                  f"value space: it must be {w} x {w}",
+                                  field_path=f"$.twisted.generators[{i}]")
         gens = [complex_matrix_from_pairs(g) for g in tw["generators"]]
     else:
-        gens = [random_unitary(tw["w_dim"], rng)
+        gens = [random_unitary(w, rng)
                 for _ in range(tw.get("random_generators", 1))]
-    table = TwistedRepTable.nfermion(tw["n_particles"], tw["w_dim"], gens)
+    table = TwistedRepTable.nfermion(tw["n_particles"], w, gens)
     samples = tw.get("samples", 1000)
     residual = verify_twisted_law(table, samples=samples, seed=seed)
     report = {"residual": residual, "samples": samples,
@@ -595,7 +595,7 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         print(f"error[config]: not valid JSON: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (ConfigError, jsonschema.ValidationError) as exc:
+    except ConfigError as exc:
         _emit_failure(ctx, "config", exc)
         field = getattr(exc, "field_path", None)
         where = f" at {field}" if field else ""

@@ -23,9 +23,10 @@ collapse can shrink a defect that a final check alone would miss.
 A run builds what its events share once, on its first state: the width
 check and the bump kernel's FFT of the rate density (``_RateDensity``), and
 the sheet phases and factor matrices of the twist monitor
-(``propagation.TwistMonitor``).  ``rate_over_centers``, ``draw_center`` and
+(``propagation.TwistMonitor``).  ``rate_over_centers`` and
 ``WaveGrid.twist_residual`` build the same set-up per call, so a run and a
-single call share one code path.
+single call share one code path; an event's centre is one sample of the
+rate density (``ensembles.sample_from_grid_density``).
 """
 
 from __future__ import annotations
@@ -86,15 +87,6 @@ def collapse_multiplier(state, x, lam, a, label=None):
     if label == 1:
         return lam * np.broadcast_to(g[None, :], state.values.shape).copy()
     raise ConfigError(f"label must be None, 0 or 1, got {label!r}")
-
-
-def collapse_rate(state, x, lam, a, label=None):
-    """r(x|psi): expectation of the rate operator in the current state."""
-    mult = collapse_multiplier(state, x, lam, a, label)
-    rho = state.density()
-    if state.space.kind == "ring":
-        return float(np.sum(mult * rho) * state.dx)
-    return float(np.sum(mult * rho) * state.dx ** 2)
 
 
 class _RateDensity:
@@ -165,11 +157,6 @@ def apply_collapse(state, x, lam, a, label=None):
 
 def _draw(rates, rng):
     return float(sample_from_grid_density(rates, 1, rng)[0])
-
-
-def draw_center(state, lam, a, rng):
-    """Sample a collapse centre from r(x|psi) / integral r."""
-    return _draw(rate_over_centers(state, lam, a), rng)
 
 
 @dataclass

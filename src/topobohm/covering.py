@@ -1,4 +1,4 @@
-"""Covering spaces, deck transformations, lifts and projections.
+"""Covering spaces and their deck groups.
 
 Supported covers:
 
@@ -7,27 +7,23 @@ Supported covers:
 * ``two_particle_ring`` -- the torus of ordered angle pairs covering the space
                        of unordered pairs; deck action is coordinate exchange.
 * ``free_cover``    -- an abstract base with free fundamental group F_g; deck
-                       elements are reduced words, cover points are symbolic.
+                       elements are reduced words.
 * ``nfermion_cover`` -- N indistinguishable particles each living on a base
                        with free fundamental group; the deck group is the
                        semidirect product of the permutations with the N-fold
                        product of word groups.
 
-Only a finite window of deck translates is ever materialized for cover-side
-checks; every invariant used here is local in the deck group.  Ring cover
-points are stored as (sheet index, angle in [0, 2pi)) so that many windings
-cost no floating-point precision.
+The package works with deck elements only: their products, inverses and
+seeded random draws for the randomized law checks.  Ring draws stay inside
+a finite window of sheets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConfigError, PhysicsError
+from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
@@ -298,46 +294,18 @@ def deck_compose(s1, s2):
 
 
 # ---------------------------------------------------------------------------
-# cover points
-# ---------------------------------------------------------------------------
-
-class RingPoint(NamedTuple):
-    """Point on the ring cover: sheet index plus angle in [0, 2pi)."""
-
-    sheet: int
-    angle: float
-
-    @property
-    def unwrapped(self):
-        return self.angle + TWO_PI * self.sheet
-
-    @classmethod
-    def from_unwrapped(cls, theta):
-        sheet = math.floor(theta / TWO_PI)
-        return cls(sheet, theta - TWO_PI * sheet)
-
-
-class FreePoint(NamedTuple):
-    """Symbolic cover point of a free cover: a word and a base label."""
-
-    word: FreeWord
-    base: object
-
-
-# ---------------------------------------------------------------------------
 # covering spaces
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CoveringSpace:
-    """Declaration of a covering space and its materialized deck window."""
+    """Declaration of a covering space and its window of ring sheets."""
 
     kind: str
     radius: float = 1.0
     sheet_window: int = 3
     n_particles: int = 1
     n_generators: int = 1
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("ring", "two_particle_ring", "free_cover", "nfermion_cover"):
@@ -366,40 +334,6 @@ class CoveringSpace:
         return cls(kind="nfermion_cover", n_particles=n_particles,
                    n_generators=n_generators, sheet_window=sheet_window)
 
-    @property
-    def circumference(self):
-        return TWO_PI * self.radius
-
-    def deck_identity(self):
-        if self.kind == "ring":
-            return Winding(0)
-        if self.kind == "two_particle_ring":
-            return Permutation.identity(2)
-        if self.kind == "free_cover":
-            return FreeWord.identity(self.n_generators)
-        return SemidirectElement.identity(self.n_particles, self.n_generators)
-
-    def deck_generators(self):
-        if self.kind == "ring":
-            return [Winding(1)]
-        if self.kind == "two_particle_ring":
-            return [Permutation.swap(2, 0, 1)]
-        if self.kind == "free_cover":
-            return [FreeWord.generator(i, self.n_generators)
-                    for i in range(self.n_generators)]
-        gens = []
-        n, g = self.n_particles, self.n_generators
-        for i in range(n - 1):
-            gens.append(SemidirectElement(
-                Permutation.swap(n, i, i + 1),
-                tuple(FreeWord.identity(g) for _ in range(n))))
-        for slot in range(n):
-            for j in range(g):
-                words = [FreeWord.identity(g) for _ in range(n)]
-                words[slot] = FreeWord.generator(j, g)
-                gens.append(SemidirectElement(Permutation.identity(n), tuple(words)))
-        return gens
-
     def random_deck(self, rng, max_word_length=6):
         """Seeded random deck element, used by the randomized law checks."""
         if self.kind == "ring":
@@ -419,135 +353,3 @@ def _random_word(rng, n_generators, max_length):
     letters = [(int(rng.integers(0, n_generators)), int(rng.choice((-1, 1))))
                for _ in range(length)]
     return FreeWord.from_letters(letters, n_generators)
-
-
-# ---------------------------------------------------------------------------
-# deck action
-# ---------------------------------------------------------------------------
-
-def deck_apply(space, sigma, qhat):
-    """Apply the deck transformation ``sigma`` to the cover point ``qhat``.
-
-    Ring points must stay inside the materialized sheet window; symbolic
-    cover points (free covers) have no window.
-    """
-    if sigma.group_id[0] == "ring":
-        if space.kind != "ring":
-            raise TypeError("winding acts on the ring cover only")
-        if isinstance(qhat, RingPoint):
-            point = qhat
-        else:
-            point = RingPoint.from_unwrapped(float(qhat))
-        new_sheet = point.sheet + sigma.k
-        if abs(new_sheet) > space.sheet_window:
-            raise PhysicsError(
-                f"sheet {new_sheet} outside materialized window "
-                f"+-{space.sheet_window}"
-            )
-        return RingPoint(new_sheet, point.angle)
-
-    if sigma.group_id[0] == "sym":
-        if space.kind != "two_particle_ring" or sigma.n != 2:
-            raise TypeError("permutation action supported on the two-particle ring")
-        q = tuple(qhat)
-        pinv = sigma.inverse()
-        return tuple(q[pinv(i)] for i in range(sigma.n))
-
-    if sigma.group_id[0] == "free":
-        if not isinstance(qhat, FreePoint):
-            raise TypeError("free-cover points are symbolic FreePoint values")
-        return FreePoint(sigma * qhat.word, qhat.base)
-
-    if sigma.group_id[0] == "nfermion":
-        q = tuple(qhat)
-        if len(q) != sigma.n:
-            raise TypeError("configuration size does not match deck element")
-        pinv = sigma.perm.inverse()
-        out = []
-        for i in range(sigma.n):
-            j = pinv(i)
-            out.append(FreePoint(sigma.words[j] * q[j].word, q[j].base))
-        return tuple(out)
-
-    raise TypeError(f"unknown deck element {sigma!r}")
-
-
-def check_free_action(space, elements, points):
-    """A deck action is free: sigma q = q forces sigma = identity.
-
-    Returns the list of (sigma, qhat) violations (empty when the action
-    is free on the given samples).
-    """
-    bad = []
-    for sigma in elements:
-        if sigma.is_identity:
-            continue
-        for qhat in points:
-            if deck_apply(space, sigma, qhat) == qhat:
-                bad.append((sigma, qhat))
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# projectability and projection
-# ---------------------------------------------------------------------------
-
-def is_projectable_field(samples: Mapping, tol: float) -> bool:
-    """Check deck equivariance of a cover-side field.
-
-    ``samples`` maps each materialized deck element sigma to the array of
-    pushed-forward field values at the translated points, expressed in base
-    coordinates (so for the ring, entry sigma holds v(theta + 2 pi k) as a
-    function of theta, and the pushforward is trivial).  The field is
-    projectable iff all entries agree with the identity entry within ``tol``.
-    """
-    return projectability_residual(samples) <= tol
-
-
-def projectability_residual(samples: Mapping) -> float:
-    """Max deviation over deck translates from the identity sheet.
-
-    Raises ``ConfigError`` unless there are samples on at least two deck
-    translates, one of them the identity, all of one shape.  A NaN sample
-    gives a NaN residual, which no tolerance accepts.
-    """
-    if len(samples) < 2:
-        raise ConfigError("need samples on at least 2 deck translates")
-    identity_key = next((k for k in samples if k.is_identity), None)
-    if identity_key is None:
-        raise ConfigError("samples must include the identity deck element")
-    base = np.asarray(samples[identity_key])
-    arrays = [np.asarray(values) for values in samples.values()]
-    if any(arr.shape != base.shape for arr in arrays):
-        raise ConfigError("sample arrays must share one base-grid shape")
-    return float(np.max([np.max(np.abs(arr - base)) for arr in arrays]))
-
-
-def project_density(samples: Mapping, dx: float, tol: float = 1e-9):
-    """Project a deck-invariant cover-side density to the base.
-
-    Raises when the samples are not deck-invariant within ``tol`` (the
-    signature of a non-unit-modulus factor or a corrupted state).  The
-    returned base density is normalized to unit mass with cell size ``dx``.
-    """
-    residual = projectability_residual(samples)
-    if not residual <= tol:
-        raise PhysicsError(
-            f"density is not deck-invariant (residual {residual:.3e} > {tol:.1e}); "
-            "no equivariant base density exists"
-        )
-    identity_key = next(k for k in samples if k.is_identity)
-    rho = np.asarray(samples[identity_key], dtype=float).copy()
-    mass = float(np.sum(rho) * dx)
-    if mass <= 0:
-        raise PhysicsError("density has no mass")
-    return rho / mass
-
-
-def lift_base_function(values, deck_elements):
-    """Lift a base-grid function to the given ring deck translates.
-
-    The lift of a base function is the same array on every sheet; projection
-    is the left inverse of this map.
-    """
-    return {sigma: np.array(values, copy=True) for sigma in deck_elements}

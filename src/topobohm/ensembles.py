@@ -10,7 +10,6 @@ with a fixed cut point at angle zero is reported secondarily.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,9 +169,6 @@ class EnsembleReport:
             "valid": bool(self.valid),
             "notes": self.notes,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def equivariance_threshold(n, bins=DEFAULT_BINS):

@@ -29,7 +29,6 @@ import numpy as np
 
 from .covering import (
     CoveringSpace,
-    FreeWord,
     Permutation,
     SemidirectElement,
     Winding,
@@ -173,57 +172,6 @@ def _require_unimodular(value):
         )
 
 
-def make_character(deck, generator_values):
-    """Build a character of the deck group from its generator values.
-
-    ``deck`` is a group id tuple (("ring",), ("sym", N), ("free", g)) or a
-    CoveringSpace.  Values must be unit modulus and satisfy the group
-    relations (transpositions square to the identity, so exchange values
-    must be +-1).
-    """
-    if isinstance(deck, CoveringSpace):
-        deck = deck.deck_identity().group_id
-    values = [complex(v) for v in generator_values]
-    for v in values:
-        _require_unimodular(v)
-    kind = deck[0]
-    if kind == "ring":
-        if len(values) != 1:
-            raise ConfigError("ring character takes one generator value")
-        return Character.ring(float(np.angle(values[0])))
-    if kind == "sym":
-        n = deck[1]
-        if len(values) != max(1, n - 1):
-            raise ConfigError(f"expected {max(1, n - 1)} transposition values")
-        if any(abs(v - values[0]) > UNIT_MODULUS_TOL for v in values):
-            raise ConfigError(
-                "all adjacent transpositions are conjugate; their character "
-                "values must coincide")
-        v = values[0]
-        if abs(v - 1) <= UNIT_MODULUS_TOL:
-            return Character.exchange(n, +1)
-        if abs(v + 1) <= UNIT_MODULUS_TOL:
-            return Character.exchange(n, -1)
-        raise ConfigError(
-            f"transposition value {v!r} violates the relation value^2 = 1")
-    if kind == "free":
-        if len(values) != deck[1]:
-            raise ConfigError(f"expected {deck[1]} generator values")
-        return Character.free(values)
-    raise ConfigError(f"unsupported deck group for make_character: {deck}")
-
-
-def homomorphism_residual(factor, space, n_pairs=1000, seed=0, max_word_length=5):
-    """Max |f(s t) - f(s) f(t)| over seeded random deck pairs.
-
-    Works for characters and matrix representations alike (matrix case uses
-    the max-abs matrix norm): the twisted law of the untwisted table.
-    """
-    return verify_twisted_law(TwistedRepTable.from_matrix_rep(factor, space),
-                              samples=n_pairs, seed=seed,
-                              max_word_length=max_word_length)
-
-
 # ---------------------------------------------------------------------------
 # finite groups and character enumeration
 # ---------------------------------------------------------------------------
@@ -342,24 +290,6 @@ class FiniteGroupCharacter:
         return f"FiniteGroupCharacter({self.group.name}, {kind})"
 
 
-def conjugacy_residual(rep_a, rep_b, u):
-    """How far rep_b is from u rep_a u^dagger on the generators.
-
-    Conjugate representations define the same dynamics whenever the
-    conjugating unitary also commutes with the potential; this check detects
-    conjugacy over a supplied unitary (no canonical form is computed).
-    """
-    if rep_a.group_id != rep_b.group_id:
-        raise ConfigError("representations live on different deck groups")
-    u = np.asarray(u, dtype=complex)
-    if unitarity_residual(u) > UNITARITY_TOL:
-        raise ConfigError("conjugator must be unitary")
-    worst = 0.0
-    for ga, gb in zip(rep_a.generators, rep_b.generators):
-        worst = worse(worst, max_abs(gb - u @ ga @ u.conj().T))
-    return worst
-
-
 def character_table(group):
     """JSON-ready character table of a finite group."""
     chars = enumerate_characters(group)
@@ -451,8 +381,8 @@ def _propagate_character(group, gens, assignment, tol=1e-9):
 class MatrixRep:
     """Unitary representation of a deck group given by generator matrices.
 
-    ``generators`` follows the order of ``CoveringSpace.deck_generators``:
-    the single winding for the ring, the adjacent transpositions for the
+    ``generators`` holds one matrix per generator of the deck group: the
+    single winding for the ring, the adjacent transpositions for the
     symmetric group, the free letters for a free cover.
     """
 
@@ -556,18 +486,6 @@ class MatrixRep:
             return out
         raise ConfigError(f"unsupported group for MatrixRep: {self.group_id}")
 
-    def fractional_generator_power(self, t):
-        """Gamma^t for the single ring generator, eigenphases in (-pi, pi].
-
-        The branch makes t -> Gamma^t the continuous one-parameter family
-        through the identity, which is the interpolation the gauge-fixed
-        storage and covariant potentials rely on.
-        """
-        if self.group_id != ("ring",):
-            raise ConfigError("fractional powers defined for the ring generator")
-        return unitary_fractional_power(self.generators[0], t)
-
-
 def _adjacent_transposition_word(perm):
     """Decompose a permutation into adjacent transposition indices."""
     images = list(perm.images)
@@ -598,13 +516,6 @@ def unitary_eig(u, tol=1e-9):
     if off > tol:
         raise ConfigError(f"matrix is not normal (Schur off-diagonal {off:.2e})")
     return np.diag(t).copy(), z
-
-
-def unitary_fractional_power(u, t):
-    eigvals, basis = unitary_eig(u)
-    phases = np.angle(eigvals)  # principal branch (-pi, pi]
-    powered = np.exp(1j * phases * t)
-    return (basis * powered) @ basis.conj().T
 
 
 def random_unitary(dim, rng):
@@ -689,11 +600,6 @@ class Classification:
     span_dim: int
     spans_full_algebra: bool
     detail: str
-
-    @property
-    def compatible(self):
-        return self.label != "incompatible"
-
 
 def classify_dynamics(factor, field, compatible=None):
     """Sort a factor/potential pair into its dynamics class.
@@ -887,17 +793,6 @@ class TwistedRepTable:
         self._overrides = {}
 
     @classmethod
-    def from_matrix_rep(cls, rep, space):
-        """Untwisted table of a matrix rep, or of a character as 1 x 1."""
-        factor_fn = rep.evaluate if isinstance(rep, MatrixRep) \
-            else lambda sigma: [[rep.value(sigma)]]
-        return cls(space,
-                   factor_fn=factor_fn,
-                   holonomy_fn=lambda sigma: np.eye(rep.dim),
-                   dim=rep.dim,
-                   description="untwisted (trivial holonomy)")
-
-    @classmethod
     def nfermion(cls, n_particles, w_dim, generator_matrices, qhat_tag=None):
         space = CoveringSpace.nfermion_cover(n_particles, len(generator_matrices))
         if qhat_tag is None:
@@ -948,34 +843,3 @@ def verify_twisted_law(table, samples=1000, seed=0, max_word_length=4):
         rhs = h2 @ table.factor(s1) @ h2.conj().T @ table.factor(s2)
         worst = worse(worst, max_abs(lhs - rhs))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# covariant potentials on the cover
-# ---------------------------------------------------------------------------
-
-def check_covariant_potential(vstar_sheets, factor, tol):
-    """Verify the cover-side covariance rule against a matrix factor.
-
-    ``vstar_sheets`` maps deck elements (ring windings) to Hermitian fields
-    sampled at matching base points, shape (n_points, k, k).  The field is
-    covariant when the sheet-sigma samples equal the conjugation of the
-    identity-sheet samples by the factor of sigma.
-    """
-    if len(vstar_sheets) < 2:
-        raise ConfigError("need the field on at least 2 sheets")
-    identity_key = next((k for k in vstar_sheets if k.is_identity), None)
-    if identity_key is None:
-        raise ConfigError("sheet samples must include the identity sheet")
-    base = np.asarray(vstar_sheets[identity_key], dtype=complex)
-    shape = base.shape
-    for sigma, field_sigma in vstar_sheets.items():
-        arr = np.asarray(field_sigma, dtype=complex)
-        if arr.shape != shape:
-            raise ConfigError("sheet grids do not match")
-        gamma = factor.evaluate(sigma) if isinstance(factor, MatrixRep) \
-            else factor.value(sigma) * np.eye(shape[-1])
-        expected = np.einsum("ab,nbc,cd->nad", gamma, base, gamma.conj().T)
-        if max_abs(arr - expected) > tol:
-            return False
-    return True

@@ -15,14 +15,6 @@ A constant vector potential needs no dynamics of its own: flux-gauge data
 with kinetic term (n - e flux / 2 pi)^2 / 2 are the stored data of a state
 whose twist angle is left unreduced at beta = -e flux, so one split-step
 loop serves both gauges.
-
-Two slow reference integrators ship in-tree:
-
-* a dense Crank-Nicolson propagator on the same periodic grid, the
-  independent time-integration oracle for cross checks;
-* a Dirichlet-walled multi-sheet integrator in the ungauged psi
-  representation, used as the negative control that shows the twist decay
-  when the factor does not commute with the potential.
 """
 
 from __future__ import annotations
@@ -411,10 +403,6 @@ def make_gaussian_state(factor, center, width, momentum=0.0,
     return twist_embed(chi, factor, space=space)
 
 
-def make_spinor_state(component_data, factor, space=None):
-    return twist_embed(np.stack(component_data), factor, space=space)
-
-
 SECTOR_TOL = 1e-10
 
 
@@ -759,26 +747,6 @@ def gauge_map(state):
                     twist=Character.ring(beta), sector_betas=np.array([beta]))
 
 
-def gauge_unmap(state_twisted, flux, charge=1.0):
-    """Lift a twisted state to the flux gauge, twist angle -charge * flux.
-
-    Inverse of gauge_map: the integer winding between the two angles moves
-    out of the periodic data again.
-    """
-    _require_scalar_ring(state_twisted)
-    beta = state_twisted.beta
-    m = (charge * flux + beta) / TWO_PI
-    m_int = round(m)
-    if abs(m - m_int) > 1e-9:
-        raise PhysicsError(
-            "state twist is not gauge-equivalent to the given flux")
-    psi_a = state_twisted.values * np.exp(1j * m_int * state_twisted.theta)[None, :]
-    flux_beta = -charge * flux
-    return WaveGrid(space=state_twisted.space, values=psi_a,
-                    twist=Character.ring(flux_beta),
-                    sector_betas=np.array([flux_beta]))
-
-
 def _require_scalar_ring(state):
     if state.space.kind != "ring" or not state.is_scalar:
         raise ConfigError("the flux gauge handles scalar ring states")
@@ -864,132 +832,6 @@ def spectrum(factor, potential=None, n_levels=8,
                                         eigvals_only=True,
                                         subset_by_index=[0, n_levels - 1]))
     return np.sort(np.concatenate(levels))[:n_levels]
-
-
-# ---------------------------------------------------------------------------
-# reference integrators
-# ---------------------------------------------------------------------------
-
-def crank_nicolson_evolve(state, potential, dt, n_steps):
-    """Dense Crank-Nicolson reference on the same periodic grid.
-
-    Independent time-integration oracle: one step solves
-    (1 + i dt H / 2) psi' = (1 - i dt H / 2) psi against the explicitly
-    built grid Hamiltonian.  Scalar ring states only; slow by design.
-    """
-    # local import: only the reference integrators need scipy's LU solver
-    import scipy.linalg
-
-    if state.space.kind != "ring" or not state.is_scalar:
-        raise ConfigError("the Crank-Nicolson reference handles scalar ring states")
-    h = _dense_hamiltonian(state, potential)
-    h = (h + h.conj().T) / 2.0
-    eye = np.eye(state.n_points, dtype=complex)
-    lhs = eye + 0.5j * dt * h
-    rhs = eye - 0.5j * dt * h
-    lu, piv = scipy.linalg.lu_factor(lhs)
-    psi = state.values[0].copy()
-    for _ in range(n_steps):
-        psi = scipy.linalg.lu_solve((lu, piv), rhs @ psi)
-    return state.with_values(psi[None, :])
-
-
-class SheetWindowIntegrator:
-    """Ungauged cover-sheet reference integrator (negative control).
-
-    Evolves psi directly on a window of cover sheets (a Dirichlet-walled
-    segment of the cover) with the lifted potential, imposing the twist only
-    on the initial data.  When the factor commutes with the potential the
-    interior twist relation survives; when it does not, the relation decays
-    visibly within a few steps.  Finite differences + Crank-Nicolson; this
-    integrator is deliberately independent of the gauge-fixed machinery.
-    """
-
-    def __init__(self, factor, potential_matrix, n_points=64, n_sheets=7,
-                 radius=1.0):
-        if isinstance(factor, Character):
-            self.gamma = np.array([[np.exp(1j * factor.beta)]])
-        else:
-            self.gamma = factor.generators[0]
-        self.k = self.gamma.shape[0]
-        self.n = n_points
-        self.n_sheets = n_sheets
-        self.radius = radius
-        v = np.asarray(potential_matrix, dtype=complex)
-        if v.ndim == 2:
-            v = np.broadcast_to(v, (n_points, self.k, self.k))
-        self.v_base = v
-
-    def _hamiltonian(self):
-        n_total = self.n * self.n_sheets
-        dx = TWO_PI / self.n * self.radius
-        main = np.full(n_total, 1.0 / dx ** 2)
-        h_kin = (np.diag(main)
-                 - 0.5 / dx ** 2 * np.eye(n_total, k=1)
-                 - 0.5 / dx ** 2 * np.eye(n_total, k=-1))
-        h = np.kron(h_kin, np.eye(self.k, dtype=complex)).astype(complex)
-        for j in range(n_total):
-            vj = self.v_base[j % self.n]
-            h[j * self.k:(j + 1) * self.k, j * self.k:(j + 1) * self.k] += vj
-        return h
-
-    def initial_from_profile(self, chi_profile):
-        """Twisted initial data: packet on the middle sheet, neighbours scaled
-        by the matching powers of the factor."""
-        mid = self.n_sheets // 2
-        psi = np.zeros((self.n_sheets, self.n, self.k), dtype=complex)
-        profile = np.asarray(chi_profile, dtype=complex)
-        if profile.ndim == 1:
-            profile = np.tile(profile[:, None], (1, self.k)) / math.sqrt(self.k)
-        gamma_inv = self.gamma.conj().T
-        for s in range(self.n_sheets):
-            power = s - mid
-            gpow = np.linalg.matrix_power(self.gamma if power >= 0 else gamma_inv,
-                                          abs(power))
-            psi[s] = profile @ gpow.T
-        return psi.reshape(-1)
-
-    def initial_from_state(self, state):
-        """The physical wave of a gauge-fixed WaveGrid, laid out on the window
-        (sheet s carries Gamma^s times the fundamental-sheet wave)."""
-        if state.n_points != self.n:
-            raise ConfigError("state grid does not match the sheet window")
-        return self.initial_from_profile(state.psi().T)
-
-    def central_sheet(self, psi_flat):
-        """(k, n) wave on the fundamental (middle) sheet."""
-        psi = psi_flat.reshape(self.n_sheets, self.n, self.k)
-        return psi[self.n_sheets // 2].T.copy()
-
-    def twist_residual(self, psi_flat):
-        """Relative violation of psi(theta + 2 pi) = Gamma psi(theta) on the
-        two central sheets."""
-        psi = psi_flat.reshape(self.n_sheets, self.n, self.k)
-        mid = self.n_sheets // 2
-        lhs = psi[mid + 1]
-        rhs = psi[mid] @ self.gamma.T
-        scale = max(max_abs(psi[mid]), 1e-300)
-        return max_abs(lhs - rhs) / scale
-
-    def run(self, chi_profile, dt, n_steps, residual_every=10):
-        return self.run_from(self.initial_from_profile(chi_profile), dt,
-                             n_steps, residual_every)
-
-    def run_from(self, psi_flat, dt, n_steps, residual_every=10):
-        # local import: only the reference integrators need scipy's LU solver
-        import scipy.linalg
-
-        h = self._hamiltonian()
-        eye = np.eye(h.shape[0], dtype=complex)
-        lu, piv = scipy.linalg.lu_factor(eye + 0.5j * dt * h)
-        rhs_op = eye - 0.5j * dt * h
-        psi = np.asarray(psi_flat, dtype=complex).reshape(-1)
-        history = [(0, self.twist_residual(psi))]
-        for step in range(1, n_steps + 1):
-            psi = scipy.linalg.lu_solve((lu, piv), rhs_op @ psi)
-            if step % residual_every == 0 or step == n_steps:
-                history.append((step, self.twist_residual(psi)))
-        return psi, history
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,22 @@ from .propagation import (
 
 SCENARIO_SCHEMA_TAG = "topobohm/scenario/1"
 
-_COMPLEX_PAIR = {
+# a complex number as (re, im), or a pair of angles or momenta
+_PAIR = {
     "type": "array", "items": {"type": "number"},
     "minItems": 2, "maxItems": 2,
 }
 _COMPLEX_MATRIX = {
     "type": "array",
-    "items": {"type": "array", "items": _COMPLEX_PAIR, "minItems": 1},
+    "items": {"type": "array", "items": _PAIR, "minItems": 1},
     "minItems": 1,
 }
+
+
+def _starts_of(item):
+    return {"properties": {"trajectories": {"properties": {
+        "starts": {"items": item}}}}}
+
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -114,13 +121,11 @@ SCENARIO_SCHEMA = {
                 "center": {"type": "number"},
                 "width": {"type": "number", "exclusiveMinimum": 0},
                 "momentum": {"type": "number"},
-                "amplitudes": {"type": "array", "items": _COMPLEX_PAIR},
+                "amplitudes": {"type": "array", "items": _PAIR},
                 "n1": {"type": "integer"},
                 "n2": {"type": "integer"},
-                "centers": {"type": "array", "items": {"type": "number"},
-                            "minItems": 2, "maxItems": 2},
-                "momenta": {"type": "array", "items": {"type": "number"},
-                            "minItems": 2, "maxItems": 2},
+                "centers": _PAIR,
+                "momenta": _PAIR,
             },
         },
         "numerics": {
@@ -182,6 +187,11 @@ SCENARIO_SCHEMA = {
             },
         },
     },
+    # a ring start is an angle, a two-particle start a pair of angles
+    "if": {"properties": {"space": {"properties": {
+        "kind": {"const": "two_particle_ring"}}}}},
+    "then": _starts_of(_PAIR),
+    "else": _starts_of({"type": "number"}),
 }
 
 _VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)

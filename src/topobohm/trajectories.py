@@ -11,7 +11,8 @@ is the constant -e A shift.  The gauge-fixed storage holds one sheet, so a
 field derived this way is deck equivariant by construction and the motion
 downstairs does not depend on the choice of lift; there is no cover-side
 field here to check.  Projectability is tested where it can fail, on the
-ungauged cover sheets of ``propagation.SheetWindowIntegrator``.
+ungauged cover sheets of the tests' reference integrator
+(``SheetWindowIntegrator`` in ``tests/oracles.py``).
 
 Integration is RK4 in the base coordinates with spectral (trigonometric)
 interpolation of the wave in space and half-step propagation in time; the
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import TWO_PI, RingPoint, Winding
-from .errors import ConfigError, PhysicsError
+from .covering import TWO_PI
 from .propagation import evolve, fourier_modes, require_step_count, whole_steps
 
 DEFAULT_EPS_NODE = 1e-12
@@ -463,50 +463,3 @@ def integrate_trajectories(state, potential, starts, dt, t_final,
                           dt, whole_steps(t_final, dt), eps_node=eps_node,
                           record_every=record_every)
     return [result.trajectory(i) for i in range(len(result.status))]
-
-
-def integrate_trajectory(state, potential, q0, dt, t_final,
-                         eps_node=DEFAULT_EPS_NODE, record_every=1):
-    """Single Bohmian trajectory from q0 over [0, t_final]."""
-    return integrate_trajectories(state, potential, [q0], dt, t_final,
-                                  eps_node=eps_node,
-                                  record_every=record_every)[0]
-
-
-def lift_trajectory(traj, q0_hat):
-    """Continuous lift of a base trajectory starting at the cover point q0_hat.
-
-    The lift is rebuilt from the wrapped angles by minimal-jump unwrapping,
-    so the continuity requirement is genuinely checked: an angle step of pi
-    or more between samples is ambiguous and rejected.  Lifts from deck
-    translates of the starting point differ by that fixed translate for all
-    times.
-    """
-    angles = np.asarray(traj.angles if isinstance(traj, Trajectory) else traj,
-                        dtype=float)
-    if angles.ndim != 1:
-        raise ConfigError("lifting is supported for ring trajectories")
-    if isinstance(q0_hat, RingPoint):
-        start = q0_hat.unwrapped
-    else:
-        start = float(q0_hat)
-    if abs(np.mod(start, TWO_PI) - angles[0]) > 1e-9 \
-            and abs(abs(np.mod(start, TWO_PI) - angles[0]) - TWO_PI) > 1e-9:
-        raise ConfigError("q0_hat does not project to the trajectory start")
-    increments = np.diff(angles)
-    increments = np.mod(increments + np.pi, TWO_PI) - np.pi
-    if np.any(np.abs(increments) >= np.pi * (1 - 1e-12)):
-        raise PhysicsError(
-            "trajectory samples jump by half a turn or more; the continuous "
-            "lift is ambiguous")
-    lifted = np.concatenate([[start], start + np.cumsum(increments)])
-    return lifted
-
-
-def trajectory_deck_offset(lift_a, lift_b):
-    """The constant deck translate separating two lifts of one trajectory."""
-    diff = np.asarray(lift_a) - np.asarray(lift_b)
-    k = diff[0] / TWO_PI
-    if np.max(np.abs(diff - diff[0])) > 1e-9 or abs(k - round(k)) > 1e-9:
-        raise PhysicsError("paths are not lifts of the same base trajectory")
-    return Winding(int(round(k)))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from oracles import SheetWindowIntegrator, crank_nicolson_evolve, homomorphism_residual
 from topobohm.covering import TWO_PI
 from topobohm.errors import NonUnimodularFactorError
 from topobohm.factors import (
@@ -19,22 +20,19 @@ from topobohm.factors import (
     MatrixRep,
     TwistedRepTable,
     enumerate_characters,
-    homomorphism_residual,
     random_unitary,
     verify_twisted_law,
 )
 from topobohm.covering import CoveringSpace
 from topobohm.propagation import (
     Potential,
-    SheetWindowIntegrator,
     angle_grid,
-    crank_nicolson_evolve,
     evolve,
     gauge_map,
     make_gaussian_state,
-    make_spinor_state,
     spectrum,
     symmetrized_product_state,
+    twist_embed,
     wrapped_gaussian,
 )
 from topobohm.trajectories import integrate_trajectories
@@ -171,7 +169,7 @@ def test_07_commutation_gate(tmp_path):
     # commuting scalar potential: twist survives 10^4 steps
     rep = MatrixRep.ring(spin_exponential(math.pi / 2, [0, 0, 1]))
     profile = wrapped_gaussian(angle_grid(256), 3.0, 0.5, 1.0)
-    state = make_spinor_state([profile, 0.5 * profile], rep)
+    state = twist_embed([profile, 0.5 * profile], rep)
     v = Potential.from_callable(lambda t: 0.5 * np.cos(t), 256)
     out = evolve(state, v, 1e-3, 10_000)
     twist = out.twist_residual()

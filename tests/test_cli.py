@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -18,13 +19,13 @@ from topobohm.propagation import (
     Potential,
     WaveGrid,
     evolve,
-    make_spinor_state,
     state_from_dict,
     state_to_dict,
     symmetrized_product_state,
+    twist_embed,
 )
 from topobohm.scenario import PAULI, SCENARIO_SCHEMA_TAG, Scenario
-from topobohm.trajectories import integrate_trajectory
+from topobohm.trajectories import integrate_trajectories
 
 BASE = {
     "schema": SCENARIO_SCHEMA_TAG,
@@ -143,7 +144,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == \
             "error[internal]: RuntimeError: disk on fire"
         manifest = read_json(tmp_path / "o" / "manifest.json")
-        cli.validate_manifest(manifest)
+        jsonschema.validate(manifest, cli.MANIFEST_SCHEMA)
         assert manifest["status"] == "failed"
         assert manifest["failure"]["family"] == "internal"
         assert "disk on fire" in manifest["failure"]["traceback"]
@@ -189,8 +190,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("twisted, where", [
         ({"random_generators": 0}, "$.twisted.random_generators"),
-        ({"generators": []}, "$.twisted.generators")],
-        ids=["no-random-generators", "empty-generators"])
+        ({"generators": []}, "$.twisted.generators"),
+        # a 3 x 3 generator on w_dim 2 used to exit 5 in a matmul
+        ({"generators": [[[[1, 0], [0, 0], [0, 0]]] * 3]},
+         "$.twisted.generators[0]")],
+        ids=["no-random-generators", "empty-generators", "3x3-on-w_dim-2"])
     def test_twisted_check_without_generators_is_two(self, tmp_path, capsys,
                                                      twisted, where):
         cfg_dict = dict(BASE, seed=1, twisted=dict(
@@ -565,7 +569,7 @@ def _json_payloads(tmp_path):
     """What ``write_json`` writes, and the corner cases of ``json``'s text."""
     theta = 2 * np.pi * np.arange(64) / 64
     scalar = Scenario(BASE).initial_state()
-    spinor = make_spinor_state(
+    spinor = twist_embed(
         [np.exp(np.cos(theta)), 0.5j * np.exp(np.sin(theta))],
         Scenario(dict(BASE, factor={"type": "spin_exp", "angle": 0.7,
                                     "axis": [0.48, 0.6, 0.64]})).factor)
@@ -774,6 +778,28 @@ def test_trajectories_run(tmp_path):
     assert first[4] == "completed"
 
 
+@pytest.mark.parametrize("space, starts", [
+    ("ring", ["x"]), ("ring", [1.0, [1.0, 2.0]]),
+    ("two_particle_ring", [[2.0, 4.5], 1.0])],
+    ids=["string-on-ring", "pair-on-ring", "angle-on-pair"])
+def test_trajectory_start_of_another_space_is_two(tmp_path, capsys, space,
+                                                  starts):
+    # these used to exit 5, or for a pair on a ring to write two paths
+    # under a summary of one
+    cfg_dict = dict(BASE, trajectories={"starts": starts})
+    if space != "ring":
+        cfg_dict.update(space={"kind": space, "n_points": 64},
+                        factor={"type": "exchange", "sign": -1},
+                        potential={"type": "zero"},
+                        initial_state={"type": "pair_eigenstate"})
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "o"
+    assert main(["trajectories", "--config", cfg, "--out", str(out)]) == 2
+    bad = len(starts) - 1
+    assert f"error[config] at $.trajectories.starts[{bad}]:" \
+        in capsys.readouterr().err
+
+
 def test_console_entry_point(tmp_path, src_env):
     result = subprocess.run(
         [sys.executable, "-m", "topobohm.cli", "spectrum", "--beta", "0",
@@ -862,11 +888,10 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
 
 
 def test_manifest_validates_against_schema(tmp_path):
-    from topobohm.cli import validate_manifest
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "mv"
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
-    validate_manifest(read_json(out / "manifest.json"))
+    jsonschema.validate(read_json(out / "manifest.json"), cli.MANIFEST_SCHEMA)
 
 
 def test_equivariance_samples_csv(tmp_path):
@@ -954,11 +979,11 @@ def _assert_rows_match_lone_runs(cfg_dict, csv_path):
     tc = cfg_dict["trajectories"]
     expected = []
     for i, start in enumerate(tc["starts"]):
-        traj = integrate_trajectory(scenario.initial_state(),
-                                    scenario.potential, start,
-                                    nm.get("transport_dt", nm["dt"]),
-                                    nm["t_final"], eps_node=nm["eps_node"],
-                                    record_every=tc["record_every"])
+        traj = integrate_trajectories(scenario.initial_state(),
+                                      scenario.potential, [start],
+                                      nm.get("transport_dt", nm["dt"]),
+                                      nm["t_final"], eps_node=nm["eps_node"],
+                                      record_every=tc["record_every"])[0]
         expected.extend(",".join(map(str, (i,) + row))
                         for row in traj.csv_rows())
     assert csv_path.read_text().strip().splitlines()[1:] == expected

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from oracles import collapse_rate
 from topobohm import collapse, propagation
 from topobohm.covering import TWO_PI, Winding
 from topobohm.errors import ConfigError, PhysicsError, ToleranceError
@@ -26,15 +27,13 @@ from topobohm.collapse import (
     _advance,
     apply_collapse,
     collapse_multiplier,
-    collapse_rate,
-    draw_center,
     localization_bump,
     rate_over_centers,
     simulate_grw,
     total_rate,
     wrapped_distance,
 )
-from topobohm.ensembles import density_bin_masses
+from topobohm.ensembles import density_bin_masses, sample_from_grid_density
 
 LAM, A = 1.0, 0.3
 
@@ -95,7 +94,6 @@ class TestRates:
                  lambda: apply_collapse(state, 0.0, LAM, a),
                  lambda: rate_over_centers(state, LAM, a),
                  lambda: total_rate(state, LAM, a),
-                 lambda: draw_center(state, LAM, a, np.random.default_rng(0)),
                  lambda: simulate_grw(state, Potential.zero(), 0.1, LAM, a,
                                       seed=1, dt=2e-3),
                  lambda: simulate_grw(state, Potential.zero(), 0.1, 0.0, a,
@@ -277,8 +275,10 @@ class TestSimulate:
                                     n_points=128)
         rng = np.random.default_rng(5)
         n = 10_000
-        xs = np.array([draw_center(state, LAM, A, rng) for _ in range(n)])
-        masses = density_bin_masses(rate_over_centers(state, LAM, A), 32)
+        rates = rate_over_centers(state, LAM, A)
+        xs = np.array([sample_from_grid_density(rates, 1, rng)[0]
+                       for _ in range(n)])
+        masses = density_bin_masses(rates, 32)
         counts, _ = np.histogram(xs, bins=32, range=(0, TWO_PI))
         _, p = scipy.stats.chisquare(counts, masses * n)
         assert p > 0.001
@@ -300,12 +300,11 @@ def _ring_case():
 
 def _spinor_case():
     from topobohm.factors import MatrixRep
-    from topobohm.propagation import make_spinor_state
     from topobohm.scenario import spin_exponential
     rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
     theta = angle_grid(128)
     profile = wrapped_gaussian(theta, 3.0, 0.5)
-    state = make_spinor_state([0.8 * profile, 0.6j * profile], rep)
+    state = twist_embed([0.8 * profile, 0.6j * profile], rep)
     field = np.zeros((128, 2, 2))
     field[:, 0, 0] = 0.3 * np.cos(theta)
     field[:, 1, 1] = -0.2 * np.sin(theta)  # diagonal: commutes with the factor
@@ -339,11 +338,10 @@ def test_total_rate_is_state_independent(case):
 
 def test_spinor_collapse_preserves_twist():
     from topobohm.factors import MatrixRep
-    from topobohm.propagation import make_spinor_state
     from topobohm.scenario import spin_exponential
     rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
     profile = wrapped_gaussian(angle_grid(128), 3.0, 0.5)
-    state = make_spinor_state([0.8 * profile, 0.6j * profile], rep)
+    state = twist_embed([0.8 * profile, 0.6j * profile], rep)
     collapsed, _ = apply_collapse(state, 3.5, LAM, A)
     assert collapsed.twist_residual() <= 1e-9
     assert collapsed.norm() == pytest.approx(1.0, abs=1e-10)

@@ -1,4 +1,4 @@
-"""Deck-group algebra, actions, projectability, and projection."""
+"""Deck-group algebra, the deck action, and projectability."""
 
 import math
 
@@ -7,30 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    FreePoint,
+    RingPoint,
+    SheetWindowIntegrator,
+    deck_apply,
+    is_projectable_field,
+    projectability_residual,
+)
 from topobohm.covering import (
     TWO_PI,
     CoveringSpace,
-    FreePoint,
     FreeWord,
     Permutation,
-    RingPoint,
     SemidirectElement,
     Winding,
-    check_free_action,
-    deck_apply,
     deck_compose,
-    is_projectable_field,
-    lift_base_function,
-    project_density,
 )
 from topobohm.errors import ConfigError, PhysicsError
 from topobohm.factors import Character, MatrixRep
-from topobohm.propagation import (
-    SheetWindowIntegrator,
-    angle_grid,
-    make_eigenstate,
-    wrapped_gaussian,
-)
+from topobohm.propagation import angle_grid, make_eigenstate, wrapped_gaussian
 from topobohm.scenario import PAULI, spin_exponential
 
 
@@ -174,7 +170,8 @@ def test_free_action_on_samples():
     space = CoveringSpace.ring()
     elements = [Winding(k) for k in (-2, -1, 0, 1, 2)]
     points = [RingPoint(0, a) for a in np.linspace(0, TWO_PI, 7, endpoint=False)]
-    assert check_free_action(space, elements, points) == []
+    assert all(deck_apply(space, sigma, q) != q
+               for sigma in elements if not sigma.is_identity for q in points)
 
 
 class TestProjectability:
@@ -221,19 +218,20 @@ class TestProjectability:
 
 
 class TestProjectDensity:
+    """A density projects to the base when it is the same on every sheet."""
+
     def test_unit_modulus_density_projects(self):
         state = make_eigenstate(1, Character.ring(0.7), n_points=64)
         sheets = state.reconstruct_sheets(3)
         samples = {w: np.sum(np.abs(psi) ** 2, axis=0) for w, psi in sheets.items()}
-        rho = project_density(samples, dx=state.dx)
-        assert np.sum(rho) * state.dx == pytest.approx(1.0, abs=1e-12)
+        assert is_projectable_field(samples, tol=1e-9)
+        assert np.sum(samples[Winding(0)]) * state.dx == pytest.approx(1.0, abs=1e-12)
 
     def test_growing_density_rejected(self):
         # a modulus-1.1 twist would scale the density by 1.1^2 per sheet
         base = np.ones(32)
         samples = {Winding(k): base * 1.1 ** (2 * k) for k in range(3)}
-        with pytest.raises(PhysicsError, match="deck-invariant"):
-            project_density(samples, dx=TWO_PI / 32)
+        assert not is_projectable_field(samples, tol=1e-9)
 
     @pytest.mark.parametrize("samples, match", [
         ({Winding(0): np.ones(8), Winding(1): np.ones(1)}, "one base-grid shape"),
@@ -241,20 +239,7 @@ class TestProjectDensity:
     ], ids=["mismatched-shapes", "no-identity-sheet"])
     def test_malformed_samples_refused(self, samples, match):
         with pytest.raises(ConfigError, match=match):
-            project_density(samples, dx=TWO_PI / 8)
-
-    def test_uniform_density_normalizes(self):
-        samples = {Winding(k): np.full(32, 7.0) for k in range(2)}
-        rho = project_density(samples, dx=TWO_PI / 32)
-        assert np.allclose(rho, 1.0 / TWO_PI)
-
-
-def test_projection_inverts_lift():
-    values = np.sin(angle_grid(32)) + 2.0
-    values /= np.sum(values) * TWO_PI / 32      # already unit mass
-    sheets = lift_base_function(values, [Winding(k) for k in range(3)])
-    recovered = project_density(sheets, dx=TWO_PI / 32)
-    assert np.allclose(recovered, values, rtol=0, atol=1e-15)
+            projectability_residual(samples)
 
 
 def test_ring_compose_matches_action_exactly():

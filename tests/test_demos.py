@@ -1,6 +1,10 @@
 """Smoke test: the fast demos run to completion against the public API,
-and every scenario that README.md shows builds."""
+every scenario that README.md shows builds, every name its Python imports
+exists, and the benches outside the suite still import."""
 
+import ast
+import importlib
+import importlib.util
 import json
 import re
 import subprocess
@@ -43,3 +47,26 @@ def test_readme_scenarios_build():
     assert blocks
     for block in blocks:
         Scenario(json.loads(block))
+
+
+def test_readme_python_imports_exist():
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), flags=re.S)
+    assert blocks
+    for block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module.split(".")[0] == "topobohm":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), \
+                        f"{node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("name", ["bench_collapse.py", "bench_evaluators.py"])
+def test_bench_imports(name):
+    # the benches are left out of collection, so an API trim that breaks
+    # their imports would otherwise go unseen
+    spec = importlib.util.spec_from_file_location(name[:-3],
+                                                  ROOT / "tests" / name)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))

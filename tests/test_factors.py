@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import homomorphism_residual, unitary_fractional_power, untwisted_table
 from topobohm.covering import (
     CoveringSpace,
     FreeWord,
@@ -24,16 +25,12 @@ from topobohm.factors import (
     TwistedRepTable,
     check_commutes,
     character_sectors,
-    check_covariant_potential,
     classify_dynamics,
     decompose_by_character,
     enumerate_characters,
-    homomorphism_residual,
-    make_character,
     nfermion_factor,
     permutation_operator,
     random_unitary,
-    unitary_fractional_power,
     verify_twisted_law,
     worse,
 )
@@ -42,27 +39,30 @@ from topobohm.scenario import spin_exponential
 
 
 class TestMakeCharacter:
+    """Characters built from their generator values."""
+
     def test_antiperiodic_ring_character(self):
-        ch = make_character(("ring",), [-1.0])
+        ch = Character.ring(np.pi)
         assert ch.value(Winding(1)) == pytest.approx(-1.0)
         for k in range(-4, 5):
             assert ch.value(Winding(k)) == pytest.approx((-1.0) ** k)
 
     def test_trivial_character(self):
-        ch = make_character(("ring",), [1.0])
+        ch = Character.ring(0.0)
         assert ch.is_trivial
         assert ch.value(Winding(3)) == pytest.approx(1.0)
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(NonUnimodularFactorError):
-            make_character(("ring",), [1.1])
+            Character.nfermion(2, [1.1])
 
     def test_exchange_relation_enforced(self):
-        with pytest.raises(ConfigError, match="relation"):
-            make_character(("sym", 3), [1j, 1j])
+        # a transposition squares to the identity: its value is +1 or -1
+        with pytest.raises(ConfigError, match="sign must be"):
+            Character.exchange(3, 1j)
 
     def test_exchange_sign_character(self):
-        ch = make_character(("sym", 3), [-1.0, -1.0])
+        ch = Character.exchange(3, -1)
         odd = Permutation.swap(3, 0, 1)
         even = odd.compose(Permutation.swap(3, 1, 2))
         assert ch.value(odd) == -1
@@ -193,10 +193,9 @@ class TestMatrixRep:
 
     def test_fractional_power_branch(self, pauli):
         gamma = spin_exponential(0.9, [1, 0, 0])
-        rep = MatrixRep.ring(gamma)
-        assert np.allclose(rep.fractional_generator_power(1.0), gamma)
-        assert np.allclose(rep.fractional_generator_power(0.0), np.eye(2))
-        half = rep.fractional_generator_power(0.5)
+        assert np.allclose(unitary_fractional_power(gamma, 1.0), gamma)
+        assert np.allclose(unitary_fractional_power(gamma, 0.0), np.eye(2))
+        half = unitary_fractional_power(gamma, 0.5)
         assert np.allclose(half @ half, gamma)
 
 
@@ -488,17 +487,18 @@ class TestNFermionFactor:
 class TestTwistedLaw:
     def test_matrix_rep_embeds_with_trivial_holonomy(self, rng):
         rep = MatrixRep.free((random_unitary(2, rng),))
-        table = TwistedRepTable.from_matrix_rep(rep, CoveringSpace.free_cover(1))
+        table = untwisted_table(rep, CoveringSpace.free_cover(1))
         assert verify_twisted_law(table, samples=300, seed=3) <= 1e-12
 
-    @pytest.mark.parametrize("character,space", [
-        (Character.ring(0.9), CoveringSpace.ring(sheet_window=30)),
-        (Character.free([np.exp(0.4j), np.exp(-1.2j)]), CoveringSpace.free_cover(2)),
-        (Character.exchange(2, -1), CoveringSpace.two_particle_ring()),
+    @pytest.mark.parametrize("character,space,sigma", [
+        (Character.ring(0.9), CoveringSpace.ring(sheet_window=30), Winding(1)),
+        (Character.free([np.exp(0.4j), np.exp(-1.2j)]), CoveringSpace.free_cover(2),
+         FreeWord.generator(0, 2)),
+        (Character.exchange(2, -1), CoveringSpace.two_particle_ring(),
+         Permutation.swap(2, 0, 1)),
     ], ids=["ring", "free", "exchange"])
-    def test_character_embeds_as_one_by_one(self, character, space):
-        table = TwistedRepTable.from_matrix_rep(character, space)
-        sigma = space.deck_generators()[0]
+    def test_character_embeds_as_one_by_one(self, character, space, sigma):
+        table = untwisted_table(character, space)
         assert table.factor(sigma).shape == (1, 1)
         assert table.factor(sigma)[0, 0] == character.value(sigma)
         assert verify_twisted_law(table, samples=300, seed=3) <= 1e-12
@@ -532,43 +532,7 @@ class TestTwistedLaw:
             assert np.allclose(lhs, rhs)
 
 
-class TestCovariantPotential:
-    def test_projectable_field_with_scalar_factor(self):
-        rep = MatrixRep.ring(np.exp(0.7j) * np.eye(2))
-        field = np.broadcast_to(np.diag([1.0, -0.5]), (16, 2, 2)).copy()
-        sheets = {Winding(0): field, Winding(1): field}
-        assert check_covariant_potential(sheets, rep, tol=1e-12)
-
-    def test_conjugation_built_field(self, pauli):
-        gamma = spin_exponential(0.6, [1, 0, 0])
-        rep = MatrixRep.ring(gamma)
-        theta = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        sheets = {}
-        for s in range(3):
-            field = np.empty((16, 2, 2), dtype=complex)
-            for i, th in enumerate(theta):
-                g = unitary_fractional_power(gamma, (th + 2 * np.pi * s) / (2 * np.pi))
-                field[i] = g @ pauli["z"] @ g.conj().T
-            sheets[Winding(s)] = field
-        assert check_covariant_potential(sheets, rep, tol=1e-10)
-
-    def test_lifted_field_with_noncommuting_factor_fails(self, pauli):
-        gamma = spin_exponential(np.pi / 2, [1, 0, 0])
-        rep = MatrixRep.ring(gamma)
-        field = np.broadcast_to(pauli["z"], (16, 2, 2)).copy()
-        sheets = {Winding(0): field, Winding(1): field}
-        assert not check_covariant_potential(sheets, rep, tol=1e-10)
-
-
 class TestConjugacyAndTables:
-    def test_conjugacy_residual_detects_match(self, rng):
-        base = MatrixRep.free((random_unitary(2, rng), random_unitary(2, rng)))
-        u = random_unitary(2, rng)
-        conj = MatrixRep.free(tuple(u @ g @ u.conj().T for g in base.generators))
-        from topobohm.factors import conjugacy_residual
-        assert conjugacy_residual(base, conj, u) <= 1e-12
-        assert conjugacy_residual(base, conj, np.eye(2)) > 1e-3
-
     def test_character_table_export(self):
         import json
         from topobohm.factors import character_table

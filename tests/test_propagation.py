@@ -14,6 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import (
+    SheetWindowIntegrator,
+    crank_nicolson_evolve,
+    gauge_unmap,
+    unitary_fractional_power,
+)
 from topobohm import propagation
 from topobohm.covering import TWO_PI, CoveringSpace
 from topobohm.errors import ConfigError, IncompatibleFactorError, PhysicsError
@@ -23,20 +29,15 @@ from topobohm.factors import (
     max_abs,
     random_unitary,
     unitary_eig,
-    unitary_fractional_power,
 )
 from topobohm.propagation import (
     Potential,
-    SheetWindowIntegrator,
     WaveGrid,
     angle_grid,
-    crank_nicolson_evolve,
     evolve,
     gauge_map,
-    gauge_unmap,
     make_eigenstate,
     make_gaussian_state,
-    make_spinor_state,
     make_two_particle_state,
     pair_eigenstate,
     spectrum,
@@ -81,7 +82,7 @@ class TestTwistEmbed:
         phi = 0.9
         rep = MatrixRep.ring(spin_exponential(phi, [0, 0, 1]))
         chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
-        state = make_spinor_state([chi, 0.5 * chi], rep)
+        state = twist_embed([chi, 0.5 * chi], rep)
         assert sorted(np.round(state.sector_betas, 12)) == pytest.approx(
             sorted([-phi, phi]))
         assert state.twist_residual() <= 1e-9
@@ -114,7 +115,7 @@ class TestTwistEmbed:
         # a spinor cut to one component would step as two by broadcasting
         rep = MatrixRep.ring(spin_exponential(0.9, [1, 0, 0]))
         chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
-        state = make_spinor_state([chi, 0.5 * chi], rep)
+        state = twist_embed([chi, 0.5 * chi], rep)
         with pytest.raises(ConfigError, match="sector angles"):
             state.with_values(state.values[:1])
         with pytest.raises(ConfigError, match="sector angles"):
@@ -170,7 +171,7 @@ class TestSplitStep:
     def test_incompatible_matrix_potential_refused(self, pauli):
         rep = MatrixRep.ring(spin_exponential(np.pi / 2, [0, 0, 1]))
         chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
-        state = make_spinor_state([chi, chi], rep)
+        state = twist_embed([chi, chi], rep)
         v = Potential.matrix_constant(pauli["x"], 64)
         with pytest.raises(IncompatibleFactorError, match="commute"):
             evolve(state, v, 1e-3, 1)
@@ -178,7 +179,7 @@ class TestSplitStep:
     def test_gate_checks_every_grid_point(self, pauli):
         rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
         chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
-        state = make_spinor_state([chi, 0.3 * chi], rep)
+        state = twist_embed([chi, 0.3 * chi], rep)
         field = np.broadcast_to(pauli["z"], (64, 2, 2)).copy()
         field[1] = pauli["x"]
         with pytest.raises(IncompatibleFactorError, match="commute"):
@@ -187,7 +188,7 @@ class TestSplitStep:
     def test_commuting_matrix_potential_runs(self, pauli):
         rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
         chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
-        state = make_spinor_state([chi, 0.3 * chi], rep)
+        state = twist_embed([chi, 0.3 * chi], rep)
         v = Potential.matrix_constant(pauli["z"], 64)
         out = evolve(state, v, 1e-3, 100)
         assert abs(out.norm() - 1.0) <= 1e-10
@@ -214,7 +215,7 @@ class TestSplitStep:
             sectors = [(0.7, np.eye(2))]
         v_matrix = 0.3 * np.eye(2) + 1.1 * e_sigma
         theta = angle_grid(n)
-        state = make_spinor_state(
+        state = twist_embed(
             [wrapped_gaussian(theta, 3.0, 0.5, 2.0),
              0.5j * wrapped_gaussian(theta, 2.0, 0.4, -1.0)], rep)
         t_final, n_steps = 0.5, 500
@@ -237,7 +238,7 @@ class TestSplitStep:
         rep = MatrixRep.ring(spin_exponential(0.6, [1, 0, 0]))
         n = 64
         chi = wrapped_gaussian(angle_grid(n), 3.0, 0.6)
-        state = make_spinor_state([chi, 0.4 * chi], rep)
+        state = twist_embed([chi, 0.4 * chi], rep)
         w_field = np.broadcast_to(pauli["z"], (n, 2, 2)).copy()
         v = Potential.covariant(w_field)
         out = evolve(state, v, 1e-3, 250)
@@ -282,11 +283,11 @@ def _memo_case(name):
         field = (np.cos(theta)[:, None, None] * sigma_z
                  + np.sin(2 * theta)[:, None, None] * np.eye(2))
         rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
-        return (make_spinor_state([chi, 0.4j * chi], rep),
+        return (twist_embed([chi, 0.4j * chi], rep),
                 Potential.matrix_field(field))
     if name == "spinor-covariant":
         rep = MatrixRep.ring(spin_exponential(0.6, [1, 0, 0]))
-        return (make_spinor_state([chi, 0.4 * chi], rep),
+        return (twist_embed([chi, 0.4 * chi], rep),
                 Potential.covariant(np.broadcast_to(sigma_z, (n, 2, 2))))
     one = 0.3 * np.cos(angle_grid(32))
     return (symmetrized_product_state(
@@ -414,7 +415,7 @@ def _kick_case(name):
     rep = MatrixRep.ring(random_unitary(3, rng))
     chi = wrapped_gaussian(angle_grid(n), 3.0, 0.5, 1.0)
     a = rng.normal(size=(n, 3, 3, 2)) @ [1, 1j]
-    return (make_spinor_state([chi, 0.4j * chi, 0.2 * chi[::-1]], rep),
+    return (twist_embed([chi, 0.4j * chi, 0.2 * chi[::-1]], rep),
             Potential.covariant(a + np.conj(np.swapaxes(a, 1, 2))))
 
 
@@ -455,9 +456,8 @@ def _spinor_evolve_case(n=4096):
     e_sigma = sum(c * PAULI[ax] for c, ax in zip(tilted, "xyz"))
     rep = MatrixRep.ring(spin_exponential(1.3, tilted))
     theta = angle_grid(n)
-    state = make_spinor_state([wrapped_gaussian(theta, 3.0, 0.5, 2.0),
-                               0.5j * wrapped_gaussian(theta, 2.0, 0.4, -1.0)],
-                              rep)
+    state = twist_embed([wrapped_gaussian(theta, 3.0, 0.5, 2.0),
+                         0.5j * wrapped_gaussian(theta, 2.0, 0.4, -1.0)], rep)
     return state, Potential.matrix_constant(0.2 * np.eye(2) + 0.9 * e_sigma, n)
 
 
@@ -470,7 +470,7 @@ class TestDiagonalKick:
         # above rounding, so it is not dropped
         rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
         chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
-        state = make_spinor_state([chi, 0.4j * chi], rep)
+        state = twist_embed([chi, 0.4j * chi], rep)
         exact = Potential.matrix_constant(pauli["z"], 64)
         near = Potential.matrix_constant(pauli["z"] + 1e-12 * pauli["x"], 64)
         assert propagation.SplitStep(state, exact, 1e-3).kind == "diagonal"
@@ -487,7 +487,7 @@ class TestDiagonalKick:
         v = np.array([[-0.31924044779809935, np.conj(x)],
                       [x, 0.19572089714004337]])
         chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
-        state = make_spinor_state([chi, 0.4j * chi], rep)
+        state = twist_embed([chi, 0.4j * chi], rep)
         potential = Potential.matrix_constant(v, 64)
         field = propagation._sector_field(state, potential)
         diag = np.diagonal(field, axis1=1, axis2=2)
@@ -642,7 +642,7 @@ def _in_place_case(kind, layout, dense):
         rep = MatrixRep.ring(random_unitary(3, rng))
         chi = wrapped_gaussian(angle_grid(n), 3.0, 0.5, 1.0)
         a = rng.normal(size=(n, 3, 3, 2)) @ [1, 1j]
-        return (make_spinor_state([chi, 0.4j * chi, 0.2 * chi[::-1]], rep),
+        return (twist_embed([chi, 0.4j * chi, 0.2 * chi[::-1]], rep),
                 Potential.covariant(a + np.conj(np.swapaxes(a, 1, 2))))
     n = 128 if dense else 256
     state = make_gaussian_state(Character.ring(0.7), 3.0, 0.5, 1.0, n_points=n)
@@ -839,7 +839,7 @@ class TestSpectrum:
         else:
             rep = MatrixRep.ring(spin_exponential(0.9, [0.6, 0.0, 0.8]))
             chi = wrapped_gaussian(theta, 3.0, 0.5)
-            state = make_spinor_state([chi, 0.4 * chi], rep, space=space)
+            state = twist_embed([chi, 0.4 * chi], rep, space=space)
             a = np.random.default_rng(2).normal(size=(n, 2, 2, 2)) @ [1, 1j]
             potential = {"spinor-zero": Potential.zero(),
                          "spinor-scalar": trig,
@@ -1008,7 +1008,7 @@ class TestStateSerialization:
     def test_spinor_round_trip(self):
         rep = MatrixRep.ring(spin_exponential(0.8, [1, 0, 0]))
         chi = wrapped_gaussian(angle_grid(64), 3.0, 0.5)
-        state = make_spinor_state([chi, 0.5j * chi], rep)
+        state = twist_embed([chi, 0.5j * chi], rep)
         back = state_from_dict(state_to_dict(state))
         assert np.array_equal(back.values, state.values)
         assert np.array_equal(back.sector_basis, state.sector_basis)

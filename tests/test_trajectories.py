@@ -5,13 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from topobohm.covering import (
-    TWO_PI,
-    CoveringSpace,
-    RingPoint,
-    Winding,
-)
-from topobohm.errors import ConfigError, PhysicsError
+from topobohm.covering import TWO_PI, CoveringSpace
+from topobohm.errors import ConfigError
 from topobohm.factors import Character, MatrixRep
 from topobohm.propagation import (
     Potential,
@@ -21,7 +16,6 @@ from topobohm.propagation import (
     gauge_map,
     make_eigenstate,
     make_gaussian_state,
-    make_spinor_state,
     make_two_particle_state,
     symmetrized_product_state,
     twist_embed,
@@ -37,9 +31,6 @@ from topobohm.trajectories import (
     _TorusEvaluator,
     _unit_phase,
     integrate_trajectories,
-    integrate_trajectory,
-    lift_trajectory,
-    trajectory_deck_offset,
     transport,
     velocity_field,
 )
@@ -163,7 +154,7 @@ class TestPointEvaluators:
     def test_spinor_with_two_sector_betas(self):
         rep = MatrixRep.ring(spin_exponential(0.7, [0, 0, 1]))
         theta = angle_grid(128)
-        state = make_spinor_state(
+        state = twist_embed(
             [wrapped_gaussian(theta, 3.0, 0.5, 2.0),
              0.3 * wrapped_gaussian(theta, 1.5, 0.4, -1.0)], rep)
         assert len(set(np.round(state.sector_betas, 12))) == 2
@@ -331,8 +322,8 @@ class TestTruncation:
         theta = angle_grid(128)
         parts = [wrapped_gaussian(theta, 3.0, 0.5, 2.0),
                  0.3 * wrapped_gaussian(theta, 1.5, 0.4, -1.0)]
-        spinor = _RingEvaluator(make_spinor_state(parts, rep)).truncation
-        coeffs = np.fft.fft(make_spinor_state(parts, rep).values, axis=1)
+        spinor = _RingEvaluator(twist_embed(parts, rep)).truncation
+        coeffs = np.fft.fft(twist_embed(parts, rep).values, axis=1)
         weight = np.max(np.abs(coeffs), axis=0)
         dropped = weight <= COEFF_CUT * np.max(weight)
         per_sector = np.sum(np.abs(coeffs[:, dropped]), axis=1) \
@@ -384,7 +375,8 @@ class TestIntegrateTrajectory:
     def test_constant_velocity_winds_half_turn(self):
         state = make_eigenstate(0, Character.ring(np.pi))
         dt = TWO_PI / 1000
-        traj = integrate_trajectory(state, Potential.zero(), 0.0, dt, TWO_PI)
+        traj = integrate_trajectories(state, Potential.zero(), [0.0], dt,
+                                      TWO_PI)[0]
         assert traj.status == STATUS_COMPLETED
         assert traj.unwrapped[-1] == pytest.approx(np.pi, abs=1e-9)
         assert traj.final_position == pytest.approx(np.pi, abs=1e-9)
@@ -393,14 +385,17 @@ class TestIntegrateTrajectory:
     def test_full_turn_increments_winding(self):
         state = make_eigenstate(1, Character.ring(0.0))  # v = 1
         dt = TWO_PI / 500
-        traj = integrate_trajectory(state, Potential.zero(), 0.5, dt, 2 * TWO_PI)
+        traj = integrate_trajectories(state, Potential.zero(), [0.5], dt,
+                                      2 * TWO_PI)[0]
         assert traj.windings[-1] == 2
         assert traj.final_position == pytest.approx(0.5, abs=1e-9)
 
     def test_real_packet_agrees_with_fine_dt_reference(self):
         state = make_gaussian_state(Character.ring(0.0), np.pi, 0.5, 0.0)
-        coarse = integrate_trajectory(state, Potential.zero(), 2.5, 5e-3, 0.4)
-        fine = integrate_trajectory(state, Potential.zero(), 2.5, 5e-4, 0.4)
+        coarse = integrate_trajectories(state, Potential.zero(), [2.5], 5e-3,
+                                        0.4)[0]
+        fine = integrate_trajectories(state, Potential.zero(), [2.5], 5e-4,
+                                      0.4)[0]
         assert abs(coarse.unwrapped[-1] - fine.unwrapped[-1]) <= 1e-8
         # starts at rest: negligible motion before the dispersion time 2 w0^2,
         # then the spreading flow carries it outward
@@ -412,8 +407,8 @@ class TestIntegrateTrajectory:
         # the low-density window halts immediately and stays frozen
         theta = angle_grid(512)
         state = twist_embed(1.0 + np.exp(1j * theta), Character.ring(0.0))
-        traj = integrate_trajectory(state, Potential.zero(), 3.14, 1e-2, 0.5,
-                                    eps_node=1e-4)
+        traj = integrate_trajectories(state, Potential.zero(), [3.14], 1e-2,
+                                      0.5, eps_node=1e-4)[0]
         assert traj.status == STATUS_HALTED
         assert traj.halt_time == pytest.approx(0.0)
         assert np.all(traj.unwrapped == 3.14)
@@ -423,8 +418,8 @@ class TestIntegrateTrajectory:
         # trajectory velocity: the pursuer stays behind it forever
         theta = angle_grid(512)
         state = twist_embed(1.0 + np.exp(1j * theta), Character.ring(0.0))
-        traj = integrate_trajectory(state, Potential.zero(), 2.0, 1e-2, 3.0,
-                                    eps_node=1e-4)
+        traj = integrate_trajectories(state, Potential.zero(), [2.0], 1e-2,
+                                      3.0, eps_node=1e-4)[0]
         assert traj.status == STATUS_COMPLETED
         assert traj.unwrapped[-1] == pytest.approx(2.0 + 0.5 * 3.0, abs=1e-6)
 
@@ -433,11 +428,12 @@ class TestIntegrateTrajectory:
         chi = wrapped_gaussian(theta, 2.0, 0.45, 4.0) \
             + 0.8 * wrapped_gaussian(theta, 3.6, 0.5, -2.0)
         state = twist_embed(chi, Character.ring(np.pi))
-        reference = integrate_trajectory(state, Potential.zero(), 2.2,
-                                         6.25e-4, 0.4)
+        reference = integrate_trajectories(state, Potential.zero(), [2.2],
+                                           6.25e-4, 0.4)[0]
         errors = []
         for dt in (2e-2, 1e-2, 5e-3):
-            traj = integrate_trajectory(state, Potential.zero(), 2.2, dt, 0.4)
+            traj = integrate_trajectories(state, Potential.zero(), [2.2], dt,
+                                          0.4)[0]
             errors.append(abs(traj.unwrapped[-1] - reference.unwrapped[-1]))
         for coarse, finer in zip(errors, errors[1:]):
             assert 8.0 <= coarse / finer <= 32.0
@@ -447,14 +443,16 @@ class TestIntegrateTrajectory:
         sa = make_gaussian_state(Character.ring(-e * flux), 3.0, 0.6, 1.0)
         st = gauge_map(sa)
         for q0 in (0.5, 3.0):
-            ta = integrate_trajectory(sa, Potential.zero(), q0, 1e-3, 0.25)
-            tt = integrate_trajectory(st, Potential.zero(), q0, 1e-3, 0.25)
+            ta = integrate_trajectories(sa, Potential.zero(), [q0], 1e-3,
+                                        0.25)[0]
+            tt = integrate_trajectories(st, Potential.zero(), [q0], 1e-3,
+                                        0.25)[0]
             assert np.max(np.abs(ta.unwrapped - tt.unwrapped)) <= 1e-6
 
     def test_t_final_must_divide(self):
         state = make_eigenstate(0, Character.ring(0.0))
         with pytest.raises(ConfigError, match="multiple"):
-            integrate_trajectory(state, Potential.zero(), 0.0, 1e-3, 0.0015)
+            integrate_trajectories(state, Potential.zero(), [0.0], 1e-3, 0.0015)
 
 
 class TestBundles:
@@ -487,7 +485,8 @@ class TestBundles:
         bundle = integrate_trajectories(state, Potential.zero(), starts,
                                         2e-3, 0.2)
         for q0, traj in zip(starts, bundle):
-            alone = integrate_trajectory(state, Potential.zero(), q0, 2e-3, 0.2)
+            alone = integrate_trajectories(state, Potential.zero(), [q0], 2e-3,
+                                           0.2)[0]
             assert np.array_equal(traj.unwrapped, alone.unwrapped)
             assert traj.status == alone.status
 
@@ -532,42 +531,38 @@ class TestBundles:
 
 
 class TestLift:
+    """A path's continuous lift is its ``unwrapped`` coordinate."""
+
     def test_lift_accumulates_windings(self):
         state = make_eigenstate(1, Character.ring(0.0))
         dt = TWO_PI / 500
-        traj = integrate_trajectory(state, Potential.zero(), 0.25, dt, 2 * TWO_PI)
-        lift = lift_trajectory(traj, RingPoint(0, 0.25))
-        assert np.all(np.diff(lift) > 0)
-        assert lift[-1] - lift[0] == pytest.approx(2 * TWO_PI, abs=1e-9)
+        traj = integrate_trajectories(state, Potential.zero(), [0.25], dt,
+                                      2 * TWO_PI)[0]
+        assert np.all(np.diff(traj.unwrapped) > 0)
+        assert traj.unwrapped[-1] - traj.unwrapped[0] \
+            == pytest.approx(2 * TWO_PI, abs=1e-9)
+        assert traj.windings[-1] - traj.windings[0] == 2
 
     def test_lifts_differ_by_deck_element(self):
+        # starts one sheet apart follow paths one full turn apart
         state = make_eigenstate(0, Character.ring(np.pi))
-        traj = integrate_trajectory(state, Potential.zero(), 1.0, 1e-2, 1.0)
-        l0 = lift_trajectory(traj, RingPoint(0, 1.0))
-        l1 = lift_trajectory(traj, RingPoint(1, 1.0))
-        assert np.allclose(l1 - l0, TWO_PI)
-        assert trajectory_deck_offset(l1, l0) == Winding(1)
+        l0, l1 = integrate_trajectories(state, Potential.zero(),
+                                        [1.0, 1.0 + TWO_PI], 1e-2, 1.0)
+        assert np.allclose(l1.unwrapped - l0.unwrapped, TWO_PI)
+        assert np.array_equal(l1.windings - l0.windings,
+                              np.ones_like(l0.windings))
 
     def test_projection_returns_original(self):
         state = make_eigenstate(0, Character.ring(np.pi))
-        traj = integrate_trajectory(state, Potential.zero(), 1.0, 1e-2, 1.0)
-        lift = lift_trajectory(traj, RingPoint(2, 1.0))
-        assert np.allclose(np.mod(lift, TWO_PI), traj.angles, atol=1e-12)
+        base, lift = integrate_trajectories(state, Potential.zero(),
+                                            [1.0, 1.0 + 2 * TWO_PI], 1e-2, 1.0)
+        assert np.allclose(lift.angles, base.angles, atol=1e-12)
 
     def test_stationary_trajectory_constant_lift(self):
         state = make_gaussian_state(Character.ring(0.0), np.pi, 0.4, 0.0)
-        traj = integrate_trajectory(state, Potential.zero(), np.pi, 1e-2, 0.1)
-        lift = lift_trajectory(traj, RingPoint(0, traj.angles[0]))
-        assert np.max(np.abs(lift - lift[0])) < 1e-4
-
-    def test_discontinuous_input_rejected(self):
-        jumpy = np.array([0.1, 0.2, 0.2 + np.pi, 0.4])
-        with pytest.raises(PhysicsError, match="ambiguous"):
-            lift_trajectory(jumpy, 0.1)
-
-    def test_wrong_start_rejected(self):
-        with pytest.raises(ConfigError, match="project"):
-            lift_trajectory(np.array([0.1, 0.2, 0.3]), 1.0)
+        traj = integrate_trajectories(state, Potential.zero(), [np.pi], 1e-2,
+                                      0.1)[0]
+        assert np.max(np.abs(traj.unwrapped - traj.unwrapped[0])) < 1e-4
 
 
 class TestTorusFields:
