@@ -564,10 +564,26 @@ def _potential_half_phase(kind, data, dt):
 
 
 # states of at most this many complex values step by one stored dense
-# unitary: at 128 values the vector-matrix product takes about a third of
-# the time of the FFT step, whose cost there is mostly per-call overhead;
-# at 256 the two are about even, and at 512 the product is 6x slower
+# unitary.  One step, the aligned vector-matrix product against the FFT
+# step (one BLAS thread, median of 7 rounds): 1.6 against 13 us at 64
+# values, 4.5 against 16 us at 128 (the FFT step's cost is mostly per-call
+# overhead there), 18 against 21 us at 256, and 185 against 30 us at 512
 DENSE_STEP_MAX = 128
+
+# the dense step's unitary starts on a cache line: OpenBLAS's zgemv on a
+# 128 x 128 unitary 16 bytes off that alignment takes about 5.1 us a step
+# against 4.5 us aligned (23 us against 18 us at 256 values), with the
+# same bits at every offset; the vector's offset makes no difference
+_ALIGN = 64
+
+
+def _aligned_empty(shape):
+    """An uninitialized C-contiguous complex array whose data start on an
+    ``_ALIGN``-byte boundary: a slice of an over-allocated byte buffer."""
+    nbytes = math.prod(shape) * np.dtype(complex).itemsize
+    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start:start + nbytes].view(complex).reshape(shape)
 
 
 class SplitStep:
@@ -596,8 +612,9 @@ class SplitStep:
     of at most ``DENSE_STEP_MAX`` values, built on first access (``evolve``
     reads it; a caller that only calls ``apply`` never pays for it): row j
     is ``apply`` of the j-th unit vector, so ``flat @ matrix`` is one step
-    of the flattened values and the step keeps a single definition.  Larger
-    layouts have ``matrix`` None and step by ``apply``.
+    of the flattened values and the step keeps a single definition.  It is
+    stored on an ``_ALIGN``-byte boundary, where BLAS reads it fastest.
+    Larger layouts have ``matrix`` None and step by ``apply``.
     """
 
     def __init__(self, state, potential, dt):
@@ -617,7 +634,9 @@ class SplitStep:
         if size > DENSE_STEP_MAX:
             return None
         basis = np.eye(size, dtype=complex).reshape((size,) + self.shape)
-        return self.apply(basis).reshape(size, size)
+        matrix = _aligned_empty((size, size))
+        matrix[...] = self.apply(basis).reshape(size, size)
+        return matrix
 
     def fft(self, values):
         """The forward transform of ``values``, in place; returns it."""
@@ -675,11 +694,16 @@ def evolve(state, potential, dt, n_steps):
     A state of at most ``DENSE_STEP_MAX`` values (k n on the ring, n^2 on
     the torus) steps by one product with the set-up's unitary, built on the
     set-up's first call here: a copy of the flattened values and one spare
-    buffer take turns as input and output of ``np.dot(..., out=)``, the
-    BLAS product of ``flat @ matrix`` with the same bits, so no step
-    allocates.  A larger state steps by ``SplitStep.apply``, which
-    allocates only its first half-kick's output.  The path depends only on the state's size, so every step of
-    a run, chunked or not, is the same operation.
+    buffer take turns as input and output of ``ndarray.dot(..., out=)``,
+    the BLAS product of ``flat @ matrix`` with the same bits and without
+    ``np.dot``'s dispatch, so no step allocates.  The unitary starts on a
+    cache line (``_aligned_empty``), where OpenBLAS's product runs fastest;
+    its bits do not depend on the offset.  The two buffers keep numpy's
+    alignment: their offset measured no difference, and finding their
+    address would cost each call about 1.5 us per buffer.  A larger
+    state steps by ``SplitStep.apply``, which allocates only its first
+    half-kick's output.  The path depends only on the state's size, so
+    every step of a run, chunked or not, is the same operation.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -691,11 +715,12 @@ def evolve(state, potential, dt, n_steps):
             or step.shape != state.values.shape):
         step = SplitStep(state, potential, dt)
     values = state.values
-    if step.matrix is not None:
+    matrix = step.matrix
+    if matrix is not None:
         flat = values.reshape(-1).copy()
         spare = np.empty_like(flat)
         for _ in range(n_steps):
-            np.dot(flat, step.matrix, out=spare)
+            flat.dot(matrix, out=spare)
             flat, spare = spare, flat
         values = flat.reshape(values.shape)
     else:

@@ -257,13 +257,27 @@ def spin_exponential(angle, axis):
     """exp(-i angle (e . sigma)) for the unit 3-vector e along ``axis``
     (2x2 unitary); an axis of zero or non-finite length has no direction."""
     e = np.asarray(axis, dtype=float)
-    length = np.linalg.norm(e)
-    if not (length > 0 and math.isfinite(length)):
+    largest = np.max(np.abs(e))
+    if not (largest > 0 and math.isfinite(largest)):
         raise ConfigError(f"spin axis {list(axis)} has no direction: its "
-                          f"length is {length}", field_path="$.factor.axis")
-    e = e / length
+                          f"largest component is {largest}",
+                          field_path="$.factor.axis")
+    # an axis whose squares would overflow or underflow is first scaled by
+    # its largest component; every other axis keeps the plain norm's bits
+    if not 1e-150 <= largest <= 1e150:
+        e = e / largest
+    e = e / np.linalg.norm(e)
     e_sigma = e[0] * PAULI["x"] + e[1] * PAULI["y"] + e[2] * PAULI["z"]
     return math.cos(angle) * np.eye(2) - 1j * math.sin(angle) * e_sigma
+
+
+def _square_matrix(rows, where):
+    """A scenario's complex matrix from its rows of (re, im) pairs, refused
+    at its JSON path ``where`` unless every row has one entry per row."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ConfigError(f"a matrix of {len(rows)} rows needs {len(rows)} "
+                          f"entries in every row", field_path=where)
+    return complex_matrix_from_pairs(rows)
 
 
 def build_space(cfg):
@@ -298,7 +312,8 @@ def build_factor(cfg):
     if kind == "exchange":
         return Character.exchange(2, fc.get("sign", 1))
     if kind == "matrix":
-        return MatrixRep.ring(complex_matrix_from_pairs(fc["generator"]))
+        return MatrixRep.ring(_square_matrix(fc["generator"],
+                                             "$.factor.generator"))
     if kind == "spin_exp":
         return MatrixRep.ring(spin_exponential(fc.get("angle", 0.0),
                                                fc.get("axis", [0, 0, 1])))
@@ -329,10 +344,10 @@ def build_potential(cfg, n_points):
                 f"tabulated potential needs {n_points} values, got {values.shape}")
         return Potential.scalar(values, label="tabulated")
     if kind == "matrix_const":
-        return Potential.matrix_constant(complex_matrix_from_pairs(pc["matrix"]),
-                                         n_points)
+        return Potential.matrix_constant(
+            _square_matrix(pc["matrix"], "$.potential.matrix"), n_points)
     if kind == "covariant_const":
-        m = complex_matrix_from_pairs(pc["matrix"])
+        m = _square_matrix(pc["matrix"], "$.potential.matrix")
         return Potential.covariant(np.broadcast_to(m, (n_points,) + m.shape))
     if kind == "pair_onebody":
         one = _trig_values(pc.get("terms", []), theta)

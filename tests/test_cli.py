@@ -41,6 +41,9 @@ BASE = {
 SPINOR = {"type": "spinor_gaussian", "amplitudes": [[1, 0], [0, 0.5]],
           "center": 3.0, "width": 0.5}
 
+# a 2-row complex matrix whose second row has one entry
+RAGGED = [[[1, 0], [0, 0]], [[0, 0]]]
+
 
 def off_sample_field(n=64):
     # sigma_z everywhere but sigma_x at index 1, a point that a sample of
@@ -179,6 +182,35 @@ class TestExitCodes:
         cfg = write_config(tmp_path, cfg_dict)
         out = tmp_path / "o"
         assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error[config] at {where}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", [[1e308, 1e308, 0], [1e-200, 1e-200, 0]],
+                             ids=["squares-overflow", "squares-underflow"])
+    def test_spin_axis_far_from_unit_length_keeps_its_direction(self, axis):
+        # the plain norm of these axes is inf and 0.0, which refused them
+        got = scenario_module.spin_exponential(0.7, axis)
+        expected = scenario_module.spin_exponential(0.7, [1, 1, 0])
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("field, where", [
+        ({"factor": {"type": "matrix", "generator": RAGGED}},
+         "$.factor.generator"),
+        ({"potential": {"type": "matrix_const", "matrix": RAGGED}},
+         "$.potential.matrix"),
+        ({"potential": {"type": "covariant_const", "matrix": RAGGED}},
+         "$.potential.matrix")],
+        ids=["generator", "matrix_const", "covariant_const"])
+    def test_ragged_complex_matrix_is_two(self, tmp_path, capsys, field,
+                                          where):
+        # ragged rows used to exit 5 on numpy's inhomogeneous-shape ValueError
+        cfg_dict = dict(BASE, factor={"type": "matrix",
+                                      "generator": [[[1, 0], [0, 0]],
+                                                    [[0, 0], [1, 0]]]},
+                        initial_state=SPINOR)
+        cfg_dict.update(field)
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["evolve", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
         assert f"error[config] at {where}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("axis", [[0, 0, 0], [math.nan, 0, 1],

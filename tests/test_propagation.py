@@ -732,6 +732,33 @@ class TestInPlaceStep:
             assert np.array_equal(bits(work), bits(two_axes(values)))
 
 
+@pytest.mark.parametrize("kind,layout", [
+    (kind, layout) for kind, layout, dense in _IN_PLACE_CASES if dense]
+    + [("scalar", "ring-64")])
+def test_dense_step_does_not_depend_on_alignment(kind, layout):
+    if layout == "ring-64":
+        state = make_gaussian_state(Character.ring(0.7), 3.0, 0.5, 1.0,
+                                    n_points=64)
+        potential = Potential.from_callable(lambda t: 0.4 * np.cos(t), 64)
+    else:
+        state, potential = _in_place_case(kind, layout, True)
+    out = evolve(state, potential, 1e-3, 5)
+    matrix = out._split_step.matrix
+    assert matrix.ctypes.data % 64 == 0
+    assert not np.shares_memory(out.values, matrix)
+    # the same five products by np.dot, on a copy of the unitary that BLAS
+    # reads 16 bytes (one value) off its alignment
+    shifted = propagation._aligned_empty((matrix.size + 1,))[1:].reshape(
+        matrix.shape)
+    shifted[...] = matrix
+    assert shifted.ctypes.data % 64 == 16
+    flat = state.values.reshape(-1)
+    for _ in range(5):
+        flat = np.dot(flat, shifted)
+    assert np.array_equal(bits(out.values),
+                          bits(flat.reshape(state.values.shape)))
+
+
 def test_norm_does_not_depend_on_memory_layout():
     # seed 0 draws a state whose norm, summed in Fortran order, differs in
     # its last bit from the C-order sum
