@@ -5,14 +5,21 @@ potential, initial state, numerics, seed, and requested outputs.  All
 physical quantities are dimensionless (hbar = mass = charge = 1 unless
 overridden by the factor's charge field).  Randomized subcommands must
 carry an explicit seed; nothing in a run draws implicit entropy.
+
+``SCENARIO_SCHEMA`` is a JSON Schema 2020-12 document and the one statement
+of what a config may hold.  Each type of factor, potential and initial
+state takes only the keys its builder reads.  ``validate_scenario`` checks
+a config with ``_schema_errors``, a walker over the keywords that schema
+uses, and reports the first error path in sorted order; the tests hold the
+walker to jsonschema, which the package itself does not import.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 
-import jsonschema
 import numpy as np
 
 from .covering import CoveringSpace
@@ -33,9 +40,11 @@ from .propagation import (
 
 SCENARIO_SCHEMA_TAG = "topobohm/scenario/1"
 
+_NUMBER = {"type": "number"}
+_INTEGER = {"type": "integer"}
 # a complex number as (re, im), or a pair of angles or momenta
 _PAIR = {
-    "type": "array", "items": {"type": "number"},
+    "type": "array", "items": _NUMBER,
     "minItems": 2, "maxItems": 2,
 }
 _COMPLEX_MATRIX = {
@@ -43,11 +52,47 @@ _COMPLEX_MATRIX = {
     "items": {"type": "array", "items": _PAIR, "minItems": 1},
     "minItems": 1,
 }
+_TERMS = {
+    "type": "array",
+    "items": {
+        "type": "object",
+        "required": ["amplitude", "harmonic"],
+        "additionalProperties": False,
+        "properties": {
+            "amplitude": _NUMBER,
+            "harmonic": _INTEGER,
+            "phase": _NUMBER,
+        },
+    },
+}
+_WIDTH = {"type": "number", "exclusiveMinimum": 0}
+# a wave packet's centre, width and momentum on the ring
+_PACKET = {"center": _NUMBER, "width": _WIDTH, "momentum": _NUMBER}
 
 
 def _starts_of(item):
     return {"properties": {"trajectories": {"properties": {
         "starts": {"items": item}}}}}
+
+
+def _typed(branches, required):
+    """A block whose ``type`` picks one of ``branches`` and that takes only
+    that type's keys.  ``branches`` maps each type to its keys' schemas,
+    ``required`` a type to the keys it cannot run without."""
+    def then(kind):
+        out = {"properties": {"type": {}, **branches[kind]},
+               "additionalProperties": False}
+        if kind in required:
+            out["required"] = required[kind]
+        return out
+    return {
+        "type": "object",
+        "required": ["type"],
+        "properties": {"type": {"enum": list(branches)}},
+        "allOf": [{"if": {"required": ["type"],
+                          "properties": {"type": {"const": kind}}},
+                   "then": then(kind)} for kind in branches],
+    }
 
 
 SCENARIO_SCHEMA = {
@@ -68,66 +113,35 @@ SCENARIO_SCHEMA = {
                 "radius": {"type": "number", "exclusiveMinimum": 0},
             },
         },
-        "factor": {
-            "type": "object",
-            "required": ["type"],
-            "additionalProperties": False,
-            "properties": {
-                "type": {"enum": ["character", "flux", "exchange", "matrix",
-                                  "spin_exp"]},
-                "beta": {"type": "number"},
-                "flux": {"type": "number"},
-                "charge": {"type": "number"},
-                "sign": {"enum": [1, -1]},
-                "generator": _COMPLEX_MATRIX,
-                "angle": {"type": "number"},
-                "axis": {"type": "array", "items": {"type": "number"},
-                         "minItems": 3, "maxItems": 3},
-            },
-        },
-        "potential": {
-            "type": "object",
-            "required": ["type"],
-            "additionalProperties": False,
-            "properties": {
-                "type": {"enum": ["zero", "trig", "tabulated", "matrix_const",
-                                  "covariant_const", "pair_onebody",
-                                  "pair_interaction"]},
-                "terms": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["amplitude", "harmonic"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "amplitude": {"type": "number"},
-                            "harmonic": {"type": "integer"},
-                            "phase": {"type": "number"},
-                        },
-                    },
-                },
-                "values": {"type": "array", "items": {"type": "number"}},
-                "matrix": _COMPLEX_MATRIX,
-            },
-        },
-        "initial_state": {
-            "type": "object",
-            "required": ["type"],
-            "additionalProperties": False,
-            "properties": {
-                "type": {"enum": ["eigenstate", "gaussian", "spinor_gaussian",
-                                  "pair_eigenstate", "pair_gaussian"]},
-                "n": {"type": "integer"},
-                "center": {"type": "number"},
-                "width": {"type": "number", "exclusiveMinimum": 0},
-                "momentum": {"type": "number"},
-                "amplitudes": {"type": "array", "items": _PAIR},
-                "n1": {"type": "integer"},
-                "n2": {"type": "integer"},
-                "centers": _PAIR,
-                "momenta": _PAIR,
-            },
-        },
+        "factor": _typed({
+            "character": {"beta": _NUMBER},
+            "flux": {"flux": _NUMBER, "charge": _NUMBER},
+            "exchange": {"sign": {"enum": [1, -1]}},
+            "matrix": {"generator": _COMPLEX_MATRIX},
+            "spin_exp": {"angle": _NUMBER,
+                         "axis": {"type": "array", "items": _NUMBER,
+                                  "minItems": 3, "maxItems": 3}},
+        }, required={"matrix": ["generator"]}),
+        "potential": _typed({
+            "zero": {},
+            "trig": {"terms": _TERMS},
+            "tabulated": {"values": {"type": "array", "items": _NUMBER}},
+            "matrix_const": {"matrix": _COMPLEX_MATRIX},
+            "covariant_const": {"matrix": _COMPLEX_MATRIX},
+            "pair_onebody": {"terms": _TERMS},
+            "pair_interaction": {"terms": _TERMS},
+        }, required={"tabulated": ["values"], "matrix_const": ["matrix"],
+                     "covariant_const": ["matrix"]}),
+        "initial_state": _typed({
+            "eigenstate": {"n": _INTEGER},
+            "gaussian": _PACKET,
+            "spinor_gaussian": {"amplitudes": {"type": "array",
+                                               "items": _PAIR},
+                                **_PACKET},
+            "pair_eigenstate": {"n1": _INTEGER, "n2": _INTEGER},
+            "pair_gaussian": {"centers": _PAIR, "width": _WIDTH,
+                              "momenta": _PAIR},
+        }, required={"spinor_gaussian": ["amplitudes"]}),
         "numerics": {
             "type": "object",
             "additionalProperties": False,
@@ -194,7 +208,88 @@ SCENARIO_SCHEMA = {
     "else": _starts_of({"type": "number"}),
 }
 
-_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+def _is_type(value, kind):
+    """JSON Schema's types: a bool is no number, and a float with no
+    fractional part is an integer."""
+    if kind == "object":
+        return isinstance(value, dict)
+    if kind == "array":
+        return isinstance(value, list)
+    if kind == "boolean":
+        return isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        return False
+    return kind == "number" or isinstance(value, int) or (
+        isinstance(value, float) and value.is_integer())
+
+
+def _equal(a, b):
+    """JSON equality of ``const`` and ``enum`` scalars: True is not 1."""
+    return (isinstance(a, bool) == isinstance(b, bool)) and a == b
+
+
+def _schema_errors(value, schema, path="$", out=None):
+    """The (json_path, message) pairs for each way ``value`` breaks
+    ``schema``, appended to ``out`` and returned.
+
+    Reads the JSON Schema 2020-12 keywords SCENARIO_SCHEMA uses as
+    jsonschema does.  A type error ends the descent at its node, and a
+    bound fails only on a number strictly past it, so NaN passes here and
+    ``_non_finite_keys`` refuses it."""
+    out = [] if out is None else out
+    kind = schema.get("type")
+    if kind is not None and not _is_type(value, kind):
+        out.append((path, f"{value!r} is not of type {kind!r}"))
+        return out
+    if "const" in schema and not _equal(value, schema["const"]):
+        out.append((path, f"{schema['const']!r} was expected"))
+    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
+        out.append((path, f"{value!r} is not one of {schema['enum']!r}"))
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                out.append((path, f"{key!r} is a required property"))
+        properties = schema.get("properties", {})
+        for key, sub in properties.items():
+            if key in value:
+                _schema_errors(value[key], sub, f"{path}.{key}", out)
+        extra = [key for key in value if key not in properties]
+        if extra and schema.get("additionalProperties", True) is False:
+            out.append((path, f"additional properties are not allowed "
+                              f"({', '.join(map(repr, extra))} "
+                              f"{'was' if len(extra) == 1 else 'were'} "
+                              f"unexpected)"))
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            out.append((path, f"{value!r} should have at least "
+                              f"{schema['minItems']} items"))
+        if len(value) > schema.get("maxItems", len(value)):
+            out.append((path, f"{value!r} should have at most "
+                              f"{schema['maxItems']} items"))
+        if "items" in schema:
+            for index, item in enumerate(value):
+                _schema_errors(item, schema["items"], f"{path}[{index}]", out)
+    elif _is_type(value, "number"):
+        if value < schema.get("minimum", value):
+            out.append((path, f"{value!r} is less than the minimum of "
+                              f"{schema['minimum']!r}"))
+        above = schema.get("exclusiveMinimum")
+        if above is not None and value <= above:
+            out.append((path, f"{value!r} is less than or equal to the "
+                              f"minimum of {above!r}"))
+        if value > schema.get("maximum", value):
+            out.append((path, f"{value!r} is greater than the maximum of "
+                              f"{schema['maximum']!r}"))
+    for sub in schema.get("allOf", ()):
+        _schema_errors(value, sub, path, out)
+    if "if" in schema:
+        failed = _schema_errors(value, schema["if"], path)
+        branch = schema.get("else" if failed else "then")
+        if branch is not None:
+            _schema_errors(value, branch, path, out)
+    return out
+
 
 NUMERICS_DEFAULTS = {
     "dt": 1e-3,
@@ -228,12 +323,11 @@ def _non_finite_keys(value):
 
 
 def validate_scenario(cfg):
-    errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: e.json_path)
+    errors = _schema_errors(cfg, SCENARIO_SCHEMA)
     if errors:
-        err = errors[0]
+        where, message = min(errors, key=lambda error: error[0])
         raise ConfigError(f"config violates the scenario schema at "
-                          f"{err.json_path}: {err.message}",
-                          field_path=err.json_path)
+                          f"{where}: {message}", field_path=where)
     keys = _non_finite_keys(cfg)
     if keys is not None:
         where = "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}"

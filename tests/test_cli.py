@@ -213,6 +213,30 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"error[config] at {where}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, where, key", [
+        ({"potential": {"type": "tabulated"}}, "$.potential", "values"),
+        ({"potential": {"type": "matrix_const"}}, "$.potential", "matrix"),
+        ({"potential": {"type": "covariant_const"}}, "$.potential",
+         "matrix"),
+        ({"factor": {"type": "matrix"}}, "$.factor", "generator"),
+        ({"initial_state": {"type": "spinor_gaussian"}}, "$.initial_state",
+         "amplitudes")],
+        ids=["tabulated", "matrix_const", "covariant_const", "matrix",
+             "spinor_gaussian"])
+    def test_key_its_type_needs_is_required(self, tmp_path, capsys, field,
+                                            where, key):
+        # each used to exit 5 on a KeyError in the builder that reads it
+        cfg_dict = dict(BASE, factor={"type": "spin_exp", "angle": 0.7,
+                                      "axis": [0, 0, 1]},
+                        potential={"type": "zero"}, initial_state=SPINOR)
+        cfg_dict.update(field)
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["evolve", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"error[config] at {where}:" in err
+        assert f"'{key}' is a required property" in err
+
     @pytest.mark.parametrize("axis", [[0, 0, 0], [math.nan, 0, 1],
                                       [0, math.inf, 0]])
     def test_spin_exponential_refuses_an_axis_without_direction(self, axis):
@@ -715,6 +739,9 @@ def test_grw_run(tmp_path, capsys):
     ("ab-compare", "compare.charge", 1.0),
     ("ab-compare", "compare.trajectory_tolerance", 1e-6),
     ("ab-compare", "compare.spectrum_tolerance", 1e-10),
+    ("evolve", "factor.flux", 3.0),
+    ("evolve", "potential.values", [0.0] * 64),
+    ("evolve", "initial_state.n1", 2),
 ])
 def test_removed_scenario_keys_exit_two(tmp_path, capsys, subcommand, path,
                                         value):
@@ -862,14 +889,16 @@ def test_help_lists_every_subcommand(src_env):
 
 
 # Runs each (label, argv) pair through main() in one fresh interpreter and
-# prints, per label, the exit code and whether scipy and scipy.linalg are
-# loaded by then; "import" is the state right after importing the runner.
+# prints, per label, the exit code and whether scipy, scipy.linalg and
+# jsonschema are loaded by then; "import" is the state right after
+# importing the runner.
 COLD_START_CHILD = """
 import contextlib, io, json, sys
 import topobohm, topobohm.cli
 
 def loaded():
-    return ["scipy" in sys.modules, "scipy.linalg" in sys.modules]
+    return ["scipy" in sys.modules, "scipy.linalg" in sys.modules,
+            "jsonschema" in sys.modules]
 
 seen = {"import": [0] + loaded()}
 for label, argv in json.loads(sys.argv[1]):
@@ -882,7 +911,8 @@ print(json.dumps(seen))
 
 def test_scipy_loads_only_for_matrix_work(tmp_path, src_env):
     # a character or flux run factors no matrix, so it must not pay for
-    # loading scipy; a matrix factor needs its Schur form and loads it
+    # loading scipy; a matrix factor needs its Schur form and loads it.
+    # No run loads jsonschema: the package checks scenarios itself
     runs = []
     for name, factor in (("character", BASE["factor"]),
                          ("flux", {"type": "flux", "flux": 1.0})):
@@ -908,9 +938,9 @@ def test_scipy_loads_only_for_matrix_work(tmp_path, src_env):
     seen = json.loads(result.stdout)
     spinor_seen = seen.pop("evolve-spinor")
     assert len(seen) == 9
-    for label, (code, has_scipy, _) in seen.items():
-        assert (code, has_scipy) == (0, False), label
-    assert spinor_seen == [0, True, True]
+    for label, (code, has_scipy, _, has_jsonschema) in seen.items():
+        assert (code, has_scipy, has_jsonschema) == (0, False, False), label
+    assert spinor_seen == [0, True, True, False]
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch):
