@@ -546,6 +546,8 @@ def build_parser():
 
 
 def _apply_overrides(cfg, args):
+    if not isinstance(cfg, dict):
+        return cfg                      # the schema refuses it at $
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.beta is not None:
@@ -571,6 +573,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     out_dir = args.out or os.environ.get(DEFAULT_OUT_ENV) or "out"
     ctx = None
+    parsed = False
     try:
         if args.config:
             try:
@@ -583,6 +586,7 @@ def main(argv=None):
             cfg = json.loads(json.dumps(_DEFAULT_CONFIGS[args.subcommand]))
         else:
             raise ConfigError(f"subcommand {args.subcommand!r} requires --config")
+        parsed = True
         cfg = _apply_overrides(cfg, args)
         scenario = Scenario(cfg)
         ctx = RunContext(out_dir, args.subcommand, cfg, scenario.seed)
@@ -596,7 +600,16 @@ def main(argv=None):
         print(f"error[config]: not valid JSON: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except ConfigError as exc:
-        _emit_failure(ctx, "config", exc)
+        if ctx is None and parsed:
+            # a config that parsed but was refused before the run began
+            # still gets its run directory and manifest (no seed: nothing
+            # ran); a disk that cannot take them does not hide the config's
+            # own error
+            with contextlib.suppress(OSError):
+                _emit_failure(RunContext(out_dir, args.subcommand, cfg, None),
+                              "config", exc)
+        else:
+            _emit_failure(ctx, "config", exc)
         field = getattr(exc, "field_path", None)
         where = f" at {field}" if field else ""
         print(f"error[config]{where}: {exc}", file=sys.stderr)
@@ -635,6 +648,9 @@ def _summarize(result):
 def _emit_failure(ctx, family, exc, trace=None):
     if ctx is not None:
         failure = {"family": family, "message": str(exc)}
+        field = getattr(exc, "field_path", None)
+        if field:
+            failure["field_path"] = field
         if trace is not None:
             failure["traceback"] = trace
         ctx.emit_manifest(status="failed", failure=failure)

@@ -326,14 +326,13 @@ def validate_scenario(cfg):
     errors = _schema_errors(cfg, SCENARIO_SCHEMA)
     if errors:
         where, message = min(errors, key=lambda error: error[0])
-        raise ConfigError(f"config violates the scenario schema at "
-                          f"{where}: {message}", field_path=where)
+        raise ConfigError(f"config violates the scenario schema: {message}",
+                          field_path=where)
     keys = _non_finite_keys(cfg)
     if keys is not None:
         where = "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
                               for key in reversed(keys))
-        raise ConfigError(f"config holds a non-finite number at {where}",
-                          field_path=where)
+        raise ConfigError("config holds a non-finite number", field_path=where)
 
 
 def canonical_config_bytes(cfg):

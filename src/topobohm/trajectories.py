@@ -24,6 +24,7 @@ halt policy does not disturb ensemble statistics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,6 +182,14 @@ def _velocity_field_torus(state, eps_node):
     return v / state.radius ** 2, node_mask
 
 
+@functools.lru_cache(maxsize=8)
+def _mode_numbers(n):
+    """The integer wavenumbers of an n-point grid in FFT order, read-only."""
+    modes = fourier_modes(n).astype(int)
+    modes.flags.writeable = False
+    return modes
+
+
 class _RingEvaluator:
     """Spectral point evaluation of the velocity of one wave snapshot.
 
@@ -201,16 +210,17 @@ class _RingEvaluator:
 
     def __init__(self, state, velocity_factor=1.0):
         n = state.n_points
-        modes = fourier_modes(n).astype(int)
         coeffs = np.fft.fft(state.values, axis=1) / n              # (k, n)
-        weight = np.max(np.abs(coeffs), axis=0)
-        keep = weight > COEFF_CUT * np.max(weight)
-        self.truncation = float(np.sum(np.abs(coeffs[:, ~keep]))
-                                / np.max(weight))
-        hi = int(np.max(modes[keep]))
-        span = np.arange(hi, int(np.min(modes[keep])) - 1, -1)    # hi .. lo
+        size = np.abs(coeffs)
+        weight = np.max(size, axis=0)
+        peak = np.max(weight)
+        keep = weight > COEFF_CUT * peak
+        self.truncation = float(np.sum(size[:, ~keep]) / peak)
+        kept = _mode_numbers(n)[keep]
+        hi, lo = int(kept.max()), int(kept.min())
+        span = np.arange(hi, lo - 1, -1)                            # hi .. lo
         chi = np.zeros((coeffs.shape[0], span.size), dtype=complex)
-        chi[:, hi - modes[keep]] = coeffs[:, keep]
+        chi[:, hi - kept] = coeffs[:, keep]
         rows = np.concatenate([chi, chi * (1j * span)])            # (2k, L)
         self.rows = np.ascontiguousarray(rows.T)[:, :, None]       # (L, 2k, 1)
         self.betas = (state.sector_betas / TWO_PI)[:, None]
@@ -219,6 +229,13 @@ class _RingEvaluator:
         self.velocity_factor = velocity_factor
 
     def __call__(self, thetas):
+        """(velocity, density) at the angles.
+
+        rho and the current are formed in place, one (k, M) scratch for
+        every product; a single sector skips the sum over sectors, which
+        would only turn a -0.0 current into +0.0, and a factor of 1.0 is
+        not multiplied.
+        """
         z = _unit_phase(thetas)
         acc = np.empty((self.rows.shape[1], z.size), dtype=complex)
         acc[...] = self.rows[0]
@@ -227,12 +244,23 @@ class _RingEvaluator:
             acc += row
         k = acc.shape[0] // 2
         chi, dchi = acc[:k], acc[k:]
-        density = chi.real ** 2 + chi.imag ** 2                     # (k, M)
-        rho = np.sum(density, axis=0)
-        current = np.sum(chi.real * dchi.imag - chi.imag * dchi.real
-                         + self.betas * density, axis=0)
-        safe = np.maximum(rho, 1e-300)
-        return self.velocity_factor * current / safe * self.inv_r2, rho
+        density = np.square(chi.real)                               # (k, M)
+        scratch = np.square(chi.imag)
+        density += scratch
+        current = np.multiply(chi.real, dchi.imag)
+        current -= np.multiply(chi.imag, dchi.real, out=scratch)
+        current += np.multiply(self.betas, density, out=scratch)
+        if k == 1:
+            rho, current = density[0], current[0]
+        else:
+            rho, current = np.sum(density, axis=0), np.sum(current, axis=0)
+        safe = np.maximum(rho, 1e-300, out=scratch[0])
+        if self.velocity_factor != 1.0:         # a product with 1.0 is exact
+            current *= self.velocity_factor
+        current /= safe
+        if self.inv_r2 != 1.0:
+            current *= self.inv_r2
+        return current, rho
 
 
 class _TorusEvaluator:
@@ -341,6 +369,13 @@ class TransportResult:
                           halt_time=None if np.isnan(halt) else float(halt))
 
 
+def _stage_point(q, h, k):
+    """q + h k, an RK4 stage's point, in a fresh array: k is summed later."""
+    point = np.multiply(h, k)
+    point += q
+    return point
+
+
 def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
               velocity_factor=1.0, record_every=1):
     """Integrate a bundle of Bohmian trajectories driven by the evolving wave.
@@ -366,7 +401,7 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
         return _RingEvaluator(s, velocity_factor)
 
     m = q.shape[0]
-    active = np.ones(m, dtype=bool)
+    active = None                    # every particle moves until one halts
     status = np.array([STATUS_COMPLETED] * m, dtype=object)
     halt_times = np.full(m, np.nan)
     times = [0.0]
@@ -380,20 +415,35 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
         ev_half = make_eval(s_half)
         ev_full = make_eval(s_full)
         truncation = max(truncation, ev_half.truncation, ev_full.truncation)
-        if np.any(active):
-            qa = q[active]
+        qa = q if active is None else q[active]
+        if qa.shape[0]:
             k1, r1 = ev0(qa)
-            k2, r2 = ev_half(qa + 0.5 * dt * k1)
-            k3, r3 = ev_half(qa + 0.5 * dt * k2)
-            k4, r4 = ev_full(qa + dt * k3)
+            k2, r2 = ev_half(_stage_point(qa, 0.5 * dt, k1))
+            k3, r3 = ev_half(_stage_point(qa, 0.5 * dt, k2))
+            k4, r4 = ev_full(_stage_point(qa, dt, k3))
             threshold = eps_node * ev0.max_density
-            hit_node = (r1 < threshold) | (r2 < threshold) \
-                | (r3 < threshold) | (r4 < threshold)
-            move = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            move[hit_node] = 0.0
-            q_new = qa + move
-            q[active] = q_new
-            if np.any(hit_node):
+            hit_node = r1 < threshold
+            hit_node |= r2 < threshold
+            hit_node |= r3 < threshold
+            hit_node |= r4 < threshold
+            # (dt / 6) (k1 + 2 k2 + 2 k3 + k4), added left to right in k2
+            move = k2
+            move *= 2
+            move += k1
+            k3 *= 2
+            move += k3
+            move += k4
+            move *= dt / 6.0
+            halts = bool(hit_node.any())
+            if halts:
+                move[hit_node] = 0.0
+            if active is None:
+                q += move
+            else:
+                q[active] = qa + move
+            if halts:
+                if active is None:
+                    active = np.ones(m, dtype=bool)
                 idx = np.flatnonzero(active)[hit_node]
                 status[idx] = STATUS_HALTED
                 halt_times[idx] = t

@@ -1,4 +1,5 @@
-"""Per-call timings of the guiding-field evaluators, with pytest-benchmark.
+"""Per-call timings of the guiding-field evaluators and of one RK4 transport
+step, with pytest-benchmark.
 
 The module name keeps it out of the test suite's collection.  Run it as
 
@@ -12,13 +13,21 @@ import numpy as np
 import pytest
 
 from topobohm.covering import TWO_PI
+from topobohm.ensembles import sample_density
 from topobohm.factors import Character
 from topobohm.propagation import (
+    Potential,
+    angle_grid,
     make_gaussian_state,
     symmetrized_product_state,
     wrapped_gaussian,
 )
-from topobohm.trajectories import _RingEvaluator, _TorusEvaluator
+from topobohm.trajectories import (
+    STATUS_COMPLETED,
+    _RingEvaluator,
+    _TorusEvaluator,
+    transport,
+)
 
 
 def _span(modes):
@@ -46,3 +55,33 @@ def test_ring_evaluator(benchmark):
     assert ev.rows.shape[0] == 25
     thetas = np.random.default_rng(2).uniform(0, TWO_PI, 10 ** 4)
     benchmark(ev, thetas)
+
+
+def _time_one_step(benchmark, state, potential, q, dt):
+    """One ``transport`` step: two half-step waves, their evaluators and the
+    four RK4 stages, on a bundle in which no particle halts."""
+    result, _ = benchmark(transport, state, potential, q, dt, 1)
+    assert np.all(result.status == STATUS_COMPLETED)
+
+
+def test_ring_transport_step(benchmark):
+    # the ring-ensemble task's shape: 10^4 particles drawn from |psi|^2
+    state = make_gaussian_state(Character.ring(0.9), 2.0, 0.45, 3.0)
+    assert _RingEvaluator(state).rows.shape[0] == 25
+    theta = angle_grid(state.n_points)
+    potential = Potential.scalar(0.5 * np.cos(theta - 1.0), label="trig")
+    _time_one_step(benchmark, state, potential,
+                   sample_density(state, 10 ** 4, 1), 2e-3)
+
+
+def test_pair_transport_step(benchmark):
+    # the pair-ensemble task's shape: 2000 pairs on the 64^2 torus
+    state = symmetrized_product_state(
+        lambda t: wrapped_gaussian(t, 2.0, 0.241, -10.8),
+        lambda t: wrapped_gaussian(t, 4.3, 0.241, 11.19), -1, n_points=64)
+    theta = angle_grid(64)
+    delta = theta[:, None] - theta[None, :]
+    potential = Potential.scalar(0.6 * np.cos(delta) + 0.2 * np.cos(2 * delta),
+                                 label="pair-interaction")
+    _time_one_step(benchmark, state, potential, sample_density(state, 2000, 1),
+                   4e-3)

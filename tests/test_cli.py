@@ -237,6 +237,33 @@ class TestExitCodes:
         assert f"error[config] at {where}:" in err
         assert f"'{key}' is a required property" in err
 
+    def test_schema_error_names_its_path_once_in_a_failed_manifest(
+            self, tmp_path, capsys):
+        # the path was printed twice, and no run directory was written
+        cfg = write_config(tmp_path, dict(BASE, potential={"type": "zero",
+                                                           "bogus": 1}))
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        message = ("config violates the scenario schema: additional "
+                   "properties are not allowed ('bogus' was unexpected)")
+        assert capsys.readouterr().err == \
+            f"error[config] at $.potential: {message}\n"
+        manifest = read_json(out / "manifest.json")
+        jsonschema.validate(manifest, cli.MANIFEST_SCHEMA)
+        assert manifest["status"] == "failed"
+        assert manifest["outputs"] == []
+        assert manifest["failure"] == {"family": "config", "message": message,
+                                       "field_path": "$.potential"}
+
+    def test_config_that_is_no_object_is_two(self, tmp_path, capsys):
+        # an override flag used to index the list and exit 5
+        cfg = write_config(tmp_path, [1, 2])
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--seed", "3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error[config] at $: ")
+        assert read_json(out / "manifest.json")["failure"]["family"] == "config"
+
     @pytest.mark.parametrize("axis", [[0, 0, 0], [math.nan, 0, 1],
                                       [0, math.inf, 0]])
     def test_spin_exponential_refuses_an_axis_without_direction(self, axis):

@@ -518,6 +518,55 @@ class TestBundles:
                                   alone.positions[:, 0])
             assert bundle.status[i] == alone.status[0]
 
+    @staticmethod
+    def assert_lone_runs_equal(state, starts, n_steps, eps_node):
+        """The bundle's positions, statuses and halt times equal each
+        start's lone run bit for bit; returns the bundle's result."""
+        bundle, _ = transport(state, Potential.zero(), starts, 1e-2, n_steps,
+                              eps_node=eps_node)
+        for i, start in enumerate(starts):
+            alone, _ = transport(state, Potential.zero(), [start], 1e-2,
+                                 n_steps, eps_node=eps_node)
+            assert np.array_equal(bundle.positions[:, i],
+                                  alone.positions[:, 0])
+            assert bundle.status[i] == alone.status[0]
+            assert np.array_equal(bundle.halt_times[i:i + 1],
+                                  alone.halt_times, equal_nan=True)
+        return bundle
+
+    def test_ring_bundle_with_halts_midway_equals_lone_paths(self):
+        # psi = 1 + 0.9 e^{i theta}: the density's minimum, at phase
+        # theta - t/2 = pi, holds 0.0028 of its peak, and every particle
+        # drifts backwards through the pattern, fastest where rho is small.
+        # The starts at pi + 0.3 and pi + 0.5 reach the window below 1e-2
+        # of the peak at different steps after the first; the others stay
+        # far from it.  The second halt is indexed within the particles
+        # still moving
+        theta = angle_grid(64)
+        state = twist_embed(1.0 + 0.9 * np.exp(1j * theta), Character.ring(0.0))
+        starts = [0.5, np.pi + 0.3, 2.0, np.pi + 0.5, 5.5]
+        result = self.assert_lone_runs_equal(state, starts, 60, 1e-2)
+        halted = result.status == STATUS_HALTED
+        assert list(np.flatnonzero(halted)) == [1, 3]
+        assert 0.0 < result.halt_times[1] < result.halt_times[3] < 0.6
+        for i in (1, 3):
+            step = round(result.halt_times[i] / 1e-2)
+            assert np.all(result.positions[step:, i]
+                          == result.positions[step, i])
+
+    def test_pair_bundle_with_halts_midway_equals_lone_pairs(self):
+        # the same pattern in theta1 + theta2, exchange-symmetric: psi =
+        # 1 + 0.9 e^{i (theta1 + theta2)}
+        theta = angle_grid(64)
+        values = 1.0 + 0.9 * np.exp(1j * (theta[:, None] + theta[None, :]))
+        state = make_two_particle_state(values, 1)
+        starts = np.array([[0.5, 1.5], [1.0, np.pi - 0.7], [2.5, 3.0],
+                           [1.0, np.pi - 0.5]])
+        result = self.assert_lone_runs_equal(state, starts, 60, 1e-2)
+        halted = result.status == STATUS_HALTED
+        assert list(np.flatnonzero(halted)) == [1, 3]
+        assert 0.0 < result.halt_times[1] < result.halt_times[3] < 0.6
+
     def test_antisymmetric_pair_never_meets(self):
         state = symmetrized_product_state(
             lambda t: wrapped_gaussian(t, 2.0, 0.5, 1.0),
