@@ -6,8 +6,12 @@ manifest (config digest, seed, invariant residuals, file inventory); runs
 are reproducible bit for bit from config + seed, wall time aside.
 
 Exit codes partition failures: 0 success, 2 config/schema, 3 physics
-incompatibility, 4 numerical tolerance breach, 5 internal error (any other
-exception, such as an I/O error while writing or a bug).
+incompatibility (such as a non-unitary generator), 4 numerical tolerance
+breach, 5 internal error (any other exception, such as an I/O error while
+writing or a bug).  ``main`` has one failure path: every failure prints one
+``error[<family>]`` line on stderr, and every failure after the config
+parses as JSON writes a ``failed`` manifest with its family; a manifest
+that cannot be written never changes the exit code.
 """
 
 from __future__ import annotations
@@ -58,10 +62,15 @@ from .scenario import (
 )
 
 EXIT_OK = 0
-EXIT_SCHEMA = 2
-EXIT_PHYSICS = 3
-EXIT_NUMERICS = 4
-EXIT_INTERNAL = 5
+
+# each failure family, the first whose exception type matches: its name in
+# the manifest and on stderr, and its exit code
+FAILURES = (
+    (ConfigError, "config", 2),
+    (PhysicsError, "physics", 3),
+    (ToleranceError, "numerics", 4),
+    (Exception, "internal", 5),
+)
 
 DEFAULT_OUT_ENV = "TOPOBOHM_OUT"
 
@@ -310,18 +319,15 @@ def cmd_spectrum(scenario, ctx):
 
 def cmd_trajectories(scenario, ctx):
     nm = scenario.numerics
-    tc = scenario.cfg.get("trajectories")
-    if tc is None:
-        raise ConfigError("trajectories subcommand needs a 'trajectories' "
-                          "config block", field_path="$.trajectories")
-    dt = nm.get("transport_dt", nm["dt"])
+    tc = scenario.cfg["trajectories"]
     state = scenario.initial_state()
     rows = []
     header = ("trajectory", "t", "angle", "winding", "status") \
         if scenario.space.kind == "ring" else \
         ("trajectory", "t", "angle1", "angle2", "winding1", "winding2", "status")
     bundle = integrate_trajectories(state, scenario.potential, tc["starts"],
-                                    dt, nm["t_final"], eps_node=nm["eps_node"],
+                                    nm["transport_dt"], nm["t_final"],
+                                    eps_node=nm["eps_node"],
                                     record_every=tc.get("record_every", 1))
     for i, traj in enumerate(bundle):
         for row in traj.csv_rows():
@@ -331,23 +337,20 @@ def cmd_trajectories(scenario, ctx):
 
 
 def cmd_equivariance(scenario, ctx):
-    seed = scenario.require_seed()
-    ec = scenario.cfg.get("equivariance")
-    if ec is None:
-        raise ConfigError("equivariance subcommand needs an 'equivariance' "
-                          "config block", field_path="$.equivariance")
+    seed = scenario.seed
+    ec = scenario.cfg["equivariance"]
     nm = scenario.numerics
-    dt = nm.get("transport_dt", nm["dt"])
     state = scenario.initial_state()
+    report = verify_equivariance(
+        state, scenario.potential, ec["n_samples"], nm["t_final"],
+        ec["checkpoints"], seed, dt=nm["transport_dt"], bins=ec.get("bins", 64),
+        velocity_factor=ec.get("velocity_factor", 1.0))
+    # after the verification, which refuses a state that is not on a ring
     if ec.get("emit_samples", False):
         from .ensembles import sample_density
         samples = sample_density(state, ec["n_samples"], seed)
         write_csv(ctx.path("samples.csv"), ("angle",),
                   [(f"{x:.12g}",) for x in samples])
-    report = verify_equivariance(
-        state, scenario.potential, ec["n_samples"], nm["t_final"],
-        ec["checkpoints"], seed, dt=dt, bins=ec.get("bins", 64),
-        velocity_factor=ec.get("velocity_factor", 1.0))
     write_json(ctx.path("equivariance.json"), report.to_dict())
     if not report.valid:
         raise PhysicsError("more than 1% of trajectories halted at nodes; "
@@ -425,21 +428,17 @@ def cmd_classify(scenario, ctx):
     else:
         field = potential.values
     verdict = classify_dynamics(factor, field, compatible)
+    write_json(ctx.path("classification.json"), verdict.__dict__)
     if verdict.label == "incompatible":
-        write_json(ctx.path("classification.json"), verdict.__dict__)
         raise PhysicsError(
             "incompatible pair: the factor must commute with the potential at "
             "every configuration point; " + verdict.detail)
-    write_json(ctx.path("classification.json"), verdict.__dict__)
     return verdict.__dict__
 
 
 def cmd_twisted_check(scenario, ctx):
-    tw = scenario.cfg.get("twisted")
-    if tw is None:
-        raise ConfigError("twisted-check needs a 'twisted' config block",
-                          field_path="$.twisted")
-    seed = scenario.require_seed()
+    tw = scenario.cfg["twisted"]
+    seed = scenario.seed
     rng = np.random.default_rng(seed)
     w = tw["w_dim"]
     if "generators" in tw:
@@ -469,11 +468,8 @@ def cmd_twisted_check(scenario, ctx):
 
 
 def cmd_grw(scenario, ctx):
-    seed = scenario.require_seed()
-    gc = scenario.cfg.get("grw")
-    if gc is None:
-        raise ConfigError("grw subcommand needs a 'grw' config block",
-                          field_path="$.grw")
+    seed = scenario.seed
+    gc = scenario.cfg["grw"]
     nm = scenario.numerics
     state = scenario.initial_state()
     # desk-scale defaults: rate 1, localization width 0.3 on circumference 2 pi
@@ -491,6 +487,12 @@ def cmd_grw(scenario, ctx):
             "expected_events": result.total_rate * nm["t_final"],
             "max_twist_residual": result.max_twist_residual}
 
+
+# what a subcommand reads beyond the schema's required keys: the seed, and
+# its config block
+SEEDED = frozenset({"equivariance", "twisted-check", "grw"})
+BLOCKS = {"trajectories": "trajectories", "equivariance": "equivariance",
+          "twisted-check": "twisted", "grw": "grw"}
 
 COMMANDS = {
     "evolve": cmd_evolve,
@@ -582,6 +584,9 @@ def main(argv=None):
             except OSError as exc:
                 raise ConfigError(f"cannot read {args.config}: "
                                   f"{exc.strerror or exc}") from exc
+            except (ValueError, RecursionError) as exc:
+                # bad JSON, bytes that are not UTF-8, or nesting too deep
+                raise ConfigError(f"not valid JSON: {exc}") from exc
         elif args.subcommand in _DEFAULT_CONFIGS:
             cfg = json.loads(json.dumps(_DEFAULT_CONFIGS[args.subcommand]))
         else:
@@ -590,47 +595,41 @@ def main(argv=None):
         cfg = _apply_overrides(cfg, args)
         scenario = Scenario(cfg)
         ctx = RunContext(out_dir, args.subcommand, cfg, scenario.seed)
+        if args.subcommand in SEEDED and scenario.seed is None:
+            raise ConfigError(
+                "this subcommand is randomized and requires an explicit seed "
+                "(config field 'seed' or flag --seed)", field_path="$.seed")
+        block = BLOCKS.get(args.subcommand)
+        if block is not None and block not in cfg:
+            raise ConfigError(f"{args.subcommand} needs the config block "
+                              f"{block!r}", field_path=f"$.{block}")
         result = COMMANDS[args.subcommand](scenario, ctx)
-        manifest = ctx.emit_manifest(status="ok")
+        ctx.emit_manifest(status="ok")
         print(json.dumps({"status": "ok", "subcommand": args.subcommand,
                           "out": out_dir, "summary": _summarize(result)},
                          sort_keys=True))
         return EXIT_OK
-    except json.JSONDecodeError as exc:
-        print(f"error[config]: not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except ConfigError as exc:
-        if ctx is None and parsed:
-            # a config that parsed but was refused before the run began
-            # still gets its run directory and manifest (no seed: nothing
-            # ran); a disk that cannot take them does not hide the config's
-            # own error
-            with contextlib.suppress(OSError):
-                _emit_failure(RunContext(out_dir, args.subcommand, cfg, None),
-                              "config", exc)
-        else:
-            _emit_failure(ctx, "config", exc)
-        field = getattr(exc, "field_path", None)
-        where = f" at {field}" if field else ""
-        print(f"error[config]{where}: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except PhysicsError as exc:
-        _emit_failure(ctx, "physics", exc)
-        print(f"error[physics]: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
-    except ToleranceError as exc:
-        _emit_failure(ctx, "numerics", exc)
-        # the message starts with the invariant's id
-        print(f"error[numerics]: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
     except Exception as exc:
-        # anything else is a fault of the program or its host, not of the
-        # scenario: it still ends in a documented code and a manifest
-        message = f"{type(exc).__name__}: {exc}"
-        with contextlib.suppress(OSError):  # the failure may be the disk's
-            _emit_failure(ctx, "internal", message, traceback.format_exc())
-        print(f"error[internal]: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+        family, code = next((family, code) for kind, family, code in FAILURES
+                            if isinstance(exc, kind))
+        field = getattr(exc, "field_path", None)
+        failure = {"family": family, "message": str(exc)}
+        if field:
+            failure["field_path"] = field
+        if family == "internal":
+            # a fault of the program or its host, not of the scenario
+            failure["message"] = f"{type(exc).__name__}: {exc}"
+            failure["traceback"] = traceback.format_exc()
+        if parsed:
+            # a config refused before the run began gets its run directory
+            # (no seed: nothing ran); a disk that cannot take the manifest
+            # does not hide the failure itself
+            with contextlib.suppress(OSError):
+                ctx = ctx or RunContext(out_dir, args.subcommand, cfg, None)
+                ctx.emit_manifest(status="failed", failure=failure)
+        where = f" at {field}" if field else ""
+        print(f"error[{family}]{where}: {failure['message']}", file=sys.stderr)
+        return code
 
 
 def _summarize(result):
@@ -643,17 +642,6 @@ def _summarize(result):
         else:
             out[key] = value
     return out
-
-
-def _emit_failure(ctx, family, exc, trace=None):
-    if ctx is not None:
-        failure = {"family": family, "message": str(exc)}
-        field = getattr(exc, "field_path", None)
-        if field:
-            failure["field_path"] = field
-        if trace is not None:
-            failure["traceback"] = trace
-        ctx.emit_manifest(status="failed", failure=failure)
 
 
 if __name__ == "__main__":

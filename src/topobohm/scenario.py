@@ -497,6 +497,7 @@ def build_initial_state(cfg, space, factor, n_points):
 def numerics(cfg):
     out = dict(NUMERICS_DEFAULTS)
     out.update(cfg.get("numerics", {}))
+    out.setdefault("transport_dt", out["dt"])
     return out
 
 
@@ -516,10 +517,3 @@ class Scenario:
     def initial_state(self):
         return build_initial_state(self.cfg, self.space, self.factor,
                                    self.n_points)
-
-    def require_seed(self):
-        if self.seed is None:
-            raise ConfigError(
-                "this subcommand is randomized and requires an explicit seed "
-                "(config field 'seed' or flag --seed)", field_path="$.seed")
-        return self.seed

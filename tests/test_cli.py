@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +11,10 @@ from dataclasses import replace
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import scenario_configs
 from topobohm import cli
 from topobohm import scenario as scenario_module
 from topobohm.cli import json_text, main, write_json
@@ -119,6 +123,20 @@ class TestExitCodes:
         assert main(["evolve", "--config", missing,
                      "--out", str(tmp_path / "o")]) == 2
         assert "error[config]: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b'{"schema": ', b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+        ids=["truncated", "not-utf-8", "too-deep"])
+    def test_config_that_is_not_json_is_two(self, tmp_path, capsys, content):
+        # bytes that are not UTF-8 exited 5 on a UnicodeDecodeError, and
+        # nesting past the parser's depth on a RecursionError
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error[config]: not valid JSON: ")
+        assert not out.exists()
 
     def test_missing_seed_is_two(self, tmp_path):
         cfg_dict = dict(BASE)
@@ -349,6 +367,83 @@ class TestExitCodes:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
         assert capsys.readouterr().err.strip() == \
             "error[internal]: OSError: no space left on device"
+
+    @pytest.mark.parametrize("changes, code, family", [
+        ({"numerics": {"dt": 1e-3, "t_final": 0.0026}}, 2, "config"),
+        ({"factor": {"type": "spin_exp", "angle": 0.7, "axis": [0, 0, 1]},
+          "potential": {"type": "matrix_const",
+                        "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+          "initial_state": SPINOR}, 3, "physics"),
+        ({"numerics": {"dt": 1e-3, "t_final": 0.05, "max_norm_drift": 0.0}},
+         4, "numerics")],
+        ids=["config", "physics", "numerics"])
+    def test_unwritable_failure_manifest_keeps_the_exit_code(
+            self, tmp_path, capsys, monkeypatch, changes, code, family):
+        # each of these escaped main as an OSError traceback
+        replace_file = os.replace
+
+        def refuse_manifest(src, dst):
+            if os.path.basename(dst) == "manifest.json":
+                raise OSError("no space left on device")
+            replace_file(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_manifest)
+        cfg = write_config(tmp_path, dict(BASE, **changes))
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{family}]") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    def test_non_unitary_generator_is_three_with_a_manifest(self, tmp_path,
+                                                            capsys):
+        # the refusal came before the run directory existed, and wrote none
+        cfg = write_config(tmp_path, dict(
+            BASE, seed=4, initial_state=SPINOR,
+            factor={"type": "matrix",
+                    "generator": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[physics]: generator is not unitary")
+        assert err.count("\n") == 1
+        manifest = read_json(out / "manifest.json")
+        jsonschema.validate(manifest, cli.MANIFEST_SCHEMA)
+        assert manifest["status"] == "failed"
+        assert manifest["failure"]["family"] == "physics"
+        assert manifest["seed"] is None
+
+    @pytest.mark.parametrize("subcommand, missing, where", [
+        ("trajectories", ["trajectories"], "$.trajectories"),
+        ("equivariance", ["equivariance"], "$.equivariance"),
+        ("twisted-check", ["twisted"], "$.twisted"),
+        ("grw", ["grw"], "$.grw"),
+        ("equivariance", ["seed"], "$.seed"),
+        ("twisted-check", ["seed"], "$.seed"),
+        ("grw", ["seed"], "$.seed"),
+        ("equivariance", ["seed", "equivariance"], "$.seed"),
+        ("twisted-check", ["seed", "twisted"], "$.seed"),
+        ("grw", ["seed", "grw"], "$.seed")])
+    def test_missing_prerequisite_is_two(self, tmp_path, capsys, subcommand,
+                                         missing, where):
+        cfg_dict = dict(BASE, seed=5, trajectories={"starts": [1.0]},
+                        equivariance={"n_samples": 1000,
+                                      "checkpoints": [0.05]},
+                        twisted={"n_particles": 2, "w_dim": 2},
+                        grw={"lam": 1.0, "a": 0.3})
+        for key in missing:
+            del cfg_dict[key]
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error[config] at {where}:")
+        manifest = read_json(out / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert manifest["failure"]["family"] == "config"
+        assert manifest["failure"]["field_path"] == where
+        assert manifest["seed"] == cfg_dict.get("seed")
+        assert manifest["outputs"] == []
 
 
 class TestEvolve:
@@ -884,6 +979,27 @@ def test_trajectory_start_of_another_space_is_two(tmp_path, capsys, space,
     bad = len(starts) - 1
     assert f"error[config] at $.trajectories.starts[{bad}]:" \
         in capsys.readouterr().err
+
+
+# a NaN or an infinity as json writes it, or as str(float) does in a CSV
+NON_FINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(drawn=st.tuples(st.sampled_from(sorted(cli.COMMANDS)),
+                       scenario_configs()))
+def test_drawn_scenario_ends_in_a_documented_code(tmp_path_factory, drawn):
+    subcommand, cfg_dict = drawn
+    tmp = tmp_path_factory.mktemp("drawn")
+    out = tmp / "o"
+    code = main([subcommand, "--config", write_config(tmp, cfg_dict),
+                 "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == ("ok" if code == 0 else "failed")
+    if code == 0:
+        for path in out.iterdir():
+            assert not NON_FINITE.search(path.read_text()), path.name
 
 
 def test_console_entry_point(tmp_path, src_env):
