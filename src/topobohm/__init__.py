@@ -47,7 +47,6 @@ from .propagation import (
     twist_embed,
 )
 from .trajectories import (
-    Trajectory,
     integrate_trajectories,
     transport,
     velocity_field,

@@ -38,6 +38,7 @@ from .factors import (
     Character,
     TwistedRepTable,
     classify_dynamics,
+    max_abs,
     random_unitary,
     verify_twisted_law,
     worse,
@@ -320,18 +321,22 @@ def cmd_spectrum(scenario, ctx):
 def cmd_trajectories(scenario, ctx):
     nm = scenario.numerics
     tc = scenario.cfg["trajectories"]
-    state = scenario.initial_state()
-    rows = []
     header = ("trajectory", "t", "angle", "winding", "status") \
         if scenario.space.kind == "ring" else \
         ("trajectory", "t", "angle1", "angle2", "winding1", "winding2", "status")
-    bundle = integrate_trajectories(state, scenario.potential, tc["starts"],
+    bundle = integrate_trajectories(scenario.initial_state(),
+                                    scenario.potential, tc["starts"],
                                     nm["transport_dt"], nm["t_final"],
                                     eps_node=nm["eps_node"],
                                     record_every=tc.get("record_every", 1))
-    for i, traj in enumerate(bundle):
-        for row in traj.csv_rows():
-            rows.append((i,) + row)
+    times = [f"{t:.9g}" for t in bundle.times.tolist()]
+    # (M, S, d): each particle's records, one angle or winding per axis
+    angles, windings = (np.moveaxis(a, 1, 0).reshape(len(bundle.status),
+                                                     len(times), -1).tolist()
+                        for a in (bundle.angles, bundle.windings))
+    rows = [(i, t, *[f"{a:.12g}" for a in angle], *winding, status)
+            for i, status in enumerate(bundle.status)
+            for t, angle, winding in zip(times, angles[i], windings[i])]
     write_csv(ctx.path("trajectories.csv"), header, rows)
     return {"n_trajectories": len(tc["starts"])}
 
@@ -381,18 +386,14 @@ def cmd_ab_compare(scenario, ctx):
     for _ in range(10):
         sa = evolve(sa, scenario.potential, dt, 1)
         st = evolve(st, scenario.potential, dt, 1)
-        mapped = gauge_map(sa)
-        diagram = max(diagram, float(np.max(np.abs(mapped.values - st.values))))
+        diagram = worse(diagram, max_abs(gauge_map(sa).values - st.values))
 
     starts = np.linspace(0.0, TWO_PI, 5, endpoint=False)
-    deviation = 0.0
     bundle_a = integrate_trajectories(state_a, scenario.potential, starts, dt,
                                       t_final)
     bundle_t = integrate_trajectories(state_t, scenario.potential, starts, dt,
                                       t_final)
-    for traj_a, traj_t in zip(bundle_a, bundle_t):
-        deviation = max(deviation, float(np.max(np.abs(
-            traj_a.unwrapped - traj_t.unwrapped))))
+    deviation = max_abs(bundle_a.positions - bundle_t.positions)
 
     beta = state_t.beta
     spec_args = dict(n_levels=nm["n_levels"], n_points=scenario.n_points,

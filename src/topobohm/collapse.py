@@ -63,7 +63,8 @@ def _require_width(state, a):
         raise ConfigError("localization width a must be positive")
     if a < state.dx:
         raise ConfigError(f"localization width a = {a:g} is below the grid "
-                          f"spacing {state.dx:g}; the bump is not resolved")
+                          f"spacing {state.dx:g}; the bump is not resolved",
+                          field_path="$.grw.a")
 
 
 def collapse_multiplier(state, x, lam, a, label=None):

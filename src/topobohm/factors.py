@@ -40,6 +40,8 @@ UNIT_MODULUS_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 RELATION_TOL = 1e-12
 COMMUTE_TOL = 1e-10
+# largest off-diagonal of a Schur form that ``unitary_eig`` takes as normal
+NORMAL_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 SPAN_SINGULAR_VALUE_CUT = 1e-8
 # ratio of the weights in the generator sum that character_sectors splits:
@@ -188,7 +190,6 @@ class FiniteGroup:
                 f"group order {len(self.elements)} exceeds cap {self.ORDER_CAP}")
         self.compose = compose
         self.name = name
-        self._index = {g: i for i, g in enumerate(self.elements)}
         self.identity = self._find_identity()
 
     @classmethod
@@ -505,7 +506,7 @@ def _adjacent_transposition_word(perm):
     return list(reversed(word))
 
 
-def unitary_eig(u, tol=1e-9):
+def unitary_eig(u):
     """Eigen-decomposition of a (normal) unitary matrix with unitary basis."""
     # local import: a character or flux run never needs scipy's ~0.25 s load
     import scipy.linalg
@@ -513,7 +514,7 @@ def unitary_eig(u, tol=1e-9):
     u = np.asarray(u, dtype=complex)
     t, z = scipy.linalg.schur(u, output="complex")
     off = max_abs(t - np.diag(np.diag(t)))
-    if off > tol:
+    if off > NORMAL_TOL:
         raise ConfigError(f"matrix is not normal (Schur off-diagonal {off:.2e})")
     return np.diag(t).copy(), z
 
@@ -530,7 +531,7 @@ def random_unitary(dim, rng):
 # commutation gate and classifier
 # ---------------------------------------------------------------------------
 
-def check_commutes(factor, potential_samples, tol=COMMUTE_TOL):
+def check_commutes(factor, potential_samples):
     """True iff every generator factor commutes with every sampled potential.
 
     Samples are Hermitian k x k matrices on the factor's value space, given
@@ -556,7 +557,7 @@ def check_commutes(factor, potential_samples, tol=COMMUTE_TOL):
         # product, where a stacked matmul loops over the k x k matrices
         gv = np.moveaxis(np.tensordot(g, samples, axes=(1, 1)), 0, 1)
         worst = worse(worst, max_abs(gv - np.tensordot(samples, g, axes=1)))
-    return worst <= tol
+    return worst <= COMMUTE_TOL
 
 
 def _commutant(basis):

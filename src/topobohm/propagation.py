@@ -60,6 +60,15 @@ def fourier_modes(n_points):
 # potentials
 # ---------------------------------------------------------------------------
 
+def _hermitian(values, what):
+    """A matrix or a field of them, refused unless each one is Hermitian."""
+    arr = np.asarray(values, dtype=complex)
+    if max_abs(arr - np.conj(np.swapaxes(arr, -1, -2))) > 1e-12:
+        raise ConfigError(f"{what} must be Hermitian",
+                          field_path="$.potential.matrix")
+    return arr
+
+
 @dataclass(frozen=True)
 class Potential:
     """Potential on the base grid.
@@ -102,25 +111,19 @@ class Potential:
 
     @classmethod
     def matrix_constant(cls, matrix, n_points, label="matrix"):
-        m = np.asarray(matrix, dtype=complex)
-        if max_abs(m - m.conj().T) > 1e-12:
-            raise ConfigError("matrix potential must be Hermitian")
+        m = _hermitian(matrix, "matrix potential")
         return cls(kind="matrix", values=np.broadcast_to(
             m, (n_points,) + m.shape), label=label)
 
     @classmethod
     def matrix_field(cls, values, label="matrix"):
-        arr = np.asarray(values, dtype=complex)
-        if max_abs(arr - np.conj(np.swapaxes(arr, -1, -2))) > 1e-12:
-            raise ConfigError("matrix potential must be Hermitian pointwise")
-        return cls(kind="matrix", values=arr, label=label)
+        return cls(kind="matrix", values=_hermitian(values, "matrix potential"),
+                   label=label)
 
     @classmethod
     def covariant(cls, gauge_fixed_values, label="covariant"):
-        arr = np.asarray(gauge_fixed_values, dtype=complex)
-        if max_abs(arr - np.conj(np.swapaxes(arr, -1, -2))) > 1e-12:
-            raise ConfigError("covariant field must be Hermitian pointwise")
-        return cls(kind="covariant", values=arr, label=label)
+        return cls(kind="covariant", label=label,
+                   values=_hermitian(gauge_fixed_values, "covariant field"))
 
     @property
     def is_zero(self):
@@ -227,7 +230,7 @@ class WaveGrid:
         norm = self.norm()
         if not (norm > 0 and math.isfinite(norm)):
             raise ConfigError(f"the state's norm is {norm}; it cannot be "
-                              "normalized")
+                              "normalized", field_path="$.initial_state")
         return self.with_values(self.values / norm)
 
     def with_values(self, values):
@@ -274,9 +277,9 @@ class WaveGrid:
         psi = TwistMonitor(self, n_sheets).sheets(self.values)
         return {Winding(s): psi[s] for s in range(n_sheets)}
 
-    def twist_residual(self, n_sheets=3):
+    def twist_residual(self):
         """Max deviation of psi(sigma qhat) from Gamma_sigma psi(qhat)."""
-        return TwistMonitor(self, n_sheets)(self)
+        return TwistMonitor(self)(self)
 
     def _factor_matrix(self, winding):
         if isinstance(self.twist, Character):
@@ -328,14 +331,14 @@ class TwistMonitor:
 # state builders
 # ---------------------------------------------------------------------------
 
-def wrapped_gaussian(theta, center, width, momentum=0.0, n_images=6):
-    """Periodic Gaussian profile: image sum over deck translates.
+def wrapped_gaussian(theta, center, width, momentum=0.0):
+    """Periodic Gaussian profile: image sum over six deck translates a side.
 
     Each image carries the plane-wave phase of its own unwrapped argument,
     which keeps the sum exactly periodic for any real momentum.
     """
     out = np.zeros_like(theta, dtype=complex)
-    for w in range(-n_images, n_images + 1):
+    for w in range(-6, 7):
         u = theta - center + TWO_PI * w
         out += np.exp(-(u ** 2) / (4.0 * width ** 2) + 1j * momentum * u)
     return out
@@ -352,7 +355,8 @@ def _ring_sectors(factor):
     group = getattr(factor, "group_id", type(factor).__name__)
     if group != ("ring",):
         raise ConfigError("a ring grid takes a ring character or ring matrix "
-                          f"factor, not a factor on {group}")
+                          f"factor, not a factor on {group}",
+                          field_path="$.factor.type")
     phases, basis = character_sectors(factor)
     return phases[0], basis
 
@@ -377,7 +381,8 @@ def twist_embed(data, factor, space=None, data_is_periodic=True):
     betas, basis = _ring_sectors(factor)
     if arr.shape[0] != len(betas):
         raise ConfigError(f"the factor twists {len(betas)} component(s); the "
-                          f"data has {arr.shape[0]}")
+                          f"data has {arr.shape[0]}",
+                          field_path="$.initial_state.type")
     if basis is not None:
         arr = basis.conj().T @ arr
     if not data_is_periodic:
@@ -412,11 +417,7 @@ def make_two_particle_state(values, sector, space=None, enforce=True):
         space = CoveringSpace.two_particle_ring()
     arr = np.asarray(values, dtype=complex)
     twist = Character.exchange(2, sector)
-    state = WaveGrid(space=space, values=arr, twist=twist)
-    norm = state.norm()
-    if norm == 0:
-        raise ConfigError("two-particle data vanishes after symmetrization")
-    state = state.with_values(arr / norm)
+    state = WaveGrid(space=space, values=arr, twist=twist).normalized()
     if enforce and state.exchange_residual() > SECTOR_TOL * max_abs(state.values):
         raise PhysicsError(
             f"initial data violates the declared exchange sector "
@@ -443,20 +444,6 @@ def pair_eigenstate(n1, n2, sector, n_points=DEFAULT_N_POINTS, space=None):
 # the split-step propagator
 # ---------------------------------------------------------------------------
 
-def _pair_potential(state, potential):
-    """Scalar torus potential, refused unless it is exchange symmetric."""
-    if potential.kind != "scalar":
-        raise ConfigError("two-particle stepping supports scalar potentials")
-    v = np.asarray(potential.values, dtype=float)
-    if v.shape != state.values.shape:
-        raise ConfigError("two-particle potential grid mismatch")
-    if max_abs(v - v.T) > 1e-12:
-        raise PhysicsError(
-            "potential is not symmetric under particle exchange; it would "
-            "break the declared exchange sector")
-    return v
-
-
 def _sector_potential(state, potential):
     """Potential term of the gauge-fixed equation, in the sector basis.
 
@@ -469,12 +456,18 @@ def _sector_potential(state, potential):
     """
     if potential.is_zero:
         return ("none", None)
-    if state.space.kind == "two_particle_ring":
-        return ("scalar", _pair_potential(state, potential))
-    if potential.kind == "scalar":
+    pair = state.space.kind == "two_particle_ring"
+    if pair or potential.kind == "scalar":
+        # the torus steps a scalar field only, and an exchange-symmetric one
+        grid = state.values.shape if pair else (state.n_points,)
+        if potential.kind != "scalar" or potential.values.shape != grid:
+            raise ConfigError("the potential is not a scalar field on the "
+                              "state's grid", field_path="$.potential.type")
         v = np.asarray(potential.values, dtype=float)
-        if v.shape != (state.n_points,):
-            raise ConfigError("scalar potential grid does not match the state")
+        if pair and max_abs(v - v.T) > 1e-12:
+            raise PhysicsError(
+                "potential is not symmetric under particle exchange; it would "
+                "break the declared exchange sector")
         return ("scalar", v)
     v = _sector_field(state, potential)
     k = state.n_components
@@ -500,7 +493,8 @@ def _sector_field(state, potential):
     """A matrix or covariant field as (n, k, k) in the state's sector basis."""
     v = np.asarray(potential.values, dtype=complex)
     if v.shape != (state.n_points, state.n_components, state.n_components):
-        raise ConfigError("matrix potential shape does not match the state")
+        raise ConfigError("matrix potential shape does not match the state",
+                          field_path="$.potential.matrix")
     if state.sector_basis is not None:
         v = np.einsum("ab,nbc,cd->nad",
                       state.sector_basis.conj().T, v, state.sector_basis)
@@ -518,9 +512,10 @@ def factor_commutes(factor, potential):
     """
     if isinstance(factor, Character) or potential.kind in ("zero", "scalar"):
         return True
+    if potential.values.shape[1:] != (factor.dim, factor.dim):
+        raise ConfigError(f"{potential.kind} field dimension does not match "
+                          "factor", field_path="$.potential.matrix")
     if potential.kind == "covariant":
-        if potential.values.shape[1:] != (factor.dim, factor.dim):
-            raise ConfigError("covariant field dimension does not match factor")
         return True
     return check_commutes(factor, potential.values)
 
@@ -535,17 +530,27 @@ def _require_commutes(factor, potential):
 
 
 def _wavenumbers(state):
-    """(k, n) kinetic wavenumbers of a ring state, (n + beta / 2 pi) / radius
-    per sector, in FFT order."""
+    """Kinetic wavenumbers in FFT order: (k, n) for a ring state,
+    (n + beta / 2 pi) / radius per sector, and (n,) for a pair, n / radius.
+    A layout whose wavenumbers overflow when squared (a NaN kinetic phase)
+    is refused at the radius if n / radius does, else at the factor."""
     modes = fourier_modes(state.n_points)
-    return (modes[None, :] + state.sector_betas[:, None] / TWO_PI) / state.radius
+    with np.errstate(over="ignore"):
+        plain = modes / state.radius
+        k = plain if state.space.kind == "two_particle_ring" else (
+            modes[None, :] + state.sector_betas[:, None] / TWO_PI) / state.radius
+        for where, wavenumbers in (("$.space.radius", plain), ("$.factor", k)):
+            if not np.isfinite(np.max(np.abs(wavenumbers)) ** 2):
+                raise ConfigError("the kinetic wavenumbers overflow when "
+                                  "squared", field_path=where)
+    return k
 
 
 def _kinetic_phase(state, dt):
+    k = _wavenumbers(state)
     if state.space.kind == "two_particle_ring":
-        k = fourier_modes(state.n_points) / state.radius
         return np.exp(-0.5j * dt * (k[:, None] ** 2 + k[None, :] ** 2))
-    return np.exp(-0.5j * dt * _wavenumbers(state) ** 2)
+    return np.exp(-0.5j * dt * k ** 2)
 
 
 def _potential_half_phase(kind, data, dt):
@@ -832,7 +837,7 @@ def spectrum(factor, potential=None, n_levels=8,
 
     if not 1 <= n_levels <= n_points // 4:
         raise ConfigError("n_levels must be at least 1 and not exceed "
-                          "n_points / 4")
+                          "n_points / 4", field_path="$.numerics.n_levels")
     if potential is None:
         potential = Potential.zero()
     _require_commutes(factor, potential)
@@ -851,7 +856,7 @@ def spectrum(factor, potential=None, n_levels=8,
     levels = []
     for h in blocks:
         herm = max_abs(h - h.conj().T)
-        if herm > 1e-10:
+        if not herm <= 1e-10:           # a NaN entry fails too
             raise ToleranceError("hamiltonian-hermiticity", herm, 1e-10)
         levels.append(scipy.linalg.eigh((h + h.conj().T) / 2.0,
                                         eigvals_only=True,

@@ -434,7 +434,8 @@ def build_potential(cfg, n_points):
         values = np.asarray(pc["values"], dtype=float)
         if values.shape != (n_points,):
             raise ConfigError(
-                f"tabulated potential needs {n_points} values, got {values.shape}")
+                f"tabulated potential needs {n_points} values, got {values.shape}",
+                field_path="$.potential.values")
         return Potential.scalar(values, label="tabulated")
     if kind == "matrix_const":
         return Potential.matrix_constant(
@@ -455,9 +456,13 @@ def build_potential(cfg, n_points):
 def build_initial_state(cfg, space, factor, n_points):
     ic = cfg.get("initial_state", {"type": "eigenstate", "n": 0})
     kind = ic["type"]
+    if kind.startswith("pair") != (space.kind == "two_particle_ring"):
+        raise ConfigError(f"initial state {kind!r} does not fit a "
+                          f"{space.kind} space", field_path="$.initial_state.type")
     if space.kind == "two_particle_ring":
         if not isinstance(factor, Character) or factor.group_id[0] != "sym":
-            raise ConfigError("two-particle scenarios need an exchange factor")
+            raise ConfigError("two-particle scenarios need an exchange factor",
+                              field_path="$.factor.type")
         sign = factor.sign
         if kind == "pair_eigenstate":
             return pair_eigenstate(ic.get("n1", 0), ic.get("n2", 1), sign,
@@ -470,8 +475,6 @@ def build_initial_state(cfg, space, factor, n_points):
                 lambda t: wrapped_gaussian(t, c1, width, k1),
                 lambda t: wrapped_gaussian(t, c2, width, k2),
                 sign, n_points, space)
-        raise ConfigError(
-            f"a two-particle space needs a pair initial state, got {kind!r}")
     if kind == "eigenstate":
         return make_eigenstate(ic.get("n", 0), factor, n_points, space)
     if kind == "gaussian":
@@ -480,17 +483,17 @@ def build_initial_state(cfg, space, factor, n_points):
                                    ic.get("momentum", 0.0), n_points, space)
     if kind == "spinor_gaussian":
         if not isinstance(factor, MatrixRep):
-            raise ConfigError("spinor initial state needs a matrix factor")
+            raise ConfigError("spinor initial state needs a matrix factor",
+                              field_path="$.initial_state.type")
         amps = np.array([complex(re, im) for re, im in ic["amplitudes"]])
         if len(amps) != factor.dim:
-            raise ConfigError("amplitude count must match the factor dimension")
+            raise ConfigError("amplitude count must match the factor "
+                              "dimension", field_path="$.initial_state.amplitudes")
         profile = wrapped_gaussian(angle_grid(n_points),
                                    ic.get("center", math.pi),
                                    ic.get("width", 0.5), ic.get("momentum", 0.0))
         data = amps[:, None] * profile[None, :]
         return twist_embed(data, factor, space=space)
-    if kind.startswith("pair"):
-        raise ConfigError(f"initial state {kind!r} needs a two-particle space")
     raise ConfigError(f"unknown initial state type {kind!r}")
 
 

@@ -20,6 +20,11 @@ half-step states keep RK4's formal order without temporal interpolation.
 Trajectories halt cleanly when they reach a node (interpolated density
 below eps_node times the grid maximum); nodes carry zero measure, so the
 halt policy does not disturb ensemble statistics.
+
+A bundle of trajectories is one ``TransportResult``: the record times, the
+unwrapped positions with one column per particle (the continuous lift of
+each path), each particle's status and halt time, and the base angles and
+windings read off the positions.
 """
 
 from __future__ import annotations
@@ -361,12 +366,15 @@ class TransportResult:
     def node_halt_fraction(self):
         return float(np.mean(self.status != STATUS_COMPLETED))
 
-    def trajectory(self, i):
-        """The path of particle i as a Trajectory."""
-        halt = self.halt_times[i]
-        return Trajectory(times=self.times, unwrapped=self.positions[:, i],
-                          status=str(self.status[i]),
-                          halt_time=None if np.isnan(halt) else float(halt))
+    @property
+    def angles(self):
+        """The recorded positions reduced mod 2 pi: base angles."""
+        return np.mod(self.positions, TWO_PI)
+
+    @property
+    def windings(self):
+        """The full turns of each recorded position, as ints."""
+        return np.floor_divide(self.positions, TWO_PI).astype(int)
 
 
 def _stage_point(q, h, k):
@@ -463,47 +471,11 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
     ), state
 
 
-# ---------------------------------------------------------------------------
-# single trajectories
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Trajectory:
-    """Time-indexed path on the base, wrapped angle plus winding counter."""
-
-    times: np.ndarray
-    unwrapped: np.ndarray      # (S,) or (S, 2) continuous coordinates
-    status: str
-    halt_time: float = None
-
-    @property
-    def angles(self):
-        return np.mod(self.unwrapped, TWO_PI)
-
-    @property
-    def windings(self):
-        return np.floor_divide(self.unwrapped, TWO_PI).astype(int)
-
-    @property
-    def final_position(self):
-        return self.angles[-1]
-
-    def csv_rows(self):
-        one_d = self.unwrapped.ndim == 1
-        for i, t in enumerate(self.times):
-            if one_d:
-                yield (f"{t:.9g}", f"{self.angles[i]:.12g}",
-                       str(self.windings[i]), self.status)
-            else:
-                yield (f"{t:.9g}",
-                       f"{self.angles[i][0]:.12g}", f"{self.angles[i][1]:.12g}",
-                       str(self.windings[i][0]), str(self.windings[i][1]),
-                       self.status)
-
-
 def integrate_trajectories(state, potential, starts, dt, t_final,
                            eps_node=DEFAULT_EPS_NODE, record_every=1):
-    """Bohmian trajectories from each start over [0, t_final], as one bundle.
+    """Bohmian trajectories from each start over [0, t_final], as one bundle:
+    the ``TransportResult`` of ``transport``, whose column i is the path of
+    start i.
 
     The wave is propagated once for all starts, and the guiding field is
     evaluated point by point, so each path is the one its start would follow
@@ -512,4 +484,4 @@ def integrate_trajectories(state, potential, starts, dt, t_final,
     result, _ = transport(state, potential, np.asarray(starts, dtype=float),
                           dt, whole_steps(t_final, dt), eps_node=eps_node,
                           record_every=record_every)
-    return [result.trajectory(i) for i in range(len(result.status))]
+    return result

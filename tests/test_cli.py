@@ -1,5 +1,7 @@
 """Batch runner: exit codes, artifacts, manifests, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -23,6 +25,7 @@ from topobohm.propagation import (
     Potential,
     WaveGrid,
     evolve,
+    gauge_map,
     state_from_dict,
     state_to_dict,
     symmetrized_product_state,
@@ -44,6 +47,8 @@ BASE = {
 
 SPINOR = {"type": "spinor_gaussian", "amplitudes": [[1, 0], [0, 0.5]],
           "center": 3.0, "width": 0.5}
+
+SPIN_Z = {"type": "spin_exp", "angle": 0.7, "axis": [0, 0, 1]}
 
 # a 2-row complex matrix whose second row has one entry
 RAGGED = [[[1, 0], [0, 0]], [[0, 0]]]
@@ -183,7 +188,8 @@ class TestExitCodes:
         cfg = write_config(tmp_path, zero)
         assert main([subcommand, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
-        assert "norm" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error[config] at $.initial_state: the state's norm is 0.0")
 
     @pytest.mark.parametrize("subcommand", ["grw", "spectrum"])
     @pytest.mark.parametrize("axis, where", [
@@ -446,6 +452,94 @@ class TestExitCodes:
         assert manifest["outputs"] == []
 
 
+    @pytest.mark.parametrize("subcommand", ["trajectories", "equivariance",
+                                            "ab-compare", "spectrum",
+                                            "evolve", "grw"])
+    @pytest.mark.parametrize("flux, radius, where", [
+        (1e200, 1.0, "$.factor"), (1.0, 1e-160, "$.space.radius")],
+        ids=["flux-1e200", "radius-1e-160"])
+    def test_overflowing_wavenumbers_are_two(self, tmp_path, capsys,
+                                              subcommand, flux, radius, where):
+        # squared, these wavenumbers overflowed to a NaN kinetic phase, and
+        # the runs exited 4 or 5
+        cfg_dict = dict(BASE, seed=5, trajectories={"starts": [1.0]},
+                        equivariance={"n_samples": 1000, "checkpoints": [0.05]},
+                        grw={"lam": 1.0, "a": 0.3},
+                        space={"kind": "ring", "n_points": 64, "radius": radius},
+                        factor={"type": "flux", "flux": flux, "charge": 1.0})
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error[config] at {where}:")
+        manifest = read_json(out / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert manifest["failure"]["field_path"] == where
+
+    @pytest.mark.parametrize("subcommand, change, where", [
+        ("evolve", {"space": {"kind": "two_particle_ring", "n_points": 16},
+                    "initial_state": {"type": "pair_eigenstate"}},
+         "$.factor.type"),
+        ("evolve", {"factor": {"type": "exchange", "sign": -1}},
+         "$.factor.type"),
+        ("evolve", {"space": {"kind": "two_particle_ring", "n_points": 16},
+                    "factor": {"type": "exchange", "sign": -1}},
+         "$.initial_state.type"),
+        ("evolve", {"initial_state": {"type": "pair_eigenstate"}},
+         "$.initial_state.type"),
+        ("evolve", {"initial_state": SPINOR}, "$.initial_state.type"),
+        ("evolve", {"factor": SPIN_Z}, "$.initial_state.type"),
+        ("evolve", {"factor": SPIN_Z, "initial_state": dict(
+            SPINOR, amplitudes=[[1, 0]])}, "$.initial_state.amplitudes"),
+        ("classify", {"factor": SPIN_Z, "initial_state": SPINOR,
+                      "potential": {"type": "matrix_const",
+                                    "matrix": [[[1, 0], [1, 0]],
+                                               [[0, 0], [1, 0]]]}},
+         "$.potential.matrix"),
+        ("classify", {"factor": SPIN_Z, "initial_state": SPINOR,
+                      "potential": {"type": "covariant_const",
+                                    "matrix": [[[0, 1]]]}},
+         "$.potential.matrix"),
+        ("classify", {"factor": SPIN_Z, "initial_state": SPINOR,
+                      "potential": {"type": "covariant_const",
+                                    "matrix": [[[1, 0]]]}},
+         "$.potential.matrix"),
+        ("evolve", {"potential": {"type": "matrix_const",
+                                  "matrix": [[[1, 0], [0, 0]],
+                                             [[0, 0], [1, 0]]]}},
+         "$.potential.matrix"),
+        ("evolve", {"potential": {"type": "pair_interaction"}},
+         "$.potential.type"),
+        ("spectrum", {"numerics": {"n_levels": 17}}, "$.numerics.n_levels"),
+        ("grw", {"grw": {"a": 0.05}}, "$.grw.a"),
+        ("equivariance", {
+            "space": {"kind": "two_particle_ring", "n_points": 16},
+            "factor": {"type": "exchange", "sign": -1},
+            "potential": {"type": "zero"},
+            "initial_state": {"type": "pair_eigenstate"}}, "$.space.kind"),
+        ("evolve", {
+            "space": {"kind": "two_particle_ring", "n_points": 16},
+            "factor": {"type": "exchange", "sign": -1},
+            "potential": {"type": "zero"},
+            "initial_state": {"type": "pair_eigenstate", "n1": 1, "n2": 1}},
+         "$.initial_state"),
+    ], ids=["pair-without-exchange", "exchange-on-ring", "ring-state-on-pair",
+            "pair-state-on-ring", "spinor-without-matrix",
+            "scalar-state-of-a-spinor", "amplitude-count",
+            "non-hermitian-matrix", "non-hermitian-covariant",
+            "covariant-of-another-dimension", "matrix-on-a-scalar-state", "pair-field-on-ring", "n-levels",
+            "unresolved-width", "equivariance-on-pair", "vanishing-pair"])
+    def test_config_refusal_names_its_path(self, tmp_path, capsys,
+                                           subcommand, change, where):
+        cfg_dict = {**BASE, "seed": 5, "grw": {"lam": 1.0, "a": 0.3},
+                    "equivariance": {"n_samples": 1000, "checkpoints": [0.05]},
+                    **change}
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error[config] at {where}:")
+        assert read_json(out / "manifest.json")["failure"]["field_path"] == where
+
+
 class TestEvolve:
     def test_outputs_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -563,6 +657,26 @@ def test_ab_compare_defaults(tmp_path):
     assert report["max_trajectory_deviation"] <= 1e-6
     assert report["spectrum_difference"] <= 1e-10
     assert report["per_step_diagram_residual"] <= 1e-9
+
+
+def test_ab_compare_fails_a_nan_diagram_residual(tmp_path, monkeypatch):
+    # a max fold dropped the NaN: the run exited 0 with a residual of 0.0
+    mapped = []
+
+    def nan_after_the_first(state):
+        out = gauge_map(state)
+        mapped.append(out)
+        return out if len(mapped) == 1 else out.with_values(
+            np.full_like(out.values, np.nan))
+
+    monkeypatch.setattr(cli, "gauge_map", nan_after_the_first)
+    out = tmp_path / "ab"
+    assert main(["ab-compare", "--t-final", "0.02", "--out", str(out)]) == 4
+    assert math.isnan(read_json(out / "ab_compare.json")[
+        "per_step_diagram_residual"])
+    failed = [inv["id"] for inv in read_json(out / "manifest.json")[
+        "invariants"] if not inv["passed"]]
+    assert failed == ["gauge-diagram-residual"]
 
 
 def test_ab_compare_spectra_use_the_scenario_radius(tmp_path, monkeypatch):
@@ -992,11 +1106,17 @@ def test_drawn_scenario_ends_in_a_documented_code(tmp_path_factory, drawn):
     subcommand, cfg_dict = drawn
     tmp = tmp_path_factory.mktemp("drawn")
     out = tmp / "o"
-    code = main([subcommand, "--config", write_config(tmp, cfg_dict),
-                 "--out", str(out)])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([subcommand, "--config", write_config(tmp, cfg_dict),
+                     "--out", str(out)])
     assert code in (0, 2, 3, 4)
     manifest = read_json(out / "manifest.json")
     assert manifest["status"] == ("ok" if code == 0 else "failed")
+    if code == 2:
+        # every config refusal names where in the config to look
+        assert err.getvalue().startswith("error[config] at $"), err.getvalue()
+        assert manifest["failure"]["field_path"].startswith("$")
     if code == 0:
         for path in out.iterdir():
             assert not NON_FINITE.search(path.read_text()), path.name
@@ -1184,13 +1304,19 @@ def _assert_rows_match_lone_runs(cfg_dict, csv_path):
     tc = cfg_dict["trajectories"]
     expected = []
     for i, start in enumerate(tc["starts"]):
-        traj = integrate_trajectories(scenario.initial_state(),
-                                      scenario.potential, [start],
-                                      nm.get("transport_dt", nm["dt"]),
-                                      nm["t_final"], eps_node=nm["eps_node"],
-                                      record_every=tc["record_every"])[0]
-        expected.extend(",".join(map(str, (i,) + row))
-                        for row in traj.csv_rows())
+        alone = integrate_trajectories(scenario.initial_state(),
+                                       scenario.potential, [start],
+                                       nm.get("transport_dt", nm["dt"]),
+                                       nm["t_final"], eps_node=nm["eps_node"],
+                                       record_every=tc["record_every"])
+        # Python's float % and // round as numpy's mod and floor_divide
+        for t, q in zip(alone.times.tolist(), alone.positions[:, 0].tolist()):
+            q = q if isinstance(q, list) else [q]
+            expected.append(",".join(
+                [str(i), f"{t:.9g}"]
+                + [f"{x % (2 * math.pi):.12g}" for x in q]
+                + [str(int(x // (2 * math.pi))) for x in q]
+                + [alone.status[0]]))
     assert csv_path.read_text().strip().splitlines()[1:] == expected
 
 

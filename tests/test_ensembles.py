@@ -325,3 +325,14 @@ class TestEquivariance:
             verify_equivariance(state, Potential.zero(), 1000, 0.01,
                                 [checkpoint, 0.01], seed=1, dt=2e-3)
         assert info.value.field_path == "$.equivariance.checkpoints"
+
+    def test_nan_distance_fails_the_report(self, monkeypatch):
+        # tv > threshold is false for a NaN, which left the report passed
+        monkeypatch.setattr(ensembles, "tv_distance",
+                            lambda samples, rho, bins: np.nan)
+        state = make_gaussian_state(Character.ring(np.pi), 2.0, 0.45, 2.0,
+                                    n_points=64)
+        report = verify_equivariance(state, Potential.zero(), 1000, 0.01,
+                                     [0.01], seed=1, dt=2e-3)
+        assert report.valid
+        assert not report.passed

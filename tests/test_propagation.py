@@ -22,7 +22,12 @@ from oracles import (
 )
 from topobohm import propagation
 from topobohm.covering import TWO_PI, CoveringSpace
-from topobohm.errors import ConfigError, IncompatibleFactorError, PhysicsError
+from topobohm.errors import (
+    ConfigError,
+    IncompatibleFactorError,
+    PhysicsError,
+    ToleranceError,
+)
 from topobohm.factors import (
     Character,
     MatrixRep,
@@ -955,6 +960,13 @@ class TestSpectrum:
             spectrum(Character.ring(0.0), Potential.zero(), 64, n_points=64)
         with pytest.raises(ConfigError, match="at least 1"):
             spectrum(Character.ring(0.0), Potential.zero(), 0, n_points=64)
+
+    def test_nan_hamiltonian_fails_its_hermiticity_check(self, monkeypatch):
+        # herm > 1e-10 is false for a NaN, which went on to scipy's eigh
+        monkeypatch.setattr(propagation, "_kinetic_blocks",
+                            lambda layout: np.full((1, 16, 16), np.nan + 0j))
+        with pytest.raises(ToleranceError, match="hamiltonian-hermiticity"):
+            spectrum(Character.ring(0.0), Potential.zero(), 2, n_points=16)
 
 
 class TestTwoParticle:

@@ -375,53 +375,55 @@ class TestIntegrateTrajectory:
     def test_constant_velocity_winds_half_turn(self):
         state = make_eigenstate(0, Character.ring(np.pi))
         dt = TWO_PI / 1000
-        traj = integrate_trajectories(state, Potential.zero(), [0.0], dt,
-                                      TWO_PI)[0]
-        assert traj.status == STATUS_COMPLETED
-        assert traj.unwrapped[-1] == pytest.approx(np.pi, abs=1e-9)
-        assert traj.final_position == pytest.approx(np.pi, abs=1e-9)
-        assert traj.windings[-1] == 0
+        result = integrate_trajectories(state, Potential.zero(), [0.0], dt,
+                                        TWO_PI)
+        assert result.status[0] == STATUS_COMPLETED
+        assert result.positions[-1, 0] == pytest.approx(np.pi, abs=1e-9)
+        assert result.angles[-1, 0] == pytest.approx(np.pi, abs=1e-9)
+        assert result.windings[-1, 0] == 0
 
     def test_full_turn_increments_winding(self):
         state = make_eigenstate(1, Character.ring(0.0))  # v = 1
         dt = TWO_PI / 500
-        traj = integrate_trajectories(state, Potential.zero(), [0.5], dt,
-                                      2 * TWO_PI)[0]
-        assert traj.windings[-1] == 2
-        assert traj.final_position == pytest.approx(0.5, abs=1e-9)
+        result = integrate_trajectories(state, Potential.zero(), [0.5], dt,
+                                        2 * TWO_PI)
+        assert result.windings[-1, 0] == 2
+        assert result.angles[-1, 0] == pytest.approx(0.5, abs=1e-9)
 
     def test_real_packet_agrees_with_fine_dt_reference(self):
         state = make_gaussian_state(Character.ring(0.0), np.pi, 0.5, 0.0)
         coarse = integrate_trajectories(state, Potential.zero(), [2.5], 5e-3,
-                                        0.4)[0]
+                                        0.4).positions[:, 0]
         fine = integrate_trajectories(state, Potential.zero(), [2.5], 5e-4,
-                                      0.4)[0]
-        assert abs(coarse.unwrapped[-1] - fine.unwrapped[-1]) <= 1e-8
+                                      0.4).positions[:, 0]
+        assert abs(coarse[-1] - fine[-1]) <= 1e-8
         # starts at rest: negligible motion before the dispersion time 2 w0^2,
         # then the spreading flow carries it outward
-        assert abs(coarse.unwrapped[10] - 2.5) <= 0.01   # t = 0.05
-        assert coarse.unwrapped[-1] < 2.5                # moving away from center
+        assert abs(coarse[10] - 2.5) <= 0.01   # t = 0.05
+        assert coarse[-1] < 2.5                # moving away from center
 
     def test_node_halt_recorded(self):
         # psi = 1 + e^{i theta} has a node at pi; a trajectory started inside
         # the low-density window halts immediately and stays frozen
         theta = angle_grid(512)
         state = twist_embed(1.0 + np.exp(1j * theta), Character.ring(0.0))
-        traj = integrate_trajectories(state, Potential.zero(), [3.14], 1e-2,
-                                      0.5, eps_node=1e-4)[0]
-        assert traj.status == STATUS_HALTED
-        assert traj.halt_time == pytest.approx(0.0)
-        assert np.all(traj.unwrapped == 3.14)
+        result = integrate_trajectories(state, Potential.zero(), [3.14], 1e-2,
+                                        0.5, eps_node=1e-4)
+        assert result.status[0] == STATUS_HALTED
+        assert result.halt_times[0] == pytest.approx(0.0)
+        assert np.all(result.positions[:, 0] == 3.14)
 
     def test_trajectory_chasing_a_node_never_halts(self):
         # the node of 1 + e^{i theta} drifts at speed 1/2, exactly the
         # trajectory velocity: the pursuer stays behind it forever
         theta = angle_grid(512)
         state = twist_embed(1.0 + np.exp(1j * theta), Character.ring(0.0))
-        traj = integrate_trajectories(state, Potential.zero(), [2.0], 1e-2,
-                                      3.0, eps_node=1e-4)[0]
-        assert traj.status == STATUS_COMPLETED
-        assert traj.unwrapped[-1] == pytest.approx(2.0 + 0.5 * 3.0, abs=1e-6)
+        result = integrate_trajectories(state, Potential.zero(), [2.0], 1e-2,
+                                        3.0, eps_node=1e-4)
+        assert result.status[0] == STATUS_COMPLETED
+        assert np.isnan(result.halt_times[0])
+        assert result.positions[-1, 0] == pytest.approx(2.0 + 0.5 * 3.0,
+                                                        abs=1e-6)
 
     def test_time_step_fourth_order(self):
         theta = angle_grid(256)
@@ -429,12 +431,12 @@ class TestIntegrateTrajectory:
             + 0.8 * wrapped_gaussian(theta, 3.6, 0.5, -2.0)
         state = twist_embed(chi, Character.ring(np.pi))
         reference = integrate_trajectories(state, Potential.zero(), [2.2],
-                                           6.25e-4, 0.4)[0]
+                                           6.25e-4, 0.4).positions[-1, 0]
         errors = []
         for dt in (2e-2, 1e-2, 5e-3):
-            traj = integrate_trajectories(state, Potential.zero(), [2.2], dt,
-                                          0.4)[0]
-            errors.append(abs(traj.unwrapped[-1] - reference.unwrapped[-1]))
+            end = integrate_trajectories(state, Potential.zero(), [2.2], dt,
+                                         0.4).positions[-1, 0]
+            errors.append(abs(end - reference))
         for coarse, finer in zip(errors, errors[1:]):
             assert 8.0 <= coarse / finer <= 32.0
 
@@ -444,10 +446,10 @@ class TestIntegrateTrajectory:
         st = gauge_map(sa)
         for q0 in (0.5, 3.0):
             ta = integrate_trajectories(sa, Potential.zero(), [q0], 1e-3,
-                                        0.25)[0]
+                                        0.25)
             tt = integrate_trajectories(st, Potential.zero(), [q0], 1e-3,
-                                        0.25)[0]
-            assert np.max(np.abs(ta.unwrapped - tt.unwrapped)) <= 1e-6
+                                        0.25)
+            assert np.max(np.abs(ta.positions - tt.positions)) <= 1e-6
 
     def test_t_final_must_divide(self):
         state = make_eigenstate(0, Character.ring(0.0))
@@ -484,11 +486,11 @@ class TestBundles:
         starts = [1.5, 2.0, 2.6]
         bundle = integrate_trajectories(state, Potential.zero(), starts,
                                         2e-3, 0.2)
-        for q0, traj in zip(starts, bundle):
+        for i, q0 in enumerate(starts):
             alone = integrate_trajectories(state, Potential.zero(), [q0], 2e-3,
-                                           0.2)[0]
-            assert np.array_equal(traj.unwrapped, alone.unwrapped)
-            assert traj.status == alone.status
+                                           0.2)
+            assert np.array_equal(bundle.positions[:, i], alone.positions[:, 0])
+            assert bundle.status[i] == alone.status[0]
 
     def test_pair_bundle_equals_lone_pairs(self):
         state = symmetrized_product_state(
@@ -580,38 +582,40 @@ class TestBundles:
 
 
 class TestLift:
-    """A path's continuous lift is its ``unwrapped`` coordinate."""
+    """A path's continuous lift is its column of ``positions``."""
 
     def test_lift_accumulates_windings(self):
         state = make_eigenstate(1, Character.ring(0.0))
         dt = TWO_PI / 500
-        traj = integrate_trajectories(state, Potential.zero(), [0.25], dt,
-                                      2 * TWO_PI)[0]
-        assert np.all(np.diff(traj.unwrapped) > 0)
-        assert traj.unwrapped[-1] - traj.unwrapped[0] \
-            == pytest.approx(2 * TWO_PI, abs=1e-9)
-        assert traj.windings[-1] - traj.windings[0] == 2
+        result = integrate_trajectories(state, Potential.zero(), [0.25], dt,
+                                        2 * TWO_PI)
+        lift, windings = result.positions[:, 0], result.windings[:, 0]
+        assert np.all(np.diff(lift) > 0)
+        assert lift[-1] - lift[0] == pytest.approx(2 * TWO_PI, abs=1e-9)
+        assert windings[-1] - windings[0] == 2
 
     def test_lifts_differ_by_deck_element(self):
         # starts one sheet apart follow paths one full turn apart
         state = make_eigenstate(0, Character.ring(np.pi))
-        l0, l1 = integrate_trajectories(state, Potential.zero(),
+        result = integrate_trajectories(state, Potential.zero(),
                                         [1.0, 1.0 + TWO_PI], 1e-2, 1.0)
-        assert np.allclose(l1.unwrapped - l0.unwrapped, TWO_PI)
-        assert np.array_equal(l1.windings - l0.windings,
-                              np.ones_like(l0.windings))
+        l0, l1 = result.positions.T
+        assert np.allclose(l1 - l0, TWO_PI)
+        w0, w1 = result.windings.T
+        assert np.array_equal(w1 - w0, np.ones_like(w0))
 
     def test_projection_returns_original(self):
         state = make_eigenstate(0, Character.ring(np.pi))
-        base, lift = integrate_trajectories(state, Potential.zero(),
-                                            [1.0, 1.0 + 2 * TWO_PI], 1e-2, 1.0)
-        assert np.allclose(lift.angles, base.angles, atol=1e-12)
+        result = integrate_trajectories(state, Potential.zero(),
+                                        [1.0, 1.0 + 2 * TWO_PI], 1e-2, 1.0)
+        base, lift = result.angles.T
+        assert np.allclose(lift, base, atol=1e-12)
 
     def test_stationary_trajectory_constant_lift(self):
         state = make_gaussian_state(Character.ring(0.0), np.pi, 0.4, 0.0)
-        traj = integrate_trajectories(state, Potential.zero(), [np.pi], 1e-2,
-                                      0.1)[0]
-        assert np.max(np.abs(traj.unwrapped - traj.unwrapped[0])) < 1e-4
+        lift = integrate_trajectories(state, Potential.zero(), [np.pi], 1e-2,
+                                      0.1).positions[:, 0]
+        assert np.max(np.abs(lift - lift[0])) < 1e-4
 
 
 class TestTorusFields:
