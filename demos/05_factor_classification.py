@@ -59,7 +59,7 @@ for character, basis in decompose_by_character(rep):
     print(f"  sector beta = {character.beta:+.3f}, dim {basis.shape[1]}")
 
 print("\ncharacter census for identical particles (exchange group):")
-for n in (3, 4):
+for n in (3, 4, 5, 6):
     chars = enumerate_characters(FiniteGroup.symmetric(n))
     kinds = ["trivial" if c.is_trivial else "sign" for c in chars]
     print(f"  S_{n}: {len(chars)} characters ({', '.join(sorted(kinds))}) "

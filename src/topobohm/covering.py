@@ -44,6 +44,9 @@ class Winding:
     def group_id(self):
         return ("ring",)
 
+    def compose(self, other):
+        return Winding(self.k + other.k)
+
     def inverse(self):
         return Winding(-self.k)
 
@@ -199,6 +202,8 @@ class FreeWord:
                 merged.append((gen, exp))
         return FreeWord(tuple(merged), self.n_generators)
 
+    compose = __mul__
+
     def inverse(self):
         return FreeWord(
             tuple((gen, -exp) for gen, exp in reversed(self.syllables)),
@@ -282,15 +287,7 @@ def deck_compose(s1, s2):
     """Group product s1 * s2 of two deck elements of the same group."""
     if s1.group_id != s2.group_id:
         raise TypeError(f"mixed deck groups: {s1.group_id} vs {s2.group_id}")
-    if isinstance(s1, Winding):
-        return Winding(s1.k + s2.k)
-    if isinstance(s1, Permutation):
-        return s1.compose(s2)
-    if isinstance(s1, FreeWord):
-        return s1 * s2
-    if isinstance(s1, SemidirectElement):
-        return s1.compose(s2)
-    raise TypeError(f"unknown deck element type {type(s1)!r}")
+    return s1.compose(s2)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import TWO_PI
+from .errors import ToleranceError
+from .factors import max_abs
 from .propagation import evolve, fourier_modes, require_step_count, whole_steps
 
 DEFAULT_EPS_NODE = 1e-12
@@ -373,7 +375,15 @@ class TransportResult:
 
     @property
     def windings(self):
-        """The full turns of each recorded position, as ints."""
+        """The full turns of each recorded position, as ints.
+
+        From 2**52 in magnitude a double resolves a position no better than
+        one radian, so neither its angle nor its turns mean anything there:
+        such a position (or a NaN) raises ``ToleranceError``, not a cast.
+        """
+        peak = max_abs(self.positions)
+        if not peak < 2.0 ** 52:
+            raise ToleranceError("trajectory-angle-resolution", peak, 2.0 ** 52)
         return np.floor_divide(self.positions, TWO_PI).astype(int)
 
 

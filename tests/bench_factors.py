@@ -1,0 +1,46 @@
+"""Timings of the factor algebra, with pytest-benchmark.
+
+The module name keeps it out of the test suite's collection.  Run it as
+
+    OPENBLAS_NUM_THREADS=1 pytest tests/bench_factors.py --benchmark-only
+
+and compare two checkouts with ``--benchmark-save`` / ``--benchmark-compare``
+(pytest-benchmark keeps its runs under ``.benchmarks/``).  It times the
+character census of S_5 and S_6, the twisted-law check of the 3-fermion
+table on a 3-dimensional value space (tensor dimension 27, the cap) over
+300 seeded pairs, as ``twisted-check`` runs it, and the permutation operator
+of a 3-cycle at N = 3 and dim = 3, which that check builds for every
+holonomy.
+"""
+
+import numpy as np
+import pytest
+
+from topobohm.covering import Permutation
+from topobohm.factors import (
+    FiniteGroup,
+    TwistedRepTable,
+    enumerate_characters,
+    permutation_operator,
+    random_unitary,
+    verify_twisted_law,
+)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_symmetric_census(benchmark, n):
+    group = FiniteGroup.symmetric(n)
+    chars = benchmark(enumerate_characters, group)
+    assert len(chars) == 2
+
+
+def test_nfermion_twisted_law(benchmark):
+    table = TwistedRepTable.nfermion(
+        3, 3, [random_unitary(3, np.random.default_rng(7))])
+    residual = benchmark(verify_twisted_law, table, samples=300, seed=7)
+    assert residual <= 1e-12
+
+
+def test_permutation_operator(benchmark):
+    op = benchmark(permutation_operator, Permutation((1, 2, 0)), 3)
+    assert op.shape == (27, 27)

@@ -1073,6 +1073,25 @@ def test_trajectories_run(tmp_path):
     assert first[4] == "completed"
 
 
+def test_trajectory_past_angle_resolution_is_four(tmp_path, capsys):
+    # at flux 1e150 a particle moves by about 1e146 a step, where a double
+    # has no bits below one radian; the windings were cast to int64's
+    # minimum and the run exited 0
+    cfg_dict = dict(BASE, factor={"type": "flux", "flux": 1e150, "charge": 1.0},
+                    numerics={"dt": 1e-3, "t_final": 0.005},
+                    trajectories={"starts": [1.0]})
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "o"
+    assert main(["trajectories", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error[numerics]: invariant 'trajectory-angle-resolution' violated")
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["failure"]["family"] == "numerics"
+    assert not (out / "trajectories.csv").exists()
+
+
 @pytest.mark.parametrize("space, starts", [
     ("ring", ["x"]), ("ring", [1.0, [1.0, 2.0]]),
     ("two_particle_ring", [[2.0, 4.5], 1.0])],

@@ -169,6 +169,47 @@ class TestEnumerateCharacters:
         with pytest.raises(ConfigError, match="continuous character families"):
             enumerate_characters("ring")
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_larger_symmetric_groups_have_trivial_and_sign(self, n):
+        group = FiniteGroup.symmetric(n)
+        chars = enumerate_characters(group)
+        assert len(chars) == 2
+        for c in chars:
+            expected = [1 if c.is_trivial else Permutation(g).sign
+                        for g in group.elements]
+            assert np.allclose([c.value(g) for g in group.elements],
+                               expected, rtol=0, atol=1e-12)
+        if n == 5:
+            assert max(c.homomorphism_residual() for c in chars) <= 1e-12
+
+    def test_dihedral_group_of_order_eight_has_four(self):
+        # the symmetries of a square as permutations of its corners, the
+        # rotations listed first so that the quarter turn r is the first
+        # greedy generator: r has order 4, but order 2 modulo the
+        # commutators, so its +-i assignments must fail to propagate
+        def compose(p, q):
+            return tuple(p[q[i]] for i in range(4))
+
+        r, s = (1, 2, 3, 0), (0, 3, 2, 1)
+        rotations = [(0, 1, 2, 3)]
+        for _ in range(3):
+            rotations.append(compose(r, rotations[-1]))
+        group = FiniteGroup(rotations + [compose(x, s) for x in rotations],
+                            compose, name="D4")
+        assert group.generating_set()[0] == r
+        chars = enumerate_characters(group)
+        assert len(chars) == 4
+        assert sorted(np.real(c.value(r)) for c in chars) == [-1, -1, 1, 1]
+        assert max(c.homomorphism_residual() for c in chars) <= 1e-12
+
+    def test_trivial_group_has_one(self):
+        chars = enumerate_characters(FiniteGroup.cyclic(1))
+        assert len(chars) == 1 and chars[0].value(0) == 1
+
+    def test_order_cap(self):
+        with pytest.raises(ConfigError, match="order cap"):
+            FiniteGroup.symmetric(8)
+
 
 class TestMatrixRep:
     def test_rejects_non_unitary(self):
