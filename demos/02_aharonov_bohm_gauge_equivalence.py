@@ -17,7 +17,6 @@ from topobohm import (
     integrate_trajectories,
     make_gaussian_state,
     spectrum,
-    velocity_field,
 )
 
 flux, charge = np.pi, 1.0
@@ -27,10 +26,6 @@ state_flux = make_gaussian_state(Character.ring(-charge * flux), center=3.0,
 state_twist = gauge_map(state_flux)
 print(f"flux {flux:.4f} maps to twist angle beta = {state_twist.beta:+.4f} "
       f"(factor {np.exp(1j * state_twist.beta):+.3f})")
-
-v_flux, _ = velocity_field(state_flux)
-v_twist, _ = velocity_field(state_twist)
-print(f"velocity fields agree to {np.max(np.abs(v_flux - v_twist)):.2e}")
 
 print("\ntrajectories from matched starts (t = 0 .. 1):")
 starts = (0.5, 2.0, 3.5, 5.0)

@@ -46,10 +46,10 @@ from .propagation import (
     state_to_dict,
     twist_embed,
 )
+from .spaces import PairGrid, RingGrid
 from .trajectories import (
     integrate_trajectories,
     transport,
-    velocity_field,
 )
 from .ensembles import (
     EnsembleReport,

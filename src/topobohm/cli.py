@@ -321,9 +321,7 @@ def cmd_spectrum(scenario, ctx):
 def cmd_trajectories(scenario, ctx):
     nm = scenario.numerics
     tc = scenario.cfg["trajectories"]
-    header = ("trajectory", "t", "angle", "winding", "status") \
-        if scenario.space.kind == "ring" else \
-        ("trajectory", "t", "angle1", "angle2", "winding1", "winding2", "status")
+    header = ("trajectory", "t", *scenario.space.csv_columns, "status")
     bundle = integrate_trajectories(scenario.initial_state(),
                                     scenario.potential, tc["starts"],
                                     nm["transport_dt"], nm["t_final"],

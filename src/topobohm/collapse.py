@@ -23,7 +23,7 @@ collapse can shrink a defect that a final check alone would miss.
 A run builds what its events share once, on its first state: the width
 check and the bump kernel's FFT of the rate density (``_RateDensity``), and
 the sheet phases and factor matrices of the twist monitor
-(``propagation.TwistMonitor``).  ``rate_over_centers`` and
+(``WaveGrid.space.twist_monitor``).  ``rate_over_centers`` and
 ``WaveGrid.twist_residual`` build the same set-up per call, so a run and a
 single call share one code path; an event's centre is one sample of the
 rate density (``ensembles.sample_from_grid_density``).
@@ -40,7 +40,7 @@ from .covering import TWO_PI
 from .errors import ConfigError, PhysicsError, ToleranceError
 from .ensembles import sample_from_grid_density
 from .factors import worse
-from .propagation import SplitStep, TwistMonitor, evolve
+from .propagation import SplitStep, evolve
 
 TWIST_PRESERVATION_TOL = 1e-9
 
@@ -75,19 +75,8 @@ def collapse_multiplier(state, x, lam, a, label=None):
     single labelled bump for the distinguishable variant.
     """
     _require_width(state, a)
-    theta = state.theta
-    if state.space.kind == "ring":
-        if label is not None:
-            raise ConfigError("labels apply to multi-particle states")
-        return lam * localization_bump(theta, x, a)
-    g = localization_bump(theta, x, a)
-    if label is None:
-        return lam * (g[:, None] + g[None, :])
-    if label == 0:
-        return lam * np.broadcast_to(g[:, None], state.values.shape).copy()
-    if label == 1:
-        return lam * np.broadcast_to(g[None, :], state.values.shape).copy()
-    raise ConfigError(f"label must be None, 0 or 1, got {label!r}")
+    bump = localization_bump(state.theta, x, a)
+    return lam * state.space.collapse_profile(bump, label)
 
 
 class _RateDensity:
@@ -100,13 +89,11 @@ class _RateDensity:
         _require_width(state, a)
         self.lam = lam
         self.dx = state.dx
-        self.ring = state.space.kind == "ring"
+        self.marginal = state.space.rate_marginal
         self.kernel_hat = np.fft.fft(localization_bump(state.theta, 0.0, a))
 
     def __call__(self, state):
-        rho = state.density()
-        if not self.ring:
-            rho = rho.sum(axis=1) * self.dx + rho.sum(axis=0) * self.dx
+        rho = self.marginal(state.density(), self.dx)
         conv = np.real(np.fft.ifft(self.kernel_hat * np.fft.fft(rho)))
         return self.lam * conv * self.dx
 
@@ -166,7 +153,6 @@ class GrwResult:
     events: list
     total_rate: float = 0.0
     max_twist_residual: float = 0.0
-    max_exchange_residual: float = 0.0
 
     @property
     def n_events(self):
@@ -215,19 +201,15 @@ def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3):
         raise ConfigError("t_final must be nonnegative")
     rng = np.random.default_rng(seed)
     state = state.normalized()
-    two_particle = state.space.kind == "two_particle_ring"
     rate = total_rate(state, lam, a)
     result = GrwResult(final_state=state, events=[], total_rate=rate)
     # every state of the run shares the initial state's layout
     rates = _RateDensity(state, lam, a)
-    twist = TwistMonitor(state)
+    twist = state.space.twist_monitor(state)
 
     def monitor(s, when):
-        # a pair's twist residual is its exchange residual
         res = twist(s)
         result.max_twist_residual = worse(result.max_twist_residual, res)
-        if two_particle:
-            result.max_exchange_residual = result.max_twist_residual
         if not res <= TWIST_PRESERVATION_TOL:
             raise ToleranceError(f"twist-preservation@{when}", res,
                                  TWIST_PRESERVATION_TOL)

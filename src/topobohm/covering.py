@@ -1,11 +1,11 @@
-"""Covering spaces and their deck groups.
+"""Deck groups, and the covers that have no grid.
 
-Supported covers:
+Deck elements: ``Winding`` (the ring's integers acting by full turns),
+``Permutation`` (exchange of identical particles), ``FreeWord`` (a free
+fundamental group F_g) and ``SemidirectElement`` (the N-fermion cover).
 
-* ``ring``          -- the circle covered by the real line; deck group is the
-                       integers acting by full turns.
-* ``two_particle_ring`` -- the torus of ordered angle pairs covering the space
-                       of unordered pairs; deck action is coordinate exchange.
+Covers without a grid, whose deck groups the twisted-table checks sample:
+
 * ``free_cover``    -- an abstract base with free fundamental group F_g; deck
                        elements are reduced words.
 * ``nfermion_cover`` -- N indistinguishable particles each living on a base
@@ -14,8 +14,8 @@ Supported covers:
                        product of word groups.
 
 The package works with deck elements only: their products, inverses and
-seeded random draws for the randomized law checks.  Ring draws stay inside
-a finite window of sheets.
+seeded random draws for the randomized law checks.  The grid spaces, the
+ring and the pair, are ``spaces.RingGrid`` and ``spaces.PairGrid``.
 """
 
 from __future__ import annotations
@@ -296,48 +296,23 @@ def deck_compose(s1, s2):
 
 @dataclass(frozen=True)
 class CoveringSpace:
-    """Declaration of a covering space and its window of ring sheets."""
+    """A cover without a grid, whose deck group ``random_deck`` samples:
+    a free cover (``n_particles`` None) or the N-fermion cover."""
 
-    kind: str
-    radius: float = 1.0
-    sheet_window: int = 3
-    n_particles: int = 1
-    n_generators: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("ring", "two_particle_ring", "free_cover", "nfermion_cover"):
-            raise ConfigError(f"unknown covering space kind {self.kind!r}")
-        if self.sheet_window < 3:
-            raise ConfigError("sheet_window must be at least 3")
-        if self.radius <= 0:
-            raise ConfigError("radius must be positive")
+    n_generators: int
+    n_particles: int = None
 
     @classmethod
-    def ring(cls, radius=1.0, sheet_window=3):
-        return cls(kind="ring", radius=radius, sheet_window=sheet_window)
+    def free_cover(cls, n_generators):
+        return cls(n_generators=n_generators)
 
     @classmethod
-    def two_particle_ring(cls, radius=1.0, sheet_window=3):
-        return cls(kind="two_particle_ring", radius=radius,
-                   sheet_window=sheet_window, n_particles=2)
-
-    @classmethod
-    def free_cover(cls, n_generators, sheet_window=3):
-        return cls(kind="free_cover", n_generators=n_generators,
-                   sheet_window=sheet_window)
-
-    @classmethod
-    def nfermion_cover(cls, n_particles, n_generators, sheet_window=3):
-        return cls(kind="nfermion_cover", n_particles=n_particles,
-                   n_generators=n_generators, sheet_window=sheet_window)
+    def nfermion_cover(cls, n_particles, n_generators):
+        return cls(n_generators=n_generators, n_particles=n_particles)
 
     def random_deck(self, rng, max_word_length=6):
         """Seeded random deck element, used by the randomized law checks."""
-        if self.kind == "ring":
-            return Winding(int(rng.integers(-self.sheet_window, self.sheet_window + 1)))
-        if self.kind == "two_particle_ring":
-            return Permutation(tuple(rng.permutation(2)))
-        if self.kind == "free_cover":
+        if self.n_particles is None:
             return _random_word(rng, self.n_generators, max_word_length)
         perm = Permutation(tuple(int(i) for i in rng.permutation(self.n_particles)))
         words = tuple(_random_word(rng, self.n_generators, max_word_length)

@@ -76,10 +76,7 @@ def sample_from_grid_density(rho, n, rng):
 
 def sample_density(state, n, seed):
     """I.i.d. draws from the state's base density; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    if state.space.kind == "two_particle_ring":
-        return _sample_torus_density(state.density(), n, rng)
-    return sample_from_grid_density(state.density(), n, rng)
+    return state.space.sample(state.density(), n, np.random.default_rng(seed))
 
 
 def _sample_torus_density(rho, n, rng):
@@ -190,7 +187,7 @@ def verify_equivariance(state, potential, n, t_final, checkpoints, seed,
     """
     if n < 1000:
         raise ConfigError("need at least 10^3 samples for the band to mean much")
-    if state.space.kind != "ring":
+    if state.space.dims != 1:
         raise ConfigError("equivariance verification runs on ring states",
                           field_path="$.space.kind")
     samples = sample_density(state, n, seed)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covering import TWO_PI, CoveringSpace, Winding
+from .covering import TWO_PI
 from .errors import (
     ConfigError,
     IncompatibleFactorError,
@@ -40,6 +40,7 @@ from .factors import (
     max_abs,
     unitarity_residual,
 )
+from .spaces import PairGrid, RingGrid, grid_space, require_power_of_two
 
 DEFAULT_N_POINTS = 256
 DEFAULT_DT = 1e-3
@@ -134,29 +135,24 @@ class Potential:
 # wave grids
 # ---------------------------------------------------------------------------
 
-def _require_power_of_two(n):
-    if n < 4 or (n & (n - 1)) != 0:
-        raise ConfigError(f"n_points must be a power of two, got {n}")
-
-
 @dataclass(frozen=True)
 class WaveGrid:
     """Gauge-fixed periodic wave function data.
 
-    Ring states store ``values`` with shape (k, n): strictly periodic sector
-    components, expressed in the eigenbasis of the twist factor when that
-    factor is a matrix (``sector_basis`` maps sector components back to the
-    original value space; ``sector_betas`` holds each component's twist
-    angle).  Two-particle states store psi itself on the torus, shape
-    (n, n), with the exchange sign as the twist.
+    ``space``, a ``spaces.RingGrid`` or ``spaces.PairGrid``, answers the
+    layout questions.  Ring states store ``values`` (k, n): periodic sector
+    components, in the eigenbasis of a matrix twist factor (``sector_basis``
+    maps them back to the value space; ``sector_betas`` holds each one's
+    twist angle).  Pair states store psi itself on the torus, (n, n), with
+    the exchange sign as the twist and no sectors.
 
-    Norm convention: sum |chi|^2 dtheta = 1.
+    Norm convention: sum |values|^2 dtheta^d = 1 over the d angle axes.
 
     A state returned by ``evolve`` carries the ``SplitStep`` that made it;
     ``with_values`` keeps it, and ``dataclasses.replace`` drops it.
     """
 
-    space: CoveringSpace
+    space: object
     values: np.ndarray
     twist: object
     sector_betas: np.ndarray = None
@@ -169,25 +165,10 @@ class WaveGrid:
         # layout the caller passed
         object.__setattr__(self, "values",
                            np.ascontiguousarray(self.values, dtype=complex))
-        if self.space.kind == "ring":
-            if self.values.ndim != 2:
-                raise ConfigError("ring values must have shape (components, n)")
-            _require_power_of_two(self.values.shape[1])
-            if self.sector_betas is None:
-                raise ConfigError("ring states need sector twist angles")
+        if self.sector_betas is not None:
             object.__setattr__(self, "sector_betas",
                                np.asarray(self.sector_betas, dtype=float))
-            k = self.values.shape[0]
-            if self.sector_betas.shape != (k,) or np.shape(
-                    self.sector_basis) not in ((), (k, k)):
-                raise ConfigError(f"a ring state of {k} component(s) needs "
-                                  f"{k} sector angles and a {k} x {k} basis")
-        elif self.space.kind == "two_particle_ring":
-            if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-                raise ConfigError("two-particle values must be square (n, n)")
-            _require_power_of_two(self.values.shape[0])
-        else:
-            raise ConfigError(f"no grid storage for space kind {self.space.kind!r}")
+        self.space.check_layout(self)
 
     # -- geometry -----------------------------------------------------------
 
@@ -197,7 +178,7 @@ class WaveGrid:
 
     @property
     def n_components(self):
-        return self.values.shape[0] if self.space.kind == "ring" else 1
+        return math.prod(self.values.shape[a] for a in self.space.component_axes)
 
     @property
     def dx(self):
@@ -214,15 +195,12 @@ class WaveGrid:
     # -- norms and densities --------------------------------------------------
 
     def norm(self):
-        if self.space.kind == "ring":
-            return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dx))
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dx ** 2))
+        return float(np.sqrt(np.sum(np.abs(self.values) ** 2)
+                             * self.dx ** self.space.dims))
 
     def density(self):
         """Base-side probability density (the local inner product)."""
-        if self.space.kind == "ring":
-            return np.sum(np.abs(self.values) ** 2, axis=0)
-        return np.abs(self.values) ** 2
+        return np.sum(np.abs(self.values) ** 2, axis=self.space.component_axes)
 
     def normalized(self):
         """The state scaled to unit norm; a zero or non-finite norm, which
@@ -242,89 +220,34 @@ class WaveGrid:
 
     @property
     def is_scalar(self):
-        return self.space.kind == "ring" and self.values.shape[0] == 1
+        return self.space.dims == 1 and self.n_components == 1
 
     @property
     def beta(self):
         """Twist angle of a single-sector ring state."""
-        if self.space.kind != "ring":
+        if self.sector_betas is None:
             raise ConfigError("beta is defined for ring states")
         betas = np.unique(np.round(self.sector_betas, 12))
         if len(betas) != 1:
             raise ConfigError("state has several twist sectors; no single beta")
         return float(self.sector_betas[0])
 
-    @property
-    def exchange_sign(self):
-        if self.space.kind != "two_particle_ring":
-            raise ConfigError("exchange sign is defined for two-particle states")
-        return self.twist.sign
-
     def psi(self):
         """Reconstruct the physical wave function on the fundamental sheet."""
-        if self.space.kind == "two_particle_ring":
-            return self.values.copy()
-        return self.reconstruct_sheets(1)[Winding(0)]
+        return next(iter(self.reconstruct_sheets(1).values()))
 
     def reconstruct_sheets(self, n_sheets=3):
-        """Physical psi on deck translates, keyed by winding, for checks."""
-        if self.space.kind == "two_particle_ring":
-            from .covering import Permutation
-            return {
-                Permutation.identity(2): self.values.copy(),
-                Permutation.swap(2, 0, 1): self.values.T.copy(),
-            }
-        psi = TwistMonitor(self, n_sheets).sheets(self.values)
-        return {Winding(s): psi[s] for s in range(n_sheets)}
+        """Physical psi on deck translates, the identity's first, for checks."""
+        return self.space.sheets(self, n_sheets)
 
     def twist_residual(self):
         """Max deviation of psi(sigma qhat) from Gamma_sigma psi(qhat)."""
-        return TwistMonitor(self)(self)
+        return self.space.twist_monitor(self)(self)
 
     def _factor_matrix(self, winding):
         if isinstance(self.twist, Character):
             return self.twist.value(winding) * np.eye(self.n_components)
         return self.twist.evaluate(winding)
-
-    def exchange_residual(self):
-        """Deviation from the declared exchange sector (torus states)."""
-        sign = self.exchange_sign
-        return max_abs(self.values.T - sign * self.values)
-
-
-class TwistMonitor:
-    """The twist residual of states that share one layout (grid, sector
-    angles, sector basis and factor), with its state-independent part built
-    once: the sheet phases of ``n_sheets`` deck translates in one broadcast
-    ``exp`` over (n_sheets, k, n), and the factor matrix of each sheet.
-
-    ``WaveGrid.twist_residual`` builds one per call; a run that checks many
-    states of one layout holds one.  A pair's twist residual is its exchange
-    residual, which has no state-independent part.
-    """
-
-    def __init__(self, state, n_sheets=3):
-        self.pair = state.space.kind == "two_particle_ring"
-        if self.pair:
-            return
-        windings = TWO_PI * np.arange(n_sheets)
-        self.phases = np.exp(
-            1j * state.sector_betas[None, :, None]
-            * (state.theta[None, None, :] + windings[:, None, None]) / TWO_PI)
-        self.basis = state.sector_basis
-        self.factors = np.stack([state._factor_matrix(Winding(s))
-                                 for s in range(n_sheets)])
-
-    def sheets(self, values):
-        """Physical psi of ring sector data on each sheet, (n_sheets, k, n)."""
-        sector_psi = values * self.phases
-        return sector_psi if self.basis is None else self.basis @ sector_psi
-
-    def __call__(self, state):
-        if self.pair:
-            return state.exchange_residual()
-        psi = self.sheets(state.values)
-        return max_abs(psi - self.factors @ psi[0])
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +296,11 @@ def twist_embed(data, factor, space=None, data_is_periodic=True):
     normalized.
     """
     if space is None:
-        space = CoveringSpace.ring()
+        space = RingGrid()
     arr = np.asarray(data, dtype=complex)
     if arr.ndim == 1:
         arr = arr[None, :]
-    _require_power_of_two(arr.shape[1])
+    require_power_of_two(arr.shape[1])
     betas, basis = _ring_sectors(factor)
     if arr.shape[0] != len(betas):
         raise ConfigError(f"the factor twists {len(betas)} component(s); the "
@@ -414,14 +337,14 @@ SECTOR_TOL = 1e-10
 def make_two_particle_state(values, sector, space=None, enforce=True):
     """Two-particle torus state in a declared exchange sector (+1 or -1)."""
     if space is None:
-        space = CoveringSpace.two_particle_ring()
+        space = PairGrid()
     arr = np.asarray(values, dtype=complex)
     twist = Character.exchange(2, sector)
     state = WaveGrid(space=space, values=arr, twist=twist).normalized()
-    if enforce and state.exchange_residual() > SECTOR_TOL * max_abs(state.values):
+    if enforce and state.twist_residual() > SECTOR_TOL * max_abs(state.values):
         raise PhysicsError(
             f"initial data violates the declared exchange sector "
-            f"(residual {state.exchange_residual():.2e})")
+            f"(residual {state.twist_residual():.2e})")
     return state
 
 
@@ -456,19 +379,14 @@ def _sector_potential(state, potential):
     """
     if potential.is_zero:
         return ("none", None)
-    pair = state.space.kind == "two_particle_ring"
-    if pair or potential.kind == "scalar":
-        # the torus steps a scalar field only, and an exchange-symmetric one
-        grid = state.values.shape if pair else (state.n_points,)
+    if potential.kind == "scalar" or state.sector_betas is None:
+        # a state without twist sectors steps its space's scalar fields only
+        grid = state.values.shape[-state.space.dims:]
         if potential.kind != "scalar" or potential.values.shape != grid:
             raise ConfigError("the potential is not a scalar field on the "
                               "state's grid", field_path="$.potential.type")
-        v = np.asarray(potential.values, dtype=float)
-        if pair and max_abs(v - v.T) > 1e-12:
-            raise PhysicsError(
-                "potential is not symmetric under particle exchange; it would "
-                "break the declared exchange sector")
-        return ("scalar", v)
+        return ("scalar", state.space.scalar_potential(
+            np.asarray(potential.values, dtype=float)))
     v = _sector_field(state, potential)
     k = state.n_components
     diag = np.diagonal(v, axis1=1, axis2=2).real
@@ -537,7 +455,7 @@ def _wavenumbers(state):
     modes = fourier_modes(state.n_points)
     with np.errstate(over="ignore"):
         plain = modes / state.radius
-        k = plain if state.space.kind == "two_particle_ring" else (
+        k = plain if state.sector_betas is None else (
             modes[None, :] + state.sector_betas[:, None] / TWO_PI) / state.radius
         for where, wavenumbers in (("$.space.radius", plain), ("$.factor", k)):
             if not np.isfinite(np.max(np.abs(wavenumbers)) ** 2):
@@ -547,10 +465,9 @@ def _wavenumbers(state):
 
 
 def _kinetic_phase(state, dt):
-    k = _wavenumbers(state)
-    if state.space.kind == "two_particle_ring":
-        return np.exp(-0.5j * dt * (k[:, None] ** 2 + k[None, :] ** 2))
-    return np.exp(-0.5j * dt * k ** 2)
+    # |k|^2 on the d angle axes: the sum of the squares on each axis
+    k2 = functools.reduce(np.add.outer, [_wavenumbers(state) ** 2] * state.space.dims)
+    return np.exp(-0.5j * dt * k2)
 
 
 def _potential_half_phase(kind, data, dt):
@@ -630,8 +547,7 @@ class SplitStep:
         self.kind, data = _sector_potential(state, potential)
         self.half_v = _potential_half_phase(self.kind, data, dt)
         self.kinetic = _kinetic_phase(state, dt)
-        self._axes = ((-1, -2) if state.space.kind == "two_particle_ring"
-                      else (-1,))
+        self._axes = tuple(range(-1, -1 - state.space.dims, -1))
 
     @functools.cached_property
     def matrix(self):
@@ -778,7 +694,7 @@ def gauge_map(state):
 
 
 def _require_scalar_ring(state):
-    if state.space.kind != "ring" or not state.is_scalar:
+    if not state.is_scalar:
         raise ConfigError("the flux gauge handles scalar ring states")
 
 
@@ -842,7 +758,7 @@ def spectrum(factor, potential=None, n_levels=8,
         potential = Potential.zero()
     _require_commutes(factor, potential)
     betas, basis = _ring_sectors(factor)
-    layout = WaveGrid(space=CoveringSpace.ring(radius=radius),
+    layout = WaveGrid(space=RingGrid(radius=radius),
                       values=np.zeros((len(betas), n_points)), twist=factor,
                       sector_betas=betas, sector_basis=basis)
     kind, data = _sector_potential(layout, potential)
@@ -905,6 +821,7 @@ def complex_matrix_from_pairs(rows):
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
+
 def state_to_dict(state):
     """Versioned, binary-free JSON layout for a WaveGrid."""
     d = {
@@ -919,10 +836,10 @@ def state_to_dict(state):
         "twist": _twist_to_dict(state.twist),
         "components": _complex_matrix_to_pairs(state.values),
     }
-    if state.space.kind == "ring":
+    if state.sector_betas is not None:
         d["sector_betas"] = [float(b) for b in state.sector_betas]
-        if state.sector_basis is not None:
-            d["sector_basis"] = _complex_matrix_to_pairs(state.sector_basis)
+    if state.sector_basis is not None:
+        d["sector_basis"] = _complex_matrix_to_pairs(state.sector_basis)
     return d
 
 
@@ -930,17 +847,11 @@ def state_from_dict(d):
     if d.get("schema") != STATE_SCHEMA:
         raise ConfigError(f"unknown state schema {d.get('schema')!r}")
     sp = d["space"]
-    twist = _twist_from_dict(d["twist"])
-    if sp["kind"] == "ring":
-        space = CoveringSpace.ring(radius=sp["radius"],
-                                   sheet_window=sp["sheet_window"])
-        values = complex_matrix_from_pairs(d["components"])
-        basis = (complex_matrix_from_pairs(d["sector_basis"])
-                 if "sector_basis" in d else None)
-        return WaveGrid(space=space, values=values, twist=twist,
-                        sector_betas=np.array(d["sector_betas"]),
-                        sector_basis=basis)
-    space = CoveringSpace.two_particle_ring(radius=sp["radius"],
-                                            sheet_window=sp["sheet_window"])
-    values = complex_matrix_from_pairs(d["components"])
-    return WaveGrid(space=space, values=values, twist=twist)
+    basis = d.get("sector_basis")
+    if basis is not None:
+        basis = complex_matrix_from_pairs(basis)
+    return WaveGrid(space=grid_space(sp["kind"], radius=sp["radius"],
+                                     sheet_window=sp["sheet_window"]),
+                    values=complex_matrix_from_pairs(d["components"]),
+                    twist=_twist_from_dict(d["twist"]),
+                    sector_betas=d.get("sector_betas"), sector_basis=basis)

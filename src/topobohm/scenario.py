@@ -22,7 +22,6 @@ import numbers
 
 import numpy as np
 
-from .covering import CoveringSpace
 from .errors import ConfigError
 from .factors import Character, MatrixRep
 from .propagation import (
@@ -37,6 +36,7 @@ from .propagation import (
     twist_embed,
     wrapped_gaussian,
 )
+from .spaces import GRID_SPACES, grid_space
 
 SCENARIO_SCHEMA_TAG = "topobohm/scenario/1"
 
@@ -108,7 +108,7 @@ SCENARIO_SCHEMA = {
             "required": ["kind"],
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["ring", "two_particle_ring"]},
+                "kind": {"enum": list(GRID_SPACES)},
                 "n_points": {"type": "integer", "minimum": 4},
                 "radius": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -375,11 +375,7 @@ def _square_matrix(rows, where):
 
 def build_space(cfg):
     sp = cfg.get("space", {})
-    kind = sp.get("kind", "ring")
-    radius = sp.get("radius", 1.0)
-    if kind == "ring":
-        return CoveringSpace.ring(radius=radius)
-    return CoveringSpace.two_particle_ring(radius=radius)
+    return grid_space(sp.get("kind", "ring"), radius=sp.get("radius", 1.0))
 
 
 def flux_and_charge(cfg):
@@ -456,25 +452,24 @@ def build_potential(cfg, n_points):
 def build_initial_state(cfg, space, factor, n_points):
     ic = cfg.get("initial_state", {"type": "eigenstate", "n": 0})
     kind = ic["type"]
-    if kind.startswith("pair") != (space.kind == "two_particle_ring"):
+    if kind not in space.initial_states:
         raise ConfigError(f"initial state {kind!r} does not fit a "
                           f"{space.kind} space", field_path="$.initial_state.type")
-    if space.kind == "two_particle_ring":
-        if not isinstance(factor, Character) or factor.group_id[0] != "sym":
-            raise ConfigError("two-particle scenarios need an exchange factor",
-                              field_path="$.factor.type")
-        sign = factor.sign
-        if kind == "pair_eigenstate":
-            return pair_eigenstate(ic.get("n1", 0), ic.get("n2", 1), sign,
-                                   n_points, space)
-        if kind == "pair_gaussian":
-            c1, c2 = ic.get("centers", [2.0, 4.5])
-            width = ic.get("width", 0.5)
-            k1, k2 = ic.get("momenta", [0.0, 0.0])
-            return symmetrized_product_state(
-                lambda t: wrapped_gaussian(t, c1, width, k1),
-                lambda t: wrapped_gaussian(t, c2, width, k2),
-                sign, n_points, space)
+    if space.dims > 1 and not (isinstance(factor, Character)
+                               and factor.group_id[0] == "sym"):
+        raise ConfigError("two-particle scenarios need an exchange factor",
+                          field_path="$.factor.type")
+    if kind == "pair_eigenstate":
+        return pair_eigenstate(ic.get("n1", 0), ic.get("n2", 1), factor.sign,
+                               n_points, space)
+    if kind == "pair_gaussian":
+        c1, c2 = ic.get("centers", [2.0, 4.5])
+        width = ic.get("width", 0.5)
+        k1, k2 = ic.get("momenta", [0.0, 0.0])
+        return symmetrized_product_state(
+            lambda t: wrapped_gaussian(t, c1, width, k1),
+            lambda t: wrapped_gaussian(t, c2, width, k2),
+            factor.sign, n_points, space)
     if kind == "eigenstate":
         return make_eigenstate(ic.get("n", 0), factor, n_points, space)
     if kind == "gaussian":
@@ -494,7 +489,6 @@ def build_initial_state(cfg, space, factor, n_points):
                                    ic.get("width", 0.5), ic.get("momentum", 0.0))
         data = amps[:, None] * profile[None, :]
         return twist_embed(data, factor, space=space)
-    raise ConfigError(f"unknown initial state type {kind!r}")
 
 
 def numerics(cfg):

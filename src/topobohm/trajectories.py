@@ -146,48 +146,8 @@ def _unit_phase(theta):
 
 
 # ---------------------------------------------------------------------------
-# velocity fields
+# guiding-field evaluators
 # ---------------------------------------------------------------------------
-
-def velocity_field(state, eps_node=DEFAULT_EPS_NODE):
-    """Velocity samples on the base grid plus a node mask.
-
-    Returns (v, node_mask): velocity is meaningless where the density is
-    below eps_node times its maximum, and those samples are flagged.
-    """
-    if state.space.kind == "two_particle_ring":
-        return _velocity_field_torus(state, eps_node)
-    values = state.values
-    n = state.n_points
-    modes = fourier_modes(n)
-    coeffs = np.fft.fft(values, axis=1)
-    dvalues = np.fft.ifft(1j * modes[None, :] * coeffs, axis=1)
-    rho = np.sum(np.abs(values) ** 2, axis=0)
-    current = np.sum(np.imag(np.conj(values) * dvalues), axis=0)
-    current = current + np.sum(
-        (state.sector_betas[:, None] / TWO_PI) * np.abs(values) ** 2, axis=0)
-    node_mask = rho < eps_node * np.max(rho)
-    v = np.zeros_like(rho)
-    ok = ~node_mask
-    v[ok] = current[ok] / rho[ok] / state.radius ** 2
-    return v, node_mask
-
-
-def _velocity_field_torus(state, eps_node):
-    values = state.values
-    n = state.n_points
-    modes = fourier_modes(n)
-    coeffs = np.fft.fft2(values)
-    d1 = np.fft.ifft2(1j * modes[:, None] * coeffs)
-    d2 = np.fft.ifft2(1j * modes[None, :] * coeffs)
-    rho = np.abs(values) ** 2
-    node_mask = rho < eps_node * np.max(rho)
-    v = np.zeros(values.shape + (2,))
-    ok = ~node_mask
-    v[..., 0][ok] = np.imag(np.conj(values[ok]) * d1[ok]) / rho[ok]
-    v[..., 1][ok] = np.imag(np.conj(values[ok]) * d2[ok]) / rho[ok]
-    return v / state.radius ** 2, node_mask
-
 
 @functools.lru_cache(maxsize=8)
 def _mode_numbers(n):
@@ -407,16 +367,9 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
     coefficient, of all the snapshots that guided the bundle.
     """
     require_step_count(n_steps)
-    two_particle = state.space.kind == "two_particle_ring"
-    if two_particle:
-        q = np.asarray(q0, dtype=float).reshape(-1, 2).copy()
-    else:
-        q = np.asarray(q0, dtype=float).reshape(-1).copy()
-
-    def make_eval(s):
-        if two_particle:
-            return _TorusEvaluator(s, velocity_factor)
-        return _RingEvaluator(s, velocity_factor)
+    space = state.space
+    # (m,) angles on the ring, (m, d) on a d-torus
+    q = np.asarray(q0, dtype=float).reshape((-1, space.dims)[:space.dims]).copy()
 
     m = q.shape[0]
     active = None                    # every particle moves until one halts
@@ -424,14 +377,14 @@ def transport(state, potential, q0, dt, n_steps, eps_node=DEFAULT_EPS_NODE,
     halt_times = np.full(m, np.nan)
     times = [0.0]
     records = [q.copy()]
-    ev0 = make_eval(state)
+    ev0 = space.evaluator(state, velocity_factor)
     truncation = ev0.truncation
     t = 0.0
     for step in range(n_steps):
         s_half = evolve(state, potential, 0.5 * dt, 1)
         s_full = evolve(s_half, potential, 0.5 * dt, 1)
-        ev_half = make_eval(s_half)
-        ev_full = make_eval(s_full)
+        ev_half = space.evaluator(s_half, velocity_factor)
+        ev_full = space.evaluator(s_full, velocity_factor)
         truncation = max(truncation, ev_half.truncation, ev_full.truncation)
         qa = q if active is None else q[active]
         if qa.shape[0]:

@@ -17,7 +17,8 @@ import numpy as np
 
 from topobohm import collapse
 from topobohm.factors import Character
-from topobohm.propagation import Potential, TwistMonitor, make_gaussian_state
+from topobohm.propagation import Potential, make_gaussian_state
+from topobohm.spaces import TwistMonitor
 
 LAM, A = 1.0, 0.3
 

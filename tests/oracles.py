@@ -5,7 +5,8 @@ it, and nothing under ``src/`` imports it.  Each piece is slow or general
 by design.  Two read a piece of the package that they do not check: the
 Crank-Nicolson oracle steps the grid Hamiltonian that ``spectrum``
 diagonalizes, and ``collapse_rate`` sums the bump that ``apply_collapse``
-multiplies by.
+multiplies by.  ``velocity_field`` is the guiding field on the grid points,
+by FFT derivatives, against which the point evaluators are checked.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ from topobohm.factors import (
     verify_twisted_law,
 )
 from topobohm.collapse import collapse_multiplier
-from topobohm.propagation import WaveGrid, _dense_hamiltonian, _require_scalar_ring
+from topobohm.propagation import (
+    WaveGrid,
+    _dense_hamiltonian,
+    _require_scalar_ring,
+    fourier_modes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +201,51 @@ def gauge_unmap(state_twisted, flux, charge=1.0):
     return WaveGrid(space=state_twisted.space, values=psi_a,
                     twist=Character.ring(flux_beta),
                     sector_betas=np.array([flux_beta]))
+
+
+# ---------------------------------------------------------------------------
+# the guiding field on the grid
+# ---------------------------------------------------------------------------
+
+def velocity_field(state, eps_node=1e-12):
+    """Velocity samples on the base grid plus a node mask.
+
+    Returns (v, node_mask): velocity is meaningless where the density is
+    below eps_node times its maximum, and those samples are flagged.  A
+    pair's velocity has one component per particle on its last axis.
+    """
+    if state.space.kind == "two_particle_ring":
+        return _velocity_field_torus(state, eps_node)
+    values = state.values
+    n = state.n_points
+    modes = fourier_modes(n)
+    coeffs = np.fft.fft(values, axis=1)
+    dvalues = np.fft.ifft(1j * modes[None, :] * coeffs, axis=1)
+    rho = np.sum(np.abs(values) ** 2, axis=0)
+    current = np.sum(np.imag(np.conj(values) * dvalues), axis=0)
+    current = current + np.sum(
+        (state.sector_betas[:, None] / TWO_PI) * np.abs(values) ** 2, axis=0)
+    node_mask = rho < eps_node * np.max(rho)
+    v = np.zeros_like(rho)
+    ok = ~node_mask
+    v[ok] = current[ok] / rho[ok] / state.radius ** 2
+    return v, node_mask
+
+
+def _velocity_field_torus(state, eps_node):
+    values = state.values
+    n = state.n_points
+    modes = fourier_modes(n)
+    coeffs = np.fft.fft2(values)
+    d1 = np.fft.ifft2(1j * modes[:, None] * coeffs)
+    d2 = np.fft.ifft2(1j * modes[None, :] * coeffs)
+    rho = np.abs(values) ** 2
+    node_mask = rho < eps_node * np.max(rho)
+    v = np.zeros(values.shape + (2,))
+    ok = ~node_mask
+    v[..., 0][ok] = np.imag(np.conj(values[ok]) * d1[ok]) / rho[ok]
+    v[..., 1][ok] = np.imag(np.conj(values[ok]) * d2[ok]) / rho[ok]
+    return v / state.radius ** 2, node_mask
 
 
 # ---------------------------------------------------------------------------

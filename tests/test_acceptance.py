@@ -24,6 +24,7 @@ from topobohm.factors import (
     verify_twisted_law,
 )
 from topobohm.covering import CoveringSpace
+from topobohm.spaces import RingGrid
 from topobohm.propagation import (
     Potential,
     angle_grid,
@@ -98,7 +99,7 @@ def test_03_flux_periodicity():
 def test_04_character_laws():
     """Homomorphism residual <= 1e-12 on 10^3 seeded pairs per group."""
     cases = [
-        ("ring", Character.ring(0.9), CoveringSpace.ring(sheet_window=40)),
+        ("ring", Character.ring(0.9), RingGrid(sheet_window=40)),
         ("free-2", Character.free([np.exp(0.4j), np.exp(-1.1j)]),
          CoveringSpace.free_cover(2)),
         ("nfermion-3", Character.nfermion(3, [np.exp(0.8j)], sign=-1),
@@ -220,7 +221,7 @@ def test_09_unitarity_and_symmetry():
     pair_v = Potential.scalar(0.3 * np.add.outer(np.cos(theta), np.cos(theta)),
                               label="pair")
     pair_out = evolve(pair, pair_v, 1e-3, 1000)
-    sector = pair_out.exchange_residual()
+    sector = pair_out.twist_residual()
     diagonal = float(np.max(np.abs(np.diag(pair_out.values))))
     assert sector <= 1e-9
     assert diagonal <= 1e-9
@@ -260,7 +261,7 @@ def test_10_grw_process():
     for k in range(20):
         result = simulate_grw(pair, Potential.zero(), 1.0, lam, a,
                               seed=7000 + k, dt=2e-3)
-        worst_exchange = max(worst_exchange, result.max_exchange_residual)
+        worst_exchange = max(worst_exchange, result.max_twist_residual)
     assert worst_exchange <= 1e-9
     report("grw-process",
            f"total {total} events over {n_runs} runs vs Poisson mean "

@@ -13,7 +13,6 @@ from topobohm.errors import ConfigError, PhysicsError, ToleranceError
 from topobohm.factors import Character
 from topobohm.propagation import (
     Potential,
-    TwistMonitor,
     angle_grid,
     evolve,
     make_eigenstate,
@@ -127,7 +126,7 @@ class TestApplyCollapse:
             lambda t: wrapped_gaussian(t, 2.0, 0.5),
             lambda t: wrapped_gaussian(t, 4.3, 0.5), -1, n_points=64)
         collapsed, event = apply_collapse(state, 2.0, LAM, A)
-        assert collapsed.exchange_residual() <= 1e-12
+        assert collapsed.twist_residual() <= 1e-12
         assert collapsed.norm() == pytest.approx(1.0, abs=1e-10)
         assert event.post_norm == pytest.approx(
             np.sqrt(collapse_rate(state, 2.0, LAM, A)), rel=1e-10)
@@ -289,7 +288,7 @@ class TestSimulate:
             lambda t: wrapped_gaussian(t, 4.3, 0.5), -1, n_points=64)
         result = simulate_grw(state, Potential.zero(), 1.0, LAM, A,
                               seed=41, dt=2e-3)
-        assert result.max_exchange_residual <= 1e-9
+        assert result.max_twist_residual <= 1e-9
 
 
 def _ring_case():
@@ -370,7 +369,7 @@ def _reference_twist_residual(state, n_sheets=3):
     """The twist residual as first written: one phase exp and one fold
     step per sheet."""
     if state.space.kind == "two_particle_ring":
-        return state.exchange_residual()
+        return state.twist_residual()
     sheets = []
     for s in range(n_sheets):
         phases = np.exp(1j * state.sector_betas[:, None]
@@ -396,7 +395,7 @@ def test_run_set_up_reads_as_the_per_call_functions(case):
     if state.space.kind == "ring" and state.n_components == 2:
         assert state.sector_basis is not None
     rates = _RateDensity(state, LAM, A)
-    twist = TwistMonitor(state)
+    twist = state.space.twist_monitor(state)
     for x in (1.0, 2.5, 4.0):
         state = evolve(state, potential, 1e-3, 20)
         state, _ = apply_collapse(state, x, LAM, A)

@@ -24,6 +24,7 @@ from topobohm.covering import (
     Winding,
     deck_compose,
 )
+from topobohm.spaces import PairGrid, RingGrid
 from topobohm.errors import ConfigError, PhysicsError
 from topobohm.factors import Character, MatrixRep
 from topobohm.propagation import angle_grid, make_eigenstate, wrapped_gaussian
@@ -36,28 +37,28 @@ def word(*letters, g=2):
 
 class TestDeckApply:
     def test_ring_winding(self):
-        space = CoveringSpace.ring()
+        space = RingGrid()
         moved = deck_apply(space, Winding(1), RingPoint(0, 0.5))
         assert moved == RingPoint(1, 0.5)
         assert moved.unwrapped == pytest.approx(0.5 + TWO_PI)
 
     def test_ring_identity(self):
-        space = CoveringSpace.ring()
+        space = RingGrid()
         p = RingPoint(2, 1.25)
         assert deck_apply(space, Winding(0), p) == p
 
     def test_ring_accepts_unwrapped_floats(self):
-        space = CoveringSpace.ring()
+        space = RingGrid()
         moved = deck_apply(space, Winding(-1), 0.5 + TWO_PI)
         assert moved == RingPoint(0, pytest.approx(0.5))
 
     def test_sheet_window_overflow(self):
-        space = CoveringSpace.ring(sheet_window=3)
+        space = RingGrid(sheet_window=3)
         with pytest.raises(PhysicsError, match="window"):
             deck_apply(space, Winding(4), RingPoint(0, 0.0))
 
     def test_two_particle_swap(self):
-        space = CoveringSpace.two_particle_ring()
+        space = PairGrid()
         assert deck_apply(space, Permutation.swap(2, 0, 1), (1.0, 2.0)) == (2.0, 1.0)
 
     def test_nfermion_action(self):
@@ -98,7 +99,7 @@ class TestDeckCompose:
             deck_compose(Winding(1), FreeWord.identity(1))
 
     @pytest.mark.parametrize("space", [
-        CoveringSpace.ring(sheet_window=20),
+        RingGrid(sheet_window=20),
         CoveringSpace.free_cover(2),
         CoveringSpace.nfermion_cover(3, 2),
     ])
@@ -167,7 +168,7 @@ class TestWords:
 
 
 def test_free_action_on_samples():
-    space = CoveringSpace.ring()
+    space = RingGrid()
     elements = [Winding(k) for k in (-2, -1, 0, 1, 2)]
     points = [RingPoint(0, a) for a in np.linspace(0, TWO_PI, 7, endpoint=False)]
     assert all(deck_apply(space, sigma, q) != q
@@ -243,7 +244,7 @@ class TestProjectDensity:
 
 
 def test_ring_compose_matches_action_exactly():
-    space = CoveringSpace.ring(sheet_window=10)
+    space = RingGrid(sheet_window=10)
     rng = np.random.default_rng(3)
     for _ in range(100):
         a = Winding(int(rng.integers(-4, 5)))

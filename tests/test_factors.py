@@ -18,6 +18,7 @@ from topobohm.covering import (
     deck_compose,
 )
 from topobohm.errors import ConfigError, NonUnimodularFactorError
+from topobohm.spaces import PairGrid, RingGrid
 from topobohm.factors import (
     Character,
     FiniteGroup,
@@ -71,7 +72,7 @@ class TestMakeCharacter:
 
 class TestHomomorphism:
     @pytest.mark.parametrize("factor,space", [
-        (Character.ring(0.9), CoveringSpace.ring(sheet_window=30)),
+        (Character.ring(0.9), RingGrid(sheet_window=30)),
         (Character.free([np.exp(0.4j), np.exp(-1.2j)]), CoveringSpace.free_cover(2)),
         (Character.nfermion(3, [np.exp(0.8j)], sign=-1),
          CoveringSpace.nfermion_cover(3, 1)),
@@ -532,10 +533,10 @@ class TestTwistedLaw:
         assert verify_twisted_law(table, samples=300, seed=3) <= 1e-12
 
     @pytest.mark.parametrize("character,space,sigma", [
-        (Character.ring(0.9), CoveringSpace.ring(sheet_window=30), Winding(1)),
+        (Character.ring(0.9), RingGrid(sheet_window=30), Winding(1)),
         (Character.free([np.exp(0.4j), np.exp(-1.2j)]), CoveringSpace.free_cover(2),
          FreeWord.generator(0, 2)),
-        (Character.exchange(2, -1), CoveringSpace.two_particle_ring(),
+        (Character.exchange(2, -1), PairGrid(),
          Permutation.swap(2, 0, 1)),
     ], ids=["ring", "free", "exchange"])
     def test_character_embeds_as_one_by_one(self, character, space, sigma):

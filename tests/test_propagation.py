@@ -21,7 +21,7 @@ from oracles import (
     unitary_fractional_power,
 )
 from topobohm import propagation
-from topobohm.covering import TWO_PI, CoveringSpace
+from topobohm.covering import TWO_PI
 from topobohm.errors import (
     ConfigError,
     IncompatibleFactorError,
@@ -56,6 +56,7 @@ from topobohm.propagation import (
     _sector_potential,
 )
 from topobohm.scenario import PAULI, spin_exponential
+from topobohm.spaces import PairGrid, RingGrid
 
 
 def l2_diff(a, b):
@@ -334,7 +335,7 @@ class TestEvolveMemo:
         assert step is not None and step.shape == state.values.shape
         assert out.normalized()._split_step is step
         assert evolve(out, potential, 1e-3, 5)._split_step is step
-        assert replace(out, space=CoveringSpace.ring(radius=2.0))._split_step is None
+        assert replace(out, space=RingGrid(radius=2.0))._split_step is None
 
     def test_no_stale_set_up_is_served(self):
         state, potential = _memo_case("spinor-matrix")
@@ -350,7 +351,7 @@ class TestEvolveMemo:
             # the field does not commute with an x-axis factor: refused
             "twist": (replace(out, twist=MatrixRep.ring(
                 spin_exponential(0.7, [1, 0, 0]))), potential, 1e-3),
-            "space": (replace(out, space=CoveringSpace.ring(radius=2.0)),
+            "space": (replace(out, space=RingGrid(radius=2.0)),
                       potential, 1e-3),
             # new values keep the set-up; on a finer grid the 64-point
             # field no longer fits and is refused
@@ -771,7 +772,7 @@ def test_norm_does_not_depend_on_memory_layout():
     v = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     rep = MatrixRep.ring(np.eye(2))
     c_order, f_order = (
-        WaveGrid(space=CoveringSpace.ring(), values=values, twist=rep,
+        WaveGrid(space=RingGrid(), values=values, twist=rep,
                  sector_betas=np.zeros(2), sector_basis=np.eye(2))
         for values in (v, np.asfortranarray(v)))
     assert c_order.norm() == f_order.norm()
@@ -862,7 +863,7 @@ class TestSpectrum:
     def test_dense_hamiltonian_equals_block_loop(self, case):
         n = 32
         theta = angle_grid(n)
-        space = CoveringSpace.ring(radius=1.3)
+        space = RingGrid(radius=1.3)
         trig = Potential.scalar(0.3 * np.cos(theta) - 0.7 * np.sin(2 * theta))
         if case == "scalar":
             state = make_gaussian_state(Character.ring(-7.3), 3.0, 0.5,
@@ -933,7 +934,7 @@ class TestSpectrum:
         levels = spectrum(rep, potential, n_levels, n_points=n, radius=1.3)
         assert shapes == [(n, n), (n, n)]
         betas, basis = propagation._ring_sectors(rep)
-        layout = WaveGrid(space=CoveringSpace.ring(radius=1.3),
+        layout = WaveGrid(space=RingGrid(radius=1.3),
                           values=np.zeros((2, n)), twist=rep,
                           sector_betas=betas, sector_basis=basis)
         h = _dense_hamiltonian(layout, potential)
@@ -985,7 +986,7 @@ class TestTwoParticle:
         v = Potential.scalar(0.4 * np.add.outer(np.cos(theta), np.cos(theta)),
                              label="pair")
         out = evolve(state, v, 1e-3, 1000)
-        assert out.exchange_residual() <= 1e-10
+        assert out.twist_residual() <= 1e-10
 
     def test_pair_eigenstate_energy(self):
         state = pair_eigenstate(1, 2, -1, n_points=64)
@@ -1057,7 +1058,7 @@ class TestStateSerialization:
         state = pair_eigenstate(0, 1, -1, n_points=32)
         back = state_from_dict(state_to_dict(state))
         assert np.array_equal(back.values, state.values)
-        assert back.exchange_sign == -1
+        assert back.twist.sign == -1
 
     @settings(derandomize=True, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(["scalar", "spinor", "torus"]),
@@ -1070,16 +1071,16 @@ class TestStateSerialization:
             values = np.asfortranarray(values)
         angle = data.draw(st.floats(-20.0, 20.0))
         if kind == "torus":
-            state = WaveGrid(space=CoveringSpace.two_particle_ring(), values=values,
+            state = WaveGrid(space=PairGrid(), values=values,
                              twist=Character.exchange(2, -1))
         elif kind == "scalar":
-            state = WaveGrid(space=CoveringSpace.ring(), values=values,
+            state = WaveGrid(space=RingGrid(), values=values,
                              twist=Character.ring(angle),
                              sector_betas=np.array([angle]))
         else:
             rep = MatrixRep.ring(spin_exponential(angle, [0.6, 0.0, 0.8]))
             eigvals, basis = unitary_eig(rep.generators[0])
-            state = WaveGrid(space=CoveringSpace.ring(), values=values, twist=rep,
+            state = WaveGrid(space=RingGrid(), values=values, twist=rep,
                              sector_betas=np.angle(eigvals), sector_basis=basis)
         back = state_from_dict(json.loads(json.dumps(state_to_dict(state))))
         assert np.array_equal(bits(back.values), bits(values))

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from topobohm.covering import TWO_PI, CoveringSpace
+from oracles import velocity_field
+from topobohm.covering import TWO_PI
 from topobohm.errors import ConfigError
 from topobohm.factors import Character, MatrixRep
 from topobohm.propagation import (
@@ -22,6 +23,7 @@ from topobohm.propagation import (
     wrapped_gaussian,
 )
 from topobohm.scenario import spin_exponential
+from topobohm.spaces import PairGrid
 from topobohm.trajectories import (
     STATUS_COMPLETED,
     STATUS_HALTED,
@@ -32,7 +34,6 @@ from topobohm.trajectories import (
     _unit_phase,
     integrate_trajectories,
     transport,
-    velocity_field,
 )
 
 
@@ -193,7 +194,7 @@ class TestPointEvaluators:
         f2 = wrapped_gaussian(theta, 3.5, 0.6, 3.0) \
             + 0.5 * wrapped_gaussian(theta, 1.0, 0.6, -2.0)
         state = make_two_particle_state(
-            np.outer(f1, f2), -1, space=CoveringSpace.two_particle_ring(radius=1.5),
+            np.outer(f1, f2), -1, space=PairGrid(radius=1.5),
             enforce=False)
         coeffs = np.fft.fft2(state.values) / n ** 2
         kept = np.abs(coeffs) > COEFF_CUT * np.max(np.abs(coeffs))
