@@ -16,7 +16,7 @@ import numpy as np
 
 from .covering import TWO_PI
 from .errors import ConfigError, PhysicsError
-from .propagation import whole_steps
+from .propagation import fourier_modes, whole_steps
 from .trajectories import STATUS_COMPLETED, transport
 
 DEFAULT_BINS = 64
@@ -79,17 +79,36 @@ def sample_density(state, n, seed):
     return state.space.sample(state.density(), n, np.random.default_rng(seed))
 
 
+def _linear_offsets(left, right, u, h):
+    """Offsets s in [0, h] below which lies the fraction u of a density
+    linear from ``left`` at 0 to ``right`` at h: the root of
+    left s + (right - left) s^2 / 2h = u (left + right) h / 2, in a form
+    with no cancellation; a density zero at both ends takes u h."""
+    denominator = left + np.sqrt((1.0 - u) * left ** 2 + u * right ** 2)
+    flat = denominator <= 0.0
+    s = np.where(flat, u, u * (left + right) / np.where(flat, 1.0, denominator))
+    return np.minimum(s * h, h)
+
+
 def _sample_torus_density(rho, n, rng):
-    """Cellwise-constant sampling on the torus grid."""
-    m = rho.shape[0]
-    flat = np.clip(rho.ravel(), 0.0, None)
-    if flat.max() == 0:
+    """Draws from the bilinear interpolant of a torus grid density, the
+    ring's trapezoid rule on each axis: a cell by its mass, then the first
+    offset from the cell's marginal, linear between its two edges, and the
+    second from the density along that offset."""
+    rho = np.clip(rho, 0.0, None)
+    if rho.max() == 0:
         raise PhysicsError("density vanishes everywhere; nothing to sample")
-    probs = flat / flat.sum()
-    cells = rng.choice(flat.size, size=n, p=probs)
+    h = TWO_PI / rho.shape[0]
+    up = np.roll(rho, -1, axis=0)       # corners (i + 1, j)
+    corners = (rho, np.roll(rho, -1, axis=1), up, np.roll(up, -1, axis=1))
+    mass = (corners[0] + corners[1] + corners[2] + corners[3]).ravel()
+    cells = rng.choice(mass.size, size=n, p=mass / mass.sum())
+    r00, r01, r10, r11 = (c.ravel()[cells] for c in corners)
+    s = _linear_offsets(r00 + r01, r10 + r11, rng.random(n), h)
+    t = _linear_offsets(r00 + (r10 - r00) * (s / h), r01 + (r11 - r01) * (s / h),
+                        rng.random(n), h)
     i, j = np.unravel_index(cells, rho.shape)
-    h = TWO_PI / m
-    return np.stack([(i + rng.random(n)) * h, (j + rng.random(n)) * h], axis=1)
+    return np.mod(np.stack([i * h + s, j * h + t], axis=1), TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +124,28 @@ def density_bin_masses(rho, bins):
                           field_path="$.equivariance.bins")
     _, _, cell_mass = _trapezoid_cells(rho)
     masses = cell_mass.reshape(bins, m // bins).sum(axis=1)
+    return masses / masses.sum()
+
+
+def exact_bin_masses(rho, bins):
+    """Masses of the equal angle bins, ``bins`` per axis, of a band-limited
+    grid density on the ring or a torus: the integral over each bin of the
+    Fourier series through the grid values, exact to rounding when rho has
+    no mode at or above the grid's Nyquist mode.  One bin matrix per axis,
+    its entry (k, m) the integral of exp(i m theta) over bin k."""
+    rho = np.asarray(rho, dtype=float)
+    n = rho.shape[0]
+    if bins > n or n % bins != 0:
+        raise ConfigError("bins must divide the grid size")
+    modes = fourier_modes(n)
+    edges = np.exp(1j * np.outer(np.arange(bins + 1) * (TWO_PI / bins), modes))
+    per_axis = (edges[1:] - edges[:-1]) / np.where(modes == 0, 1.0, 1j * modes)
+    per_axis[:, modes == 0] = TWO_PI / bins
+    masses = np.fft.fftn(rho) / rho.size
+    for axis in range(rho.ndim):
+        masses = np.moveaxis(np.tensordot(per_axis, masses, axes=(1, axis)),
+                             0, axis)
+    masses = masses.real
     return masses / masses.sum()
 
 

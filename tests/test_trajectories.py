@@ -631,7 +631,7 @@ class TestTorusFields:
         assert np.max(np.abs(v[..., 0].T - v[..., 1])[ok]) <= 1e-9
 
     def test_two_particle_equivariance(self):
-        from topobohm.ensembles import sample_density
+        from topobohm.ensembles import exact_bin_masses, sample_density
         state = symmetrized_product_state(
             lambda t: wrapped_gaussian(t, 2.0, 0.5, 2.0),
             lambda t: wrapped_gaussian(t, 4.3, 0.5, -1.0), -1, n_points=64)
@@ -641,11 +641,10 @@ class TestTorusFields:
         final = np.mod(result.positions[-1], TWO_PI)
 
         def tv(points, rho, bins=16):
+            # against the exact masses of the 16^2 bins
             h, _, _ = np.histogram2d(points[:, 0], points[:, 1], bins=bins,
                                      range=[[0, TWO_PI], [0, TWO_PI]])
-            cell = rho.reshape(bins, rho.shape[0] // bins,
-                               bins, rho.shape[1] // bins).sum(axis=(1, 3))
-            return 0.5 * np.sum(np.abs(h / h.sum() - cell / cell.sum()))
+            return 0.5 * np.sum(np.abs(h / h.sum() - exact_bin_masses(rho, bins)))
 
         moved = tv(final, evolved.density())
         stale = tv(final, state.density())
