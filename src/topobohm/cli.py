@@ -44,7 +44,6 @@ from .factors import (
     worse,
 )
 from .propagation import (
-    complex_matrix_from_pairs,
     evolve,
     factor_commutes,
     gauge_map,
@@ -60,6 +59,7 @@ from .scenario import (
     Scenario,
     canonical_config_bytes,
     flux_and_charge,
+    square_matrix,
 )
 
 EXIT_OK = 0
@@ -441,12 +441,9 @@ def cmd_twisted_check(scenario, ctx):
     rng = np.random.default_rng(seed)
     w = tw["w_dim"]
     if "generators" in tw:
-        for i, g in enumerate(tw["generators"]):
-            if len(g) != w or any(len(row) != w for row in g):
-                raise ConfigError(f"a generator acts on the w_dim = {w} "
-                                  f"value space: it must be {w} x {w}",
-                                  field_path=f"$.twisted.generators[{i}]")
-        gens = [complex_matrix_from_pairs(g) for g in tw["generators"]]
+        # the table checks each generator's size; a ragged one stops here
+        gens = [square_matrix(g, f"$.twisted.generators[{i}]")
+                for i, g in enumerate(tw["generators"])]
     else:
         gens = [random_unitary(w, rng)
                 for _ in range(tw.get("random_generators", 1))]

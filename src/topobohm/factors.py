@@ -746,13 +746,18 @@ class TwistedRepTable:
         ``qhat_tag``, and the slot holding label l evaluates the word of the
         particle that carries l in the tag (the index bookkeeping that ties
         the abstract fiber to a concrete ordered tuple).  Default tag is
-        (0, 1, ..., N-1).
+        (0, 1, ..., N-1).  Each generator must be w_dim x w_dim.
         """
         dim = w_dim ** n_particles
         if dim > NFERMION_TENSOR_DIM_CAP:
             raise ConfigError(
                 f"tensor dimension {dim} exceeds cap {NFERMION_TENSOR_DIM_CAP}")
         mats = tuple(generator_matrices)
+        for i, g in enumerate(mats):
+            if np.shape(g) != (w_dim, w_dim):
+                raise ConfigError(f"a generator acts on the w_dim = {w_dim} "
+                                  f"value space: it must be {w_dim} x {w_dim}",
+                                  field_path=f"$.twisted.generators[{i}]")
         word_rep = MatrixRep.free(mats) if mats else None
         if qhat_tag is None:
             qhat_tag = tuple(range(n_particles))

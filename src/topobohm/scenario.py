@@ -364,7 +364,7 @@ def spin_exponential(angle, axis):
     return math.cos(angle) * np.eye(2) - 1j * math.sin(angle) * e_sigma
 
 
-def _square_matrix(rows, where):
+def square_matrix(rows, where):
     """A scenario's complex matrix from its rows of (re, im) pairs, refused
     at its JSON path ``where`` unless every row has one entry per row."""
     if any(len(row) != len(rows) for row in rows):
@@ -401,8 +401,8 @@ def build_factor(cfg):
     if kind == "exchange":
         return Character.exchange(2, fc.get("sign", 1))
     if kind == "matrix":
-        return MatrixRep.ring(_square_matrix(fc["generator"],
-                                             "$.factor.generator"))
+        return MatrixRep.ring(square_matrix(fc["generator"],
+                                            "$.factor.generator"))
     if kind == "spin_exp":
         return MatrixRep.ring(spin_exponential(fc.get("angle", 0.0),
                                                fc.get("axis", [0, 0, 1])))
@@ -435,9 +435,9 @@ def build_potential(cfg, n_points):
         return Potential.scalar(values, label="tabulated")
     if kind == "matrix_const":
         return Potential.matrix_constant(
-            _square_matrix(pc["matrix"], "$.potential.matrix"), n_points)
+            square_matrix(pc["matrix"], "$.potential.matrix"), n_points)
     if kind == "covariant_const":
-        m = _square_matrix(pc["matrix"], "$.potential.matrix")
+        m = square_matrix(pc["matrix"], "$.potential.matrix")
         return Potential.covariant(np.broadcast_to(m, (n_points,) + m.shape))
     if kind == "pair_onebody":
         one = _trig_values(pc.get("terms", []), theta)

@@ -300,8 +300,12 @@ class TestExitCodes:
         ({"generators": []}, "$.twisted.generators"),
         # a 3 x 3 generator on w_dim 2 used to exit 5 in a matmul
         ({"generators": [[[[1, 0], [0, 0], [0, 0]]] * 3]},
-         "$.twisted.generators[0]")],
-        ids=["no-random-generators", "empty-generators", "3x3-on-w_dim-2"])
+         "$.twisted.generators[0]"),
+        ({"generators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                         [[[1, 0], [0, 0]], [[0, 0]]]]},
+         "$.twisted.generators[1]")],
+        ids=["no-random-generators", "empty-generators", "3x3-on-w_dim-2",
+             "ragged"])
     def test_twisted_check_without_generators_is_two(self, tmp_path, capsys,
                                                      twisted, where):
         cfg_dict = dict(BASE, seed=1, twisted=dict(

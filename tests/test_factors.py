@@ -517,6 +517,17 @@ class TestNFermionFactor:
         with pytest.raises(ConfigError, match="cap"):
             nfermion_factor(3, 4, [random_unitary(4, rng)], sigma)
 
+    @pytest.mark.parametrize("shapes", [[3], [2, 3], [(2, 3)]],
+                             ids=["3x3-on-2", "second-of-two", "2x3"])
+    def test_generators_of_another_size_are_refused(self, rng, shapes):
+        # a 3 x 3 generator on w_dim 2 used to give a table of dim 4 with
+        # 9 x 9 factors, which verify_twisted_law met as a matmul ValueError
+        gens = [random_unitary(s, rng) if isinstance(s, int)
+                else np.ones(s, dtype=complex) for s in shapes]
+        with pytest.raises(ConfigError, match="must be 2 x 2") as exc:
+            TwistedRepTable.nfermion(2, 2, gens)
+        assert exc.value.field_path == f"$.twisted.generators[{len(gens) - 1}]"
+
     def test_output_unitary(self, rng):
         u = random_unitary(2, rng)
         space = CoveringSpace.nfermion_cover(3, 1)
