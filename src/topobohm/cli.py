@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .covering import TWO_PI
+from .covering import BALL_RADIUS, TWO_PI
 from .errors import ConfigError, PhysicsError, ToleranceError
 from .factors import (
     Character,
@@ -437,8 +437,7 @@ def cmd_classify(scenario, ctx):
 
 def cmd_twisted_check(scenario, ctx):
     tw = scenario.cfg["twisted"]
-    seed = scenario.seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(scenario.seed)
     w = tw["w_dim"]
     if "generators" in tw:
         # the table checks each generator's size; a ragged one stops here
@@ -448,18 +447,21 @@ def cmd_twisted_check(scenario, ctx):
         gens = [random_unitary(w, rng)
                 for _ in range(tw.get("random_generators", 1))]
     table = TwistedRepTable.nfermion(tw["n_particles"], w, gens)
-    samples = tw.get("samples", 1000)
-    residual = verify_twisted_law(table, samples=samples, seed=seed)
-    report = {"residual": residual, "samples": samples,
-              "n_particles": tw["n_particles"], "w_dim": tw["w_dim"]}
+    ball = list(table.space.ball)
+    report = {"residual": verify_twisted_law(table), "ball_radius": BALL_RADIUS,
+              "ball_size": len(ball), "n_particles": tw["n_particles"], "w_dim": w}
     if tw.get("corrupt", False):
-        sigma = table.space.random_deck(np.random.default_rng(seed + 1))
-        bad = table.corrupted(sigma, np.eye(table.dim) * 1j)
-        report["corrupted_residual"] = verify_twisted_law(bad, samples=samples,
-                                                          seed=seed)
-        report["corruption_detected"] = report["corrupted_residual"] > 0.1
+        # a negated entry in the ball breaks the law by at least 2 / sqrt(dim)
+        sigma = ball[rng.integers(len(ball))]
+        report["corrupted_residual"] = verify_twisted_law(
+            table.corrupted(sigma, -table.factor(sigma)))
+        report["corruption_detected"] = report["corrupted_residual"] >= 0.1
     write_json(ctx.path("twisted_check.json"), report)
-    ctx.check("twisted-composition-law", residual, 1e-12)
+    ctx.check("twisted-composition-law", report["residual"], 1e-12)
+    if tw.get("corrupt", False):
+        # the corrupted residual's shortfall below 0.1
+        ctx.check("twisted-corruption-detected",
+                  0.1 - report["corrupted_residual"], 0.0)
     return report
 
 

@@ -4,7 +4,7 @@ Deck elements: ``Winding`` (the ring's integers acting by full turns),
 ``Permutation`` (exchange of identical particles), ``FreeWord`` (a free
 fundamental group F_g) and ``SemidirectElement`` (the N-fermion cover).
 
-Covers without a grid, whose deck groups the twisted-table checks sample:
+Covers without a grid, whose deck groups the twisted-table checks walk:
 
 * ``free_cover``    -- an abstract base with free fundamental group F_g; deck
                        elements are reduced words.
@@ -13,13 +13,15 @@ Covers without a grid, whose deck groups the twisted-table checks sample:
                        semidirect product of the permutations with the N-fold
                        product of word groups.
 
-The package works with deck elements only: their products, inverses and
-seeded random draws for the randomized law checks.  The grid spaces, the
-ring and the pair, are ``spaces.RingGrid`` and ``spaces.PairGrid``.
+The package works with deck elements only: their products and inverses
+and, on a cover without a grid, the ``ball`` on which the law is checked.
+The grid spaces are ``spaces.RingGrid`` and ``spaces.PairGrid``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +30,9 @@ from .errors import ConfigError
 TWO_PI = 2.0 * math.pi
 
 MAX_WORD_LENGTH = 64
+
+# the word length of ``CoveringSpace.ball``, which grows as (2 g + N - 1)^3
+BALL_RADIUS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +172,6 @@ class FreeWord:
             return cls.identity(n_generators)
         return cls(((index, power),), n_generators)
 
-    @classmethod
-    def from_letters(cls, letters, n_generators):
-        """Build (and reduce) from a sequence of (generator, +-1) letters."""
-        word = cls.identity(n_generators)
-        for gen, exp in letters:
-            word = word * cls.generator(gen, n_generators, exp)
-        return word
-
     @property
     def group_id(self):
         return ("free", self.n_generators)
@@ -296,7 +293,7 @@ def deck_compose(s1, s2):
 
 @dataclass(frozen=True)
 class CoveringSpace:
-    """A cover without a grid, whose deck group ``random_deck`` samples:
+    """A cover without a grid, whose deck group ``twisted-check`` walks:
     a free cover (``n_particles`` None) or the N-fermion cover."""
 
     n_generators: int
@@ -310,18 +307,36 @@ class CoveringSpace:
     def nfermion_cover(cls, n_particles, n_generators):
         return cls(n_generators=n_generators, n_particles=n_particles)
 
-    def random_deck(self, rng, max_word_length=6):
-        """Seeded random deck element, used by the randomized law checks."""
+    @property
+    def identity(self):
         if self.n_particles is None:
-            return _random_word(rng, self.n_generators, max_word_length)
-        perm = Permutation(tuple(int(i) for i in rng.permutation(self.n_particles)))
-        words = tuple(_random_word(rng, self.n_generators, max_word_length)
-                      for _ in range(self.n_particles))
-        return SemidirectElement(perm, words)
+            return FreeWord.identity(self.n_generators)
+        return SemidirectElement.identity(self.n_particles, self.n_generators)
 
+    @property
+    def generators(self):
+        """The free letters; on the N-fermion cover the adjacent
+        transpositions, then each letter in slot 0."""
+        letters = [FreeWord.generator(i, self.n_generators)
+                   for i in range(self.n_generators)]
+        if self.n_particles is None:
+            return letters
+        e = self.identity
+        return ([SemidirectElement(Permutation.swap(e.n, i, i + 1), e.words)
+                 for i in range(e.n - 1)]
+                + [SemidirectElement(e.perm, (w,) + e.words[1:]) for w in letters])
 
-def _random_word(rng, n_generators, max_length):
-    length = int(rng.integers(0, max_length + 1))
-    letters = [(int(rng.integers(0, n_generators)), int(rng.choice((-1, 1))))
-               for _ in range(length)]
-    return FreeWord.from_letters(letters, n_generators)
+    @functools.cached_property
+    def ball(self):
+        """Every deck element within ``BALL_RADIUS`` letters of the identity
+        in the generators and their inverses, in the order a breadth-first
+        walk reaches them, each mapped to its products with the generators."""
+        gens = self.generators
+        steps = gens + [t.inverse() for t in gens]
+        ball, frontier = {}, [self.identity]
+        for _ in range(BALL_RADIUS + 1):
+            products = {s: [s.compose(t) for t in steps] for s in frontier}
+            ball.update((s, p[:len(gens)]) for s, p in products.items())
+            frontier = [p for p in dict.fromkeys(itertools.chain(*products.values()))
+                        if p not in ball]
+        return ball

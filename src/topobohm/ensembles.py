@@ -115,13 +115,17 @@ def _sample_torus_density(rho, n, rng):
 # distances between sample clouds and grid densities
 # ---------------------------------------------------------------------------
 
+def _require_bins(n, bins):
+    if bins > n or n % bins != 0:
+        raise ConfigError("bins must divide the grid size",
+                          field_path="$.equivariance.bins")
+
+
 def density_bin_masses(rho, bins):
     """Exact masses of equal angle bins under the trapezoid density."""
     rho = np.asarray(rho, dtype=float)
     m = rho.size
-    if bins > m or m % bins != 0:
-        raise ConfigError("bins must divide the grid size",
-                          field_path="$.equivariance.bins")
+    _require_bins(m, bins)
     _, _, cell_mass = _trapezoid_cells(rho)
     masses = cell_mass.reshape(bins, m // bins).sum(axis=1)
     return masses / masses.sum()
@@ -135,8 +139,7 @@ def exact_bin_masses(rho, bins):
     its entry (k, m) the integral of exp(i m theta) over bin k."""
     rho = np.asarray(rho, dtype=float)
     n = rho.shape[0]
-    if bins > n or n % bins != 0:
-        raise ConfigError("bins must divide the grid size")
+    _require_bins(n, bins)
     modes = fourier_modes(n)
     edges = np.exp(1j * np.outer(np.arange(bins + 1) * (TWO_PI / bins), modes))
     per_axis = (edges[1:] - edges[:-1]) / np.where(modes == 0, 1.0, 1j * modes)
@@ -223,20 +226,21 @@ def verify_equivariance(state, potential, n, t_final, checkpoints, seed,
     more than 1% of trajectories halt at nodes over the whole run (which a
     smooth scenario should never approach).  Each checkpoint must be a
     whole number of ``dt`` steps (the rule of ``whole_steps``), so the
-    ensemble is compared at the time it reports; an off-grid checkpoint
-    raises ``ConfigError``.
+    ensemble is compared at the time it reports.  An off-grid checkpoint,
+    one outside [0, t_final] and ``bins`` that do not divide the grid raise
+    ``ConfigError`` before any transport.
     """
     if n < 1000:
         raise ConfigError("need at least 10^3 samples for the band to mean much")
     if state.space.dims != 1:
         raise ConfigError("equivariance verification runs on ring states",
                           field_path="$.space.kind")
-    samples = sample_density(state, n, seed)
+    _require_bins(state.n_points, bins)
     checkpoints = sorted(float(t) for t in checkpoints)
-    if checkpoints and abs(checkpoints[-1] - t_final) > 1e-12:
-        if checkpoints[-1] > t_final:
-            raise ConfigError("checkpoints exceed the final time",
-                              field_path="$.equivariance.checkpoints")
+    if checkpoints and (checkpoints[0] < 0 or checkpoints[-1] - t_final > 1e-12):
+        raise ConfigError("checkpoints must lie between 0 and the final time",
+                          field_path="$.equivariance.checkpoints")
+    samples = sample_density(state, n, seed)
     times, tvs, kss = [], [], []
     current = state
     position = samples.copy()

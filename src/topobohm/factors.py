@@ -11,7 +11,9 @@ of a covering space:
                          when it commutes with the potential everywhere.
 * ``TwistedRepTable`` -- a holonomy-twisted table obeying
                          G(s1 s2) = h(s2) G(s1) h(s2)^-1 G(s2),
-                         covering the N-fermion semidirect construction.
+                         covering the N-fermion semidirect construction;
+                         ``verify_twisted_law`` checks the law on every
+                         element of its cover's ``ball``.
 
 The module also houses the executable classifier (trivial / character /
 matrix-compatible / incompatible), which reports the dimension of the
@@ -28,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import (
-    CoveringSpace,
-    Permutation,
-    SemidirectElement,
-    Winding,
-    deck_compose,
-)
+from .covering import CoveringSpace, Permutation, SemidirectElement, Winding
 from .errors import ConfigError, NonUnimodularFactorError
 
 UNIT_MODULUS_TOL = 1e-12
@@ -126,13 +122,9 @@ class Character:
 
     @property
     def is_trivial(self):
-        kind = self.group_id[0]
-        if kind == "ring":
+        # a free character has parity 0, an exchange one no phases
+        if self.group_id[0] == "ring":
             return abs(_principal_angle(self.beta)) < 1e-15
-        if kind == "sym":
-            return self.parity_exponent == 0
-        if kind == "free":
-            return all(abs(p - 1) < 1e-15 for p in self.generator_phases)
         return self.parity_exponent == 0 and all(
             abs(p - 1) < 1e-15 for p in self.generator_phases)
 
@@ -725,16 +717,15 @@ class TwistedRepTable:
 
     Ordinary representations embed with trivial holonomy.  The N-fermion
     table uses permutation operators as holonomies (the bundle transport
-    permutes tensor slots) and the sign-times-tensor factor.
+    permutes tensor slots) and the sign-times-tensor factor.  The table
+    caches each entry, for its corrupted copies too, and returns copies.
     """
 
-    def __init__(self, space, factor_fn, holonomy_fn, dim, description=""):
+    def __init__(self, space, factor_fn, holonomy_fn):
         self.space = space
         self._factor_fn = factor_fn
-        self._holonomy_fn = holonomy_fn
-        self.dim = dim
-        self.description = description
-        self._overrides = {}
+        self.holonomy = holonomy_fn
+        self._entries = {}
 
     @classmethod
     def nfermion(cls, n_particles, w_dim, generator_matrices, qhat_tag=None):
@@ -784,35 +775,33 @@ class TwistedRepTable:
             return permutation_operator(p, w_dim)
 
         space = CoveringSpace.nfermion_cover(n_particles, len(mats))
-        return cls(space, factor_fn, holonomy_fn, dim=dim,
-                   description=f"{n_particles}-fermion twisted table")
+        return cls(space, factor_fn, holonomy_fn)
 
     def factor(self, sigma):
-        if sigma in self._overrides:
-            return self._overrides[sigma]
-        return np.asarray(self._factor_fn(sigma), dtype=complex)
-
-    def holonomy(self, sigma):
-        return np.asarray(self._holonomy_fn(sigma), dtype=complex)
+        if sigma not in self._entries:
+            self._entries[sigma] = np.asarray(self._factor_fn(sigma), dtype=complex)
+        return self._entries[sigma].copy()
 
     def corrupted(self, sigma, matrix):
         """Copy of the table with the entry for one deck element replaced."""
-        clone = TwistedRepTable(self.space, self._factor_fn, self._holonomy_fn,
-                                self.dim, self.description + " [corrupted]")
-        clone._overrides = dict(self._overrides)
-        clone._overrides[sigma] = np.asarray(matrix, dtype=complex)
+        clone = TwistedRepTable(self.space, self._factor_fn, self.holonomy)
+        clone._entries = {**self._entries, sigma: np.array(matrix, dtype=complex)}
         return clone
 
 
-def verify_twisted_law(table, samples=1000, seed=0, max_word_length=4):
-    """Max residual of the twisted composition law over seeded random pairs."""
-    rng = np.random.default_rng(seed)
+def verify_twisted_law(table):
+    """Max residual of the twisted composition law with s1 each element of
+    the cover's ``ball`` and s2 each of its generators.
+
+    An entry changed at a ball element sigma breaks the law at (sigma, t)
+    for each generator t other than sigma, and at (sigma^-1, sigma) when
+    sigma is a generator.
+    """
+    ball = table.space.ball
+    left = np.stack([table.factor(s) for s in ball])
     worst = 0.0
-    for _ in range(samples):
-        s1 = table.space.random_deck(rng, max_word_length=max_word_length)
-        s2 = table.space.random_deck(rng, max_word_length=max_word_length)
-        lhs = table.factor(deck_compose(s1, s2))
-        h2 = table.holonomy(s2)
-        rhs = h2 @ table.factor(s1) @ h2.conj().T @ table.factor(s2)
-        worst = worse(worst, max_abs(lhs - rhs))
+    for i, t in enumerate(table.space.generators):
+        h = table.holonomy(t)
+        lhs = np.stack([table.factor(products[i]) for products in ball.values()])
+        worst = worse(worst, max_abs(lhs - h @ left @ h.conj().T @ table.factor(t)))
     return worst

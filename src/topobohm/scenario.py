@@ -171,8 +171,8 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "n_samples": {"type": "integer", "minimum": 1000},
-                "checkpoints": {"type": "array",
-                                "items": {"type": "number"}, "minItems": 1},
+                "checkpoints": {"type": "array", "minItems": 1,
+                                "items": {"type": "number", "minimum": 0}},
                 "bins": {"type": "integer", "minimum": 2},
                 "velocity_factor": {"type": "number"},
                 "emit_samples": {"type": "boolean"},
@@ -194,9 +194,9 @@ SCENARIO_SCHEMA = {
                 "n_particles": {"type": "integer", "minimum": 1, "maximum": 3},
                 "w_dim": {"type": "integer", "minimum": 1, "maximum": 3},
                 "generators": {"type": "array", "items": _COMPLEX_MATRIX,
-                               "minItems": 1},
-                "random_generators": {"type": "integer", "minimum": 1},
-                "samples": {"type": "integer", "minimum": 1},
+                               "minItems": 1, "maxItems": 4},
+                "random_generators": {"type": "integer", "minimum": 1,
+                                      "maximum": 4},
                 "corrupt": {"type": "boolean"},
             },
         },

@@ -103,9 +103,6 @@ class RingGrid(_GridSpace):
     def rate_marginal(self, rho, dx):
         return rho
 
-    def random_deck(self, rng, max_word_length=6):
-        return Winding(int(rng.integers(-self.sheet_window, self.sheet_window + 1)))
-
 
 @dataclass(frozen=True)
 class PairGrid(_GridSpace):
@@ -164,9 +161,6 @@ class PairGrid(_GridSpace):
     def rate_marginal(self, rho, dx):
         """The sum of the two one-particle marginals."""
         return rho.sum(axis=1) * dx + rho.sum(axis=0) * dx
-
-    def random_deck(self, rng, max_word_length=6):
-        return Permutation(tuple(rng.permutation(2)))
 
 
 GRID_SPACES = {space.kind: space for space in (RingGrid, PairGrid)}

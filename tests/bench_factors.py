@@ -6,10 +6,12 @@ The module name keeps it out of the test suite's collection.  Run it as
 
 and compare two checkouts with ``--benchmark-save`` / ``--benchmark-compare``
 (pytest-benchmark keeps its runs under ``.benchmarks/``).  It times the
-character census of S_5 and S_6, the twisted-law check of the 3-fermion
-table on a 3-dimensional value space (tensor dimension 27, the cap) over
-300 seeded pairs, as ``twisted-check`` runs it, and the permutation operator
-of a 3-cycle at N = 3 and dim = 3, which that check builds for every
+character census of S_5 and S_6, the twisted-law check of the largest
+table ``twisted-check`` accepts, as it runs it (3 fermions on a
+3-dimensional value space, tensor dimension 27, with 4 generators: the
+758 deck elements of the ball against 6 generators, the ball built and
+every entry evaluated afresh each round), and the permutation operator of
+a 3-cycle at N = 3 and dim = 3, which that check builds for every
 holonomy.
 """
 
@@ -35,9 +37,15 @@ def test_symmetric_census(benchmark, n):
 
 
 def test_nfermion_twisted_law(benchmark):
-    table = TwistedRepTable.nfermion(
-        3, 3, [random_unitary(3, np.random.default_rng(7))])
-    residual = benchmark(verify_twisted_law, table, samples=300, seed=7)
+    rng = np.random.default_rng(7)
+    gens = [random_unitary(3, rng) for _ in range(4)]
+
+    def walk():
+        table = TwistedRepTable.nfermion(3, 3, gens)
+        return len(table.space.ball), verify_twisted_law(table)
+
+    size, residual = benchmark(walk)
+    assert size == 758
     assert residual <= 1e-12
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from oracles import word_from_letters
 from topobohm.covering import FreeWord, Permutation, SemidirectElement, Winding
 from topobohm.scenario import PAULI, SCENARIO_SCHEMA_TAG
 
@@ -43,7 +44,7 @@ def deck_groups():
     and its identity: windings of the ring, S_4, the free group on two
     letters, and the 3-fermion cover over that free group."""
     words = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((-1, 1))),
-                     max_size=8).map(lambda letters: FreeWord.from_letters(letters, 2))
+                     max_size=8).map(lambda letters: word_from_letters(letters, 2))
     return {
         "ring": (st.integers(-40, 40).map(Winding), Winding(0)),
         "sym": (_permutations(4), Permutation.identity(4)),
@@ -159,7 +160,7 @@ def _twisted(draw):
     elif draw(st.booleans()):
         block["random_generators"] = draw(st.integers(1, 2))
     return {**block, **draw(st.fixed_dictionaries({}, optional={
-        "samples": st.integers(1, 50), "corrupt": st.booleans()}))}
+        "corrupt": st.booleans()}))}
 
 
 @st.composite
@@ -167,8 +168,8 @@ def scenario_configs(draw):
     """A scenario config that the scenario schema accepts: a ring or a pair
     of particles on a ring of 16 or 32 points, every type of factor,
     potential and initial state, at most 10 steps, and optional seed and
-    subcommand blocks (equivariance at 1000 samples and one checkpoint, at
-    most 50 twisted samples).  Most draws are coherent (types that fit
+    subcommand blocks (equivariance at 1000 samples and one checkpoint,
+    twisted tables of at most 2 generators).  Most draws are coherent (types that fit
     together, unitary generators, Hermitian fields) and carry the seed and
     every block, so that many runs get past set-up; the rest pick each
     type freely or leave blocks out, and may be refused."""

@@ -11,13 +11,23 @@ by FFT derivatives, against which the point evaluators are checked.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from typing import Mapping, NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from topobohm.covering import TWO_PI, FreeWord
+from topobohm.covering import (
+    TWO_PI,
+    FreeWord,
+    Permutation,
+    SemidirectElement,
+    Winding,
+    deck_compose,
+)
 from topobohm.errors import ConfigError, PhysicsError
 from topobohm.factors import (
     Character,
@@ -25,9 +35,10 @@ from topobohm.factors import (
     TwistedRepTable,
     max_abs,
     unitary_eig,
-    verify_twisted_law,
+    worse,
 )
 from topobohm.collapse import collapse_multiplier
+from topobohm.spaces import PairGrid, RingGrid
 from topobohm.propagation import (
     WaveGrid,
     _dense_hamiltonian,
@@ -155,20 +166,65 @@ def untwisted_table(rep, space):
         else lambda sigma: [[rep.value(sigma)]]
     return TwistedRepTable(space,
                            factor_fn=factor_fn,
-                           holonomy_fn=lambda sigma: np.eye(rep.dim),
-                           dim=rep.dim,
-                           description="untwisted (trivial holonomy)")
+                           holonomy_fn=lambda sigma: np.eye(rep.dim))
 
 
-def homomorphism_residual(factor, space, n_pairs=1000, seed=0, max_word_length=5):
-    """Max |f(s t) - f(s) f(t)| over seeded random deck pairs.
+def word_from_letters(letters, n_generators):
+    """The reduced word of a string of (generator, +-1) letters."""
+    return functools.reduce(
+        operator.mul, (FreeWord.generator(g, n_generators, e) for g, e in letters),
+        FreeWord.identity(n_generators))
+
+
+def ball_words(n_generators, length):
+    """Every reduced word of at most ``length`` letters, reduced from every
+    string of letters rather than walked as the package walks its ball."""
+    letters = [(g, e) for g in range(n_generators) for e in (1, -1)]
+    return list(dict.fromkeys(
+        word_from_letters(string, n_generators)
+        for size in range(length + 1)
+        for string in itertools.product(letters, repeat=size)))
+
+
+def deck_elements(space, length=3):
+    """Deck elements to check a law on: the windings of at most ``length``
+    turns on the ring, both orderings of the pair, the reduced words of at
+    most ``length`` letters on a free cover, and on the N-fermion cover
+    each permutation with one such word in the first slot (products of
+    two carry words in two slots)."""
+    if isinstance(space, RingGrid):
+        return [Winding(k) for k in range(-length, length + 1)]
+    if isinstance(space, PairGrid):
+        return [Permutation.identity(2), Permutation.swap(2, 0, 1)]
+    words = ball_words(space.n_generators, length)
+    if space.n_particles is None:
+        return words
+    rest = (FreeWord.identity(space.n_generators),) * (space.n_particles - 1)
+    return [SemidirectElement(Permutation(images), (w,) + rest)
+            for images in itertools.permutations(range(space.n_particles))
+            for w in words]
+
+
+def twisted_law_residual(table, pairs):
+    """Max residual of G(s1 s2) = h(s2) G(s1) h(s2)^-1 G(s2) over the
+    given (s1, s2) pairs, one pair at a time."""
+    worst = 0.0
+    for s1, s2 in pairs:
+        h2 = table.holonomy(s2)
+        rhs = h2 @ table.factor(s1) @ h2.conj().T @ table.factor(s2)
+        worst = worse(worst, max_abs(table.factor(deck_compose(s1, s2)) - rhs))
+    return worst
+
+
+def homomorphism_residual(factor, space, length=3):
+    """Max |f(s t) - f(s) f(t)| over every pair of ``deck_elements``.
 
     Works for characters and matrix representations alike (matrix case uses
     the max-abs matrix norm): the twisted law of the untwisted table.
     """
-    return verify_twisted_law(untwisted_table(factor, space),
-                              samples=n_pairs, seed=seed,
-                              max_word_length=max_word_length)
+    elements = deck_elements(space, length)
+    return twisted_law_residual(untwisted_table(factor, space),
+                                itertools.product(elements, repeat=2))
 
 
 def unitary_fractional_power(u, t):

@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scenario_configs
-from topobohm import cli
+from topobohm import cli, ensembles
 from topobohm import scenario as scenario_module
+from topobohm.covering import FreeWord, Permutation, SemidirectElement
 from topobohm.cli import json_text, main, write_json
 from topobohm.errors import ConfigError, ToleranceError
+from topobohm.factors import TwistedRepTable
 from topobohm.propagation import (
     Potential,
     WaveGrid,
@@ -934,7 +936,7 @@ def test_twisted_check(tmp_path):
         "factor": {"type": "character", "beta": 0.0},
         "seed": 17,
         "twisted": {"n_particles": 2, "w_dim": 2, "random_generators": 1,
-                    "samples": 300, "corrupt": True},
+                    "corrupt": True},
     }
     cfg = write_config(tmp_path, cfg_dict)
     out = tmp_path / "tw"
@@ -942,6 +944,62 @@ def test_twisted_check(tmp_path):
     report = read_json(out / "twisted_check.json")
     assert report["residual"] <= 1e-12
     assert report["corruption_detected"]
+
+
+def _twisted_run(tmp_path, seed, **twisted):
+    cfg_dict = dict(BASE, seed=seed, twisted=twisted)
+    out = tmp_path / f"tw{seed}"
+    code = main(["twisted-check", "--config", write_config(tmp_path, cfg_dict),
+                 "--out", str(out)])
+    return code, out
+
+
+def test_twisted_check_catches_every_corruption(tmp_path):
+    # with two generators the 1,000 random pairs caught 3 of these 20
+    for seed in range(1, 21):
+        code, out = _twisted_run(tmp_path, seed, n_particles=3, w_dim=2,
+                                 random_generators=2, corrupt=True)
+        report = read_json(out / "twisted_check.json")
+        assert report["corruption_detected"], seed
+        assert code == 0, seed
+        assert report["residual"] <= 1e-12
+        # a negated entry of a unitary of dim 8 moves the law by 2 / sqrt(8)
+        assert report["corrupted_residual"] >= 2 / math.sqrt(8) - 1e-12
+        assert (report["ball_radius"], report["ball_size"]) == (3, 142)
+
+
+def test_a_missed_corruption_exits_four(tmp_path, capsys, monkeypatch):
+    # the corruption lands on a word of 6 letters, which no pair reads
+    far = SemidirectElement(Permutation.identity(2),
+                            (FreeWord.generator(0, 1, 6), FreeWord.identity(1)))
+    corrupted = TwistedRepTable.corrupted
+    monkeypatch.setattr(TwistedRepTable, "corrupted",
+                        lambda table, sigma, matrix: corrupted(table, far, matrix))
+    code, out = _twisted_run(tmp_path, 5, n_particles=2, w_dim=2,
+                             random_generators=1, corrupt=True)
+    assert code == 4
+    assert "invariant 'twisted-corruption-detected' violated" \
+        in capsys.readouterr().err
+    report = read_json(out / "twisted_check.json")
+    assert report["corrupted_residual"] <= 1e-12
+    assert not report["corruption_detected"]
+    manifest = read_json(out / "manifest.json")
+    assert (manifest["status"], manifest["failure"]["family"]) == (
+        "failed", "numerics")
+    checks = {inv["id"]: inv["passed"] for inv in manifest["invariants"]}
+    assert checks == {"twisted-composition-law": True,
+                      "twisted-corruption-detected": False}
+
+
+@pytest.mark.parametrize("twisted, where", [
+    ({"random_generators": 5}, "$.twisted.random_generators"),
+    ({"generators": [[[[0, 1]]]] * 5}, "$.twisted.generators")])
+def test_five_twisted_generators_are_two(tmp_path, capsys, twisted, where):
+    # the law's ball grows as (2 g + N - 1)^3: four generators is the cap
+    code, out = _twisted_run(tmp_path, 1, n_particles=2, w_dim=1, **twisted)
+    assert code == 2
+    assert f"error[config] at {where}:" in capsys.readouterr().err
+    assert read_json(out / "manifest.json")["failure"]["field_path"] == where
 
 
 def test_grw_run(tmp_path, capsys):
@@ -1045,6 +1103,40 @@ def test_equivariance_run(tmp_path):
     assert main(["equivariance", "--config", cfg, "--out", str(out)]) == 0
     report = read_json(out / "equivariance.json")
     assert report["passed"]
+
+
+def test_equivariance_refuses_a_negative_checkpoint(tmp_path, capsys):
+    # it used to run, and report the t = 0 ensemble under the time -1
+    cfg_dict = dict(BASE, potential={"type": "zero"},
+                    numerics={"dt": 2e-3, "t_final": 0.01},
+                    equivariance={"n_samples": 1000,
+                                  "checkpoints": [-1.0, 0.01]},
+                    seed=8)
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "eq"
+    assert main(["equivariance", "--config", cfg, "--out", str(out)]) == 2
+    assert "error[config] at $.equivariance.checkpoints[0]:" \
+        in capsys.readouterr().err
+    assert not (out / "equivariance.json").exists()
+
+
+@pytest.mark.parametrize("checkpoints, bins, where", [
+    ([-1.0, 0.01], 16, "$.equivariance.checkpoints"),
+    ([0.01], 48, "$.equivariance.bins")],
+    ids=["negative-checkpoint", "bins-of-48"])
+def test_equivariance_refuses_its_block_before_transport(monkeypatch,
+                                                         checkpoints, bins,
+                                                         where):
+    # the API's own checks, which a config meets after the schema's
+    def no_transport(*args, **kwargs):
+        raise AssertionError("transported before the block was checked")
+
+    monkeypatch.setattr(ensembles, "transport", no_transport)
+    state = Scenario(BASE).initial_state()
+    with pytest.raises(ConfigError) as exc:
+        ensembles.verify_equivariance(state, Potential.zero(), 1000, 0.01,
+                                      checkpoints, seed=8, dt=2e-3, bins=bins)
+    assert exc.value.field_path == where
 
 
 @pytest.mark.parametrize("checkpoint", [0.003, 0.0005])

@@ -1,5 +1,7 @@
 """Characters, matrix representations, twisted tables, classification."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +10,17 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import homomorphism_residual, unitary_fractional_power, untwisted_table
+from oracles import (
+    ball_words,
+    deck_elements,
+    homomorphism_residual,
+    twisted_law_residual,
+    unitary_fractional_power,
+    untwisted_table,
+    word_from_letters,
+)
 from topobohm.covering import (
+    BALL_RADIUS,
     CoveringSpace,
     FreeWord,
     Permutation,
@@ -72,24 +83,24 @@ class TestMakeCharacter:
 
 class TestHomomorphism:
     @pytest.mark.parametrize("factor,space", [
-        (Character.ring(0.9), RingGrid(sheet_window=30)),
+        (Character.ring(0.9), RingGrid()),
         (Character.free([np.exp(0.4j), np.exp(-1.2j)]), CoveringSpace.free_cover(2)),
         (Character.nfermion(3, [np.exp(0.8j)], sign=-1),
          CoveringSpace.nfermion_cover(3, 1)),
     ])
     def test_character_residual(self, factor, space):
-        assert homomorphism_residual(factor, space, n_pairs=1000, seed=1) <= 1e-12
+        assert homomorphism_residual(factor, space) <= 1e-12
 
     def test_matrix_rep_residual(self, rng):
         rep = MatrixRep.free((random_unitary(3, rng), random_unitary(3, rng)))
         space = CoveringSpace.free_cover(2)
-        assert homomorphism_residual(rep, space, n_pairs=300, seed=2) <= 1e-12
+        assert homomorphism_residual(rep, space) <= 1e-12
 
     def test_long_products_stay_unitary(self, rng):
         rep = MatrixRep.free((random_unitary(3, rng), random_unitary(3, rng)))
         letters = [(int(rng.integers(0, 2)), int(rng.choice((-1, 1))))
                    for _ in range(64)]
-        value = rep.evaluate(FreeWord.from_letters(letters, 2))
+        value = rep.evaluate(word_from_letters(letters, 2))
         assert np.max(np.abs(value.conj().T @ value - np.eye(3))) <= 1e-10
 
 
@@ -530,9 +541,7 @@ class TestNFermionFactor:
 
     def test_output_unitary(self, rng):
         u = random_unitary(2, rng)
-        space = CoveringSpace.nfermion_cover(3, 1)
-        for _ in range(20):
-            sigma = space.random_deck(rng, max_word_length=4)
+        for sigma in deck_elements(CoveringSpace.nfermion_cover(3, 1)):
             m = nfermion_factor(3, 2, [u], sigma)
             assert np.max(np.abs(m.conj().T @ m - np.eye(8))) <= 1e-10
 
@@ -541,10 +550,10 @@ class TestTwistedLaw:
     def test_matrix_rep_embeds_with_trivial_holonomy(self, rng):
         rep = MatrixRep.free((random_unitary(2, rng),))
         table = untwisted_table(rep, CoveringSpace.free_cover(1))
-        assert verify_twisted_law(table, samples=300, seed=3) <= 1e-12
+        assert verify_twisted_law(table) <= 1e-12
 
     @pytest.mark.parametrize("character,space,sigma", [
-        (Character.ring(0.9), RingGrid(sheet_window=30), Winding(1)),
+        (Character.ring(0.9), RingGrid(), Winding(1)),
         (Character.free([np.exp(0.4j), np.exp(-1.2j)]), CoveringSpace.free_cover(2),
          FreeWord.generator(0, 2)),
         (Character.exchange(2, -1), PairGrid(),
@@ -554,25 +563,82 @@ class TestTwistedLaw:
         table = untwisted_table(character, space)
         assert table.factor(sigma).shape == (1, 1)
         assert table.factor(sigma)[0, 0] == character.value(sigma)
-        assert verify_twisted_law(table, samples=300, seed=3) <= 1e-12
+        pairs = list(itertools.product(deck_elements(space), repeat=2))
+        assert twisted_law_residual(table, pairs) <= 1e-12
         # the law holds for the character, so a wrong entry must break it
         bad = table.corrupted(sigma, 1j * character.value(sigma) * np.eye(1))
-        assert verify_twisted_law(bad, samples=300, seed=3) > 0.1
+        assert twisted_law_residual(bad, pairs) > 0.1
 
     def test_nfermion_table(self, rng):
         table = TwistedRepTable.nfermion(2, 2, [random_unitary(2, rng)])
-        assert verify_twisted_law(table, samples=500, seed=4) <= 1e-12
+        assert verify_twisted_law(table) <= 1e-12
 
     def test_three_particles_with_tag(self, rng):
         table = TwistedRepTable.nfermion(3, 2, [random_unitary(2, rng)],
                                          qhat_tag=(2.5, 0.1, 1.3))
-        assert verify_twisted_law(table, samples=200, seed=5) <= 1e-12
+        assert verify_twisted_law(table) <= 1e-12
 
     def test_corruption_detected(self, rng):
         table = TwistedRepTable.nfermion(2, 2, [random_unitary(2, rng)])
-        sigma = table.space.random_deck(np.random.default_rng(0))
-        bad = table.corrupted(sigma, 1j * np.eye(4))
-        assert verify_twisted_law(bad, samples=300, seed=4) > 0.1
+        sigma = list(table.space.ball)[-1]
+        bad = table.corrupted(sigma, -table.factor(sigma))
+        assert verify_twisted_law(bad) > 0.1
+
+    def test_a_written_entry_leaves_the_table_as_it_was(self, rng):
+        # the table caches its entries, and a corrupted copy starts from them
+        table = TwistedRepTable.nfermion(2, 2, [random_unitary(2, rng)])
+        assert verify_twisted_law(table) <= 1e-12
+        for sigma in table.space.ball:
+            table.factor(sigma)[:] = 0
+        matrix = np.eye(4)
+        bad = table.corrupted(next(iter(table.space.ball)), matrix)
+        matrix[:] = 0
+        assert verify_twisted_law(table) <= 1e-12
+        assert np.array_equal(bad.factor(next(iter(table.space.ball))), np.eye(4))
+
+    def test_the_walk_agrees_with_the_pairwise_law(self, rng):
+        # the walk's batched products against the oracle's one pair at a time
+        table = TwistedRepTable.nfermion(
+            3, 2, [random_unitary(2, rng) for _ in range(2)],
+            qhat_tag=(2.5, 0.1, 1.3))
+        space = table.space
+        pairs = list(itertools.product(space.ball, space.generators))
+        bad = table.corrupted(pairs[40][0], np.eye(8))
+        for t in (table, bad):
+            assert verify_twisted_law(t) == pytest.approx(
+                twisted_law_residual(t, pairs), rel=1e-12, abs=1e-15)
+
+    def test_the_ball_has_every_short_word(self):
+        # on a free cover the ball is the set of reduced words of <= 3 letters
+        space = CoveringSpace.free_cover(2)
+        assert set(space.ball) == set(ball_words(2, BALL_RADIUS))
+        assert len(space.ball) == 1 + 4 + 12 + 36
+        for s, products in space.ball.items():
+            assert products == [deck_compose(s, t) for t in space.generators]
+
+    @pytest.mark.parametrize("n, g, size", [(2, 1, 22), (2, 3, 302), (3, 4, 758)])
+    def test_the_ball_of_the_nfermion_cover(self, n, g, size):
+        # the walk against every product of three steps, the identity a step
+        space = CoveringSpace.nfermion_cover(n, g)
+        ball = list(space.ball)
+        assert len(ball) == len(set(ball)) == size
+        assert ball[0].is_identity
+        steps = [ball[0]] + space.generators + [t.inverse() for t in space.generators]
+        assert set(ball) == {functools.reduce(deck_compose, word)
+                             for word in itertools.product(steps, repeat=3)}
+
+    def test_every_negated_ball_entry_is_caught(self):
+        # the 1 x 1 table of seed 13 has a ball entry 0.034 from i, so i * I
+        # there moves the law by 0.034 only; a negated entry moves it by 2
+        rng = np.random.default_rng(13)
+        table = TwistedRepTable.nfermion(
+            2, 1, [random_unitary(1, rng) for _ in range(3)])
+        assert verify_twisted_law(table) <= 1e-12
+        near_i = min(table.space.ball, key=lambda s: abs(table.factor(s)[0, 0] - 1j))
+        assert verify_twisted_law(table.corrupted(near_i, 1j * np.eye(1))) < 0.1
+        worst = min(verify_twisted_law(table.corrupted(s, -table.factor(s)))
+                    for s in table.space.ball)
+        assert worst >= 2.0 - 1e-12
 
     def test_permutation_operator_is_action(self, rng):
         # operator of p acts on slot contents like p acts on particle slots
@@ -606,10 +672,6 @@ def test_decompose_commuting_free_generators(rng):
     rep = MatrixRep.free((u @ d1 @ u.conj().T, u @ d2 @ u.conj().T))
     sectors = decompose_by_character(rep)
     assert len(sectors) == 3   # the (0.3, 1.1), (-0.7, 0.2), (0.3, -0.4) joints
-    from topobohm.covering import CoveringSpace
-    space = CoveringSpace.free_cover(2)
-    rng2 = np.random.default_rng(1)
-    for _ in range(20):
-        sigma = space.random_deck(rng2, max_word_length=3)
+    for sigma in deck_elements(CoveringSpace.free_cover(2)):
         rebuilt = sum(c.value(sigma) * (b @ b.conj().T) for c, b in sectors)
         assert np.max(np.abs(rebuilt - rep.evaluate(sigma))) <= 1e-10

@@ -75,7 +75,7 @@ SEEDS = [
      "factor": {"type": "character", "beta": 0.0},
      "potential": {"type": "zero"},
      "twisted": {"n_particles": 2, "w_dim": 2, "generators": [SIGMA_X],
-                 "random_generators": 2, "samples": 4, "corrupt": False}},
+                 "random_generators": 2, "corrupt": False}},
 ]
 
 
