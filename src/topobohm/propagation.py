@@ -829,7 +829,6 @@ def state_to_dict(state):
         "space": {
             "kind": state.space.kind,
             "radius": state.space.radius,
-            "sheet_window": state.space.sheet_window,
         },
         "units": {"hbar": 1.0, "mass": 1.0, "charge": 1.0},
         "n_points": state.n_points,
@@ -850,8 +849,7 @@ def state_from_dict(d):
     basis = d.get("sector_basis")
     if basis is not None:
         basis = complex_matrix_from_pairs(basis)
-    return WaveGrid(space=grid_space(sp["kind"], radius=sp["radius"],
-                                     sheet_window=sp["sheet_window"]),
+    return WaveGrid(space=grid_space(sp["kind"], radius=sp["radius"]),
                     values=complex_matrix_from_pairs(d["components"]),
                     twist=_twist_from_dict(d["twist"]),
                     sector_betas=d.get("sector_betas"), sector_basis=basis)

@@ -44,11 +44,8 @@ class TwistMonitor:
 @dataclass(frozen=True)
 class _GridSpace:
     radius: float = 1.0
-    sheet_window: int = 3
 
     def __post_init__(self):
-        if self.sheet_window < 3:
-            raise ConfigError("sheet_window must be at least 3")
         if self.radius <= 0:
             raise ConfigError("radius must be positive")
 
@@ -166,8 +163,8 @@ class PairGrid(_GridSpace):
 GRID_SPACES = {space.kind: space for space in (RingGrid, PairGrid)}
 
 
-def grid_space(kind, radius=1.0, sheet_window=3):
+def grid_space(kind, radius=1.0):
     if kind not in GRID_SPACES:
         raise ConfigError(f"no grid space of kind {kind!r}",
                           field_path="$.space.kind")
-    return GRID_SPACES[kind](radius=radius, sheet_window=sheet_window)
+    return GRID_SPACES[kind](radius=radius)

@@ -77,8 +77,8 @@ class FreePoint(NamedTuple):
 def deck_apply(space, sigma, qhat):
     """Apply the deck transformation ``sigma`` to the cover point ``qhat``.
 
-    Ring points must stay inside the materialized sheet window; symbolic
-    cover points (free covers) have no window.
+    Ring points are a sheet index and an angle; free-cover points are
+    symbolic.
     """
     if sigma.group_id[0] == "ring":
         if space.kind != "ring":
@@ -87,13 +87,7 @@ def deck_apply(space, sigma, qhat):
             point = qhat
         else:
             point = RingPoint.from_unwrapped(float(qhat))
-        new_sheet = point.sheet + sigma.k
-        if abs(new_sheet) > space.sheet_window:
-            raise PhysicsError(
-                f"sheet {new_sheet} outside materialized window "
-                f"+-{space.sheet_window}"
-            )
-        return RingPoint(new_sheet, point.angle)
+        return RingPoint(point.sheet + sigma.k, point.angle)
 
     if sigma.group_id[0] == "sym":
         if space.kind != "two_particle_ring" or sigma.n != 2:

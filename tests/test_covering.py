@@ -28,7 +28,7 @@ from topobohm.covering import (
     deck_compose,
 )
 from topobohm.spaces import PairGrid, RingGrid
-from topobohm.errors import ConfigError, PhysicsError
+from topobohm.errors import ConfigError
 from topobohm.factors import Character, MatrixRep
 from topobohm.propagation import angle_grid, make_eigenstate, wrapped_gaussian
 from topobohm.scenario import PAULI, spin_exponential
@@ -54,11 +54,6 @@ class TestDeckApply:
         space = RingGrid()
         moved = deck_apply(space, Winding(-1), 0.5 + TWO_PI)
         assert moved == RingPoint(0, pytest.approx(0.5))
-
-    def test_sheet_window_overflow(self):
-        space = RingGrid(sheet_window=3)
-        with pytest.raises(PhysicsError, match="window"):
-            deck_apply(space, Winding(4), RingPoint(0, 0.0))
 
     def test_two_particle_swap(self):
         space = PairGrid()
@@ -246,7 +241,7 @@ class TestProjectDensity:
 
 
 def test_ring_compose_matches_action_exactly():
-    space = RingGrid(sheet_window=10)
+    space = RingGrid()
     rng = np.random.default_rng(3)
     for _ in range(100):
         a = Winding(int(rng.integers(-4, 5)))

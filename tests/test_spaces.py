@@ -87,11 +87,9 @@ def test_a_state_file_of_an_unknown_space_is_refused():
 
 
 @pytest.mark.parametrize("space", [RingGrid, PairGrid])
-def test_a_space_refuses_a_bad_radius_or_window(space):
+def test_a_space_refuses_a_bad_radius(space):
     with pytest.raises(ConfigError, match="radius"):
         space(radius=0.0)
-    with pytest.raises(ConfigError, match="sheet_window"):
-        space(sheet_window=2)
 
 
 def test_a_pair_is_no_scalar_ring_state():
