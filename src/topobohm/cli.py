@@ -347,7 +347,8 @@ def cmd_equivariance(scenario, ctx):
     report = verify_equivariance(
         state, scenario.potential, ec["n_samples"], nm["t_final"],
         ec["checkpoints"], seed, dt=nm["transport_dt"], bins=ec.get("bins", 64),
-        velocity_factor=ec.get("velocity_factor", 1.0))
+        velocity_factor=ec.get("velocity_factor", 1.0),
+        eps_node=nm["eps_node"])
     # after the verification, which refuses a state that is not on a ring
     if ec.get("emit_samples", False):
         from .ensembles import sample_density
@@ -388,9 +389,9 @@ def cmd_ab_compare(scenario, ctx):
 
     starts = np.linspace(0.0, TWO_PI, 5, endpoint=False)
     bundle_a = integrate_trajectories(state_a, scenario.potential, starts, dt,
-                                      t_final)
+                                      t_final, eps_node=nm["eps_node"])
     bundle_t = integrate_trajectories(state_t, scenario.potential, starts, dt,
-                                      t_final)
+                                      t_final, eps_node=nm["eps_node"])
     deviation = max_abs(bundle_a.positions - bundle_t.positions)
 
     beta = state_t.beta
@@ -475,7 +476,7 @@ def cmd_grw(scenario, ctx):
                           gc.get("lam", 1.0), gc.get("a", 0.3), seed,
                           dt=nm["dt"])
     write_csv(ctx.path("events.csv"),
-              ("t", "x", "pre_norm", "post_norm", "label"),
+              ("t", "x", "pre_norm", "post_norm"),
               [e.csv_row() for e in result.events])
     write_json(ctx.path("state.json"), state_to_dict(result.final_state))
     ctx.record("grw-twist-preservation", result.max_twist_residual,

@@ -67,33 +67,42 @@ def _require_width(state, a):
                           field_path="$.grw.a")
 
 
-def collapse_multiplier(state, x, lam, a, label=None):
-    """The rate-operator multiplier on the state's base grid.
-
-    One particle: lam * bump(theta).  Two particles: lam * (bump(theta_1) +
-    bump(theta_2)) for the identical-particle variant (label None), or the
-    single labelled bump for the distinguishable variant.
-    """
+def collapse_multiplier(state, x, lam, a):
+    """The rate-operator multiplier on the state's d-torus grid:
+    lam * (bump(theta_1) + ... + bump(theta_d)), one bump per angle axis."""
     _require_width(state, a)
     bump = localization_bump(state.theta, x, a)
-    return lam * state.space.collapse_profile(bump, label)
+    profile = bump
+    for _ in range(1, state.space.dims):
+        profile = profile[..., None] + bump
+    return lam * profile
+
+
+def _marginal_sum(rho, dx, dims):
+    """The sum of the one-particle marginals of a density on the dims-torus
+    grid: rho itself for one particle."""
+    if dims == 1:
+        return rho
+    axes = range(dims)
+    return sum(rho.sum(axis=tuple(b for b in axes if b != i)) * dx ** (dims - 1)
+               for i in axes)
 
 
 class _RateDensity:
     """r(x|psi) for every grid centre x at once, for states of one layout:
     the width check and the bump kernel's FFT are built once, and each call
-    is one circular convolution (an FFT pair) of the base density, or of
-    the sum of a pair's two marginals, against the kernel."""
+    is one circular convolution (an FFT pair) of the sum of the state's
+    one-particle marginals against the kernel."""
 
     def __init__(self, state, lam, a):
         _require_width(state, a)
         self.lam = lam
         self.dx = state.dx
-        self.marginal = state.space.rate_marginal
+        self.dims = state.space.dims
         self.kernel_hat = np.fft.fft(localization_bump(state.theta, 0.0, a))
 
     def __call__(self, state):
-        rho = self.marginal(state.density(), self.dx)
+        rho = _marginal_sum(state.density(), self.dx, self.dims)
         conv = np.real(np.fft.ifft(self.kernel_hat * np.fft.fft(rho)))
         return self.lam * conv * self.dx
 
@@ -114,22 +123,20 @@ class CollapseEvent:
     center: float
     pre_norm: float
     post_norm: float
-    label: object = None
 
     def csv_row(self):
         return (f"{self.time:.9g}", f"{self.center:.12g}",
-                f"{self.pre_norm:.12g}", f"{self.post_norm:.12g}",
-                "" if self.label is None else str(self.label))
+                f"{self.pre_norm:.12g}", f"{self.post_norm:.12g}")
 
 
-def apply_collapse(state, x, lam, a, label=None):
+def apply_collapse(state, x, lam, a):
     """Multiply by the square-root bump profile and renormalize.
 
     Returns (new_state, event).  Raises when the rate at x vanishes (a
     collapse there is impossible).  The multiplier is a real positive
     base-side profile, so the twist sector and exchange sector survive.
     """
-    mult = np.sqrt(collapse_multiplier(state, x, lam, a, label))
+    mult = np.sqrt(collapse_multiplier(state, x, lam, a))
     pre_norm = state.norm()
     # a ring multiplier broadcasts over sectors; the product is a fresh
     # array that the collapsed state owns, so it is normalized in place
@@ -139,7 +146,7 @@ def apply_collapse(state, x, lam, a, label=None):
         raise PhysicsError(f"collapse rate vanishes at x={x}; cannot collapse there")
     np.divide(collapsed.values, post_norm, out=collapsed.values)
     event = CollapseEvent(time=math.nan, center=float(x),
-                          pre_norm=pre_norm, post_norm=post_norm, label=label)
+                          pre_norm=pre_norm, post_norm=post_norm)
     return collapsed, event
 
 

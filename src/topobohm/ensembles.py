@@ -17,7 +17,7 @@ import numpy as np
 from .covering import TWO_PI
 from .errors import ConfigError, PhysicsError
 from .propagation import fourier_modes, whole_steps
-from .trajectories import STATUS_COMPLETED, transport
+from .trajectories import DEFAULT_EPS_NODE, STATUS_COMPLETED, transport
 
 DEFAULT_BINS = 64
 
@@ -217,11 +217,13 @@ def equivariance_threshold(n, bins=DEFAULT_BINS):
 
 
 def verify_equivariance(state, potential, n, t_final, checkpoints, seed,
-                        dt=2e-3, bins=DEFAULT_BINS, velocity_factor=1.0):
+                        dt=2e-3, bins=DEFAULT_BINS, velocity_factor=1.0,
+                        eps_node=DEFAULT_EPS_NODE):
     """Transport a |psi_0|^2 ensemble and compare against |psi_t|^2.
 
     ``velocity_factor=-1`` runs the sign-flipped negative control.  A
-    trajectory that halts at a node stays where it halted: later checkpoint
+    trajectory that halts at a node (``transport``'s ``eps_node`` rule)
+    stays where it halted: later checkpoint
     segments transport only the others.  The report is flagged invalid when
     more than 1% of trajectories halt at nodes over the whole run (which a
     smooth scenario should never approach).  Each checkpoint must be a
@@ -259,7 +261,8 @@ def verify_equivariance(state, potential, n, t_final, checkpoints, seed,
             # only the segment's last positions are read
             result, current = transport(
                 current, potential, position[moving], dt, n_steps,
-                velocity_factor=velocity_factor, record_every=n_steps)
+                eps_node=eps_node, velocity_factor=velocity_factor,
+                record_every=n_steps)
             position[moving] = result.positions[-1]
             halted[moving] = result.status != STATUS_COMPLETED
         rho = current.density()

@@ -334,14 +334,15 @@ def make_gaussian_state(factor, center, width, momentum=0.0,
 SECTOR_TOL = 1e-10
 
 
-def make_two_particle_state(values, sector, space=None, enforce=True):
-    """Two-particle torus state in a declared exchange sector (+1 or -1)."""
+def make_two_particle_state(values, sector, space=None):
+    """Two-particle torus state in a declared exchange sector (+1 or -1);
+    data outside that sector raise ``PhysicsError``."""
     if space is None:
         space = PairGrid()
     arr = np.asarray(values, dtype=complex)
     twist = Character.exchange(2, sector)
     state = WaveGrid(space=space, values=arr, twist=twist).normalized()
-    if enforce and state.twist_residual() > SECTOR_TOL * max_abs(state.values):
+    if state.twist_residual() > SECTOR_TOL * max_abs(state.values):
         raise PhysicsError(
             f"initial data violates the declared exchange sector "
             f"(residual {state.twist_residual():.2e})")

@@ -66,6 +66,9 @@ class RingGrid(_GridSpace):
         if values.ndim != 2:
             raise ConfigError("ring values must have shape (components, n)")
         require_power_of_two(values.shape[1])
+        if state.twist.group_id != ("ring",):
+            raise ConfigError("a ring state's twist is a factor on the ring's "
+                              f"deck group, not on {state.twist.group_id}")
         if state.sector_betas is None:
             raise ConfigError("ring states need sector twist angles")
         k = values.shape[0]
@@ -92,14 +95,6 @@ class RingGrid(_GridSpace):
         from .ensembles import sample_from_grid_density
         return sample_from_grid_density(rho, n, rng)
 
-    def collapse_profile(self, bump, label=None):
-        if label is not None:
-            raise ConfigError("labels apply to multi-particle states")
-        return bump
-
-    def rate_marginal(self, rho, dx):
-        return rho
-
 
 @dataclass(frozen=True)
 class PairGrid(_GridSpace):
@@ -118,6 +113,10 @@ class PairGrid(_GridSpace):
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ConfigError("two-particle values must be square (n, n)")
         require_power_of_two(values.shape[0])
+        if state.twist.group_id != ("sym", 2):
+            raise ConfigError("a pair state's twist is a factor on the "
+                              "exchange group S_2, not on "
+                              f"{state.twist.group_id}")
         if state.sector_betas is not None or state.sector_basis is not None:
             raise ConfigError("two-particle states carry no twist sectors")
 
@@ -145,19 +144,6 @@ class PairGrid(_GridSpace):
     def sample(self, rho, n, rng):
         from .ensembles import _sample_torus_density
         return _sample_torus_density(rho, n, rng)
-
-    def collapse_profile(self, bump, label=None):
-        """Both particles' bumps, or the labelled particle's alone."""
-        if label is None:
-            return bump[:, None] + bump[None, :]
-        if label in (0, 1):
-            return np.broadcast_to(bump[:, None] if label == 0 else bump[None, :],
-                                   (bump.size, bump.size))
-        raise ConfigError(f"label must be None, 0 or 1, got {label!r}")
-
-    def rate_marginal(self, rho, dx):
-        """The sum of the two one-particle marginals."""
-        return rho.sum(axis=1) * dx + rho.sum(axis=0) * dx
 
 
 GRID_SPACES = {space.kind: space for space in (RingGrid, PairGrid)}

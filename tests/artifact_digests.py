@@ -6,7 +6,7 @@ comparing the two JSON files with ``diff``:
 
     python tests/artifact_digests.py digests.json
 
-It does three things, in one process:
+It does four things, in one process:
 
 * It runs the tier-1 suite with ``topobohm.cli.main`` wrapped.  After each
   call the wrapper records the exit code and the sha256 of every file the
@@ -16,9 +16,16 @@ It does three things, in one process:
   wrapper.
 * For the same seeds and tasks it runs ``pair-ensemble`` through the
   library and records the sha256 of its final positions and evolved values.
+* It replays the drawn ``(subcommand, config)`` pairs saved beside it in
+  ``drawn_scenarios.json`` through the same wrapper.  The drawn-scenario
+  test's own entries are comparable only while ``conftest.scenario_configs``
+  is unchanged (hypothesis derives every draw from the whole strategy);
+  these are keyed by list index, so they survive edits to the strategy.
+  ``--save-drawn N`` draws N pairs from the strategy afresh, writes the
+  list and exits.
 
-Each entry is keyed by test id (or workload, seed and task), call index and
-file name.  A manifest is hashed without its ``wall_time_s`` and without a
+Each entry is keyed by test id (or workload, seed and task, or drawn
+index), call index and file name.  A manifest is hashed without its ``wall_time_s`` and without a
 failure's ``traceback``, which holds source paths and line numbers.  The
 suite runs under a fixed ``--basetemp``, so paths that a message quotes are
 the same in both runs.  pytest does not collect this file.
@@ -27,15 +34,19 @@ the same in both runs.  pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DRAWN = Path(__file__).resolve().with_name("drawn_scenarios.json")
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -145,15 +156,58 @@ def run_workloads(recorder, work_dir, seeds, n_tasks):
                         raw["evolved"].values.tobytes())
 
 
+def draw_scenarios(n):
+    """The first ``n`` (subcommand, config) pairs that the drawn-scenario
+    test's strategy generates, derandomized and without shrinking."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from hypothesis import HealthCheck, Phase, given, settings
+    from hypothesis import strategies as st
+
+    from conftest import scenario_configs
+
+    drawn = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=n,
+              phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+    @given(st.tuples(st.sampled_from(sorted(topobohm.cli.COMMANDS)),
+                     scenario_configs()))
+    def collect(pair):
+        drawn.append(list(pair))
+
+    collect()
+    return drawn
+
+
+def run_drawn(recorder, work_dir, drawn):
+    shutil.rmtree(work_dir, ignore_errors=True)
+    work_dir.mkdir(parents=True)
+    for i, (subcommand, cfg) in enumerate(drawn):
+        recorder.start(f"drawn {i}")
+        config = work_dir / f"{i}.json"
+        config.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            topobohm.cli.main([subcommand, "--config", str(config),
+                               "--out", str(work_dir / str(i))])
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("output", help="JSON file to write")
+    parser.add_argument("output", nargs="?", help="JSON file to write")
     parser.add_argument("--basetemp", default=str(
         Path(tempfile.gettempdir()) / "topobohm-artifact-digests"))
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--tasks", type=int, default=8)
     parser.add_argument("--skip-suite", action="store_true")
+    parser.add_argument("--save-drawn", type=int, metavar="N",
+                        help=f"draw N scenarios into {DRAWN.name} and exit")
     args, pytest_args = parser.parse_known_args(argv)
+    if args.save_drawn is not None:
+        lines = (json.dumps(pair) for pair in draw_scenarios(args.save_drawn))
+        DRAWN.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+        return 0
+    if args.output is None:
+        parser.error("the output file is required")
     output = Path(args.output).resolve()
 
     recorder = Recorder()
@@ -162,6 +216,8 @@ def main(argv=None):
         status = int(run_suite(recorder, args.basetemp, pytest_args))
     run_workloads(recorder, Path(args.basetemp) / "workloads", args.seeds,
                   args.tasks)
+    run_drawn(recorder, Path(args.basetemp) / "drawn",
+              json.loads(DRAWN.read_text()))
     output.write_text(json.dumps(recorder.digests, sort_keys=True, indent=0) + "\n")
     print(f"{len(recorder.digests)} entries written to {output}; "
           f"pytest exit status {status}")

@@ -302,9 +302,9 @@ def _velocity_field_torus(state, eps_node):
 # collapse: the direct sum behind ``rate_over_centers``
 # ---------------------------------------------------------------------------
 
-def collapse_rate(state, x, lam, a, label=None):
+def collapse_rate(state, x, lam, a):
     """r(x|psi): expectation of the rate operator in the current state."""
-    mult = collapse_multiplier(state, x, lam, a, label)
+    mult = collapse_multiplier(state, x, lam, a)
     rho = state.density()
     if state.space.kind == "ring":
         return float(np.sum(mult * rho) * state.dx)

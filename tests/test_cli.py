@@ -528,12 +528,15 @@ class TestExitCodes:
             "potential": {"type": "zero"},
             "initial_state": {"type": "pair_eigenstate", "n1": 1, "n2": 1}},
          "$.initial_state"),
+        ("evolve", {"potential": {"type": "tabulated", "values": [0.0] * 63}},
+         "$.potential.values"),
     ], ids=["pair-without-exchange", "exchange-on-ring", "ring-state-on-pair",
             "pair-state-on-ring", "spinor-without-matrix",
             "scalar-state-of-a-spinor", "amplitude-count",
             "non-hermitian-matrix", "non-hermitian-covariant",
             "covariant-of-another-dimension", "matrix-on-a-scalar-state", "pair-field-on-ring", "n-levels",
-            "unresolved-width", "equivariance-on-pair", "vanishing-pair"])
+            "unresolved-width", "equivariance-on-pair", "vanishing-pair",
+            "tabulated-length"])
     def test_config_refusal_names_its_path(self, tmp_path, capsys,
                                            subcommand, change, where):
         cfg_dict = {**BASE, "seed": 5, "grw": {"lam": 1.0, "a": 0.3},
@@ -1011,7 +1014,7 @@ def test_grw_run(tmp_path, capsys):
     out = tmp_path / "grw"
     assert main(["grw", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "events.csv").read_text().strip().splitlines()
-    assert lines[0] == "t,x,pre_norm,post_norm,label"
+    assert lines[0] == "t,x,pre_norm,post_norm"
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["n_events"] == len(lines) - 1
     assert summary["expected_events"] == pytest.approx(
@@ -1103,6 +1106,22 @@ def test_equivariance_run(tmp_path):
     assert main(["equivariance", "--config", cfg, "--out", str(out)]) == 0
     report = read_json(out / "equivariance.json")
     assert report["passed"]
+
+
+def test_equivariance_honours_eps_node(tmp_path):
+    # at eps_node 0.2 the packet's tails count as nodes: more than 1% of
+    # the ensemble halts, and the run refuses to verify
+    cfg_dict = dict(BASE, potential={"type": "zero"},
+                    numerics={"dt": 4e-3, "t_final": 0.02, "eps_node": 0.2},
+                    equivariance={"n_samples": 1000, "checkpoints": [0.02]},
+                    seed=8)
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "eq"
+    assert main(["equivariance", "--config", cfg, "--out", str(out)]) == 3
+    assert read_json(out / "equivariance.json")["valid"] is False
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["failure"]["family"] == "physics"
 
 
 def test_equivariance_refuses_a_negative_checkpoint(tmp_path, capsys):

@@ -71,15 +71,6 @@ class TestRates:
         oracle = LAM * (np.sum(bump * marg1) + np.sum(bump * marg2)) * state.dx
         assert collapse_rate(state, x, LAM, A) == pytest.approx(oracle, rel=1e-10)
 
-    def test_labelled_variant_sums_to_total(self):
-        state = symmetrized_product_state(
-            lambda t: wrapped_gaussian(t, 2.0, 0.5),
-            lambda t: wrapped_gaussian(t, 4.3, 0.5), +1, n_points=64)
-        x = 2.5
-        total = collapse_rate(state, x, LAM, A)
-        labelled = sum(collapse_rate(state, x, LAM, A, label=i) for i in (0, 1))
-        assert total == pytest.approx(labelled, rel=1e-12)
-
     def test_negative_width_rejected(self):
         state = make_eigenstate(0, Character.ring(0.0))
         with pytest.raises(ConfigError, match="positive"):
@@ -408,15 +399,12 @@ def test_run_set_up_reads_as_the_per_call_functions(case):
 
 
 def test_monitor_sees_every_event(monkeypatch):
-    # the label-0 bump multiplies by a function of the first coordinate
-    # only, which breaks the antisymmetry: the first collapse must trip the
-    # run's monitor, not the final check
-    original = collapse.collapse_multiplier
+    # a bump on the first coordinate alone breaks the antisymmetry: the
+    # first collapse must trip the run's monitor, not the final check
+    def first_particle_only(state, x, lam, a):
+        return lam * localization_bump(state.theta, x, a)[:, None]
 
-    def labelled(state, x, lam, a, label=None):
-        return original(state, x, lam, a, label=0)
-
-    monkeypatch.setattr(collapse, "collapse_multiplier", labelled)
+    monkeypatch.setattr(collapse, "collapse_multiplier", first_particle_only)
     state = symmetrized_product_state(
         lambda t: wrapped_gaussian(t, 2.0, 0.5),
         lambda t: wrapped_gaussian(t, 4.3, 0.5), -1, n_points=64)

@@ -1060,6 +1060,15 @@ class TestStateSerialization:
         assert np.array_equal(back.values, state.values)
         assert back.twist.sign == -1
 
+    def test_a_twist_from_another_deck_group_is_refused(self):
+        # a pair under a ring character read sign +1 and evolved as bosons;
+        # a ring state under an exchange twist raised TypeError when checked
+        pair = state_to_dict(pair_eigenstate(0, 1, -1, n_points=8))
+        ring = state_to_dict(make_eigenstate(0, Character.ring(0.3), n_points=8))
+        for payload, twist in ((pair, ring["twist"]), (ring, pair["twist"])):
+            with pytest.raises(ConfigError, match="twist is a factor on"):
+                state_from_dict(dict(payload, twist=twist))
+
     @settings(derandomize=True, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(["scalar", "spinor", "torus"]),
            n=st.sampled_from([4, 8, 16]), fortran=st.booleans())

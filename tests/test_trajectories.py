@@ -11,6 +11,7 @@ from topobohm.errors import ConfigError
 from topobohm.factors import Character, MatrixRep
 from topobohm.propagation import (
     Potential,
+    WaveGrid,
     angle_grid,
     evolve,
     fourier_modes,
@@ -193,9 +194,8 @@ class TestPointEvaluators:
             + 0.7 * wrapped_gaussian(theta, 4.5, 1.0, -12.0)
         f2 = wrapped_gaussian(theta, 3.5, 0.6, 3.0) \
             + 0.5 * wrapped_gaussian(theta, 1.0, 0.6, -2.0)
-        state = make_two_particle_state(
-            np.outer(f1, f2), -1, space=PairGrid(radius=1.5),
-            enforce=False)
+        state = WaveGrid(space=PairGrid(radius=1.5), values=np.outer(f1, f2),
+                         twist=Character.exchange(2, -1)).normalized()
         coeffs = np.fft.fft2(state.values) / n ** 2
         kept = np.abs(coeffs) > COEFF_CUT * np.max(np.abs(coeffs))
         coeffs = np.where(kept, coeffs, 0.0)
