@@ -1,9 +1,11 @@
 """Scenario-driven batch runner.
 
 Subcommands: evolve, spectrum, trajectories, equivariance, ab-compare,
-classify, twisted-check, grw.  Every run writes its artifacts plus a
-manifest (config digest, seed, invariant residuals, file inventory); runs
-are reproducible bit for bit from config + seed, wall time aside.
+classify, twisted-check, grw.  A run's settings are its scenario file
+(``--config``), whose seed ``--seed`` may replace.  Every run writes its
+artifacts plus a manifest (config digest, seed, invariant residuals, file
+inventory); runs are reproducible bit for bit from config + seed, wall time
+aside.
 
 Exit codes partition failures: 0 success, 2 config/schema, 3 physics
 incompatibility (such as a non-unitary generator), 4 numerical tolerance
@@ -55,7 +57,6 @@ from .trajectories import integrate_trajectories
 from .ensembles import verify_equivariance
 from .collapse import TWIST_PRESERVATION_TOL, simulate_grw
 from .scenario import (
-    SCENARIO_SCHEMA_TAG,
     Scenario,
     canonical_config_bytes,
     flux_and_charge,
@@ -504,23 +505,6 @@ COMMANDS = {
     "grw": cmd_grw,
 }
 
-_DEFAULT_CONFIGS = {
-    "spectrum": {
-        "schema": SCENARIO_SCHEMA_TAG,
-        "space": {"kind": "ring", "n_points": 256},
-        "factor": {"type": "character", "beta": 0.0},
-        "potential": {"type": "zero"},
-    },
-    "ab-compare": {
-        "schema": SCENARIO_SCHEMA_TAG,
-        "space": {"kind": "ring", "n_points": 256},
-        "factor": {"type": "flux", "flux": math.pi, "charge": 1.0},
-        "potential": {"type": "zero"},
-        "initial_state": {"type": "gaussian", "center": 3.0, "width": 0.6,
-                          "momentum": 1.0},
-    },
-}
-
 
 @functools.cache
 def build_parser():
@@ -534,40 +518,7 @@ def build_parser():
     parser.add_argument("--out", help="output directory "
                                       f"(default ${DEFAULT_OUT_ENV} or ./out)")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--beta", type=float,
-                        help="override character twist angle")
-    parser.add_argument("--flux", type=float,
-                        help="replace the factor by a flux of charge 1")
-    parser.add_argument("--charge", type=float,
-                        help="set the flux factor's charge")
-    parser.add_argument("--t-final", type=float, dest="t_final")
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--n-levels", type=int, dest="n_levels")
     return parser
-
-
-def _apply_overrides(cfg, args):
-    if not isinstance(cfg, dict):
-        return cfg                      # the schema refuses it at $
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.beta is not None:
-        cfg["factor"] = {"type": "character", "beta": args.beta}
-    if args.flux is not None:
-        cfg["factor"] = {"type": "flux", "flux": args.flux, "charge": 1.0}
-    if args.charge is not None:
-        factor = cfg.get("factor")
-        if not isinstance(factor, dict) or factor.get("type") != "flux":
-            raise ConfigError("--charge needs a flux factor; this scenario's "
-                              "factor is not a flux", field_path="$.factor")
-        factor["charge"] = args.charge
-    if args.t_final is not None:
-        cfg.setdefault("numerics", {})["t_final"] = args.t_final
-    if args.dt is not None:
-        cfg.setdefault("numerics", {})["dt"] = args.dt
-    if args.n_levels is not None:
-        cfg.setdefault("numerics", {})["n_levels"] = args.n_levels
-    return cfg
 
 
 def main(argv=None):
@@ -576,22 +527,20 @@ def main(argv=None):
     ctx = None
     parsed = False
     try:
-        if args.config:
-            try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    cfg = json.load(fh)
-            except OSError as exc:
-                raise ConfigError(f"cannot read {args.config}: "
-                                  f"{exc.strerror or exc}") from exc
-            except (ValueError, RecursionError) as exc:
-                # bad JSON, bytes that are not UTF-8, or nesting too deep
-                raise ConfigError(f"not valid JSON: {exc}") from exc
-        elif args.subcommand in _DEFAULT_CONFIGS:
-            cfg = json.loads(json.dumps(_DEFAULT_CONFIGS[args.subcommand]))
-        else:
+        if not args.config:
             raise ConfigError(f"subcommand {args.subcommand!r} requires --config")
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: "
+                              f"{exc.strerror or exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bytes that are not UTF-8, or nesting too deep
+            raise ConfigError(f"not valid JSON: {exc}") from exc
         parsed = True
-        cfg = _apply_overrides(cfg, args)
+        if args.seed is not None and isinstance(cfg, dict):
+            cfg["seed"] = args.seed         # a list is refused at $ below
         scenario = Scenario(cfg)
         ctx = RunContext(out_dir, args.subcommand, cfg, scenario.seed)
         if args.subcommand in SEEDED and scenario.seed is None:

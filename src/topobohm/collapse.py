@@ -40,7 +40,7 @@ from .covering import TWO_PI
 from .errors import ConfigError, PhysicsError, ToleranceError
 from .ensembles import sample_from_grid_density
 from .factors import worse
-from .propagation import SplitStep, evolve
+from .propagation import SplitStep, evolve, step_ratio
 
 TWIST_PRESERVATION_TOL = 1e-9
 
@@ -206,6 +206,7 @@ def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3):
         raise ConfigError("collapse rate constant must be nonnegative")
     if t_final < 0:
         raise ConfigError("t_final must be nonnegative")
+    step_ratio(t_final, dt)             # every span's step count fits a float
     rng = np.random.default_rng(seed)
     state = state.normalized()
     rate = total_rate(state, lam, a)

@@ -661,10 +661,19 @@ def require_step_count(n_steps):
         raise ConfigError("n_steps must be a nonnegative integer")
 
 
+def step_ratio(t_final, dt):
+    """t_final / dt, refused when no float holds it (1e300 / 1e-300)."""
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise ConfigError(f"t_final / dt is {ratio}: no step count is that "
+                          "large", field_path="$.numerics.t_final")
+    return ratio
+
+
 def whole_steps(t_final, dt):
     """The number of dt steps that make up t_final, refused unless it is
     whole to a relative 1e-9: a run never stops short of or past t_final."""
-    n_steps = int(round(t_final / dt))
+    n_steps = int(round(step_ratio(t_final, dt)))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ConfigError("t_final must be an integer multiple of dt",
                           field_path="$.numerics.t_final")

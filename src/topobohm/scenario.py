@@ -303,11 +303,14 @@ NUMERICS_DEFAULTS = {
 
 
 def _non_finite_keys(value):
-    """The keys down to the first NaN or infinity in a config, innermost
-    first, or None.  ``json.load`` reads the ``NaN`` and ``Infinity``
-    literals, and the schema's ``number`` admits them."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else []
+    """The keys down to the first NaN, infinity or int beyond a float's
+    range in a config, innermost first, or None.  ``json.load`` reads all
+    three, and the schema's ``number`` admits them."""
+    if isinstance(value, (int, float)):
+        try:
+            return None if math.isfinite(value) else []
+        except OverflowError:           # an int that no float can hold
+            return []
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, list):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .covering import TWO_PI, Permutation, Winding
 from .errors import ConfigError, PhysicsError
-from .factors import max_abs
+from .factors import Character, max_abs
 
 
 def require_power_of_two(n):
@@ -113,10 +113,11 @@ class PairGrid(_GridSpace):
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ConfigError("two-particle values must be square (n, n)")
         require_power_of_two(values.shape[0])
-        if state.twist.group_id != ("sym", 2):
+        twist = state.twist
+        if not isinstance(twist, Character) or twist.group_id != ("sym", 2):
             raise ConfigError("a pair state's twist is a factor on the "
-                              "exchange group S_2, not on "
-                              f"{state.twist.group_id}")
+                              "exchange group S_2 and a Character, not a "
+                              f"{type(twist).__name__} on {twist.group_id}")
         if state.sector_betas is not None or state.sector_basis is not None:
             raise ConfigError("two-particle states carry no twist sectors")
 

@@ -19,8 +19,10 @@ It does four things, in one process:
 * It replays the drawn ``(subcommand, config)`` pairs saved beside it in
   ``drawn_scenarios.json`` through the same wrapper.  The drawn-scenario
   test's own entries are comparable only while ``conftest.scenario_configs``
-  is unchanged (hypothesis derives every draw from the whole strategy);
-  these are keyed by list index, so they survive edits to the strategy.
+  and the literals of the project's source are unchanged (hypothesis derives
+  every draw from the whole strategy, and also draws the constants it
+  collects from the source); these are keyed by list index, so they survive
+  edits to either.
   ``--save-drawn N`` draws N pairs from the strategy afresh, writes the
   list and exits.
 

@@ -1,11 +1,13 @@
 """Batch runner: exit codes, artifacts, manifests, reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scenario_configs
+from conftest import ROOT, scenario_configs
 from topobohm import cli, ensembles
 from topobohm import scenario as scenario_module
 from topobohm.covering import FreeWord, Permutation, SemidirectElement
@@ -33,7 +35,12 @@ from topobohm.propagation import (
     symmetrized_product_state,
     twist_embed,
 )
-from topobohm.scenario import PAULI, SCENARIO_SCHEMA_TAG, Scenario
+from topobohm.scenario import (
+    PAULI,
+    SCENARIO_SCHEMA_TAG,
+    Scenario,
+    canonical_config_bytes,
+)
 from topobohm.trajectories import integrate_trajectories
 
 BASE = {
@@ -47,6 +54,19 @@ BASE = {
 }
 
 
+# a free ring of 256 points, and the same ring under a flux of pi with a
+# moving packet
+FREE_RING = {
+    "schema": SCENARIO_SCHEMA_TAG,
+    "space": {"kind": "ring", "n_points": 256},
+    "factor": {"type": "character", "beta": 0.0},
+    "potential": {"type": "zero"},
+}
+FLUX_RING = dict(FREE_RING,
+                 factor={"type": "flux", "flux": math.pi, "charge": 1.0},
+                 initial_state={"type": "gaussian", "center": 3.0,
+                                "width": 0.6, "momentum": 1.0})
+
 SPINOR = {"type": "spinor_gaussian", "amplitudes": [[1, 0], [0, 0.5]],
           "center": 3.0, "width": 0.5}
 
@@ -54,6 +74,13 @@ SPIN_Z = {"type": "spin_exp", "angle": 0.7, "axis": [0, 0, 1]}
 
 # a 2-row complex matrix whose second row has one entry
 RAGGED = [[[1, 0], [0, 0]], [[0, 0]]]
+
+# 1e300 / 1e-300 is inf: no float counts these steps
+OVERFLOWING_STEPS = {
+    "factor": {"type": "flux", "flux": 1.0},
+    "trajectories": {"starts": [1.0]},
+    "equivariance": {"n_samples": 1000, "checkpoints": [1e300]},
+    "numerics": {"dt": 1e-300, "transport_dt": 1e-300, "t_final": 1e300}}
 
 
 def off_sample_field(n=64):
@@ -334,11 +361,12 @@ class TestExitCodes:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"error[config] at {where}:" in capsys.readouterr().err
 
-    def test_non_finite_override_is_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE)
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--beta", "nan"]) == 2
-        assert "error[config] at $.factor.beta:" in capsys.readouterr().err
+    @pytest.mark.parametrize("subcommand", sorted(cli.COMMANDS))
+    def test_run_without_a_config_is_two(self, tmp_path, capsys, subcommand):
+        out = tmp_path / "o"
+        assert main([subcommand, "--seed", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error[config]: ")
+        assert not out.exists()
 
     def test_numerics_error_names_the_invariant_once(self, tmp_path, capsys):
         bad = dict(BASE, numerics={"dt": 1e-3, "t_final": 0.05,
@@ -530,13 +558,36 @@ class TestExitCodes:
          "$.initial_state"),
         ("evolve", {"potential": {"type": "tabulated", "values": [0.0] * 63}},
          "$.potential.values"),
+        # counting 1e300 / 1e-300 steps raised OverflowError, exit 5 (grw
+        # with events ran 1e299 steps to its first one); equivariance
+        # counts only to its checkpoint
+        ("evolve", OVERFLOWING_STEPS, "$.numerics.t_final"),
+        ("trajectories", OVERFLOWING_STEPS, "$.numerics.t_final"),
+        ("equivariance", OVERFLOWING_STEPS, "$.equivariance.checkpoints"),
+        ("ab-compare", OVERFLOWING_STEPS, "$.numerics.t_final"),
+        ("grw", OVERFLOWING_STEPS, "$.numerics.t_final"),
+        # json.load reads an int of any size, and these raised
+        # OverflowError (or numpy's ValueError for the sample count), exit 5
+        ("evolve", {"initial_state": {"type": "eigenstate", "n": 10**400}},
+         "$.initial_state.n"),
+        ("evolve", {"potential": {"type": "trig", "terms": [
+            {"amplitude": 0.3, "harmonic": 10**400}]}},
+         "$.potential.terms[0].harmonic"),
+        ("trajectories", {"trajectories": {"starts": [1.0, 10**400]}},
+         "$.trajectories.starts[1]"),
+        ("equivariance", {"equivariance": {
+            "n_samples": 10**400, "checkpoints": [0.05]}},
+         "$.equivariance.n_samples"),
     ], ids=["pair-without-exchange", "exchange-on-ring", "ring-state-on-pair",
             "pair-state-on-ring", "spinor-without-matrix",
             "scalar-state-of-a-spinor", "amplitude-count",
             "non-hermitian-matrix", "non-hermitian-covariant",
             "covariant-of-another-dimension", "matrix-on-a-scalar-state", "pair-field-on-ring", "n-levels",
             "unresolved-width", "equivariance-on-pair", "vanishing-pair",
-            "tabulated-length"])
+            "tabulated-length", "evolve-step-count", "trajectories-step-count",
+            "equivariance-step-count", "ab-compare-step-count",
+            "grw-step-count", "huge-eigenstate-n", "huge-trig-harmonic",
+            "huge-trajectory-start", "huge-equivariance-samples"])
     def test_config_refusal_names_its_path(self, tmp_path, capsys,
                                            subcommand, change, where):
         cfg_dict = {**BASE, "seed": 5, "grw": {"lam": 1.0, "a": 0.3},
@@ -613,7 +664,8 @@ class TestEvolve:
 class TestSpectrum:
     def test_free_ring_levels(self, tmp_path):
         out = tmp_path / "spec"
-        assert main(["spectrum", "--beta", "0", "--out", str(out)]) == 0
+        cfg = write_config(tmp_path, FREE_RING)
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "spectrum.csv").read_text().strip().splitlines()
         assert rows[0] == "index,energy"
         levels = [float(r.split(",")[1]) for r in rows[1:6]]
@@ -621,8 +673,8 @@ class TestSpectrum:
 
     def test_flux_override(self, tmp_path):
         out = tmp_path / "spec2"
-        assert main(["spectrum", "--flux", str(math.pi), "--charge", "1",
-                     "--out", str(out)]) == 0
+        cfg = write_config(tmp_path, dict(FREE_RING, factor=FLUX_RING["factor"]))
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "spectrum.csv").read_text().strip().splitlines()
         level0 = float(rows[1].split(",")[1])
         assert level0 == pytest.approx(0.125, abs=1e-9)
@@ -641,27 +693,20 @@ class TestSpectrum:
 
 
 def test_charge_override_sets_the_flux_factor_charge(tmp_path):
-    cfg = write_config(tmp_path, dict(BASE, factor={"type": "flux", "flux": 1.0}))
     betas = {}
-    for charge in ("2", "5"):
-        out = tmp_path / f"q{charge}"
-        assert main(["evolve", "--config", cfg, "--charge", charge,
-                     "--out", str(out)]) == 0
+    for charge in (2.0, 5.0):
+        cfg = write_config(tmp_path, dict(BASE, factor={
+            "type": "flux", "flux": 1.0, "charge": charge}))
+        out = tmp_path / f"q{charge:g}"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
         betas[charge] = read_json(out / "state.json")["sector_betas"]
-    assert betas == {"2": [-2.0], "5": [-5.0]}
-
-
-def test_charge_override_without_a_flux_factor_exits_two(tmp_path, capsys):
-    cfg = write_config(tmp_path, BASE)
-    assert main(["evolve", "--config", cfg, "--charge", "2",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "not a flux" in capsys.readouterr().err
+    assert betas == {2.0: [-2.0], 5.0: [-5.0]}
 
 
 def test_ab_compare_defaults(tmp_path):
     out = tmp_path / "ab"
-    assert main(["ab-compare", "--flux", str(math.pi), "--charge", "1",
-                 "--t-final", "0.2", "--out", str(out)]) == 0
+    cfg = write_config(tmp_path, dict(FLUX_RING, numerics={"t_final": 0.2}))
+    assert main(["ab-compare", "--config", cfg, "--out", str(out)]) == 0
     report = read_json(out / "ab_compare.json")
     assert report["max_trajectory_deviation"] <= 1e-6
     assert report["spectrum_difference"] <= 1e-10
@@ -680,7 +725,8 @@ def test_ab_compare_fails_a_nan_diagram_residual(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "gauge_map", nan_after_the_first)
     out = tmp_path / "ab"
-    assert main(["ab-compare", "--t-final", "0.02", "--out", str(out)]) == 4
+    cfg = write_config(tmp_path, dict(FLUX_RING, numerics={"t_final": 0.02}))
+    assert main(["ab-compare", "--config", cfg, "--out", str(out)]) == 4
     assert math.isnan(read_json(out / "ab_compare.json")[
         "per_step_diagram_residual"])
     failed = [inv["id"] for inv in read_json(out / "manifest.json")[
@@ -706,13 +752,11 @@ def test_ab_compare_spectra_use_the_scenario_radius(tmp_path, monkeypatch):
     assert radii == [2.0, 2.0]
 
 
-@pytest.mark.parametrize("override", [[], ["--beta", "0"]])
-def test_ab_compare_needs_a_flux_factor(tmp_path, capsys, override):
-    # BASE's factor is a character (beta = pi), and --beta sets another
+def test_ab_compare_needs_a_flux_factor(tmp_path, capsys):
+    # BASE's factor is a character (beta = pi)
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "o"
-    assert main(["ab-compare", "--config", cfg, *override,
-                 "--out", str(out)]) == 2
+    assert main(["ab-compare", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "at $.factor" in err and "not a flux" in err
     assert read_json(out / "manifest.json")["failure"]["family"] == "config"
@@ -1258,7 +1302,8 @@ def test_drawn_scenario_ends_in_a_documented_code(tmp_path_factory, drawn):
 
 def test_console_entry_point(tmp_path, src_env):
     result = subprocess.run(
-        [sys.executable, "-m", "topobohm.cli", "spectrum", "--beta", "0",
+        [sys.executable, "-m", "topobohm.cli", "spectrum",
+         "--config", write_config(tmp_path, FREE_RING),
          "--out", str(tmp_path / "o")],
         env=src_env, capture_output=True, text=True)
     assert result.returncode == 0
@@ -1342,8 +1387,37 @@ def test_scipy_loads_only_for_matrix_work(tmp_path, src_env):
 
 def test_out_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("TOPOBOHM_OUT", str(tmp_path / "envout"))
-    assert main(["spectrum", "--beta", "0"]) == 0
+    assert main(["spectrum", "--config", write_config(tmp_path, FREE_RING)]) == 0
     assert (tmp_path / "envout" / "spectrum.csv").exists()
+
+
+def test_seed_flag_is_the_files_seed(tmp_path):
+    # --seed 5 runs, records and hashes the scenario file with seed 5
+    cfg_dict = dict(BASE, seed=1, grw={"lam": 20.0, "a": 0.3})
+    flagged, written = tmp_path / "flag", tmp_path / "file"
+    assert main(["grw", "--config", write_config(tmp_path, cfg_dict),
+                 "--seed", "5", "--out", str(flagged)]) == 0
+    seed5 = write_config(tmp_path, dict(cfg_dict, seed=5), name="seed5.json")
+    assert main(["grw", "--config", seed5, "--out", str(written)]) == 0
+    manifest = read_json(flagged / "manifest.json")
+    assert manifest["seed"] == 5
+    assert manifest["config_digest"] == hashlib.sha256(
+        canonical_config_bytes(read_json(seed5))).hexdigest()
+    assert read_json(written / "manifest.json")["outputs"] == \
+        manifest["outputs"]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # the Batch-runner section's scenario block, run by its spectrum command
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Batch runner\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"^```json\n(.*?)^```", section, re.M | re.S).group(1)
+    argv = shlex.split(re.search(r"^topobohm (spectrum .*)$", section,
+                                 re.M).group(1))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / argv[argv.index("--config") + 1]).write_text(block)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
 
 def test_manifest_validates_against_schema(tmp_path):

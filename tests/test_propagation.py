@@ -1062,10 +1062,15 @@ class TestStateSerialization:
 
     def test_a_twist_from_another_deck_group_is_refused(self):
         # a pair under a ring character read sign +1 and evolved as bosons;
-        # a ring state under an exchange twist raised TypeError when checked
+        # a ring state under an exchange twist raised TypeError when checked;
+        # a pair under a matrix twist on S_2 evolved, and then its exchange
+        # residual raised AttributeError (a MatrixRep has no sign)
         pair = state_to_dict(pair_eigenstate(0, 1, -1, n_points=8))
         ring = state_to_dict(make_eigenstate(0, Character.ring(0.3), n_points=8))
-        for payload, twist in ((pair, ring["twist"]), (ring, pair["twist"])):
+        matrix = {"type": "matrix", "group": ["sym", 2],
+                  "generators": [[[[-1.0, 0.0]]]]}
+        for payload, twist in ((pair, ring["twist"]), (ring, pair["twist"]),
+                               (pair, matrix)):
             with pytest.raises(ConfigError, match="twist is a factor on"):
                 state_from_dict(dict(payload, twist=twist))
 
