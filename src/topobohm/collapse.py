@@ -26,7 +26,7 @@ the sheet phases and factor matrices of the twist monitor
 (``WaveGrid.space.twist_monitor``).  ``rate_over_centers`` and
 ``WaveGrid.twist_residual`` build the same set-up per call, so a run and a
 single call share one code path; an event's centre is one sample of the
-rate density (``ensembles.sample_from_grid_density``).
+rate density, which takes one uniform (``ensembles.sample_from_grid_density``).
 """
 
 from __future__ import annotations

@@ -26,57 +26,15 @@ DEFAULT_BINS = 64
 # inverse-CDF sampling on the periodic grid
 # ---------------------------------------------------------------------------
 
-def _trapezoid_cells(rho):
-    """Cell width, right-hand neighbours and trapezoid cell masses of a
-    periodic grid density."""
-    h = TWO_PI / rho.size
-    right = np.concatenate((rho[1:], rho[:1]))
-    return h, right, 0.5 * (rho + right) * h
-
-
-def sample_from_grid_density(rho, n, rng):
-    """Draw n points from a periodic grid density via inverse CDF.
-
-    The density is trapezoid-interpolated between grid points, so each cell
-    mass is quadratic in the offset and inverted exactly.  A GRW run draws
-    one point per event, where the per-call cost of each numpy call counts:
-    the bounds of ``rho`` decide both refusals, and plain ufuncs clip.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 1:
-        raise ConfigError("grid density must be one-dimensional")
-    lo, hi = rho.min(), rho.max()
-    # max |rho| is max(hi, -lo); with no value below -1e-12 of it, a
-    # density whose largest value is not positive is zero everywhere
-    if lo < -1e-12 * max(hi, -lo):
-        raise ConfigError("density must be nonnegative")
-    if hi <= 0.0:
-        raise PhysicsError("density vanishes everywhere; nothing to sample")
-    rho = np.maximum(rho, 0.0)
-    m = rho.size
-    h, right, cell_mass = _trapezoid_cells(rho)
-    cdf = np.concatenate([[0.0], np.cumsum(cell_mass)])
-    total = cdf[-1]
-    u = rng.random(n) * total
-    cells = np.searchsorted(cdf, u, side="right") - 1
-    cells = np.minimum(np.maximum(cells, 0), m - 1)
-    residual = u - cdf[cells]
-    a = rho[cells]
-    slope = (right[cells] - a) / h
-    # solve a*s + slope*s^2/2 = residual for s in [0, h]
-    s = np.empty_like(residual)
-    linear = np.abs(slope) < 1e-14 * np.maximum(a, 1e-30)
-    s[linear] = residual[linear] / np.maximum(a[linear], 1e-300)
-    q = ~linear
-    disc = a[q] ** 2 + 2.0 * slope[q] * residual[q]
-    s[q] = (np.sqrt(np.maximum(disc, 0.0)) - a[q]) / slope[q]
-    s = np.minimum(np.maximum(s, 0.0), h)
-    return np.mod(cells * h + s, TWO_PI)
-
-
-def sample_density(state, n, seed):
-    """I.i.d. draws from the state's base density; deterministic per seed."""
-    return state.space.sample(state.density(), n, np.random.default_rng(seed))
+def _cell_masses(rho):
+    """Masses of the multilinear cells of a periodic grid density, one cell
+    from each grid point to its upper neighbours, on every axis: on the
+    ring the trapezoid rule, on the torus bilinear cells."""
+    mass = rho
+    for axis, size in enumerate(rho.shape):
+        upper = np.take(mass, np.arange(1, size + 1), axis=axis, mode="wrap")
+        mass = (mass + upper) * (0.5 * (TWO_PI / size))
+    return mass
 
 
 def _linear_offsets(left, right, u, h):
@@ -90,25 +48,56 @@ def _linear_offsets(left, right, u, h):
     return np.minimum(s * h, h)
 
 
-def _sample_torus_density(rho, n, rng):
-    """Draws from the bilinear interpolant of a torus grid density, the
-    ring's trapezoid rule on each axis: a cell by its mass, then the first
-    offset from the cell's marginal, linear between its two edges, and the
-    second from the density along that offset."""
-    rho = np.clip(rho, 0.0, None)
-    if rho.max() == 0:
+def sample_from_grid_density(rho, n, rng):
+    """Draw n points from a periodic grid density on d = ``rho.ndim`` axes
+    via inverse CDF: shape (n,) on the ring, (n, d) otherwise.
+
+    Each cell's density is multilinear (``_cell_masses``), so no axis is
+    shifted.  A point takes d uniforms: the first picks a cell by its mass
+    and, by its place within the cell's share of the CDF, the offset along
+    the cell's linear marginal on the first axis; each further axis
+    inverts the density along it at the offsets drawn before.  The bounds
+    of ``rho`` decide both refusals (a GRW run draws one point per event).
+    """
+    rho = np.asarray(rho, dtype=float)
+    lo, hi = rho.min(), rho.max()
+    # max |rho| is max(hi, -lo); with no value below -1e-12 of it, a
+    # density whose largest value is not positive is zero everywhere
+    if lo < -1e-12 * max(hi, -lo):
+        raise ConfigError("density must be nonnegative")
+    if hi <= 0.0:
         raise PhysicsError("density vanishes everywhere; nothing to sample")
-    h = TWO_PI / rho.shape[0]
-    up = np.roll(rho, -1, axis=0)       # corners (i + 1, j)
-    corners = (rho, np.roll(rho, -1, axis=1), up, np.roll(up, -1, axis=1))
-    mass = (corners[0] + corners[1] + corners[2] + corners[3]).ravel()
-    cells = rng.choice(mass.size, size=n, p=mass / mass.sum())
-    r00, r01, r10, r11 = (c.ravel()[cells] for c in corners)
-    s = _linear_offsets(r00 + r01, r10 + r11, rng.random(n), h)
-    t = _linear_offsets(r00 + (r10 - r00) * (s / h), r01 + (r11 - r01) * (s / h),
-                        rng.random(n), h)
-    i, j = np.unravel_index(cells, rho.shape)
-    return np.mod(np.stack([i * h + s, j * h + t], axis=1), TWO_PI)
+    rho = np.maximum(rho, 0.0)
+    d = rho.ndim
+    cdf = np.concatenate([[0.0], np.cumsum(_cell_masses(rho))])
+    uniforms = rng.random((d, n))
+    u = uniforms[0] * cdf[-1]
+    cells = np.minimum(np.searchsorted(cdf, u, side="right") - 1, cdf.size - 2)
+    # the first axis inverts u's place in its cell's share of the CDF, a
+    # share zero only where u rounds onto the total past a dead cell
+    uniforms[0] = (u - cdf[cells]) / np.maximum(cdf[cells + 1] - cdf[cells],
+                                               1e-300)
+    index = np.unravel_index(cells, rho.shape)
+    # the cell's 2^d corner values, corner axes first: (2,) * d + (n,)
+    corner_index = [(i + np.arange(2).reshape((2,) + (1,) * (d - k))) % size
+                    for k, (i, size) in enumerate(zip(index, rho.shape))]
+    corners = rho[tuple(corner_index)]
+    points = np.empty((n, d))
+    for k, size in enumerate(rho.shape):
+        h = TWO_PI / size
+        # the cell's density at this axis's two ends, over the later axes
+        ends = corners.sum(axis=tuple(range(1, d - k)))
+        s = _linear_offsets(ends[0], ends[1], uniforms[k], h)
+        points[:, k] = index[k] * h + s
+        corners = corners[0] + (corners[1] - corners[0]) * (s / h)
+    points = np.mod(points, TWO_PI)
+    return points[:, 0] if d == 1 else points
+
+
+def sample_density(state, n, seed):
+    """I.i.d. draws from the state's base density; deterministic per seed."""
+    return sample_from_grid_density(state.density(), n,
+                                    np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +115,7 @@ def density_bin_masses(rho, bins):
     rho = np.asarray(rho, dtype=float)
     m = rho.size
     _require_bins(m, bins)
-    _, _, cell_mass = _trapezoid_cells(rho)
-    masses = cell_mass.reshape(bins, m // bins).sum(axis=1)
+    masses = _cell_masses(rho).reshape(bins, m // bins).sum(axis=1)
     return masses / masses.sum()
 
 
@@ -164,11 +152,10 @@ def ks_distance(samples, rho):
     """Kolmogorov-Smirnov distance with the circle cut open at angle zero."""
     rho = np.asarray(rho, dtype=float)
     m = rho.size
-    h, _, cell_mass = _trapezoid_cells(rho)
     angles = np.sort(np.mod(np.asarray(samples), TWO_PI))
-    cdf_grid = np.concatenate([[0.0], np.cumsum(cell_mass)])
+    cdf_grid = np.concatenate([[0.0], np.cumsum(_cell_masses(rho))])
     cdf_grid /= cdf_grid[-1]
-    positions = np.arange(m + 1) * h
+    positions = np.arange(m + 1) * (TWO_PI / m)
     model = np.interp(angles, positions, cdf_grid)
     n = len(angles)
     empirical_hi = np.arange(1, n + 1) / n

@@ -91,10 +91,6 @@ class RingGrid(_GridSpace):
         from .trajectories import _RingEvaluator
         return _RingEvaluator(state, velocity_factor)
 
-    def sample(self, rho, n, rng):
-        from .ensembles import sample_from_grid_density
-        return sample_from_grid_density(rho, n, rng)
-
 
 @dataclass(frozen=True)
 class PairGrid(_GridSpace):
@@ -141,10 +137,6 @@ class PairGrid(_GridSpace):
     def evaluator(self, state, velocity_factor=1.0):
         from .trajectories import _TorusEvaluator
         return _TorusEvaluator(state, velocity_factor)
-
-    def sample(self, rho, n, rng):
-        from .ensembles import _sample_torus_density
-        return _sample_torus_density(rho, n, rng)
 
 
 GRID_SPACES = {space.kind: space for space in (RingGrid, PairGrid)}

@@ -1,5 +1,6 @@
 """Density sampling and statistical equivariance."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -63,8 +64,9 @@ class TestSampler:
 
     def test_zero_density_rejected(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(PhysicsError, match="vanishes"):
-            sample_from_grid_density(np.zeros(64), 10, rng)
+        for shape in [(64,), (8, 8)]:
+            with pytest.raises(PhysicsError, match="vanishes"):
+                sample_from_grid_density(np.zeros(shape), 10, rng)
 
     @pytest.mark.parametrize("seed,profile", [
         (101, "uniform"), (102, "gaussian"), (103, "two_bump"),
@@ -135,8 +137,9 @@ class TestSamplerProperties:
 
 
 def _reference_sample(rho, n, rng):
-    """The sampler's arithmetic as first written: ``np.clip``, ``np.roll``
-    and the three reductions of its checks."""
+    """The ring sampler's arithmetic as first written, ``np.clip``,
+    ``np.roll``, the three reductions of its checks and each cell's
+    quadratic root, with the cells it picks."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < -1e-12 * np.max(np.abs(rho))):
         raise ConfigError("density must be nonnegative")
@@ -158,19 +161,64 @@ def _reference_sample(rho, n, rng):
     q = ~linear
     disc = a[q] ** 2 + 2.0 * slope[q] * residual[q]
     s[q] = (np.sqrt(np.maximum(disc, 0.0)) - a[q]) / slope[q]
-    return np.mod(cells * h + np.clip(s, 0.0, h), TWO_PI)
+    return cells, np.mod(cells * h + np.clip(s, 0.0, h), TWO_PI)
+
+
+def _assert_in_reference_cells(rho, n, seed):
+    """Draws of one generator land in the cells the reference picks, each
+    within half a cell of its cell's centre."""
+    got = sample_from_grid_density(rho, n, np.random.default_rng(seed))
+    cells, _ = _reference_sample(rho, n, np.random.default_rng(seed))
+    h = TWO_PI / np.size(rho)
+    gap = np.abs(np.mod(got - (cells + 0.5) * h + np.pi, TWO_PI) - np.pi)
+    assert np.all(gap <= 0.5 * h * (1 + 1e-12))
+
+
+def _exact_inverse(rho, uniforms):
+    """The inverse CDF of the trapezoid density through the ring values
+    ``rho`` at ``uniforms``, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        m = len(rho)
+        h = mpmath.mpf(TWO_PI) / m
+        values = [mpmath.mpf(v) for v in rho] + [mpmath.mpf(rho[0])]
+        cdf = [mpmath.mpf(0)]
+        for a, b in zip(values, values[1:]):
+            cdf.append(cdf[-1] + (a + b) * h / 2)
+        points = []
+        for r in uniforms:
+            target = mpmath.mpf(r) * cdf[-1]
+            cell = max(c for c in range(m) if cdf[c] <= target)
+            a, b = values[cell], values[cell + 1]
+            # the root in [0, h] of a s + (b - a) s^2 / 2h = residual
+            residual = target - cdf[cell]
+            s = 2 * residual / (a + mpmath.sqrt(a ** 2
+                                                + 2 * (b - a) / h * residual))
+            points.append(float(mpmath.fmod(cell * h + s, mpmath.mpf(TWO_PI))))
+        return np.array(points)
 
 
 class TestSamplerArithmetic:
-    """The sampler keeps its first arithmetic and refusals bit for bit."""
+    """The sampler picks the cells it first picked, from the same uniforms,
+    and inverts each cell to rounding."""
 
     @settings(derandomize=True, deadline=None)
     @given(rho=grid_densities, seed=seeds, n=st.integers(1, 300))
-    def test_draws_equal_the_reference(self, rho, seed, n):
+    def test_draws_land_in_the_reference_cells(self, rho, seed, n):
         assume(rho.max() > 0)
-        got = sample_from_grid_density(rho, n, np.random.default_rng(seed))
-        expected = _reference_sample(rho, n, np.random.default_rng(seed))
-        assert np.array_equal(got, expected)
+        _assert_in_reference_cells(rho, n, seed)
+
+    @pytest.mark.parametrize("rho", [
+        np.tile([1.0, 1.0 + 1e-13], 8), np.tile([1.0, 1.0 + 1e-10], 8),
+        np.tile([1.0, 1.0 + 1e-6], 8), 1.0 + 0.9 * np.cos(angle_grid(64))],
+        ids=["flat-1e-13", "flat-1e-10", "flat-1e-6", "cosine"])
+    def test_offsets_are_the_exact_inverse(self, rho):
+        # a quadratic root (sqrt(a^2 + 2 slope r) - a) / slope cancels on a
+        # nearly flat cell, 1.6e-3 of a cell off on the 1e-13 ring
+        n = 200
+        got = sample_from_grid_density(rho, n, np.random.default_rng(4))
+        exact = _exact_inverse(rho, np.random.default_rng(4).random(n))
+        gap = np.abs(np.mod(got - exact + np.pi, TWO_PI) - np.pi)
+        assert np.max(gap) <= 1e-12 * TWO_PI / rho.size
 
     @pytest.mark.parametrize("dip, error", [
         (-0.5e-12, None), (-2e-12, ConfigError)], ids=["rounding", "negative"])
@@ -178,9 +226,7 @@ class TestSamplerArithmetic:
         rho = np.abs(wrapped_gaussian(angle_grid(64), 2.0, 0.5)) ** 2
         rho[40] = dip * rho.max()
         if error is None:
-            got = sample_from_grid_density(rho, 50, np.random.default_rng(1))
-            expected = _reference_sample(rho, 50, np.random.default_rng(1))
-            assert np.array_equal(got, expected)
+            _assert_in_reference_cells(rho, 50, 1)
         else:
             for sampler in (sample_from_grid_density, _reference_sample):
                 with pytest.raises(error, match="nonnegative"):
@@ -195,8 +241,19 @@ class TestSamplerArithmetic:
     def test_nan_passes_through_as_before(self):
         rho = np.array([1.0, np.nan, 2.0, 0.5])
         got = sample_from_grid_density(rho, 20, np.random.default_rng(2))
-        expected = _reference_sample(rho, 20, np.random.default_rng(2))
+        _, expected = _reference_sample(rho, 20, np.random.default_rng(2))
         assert np.array_equal(got, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(128,), (16, 16)], ids=["ring", "torus"])
+    @pytest.mark.parametrize("n", [1, 37])
+    def test_a_point_takes_one_uniform_per_axis(self, shape, n):
+        # a GRW run draws its waits and its centres from one generator, so
+        # the event times hold only while a centre takes one uniform
+        rho = np.random.default_rng(8).random(shape)
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        sample_from_grid_density(rho, n, rng)
+        twin.random(len(shape) * n)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def _pair():
@@ -253,6 +310,15 @@ class TestTorusSampler:
         m = 200_000
         samples = sample_density(state, m, seed=6)
         assert abs(np.mean(samples[:, 0]) - mean) <= 4 * spread / np.sqrt(m)
+
+    def test_a_negative_value_is_refused(self):
+        # one value of -1 in |psi|^2 is refused as on the ring, not clipped
+        # to zero and sampled
+        rho = _pair().density()
+        rho[5, 9] = -1.0
+        with pytest.raises(ConfigError, match="nonnegative") as info:
+            sample_from_grid_density(rho, 10, np.random.default_rng(0))
+        assert info.value.field_path is None
 
 
 class TestDistances:
