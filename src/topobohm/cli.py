@@ -306,7 +306,8 @@ def cmd_evolve(scenario, ctx):
     # sector basis), so the final state's residual stands for the whole run
     ctx.check("twist-preservation", state.twist_residual(),
               nm["max_twist_residual"])
-    return {"steps": n_steps, "final_norm": norm}
+    return {"steps": n_steps, "final_norm": norm,
+            "step_path": getattr(state._split_step, "path", None)}
 
 
 def cmd_spectrum(scenario, ctx):

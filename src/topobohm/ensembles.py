@@ -140,8 +140,17 @@ def exact_bin_masses(rho, bins):
     return masses / masses.sum()
 
 
+def _ring_density(rho):
+    """``rho`` as a float array, refused unless it lies on a ring."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim != 1:
+        raise ConfigError(f"the distances score ring clouds, not {rho.ndim}-D")
+    return rho
+
+
 def tv_distance(samples, rho, bins=DEFAULT_BINS):
-    """Total variation between a sample cloud and a grid density."""
+    """Total variation between a ring sample cloud and a grid density."""
+    rho = _ring_density(rho)
     counts, _ = np.histogram(np.mod(samples, TWO_PI), bins=bins,
                              range=(0.0, TWO_PI))
     empirical = counts / counts.sum()
@@ -150,7 +159,7 @@ def tv_distance(samples, rho, bins=DEFAULT_BINS):
 
 def ks_distance(samples, rho):
     """Kolmogorov-Smirnov distance with the circle cut open at angle zero."""
-    rho = np.asarray(rho, dtype=float)
+    rho = _ring_density(rho)
     m = rho.size
     angles = np.sort(np.mod(np.asarray(samples), TWO_PI))
     cdf_grid = np.concatenate([[0.0], np.cumsum(_cell_masses(rho))])

@@ -149,7 +149,9 @@ class WaveGrid:
     Norm convention: sum |values|^2 dtheta^d = 1 over the d angle axes.
 
     A state returned by ``evolve`` carries the ``SplitStep`` that made it;
-    ``with_values`` keeps it, and ``dataclasses.replace`` drops it.
+    ``with_values`` keeps it, and ``dataclasses.replace`` drops it.  One
+    from the spectral path also carries ``_spectrum``, the spectrum that
+    path stepped; both drop it, since it stands for the values it came with.
     """
 
     space: object
@@ -159,6 +161,8 @@ class WaveGrid:
     sector_basis: np.ndarray = None
     _split_step: object = field(default=None, init=False, repr=False,
                                 compare=False)
+    _spectrum: np.ndarray = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         # C order, so norms and densities sum in the same order whatever
@@ -531,13 +535,14 @@ class SplitStep:
     does not use ``np.fft.ifft2(..., out=)``, which numpy 2.4 accepts but
     ignores, leaving the array untransformed.
 
-    ``matrix`` is the whole step as one (size, size) unitary for a layout
-    of at most ``DENSE_STEP_MAX`` values, built on first access (``evolve``
-    reads it; a caller that only calls ``apply`` never pays for it): row j
-    is ``apply`` of the j-th unit vector, so ``flat @ matrix`` is one step
-    of the flattened values and the step keeps a single definition.  It is
-    stored on an ``_ALIGN``-byte boundary, where BLAS reads it fastest.
-    Larger layouts have ``matrix`` None and step by ``apply``.
+    ``path`` is how ``evolve`` steps the layout.  "dense", at most
+    ``DENSE_STEP_MAX`` values: ``matrix`` is the whole step as one (size,
+    size) unitary on an ``_ALIGN``-byte boundary, where BLAS reads it
+    fastest, built on first access; its row j is ``apply`` of the j-th unit
+    vector.  "spectral", a larger layout whose none, scalar or diagonal
+    half-kick phase h0 is bit for bit the same at every grid point of each
+    sector: H is diagonal in the twisted Fourier basis, and the step is one
+    Fourier ``multiplier``, (kinetic * h0) * h0.  "fft", any other: ``apply``.
     """
 
     def __init__(self, state, potential, dt):
@@ -549,12 +554,23 @@ class SplitStep:
         self.half_v = _potential_half_phase(self.kind, data, dt)
         self.kinetic = _kinetic_phase(state, dt)
         self._axes = tuple(range(-1, -1 - state.space.dims, -1))
+        self.multiplier = None
+        if math.prod(self.shape) <= DENSE_STEP_MAX:
+            self.path = "dense"
+            return
+        if self.kind == "none":
+            self.multiplier = self.kinetic
+        elif self.kind != "matrix":
+            h0 = self.half_v[(...,) + (slice(0, 1),) * len(self._axes)]
+            if np.all(self.half_v == h0):
+                self.multiplier = (self.kinetic * h0) * h0
+        self.path = "fft" if self.multiplier is None else "spectral"
 
     @functools.cached_property
     def matrix(self):
-        size = math.prod(self.shape)
-        if size > DENSE_STEP_MAX:
+        if self.path != "dense":
             return None
+        size = math.prod(self.shape)
         basis = np.eye(size, dtype=complex).reshape((size,) + self.shape)
         matrix = _aligned_empty((size, size))
         matrix[...] = self.apply(basis).reshape(size, size)
@@ -613,19 +629,15 @@ def evolve(state, potential, dt, n_steps):
     same shape; any other call builds one, gate first.  A run in chunks or
     single steps pays for its set-up once; no result depends on that reuse.
 
-    A state of at most ``DENSE_STEP_MAX`` values (k n on the ring, n^2 on
-    the torus) steps by one product with the set-up's unitary, built on the
-    set-up's first call here: a copy of the flattened values and one spare
-    buffer take turns as input and output of ``ndarray.dot(..., out=)``,
-    the BLAS product of ``flat @ matrix`` with the same bits and without
-    ``np.dot``'s dispatch, so no step allocates.  The unitary starts on a
-    cache line (``_aligned_empty``), where OpenBLAS's product runs fastest;
-    its bits do not depend on the offset.  The two buffers keep numpy's
-    alignment: their offset measured no difference, and finding their
-    address would cost each call about 1.5 us per buffer.  A larger
-    state steps by ``SplitStep.apply``, which allocates only its first
-    half-kick's output.  The path depends only on the state's size, so
-    every step of a run, chunked or not, is the same operation.
+    The set-up's ``path``, fixed by the layout and the field, picks the
+    loop, so every step of a run, chunked or not, is the same operation.
+    The dense path multiplies a copy of the flattened values by the
+    unitary with ``ndarray.dot(..., out=)``, into a spare buffer and back
+    (``flat @ matrix``'s bits, without ``np.dot``'s dispatch or a new
+    array).  The spectral path takes one forward transform (or a copy of
+    the state's memo ``_spectrum``), one in-place multiply per step and the
+    inverse transform of a copy; the result carries the spectrum, so a run
+    in chunks has the bits of one call.  The fft path steps by ``apply``.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -637,19 +649,27 @@ def evolve(state, potential, dt, n_steps):
             or step.shape != state.values.shape):
         step = SplitStep(state, potential, dt)
     values = state.values
-    matrix = step.matrix
-    if matrix is not None:
+    spectrum = None
+    if step.path == "dense":
+        matrix = step.matrix
         flat = values.reshape(-1).copy()
         spare = np.empty_like(flat)
         for _ in range(n_steps):
             flat.dot(matrix, out=spare)
             flat, spare = spare, flat
         values = flat.reshape(values.shape)
+    elif step.path == "spectral":
+        spectrum = (step.fft(values.copy()) if state._spectrum is None
+                    else state._spectrum.copy())
+        for _ in range(n_steps):
+            np.multiply(step.multiplier, spectrum, out=spectrum)
+        values = step.ifft(spectrum.copy())
     else:
         for _ in range(n_steps):
             values = step.apply(values)
     out = replace(state, values=values)
     object.__setattr__(out, "_split_step", step)
+    object.__setattr__(out, "_spectrum", spectrum)
     return out
 
 

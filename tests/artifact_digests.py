@@ -17,14 +17,14 @@ It does four things, in one process:
 * For the same seeds and tasks it runs ``pair-ensemble`` through the
   library and records the sha256 of its final positions and evolved values.
 * It replays the drawn ``(subcommand, config)`` pairs saved beside it in
-  ``drawn_scenarios.json`` through the same wrapper.  The drawn-scenario
-  test's own entries are comparable only while ``conftest.scenario_configs``
-  and the literals of the project's source are unchanged (hypothesis derives
-  every draw from the whole strategy, and also draws the constants it
-  collects from the source); these are keyed by list index, so they survive
-  edits to either.
-  ``--save-drawn N`` draws N pairs from the strategy afresh, writes the
-  list and exits.
+  ``drawn_scenarios.json`` through the same wrapper, keyed by list index.
+  The drawn-scenario test runs the first 100 of the same list, so its
+  entries also survive edits to ``conftest.scenario_configs`` and to the
+  literals of the project's source (hypothesis derives every draw from the
+  whole strategy, and also draws the constants it collects from the
+  source).  ``--save-drawn N`` draws N pairs from the strategy afresh,
+  writes the list and exits; the drawn-scenario test then runs the new
+  list's first 100.
 
 Each entry is keyed by test id (or workload, seed and task, or drawn
 index), call index and file name.  A manifest is hashed without its ``wall_time_s`` and without a

@@ -15,10 +15,8 @@ from dataclasses import replace
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import ROOT, scenario_configs
+from conftest import ROOT
 from topobohm import cli, ensembles
 from topobohm import scenario as scenario_module
 from topobohm.covering import FreeWord, Permutation, SemidirectElement
@@ -114,6 +112,22 @@ class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("n_points,potential,t_final,path", [
+        (64, BASE["potential"], 0.05, "dense"),
+        (256, BASE["potential"], 0.05, "fft"),
+        (256, {"type": "zero"}, 0.05, "spectral"),
+        (256, {"type": "zero"}, 1e-12, None),  # a run of no step
+    ])
+    def test_evolve_summary_names_the_step_path(self, tmp_path, capsys,
+                                                n_points, potential, t_final,
+                                                path):
+        cfg = write_config(tmp_path, dict(
+            BASE, space={"kind": "ring", "n_points": n_points},
+            potential=potential, numerics={"dt": 1e-3, "t_final": t_final}))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["step_path"] == path
 
     def test_schema_violation_is_two(self, tmp_path):
         bad = dict(BASE, space={"kind": "moebius"})
@@ -1277,27 +1291,34 @@ def test_trajectory_start_of_another_space_is_two(tmp_path, capsys, space,
 NON_FINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(drawn=st.tuples(st.sampled_from(sorted(cli.COMMANDS)),
-                       scenario_configs()))
-def test_drawn_scenario_ends_in_a_documented_code(tmp_path_factory, drawn):
-    subcommand, cfg_dict = drawn
-    tmp = tmp_path_factory.mktemp("drawn")
-    out = tmp / "o"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main([subcommand, "--config", write_config(tmp, cfg_dict),
-                     "--out", str(out)])
-    assert code in (0, 2, 3, 4)
-    manifest = read_json(out / "manifest.json")
-    assert manifest["status"] == ("ok" if code == 0 else "failed")
-    if code == 2:
-        # every config refusal names where in the config to look
-        assert err.getvalue().startswith("error[config] at $"), err.getvalue()
-        assert manifest["failure"]["field_path"].startswith("$")
-    if code == 0:
-        for path in out.iterdir():
-            assert not NON_FINITE.search(path.read_text()), path.name
+# The first 100 (subcommand, config) pairs that ``conftest.scenario_configs``
+# draws, as ``tests/artifact_digests.py --save-drawn`` saved them.  The test
+# reads the saved list rather than drawing afresh: hypothesis also draws the
+# literals it collects from the project's source, so a fresh draw changes
+# with any edit to a constant anywhere.
+DRAWN = json.loads((ROOT / "tests" / "drawn_scenarios.json").read_text())[:100]
+
+
+def test_drawn_scenario_ends_in_a_documented_code(tmp_path_factory):
+    assert len(DRAWN) == 100
+    for i, (subcommand, cfg_dict) in enumerate(DRAWN):
+        tmp = tmp_path_factory.mktemp("drawn")
+        out = tmp / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", write_config(tmp, cfg_dict),
+                         "--out", str(out)])
+        assert code in (0, 2, 3, 4), i
+        manifest = read_json(out / "manifest.json")
+        assert manifest["status"] == ("ok" if code == 0 else "failed"), i
+        if code == 2:
+            # every config refusal names where in the config to look
+            assert err.getvalue().startswith("error[config] at $"), (
+                i, err.getvalue())
+            assert manifest["failure"]["field_path"].startswith("$"), i
+        if code == 0:
+            for path in out.iterdir():
+                assert not NON_FINITE.search(path.read_text()), (i, path.name)
 
 
 def test_console_entry_point(tmp_path, src_env):

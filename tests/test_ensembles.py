@@ -340,6 +340,15 @@ class TestDistances:
         with pytest.raises(ConfigError, match="divide"):
             density_bin_masses(np.ones(100), 64)
 
+    @pytest.mark.parametrize("distance", [tv_distance, ks_distance])
+    def test_a_torus_cloud_is_refused(self, distance):
+        # the distances are the ring's: a pair cloud would be pooled into
+        # one histogram (TV) or fail to broadcast (KS)
+        state = _pair()
+        samples = sample_density(state, 20_000, seed=3)
+        with pytest.raises(ConfigError, match="ring clouds"):
+            distance(samples, state.density())
+
 
 class TestEquivariance:
     def test_stationary_state_stays_within_band(self):

@@ -716,13 +716,30 @@ class TestInPlaceStep:
         out = evolve(state, potential, 1e-3, 5)
         assert np.array_equal(bits(state.values), bits(before))
         step = out._split_step
+        torus = layout == "torus"
+        # no field and the constant spinor field take the spectral path
+        assert step.path == ("dense" if dense else "spectral"
+                             if kind in ("none", "diagonal") else "fft")
+        if step.path == "spectral":
+            # one forward transform, five multiplies, one inverse
+            fft, ifft = (np.fft.fft2, np.fft.ifft2) if torus else (
+                np.fft.fft, np.fft.ifft)
+            multiplier = step.kinetic
+            if kind != "none":
+                h0 = step.half_v[:, :1]
+                multiplier = (step.kinetic * h0) * h0
+            spectrum = fft(before)
+            for _ in range(5):
+                spectrum = multiplier * spectrum
+            assert np.array_equal(bits(out.values), bits(ifft(spectrum)))
+            return
         values = before
         for _ in range(5):
             if dense:  # the dense step as written before its reused buffers
                 values = (values.reshape(-1) @ step.matrix).reshape(
                     values.shape)
             else:
-                values = _out_of_place_step(step, values, layout == "torus")
+                values = _out_of_place_step(step, values, torus)
         assert np.array_equal(bits(out.values), bits(values))
 
     def test_per_axis_in_place_transforms_are_fft2_and_ifft2(self):
@@ -736,6 +753,77 @@ class TestInPlaceStep:
             for axis in (-1, -2):
                 one_axis(work, axis=axis, out=work)
             assert np.array_equal(bits(work), bits(two_axes(values)))
+
+
+_SPECTRAL_CASES = [("none", "ring"), ("diagonal", "ring"), ("none", "torus")]
+
+
+class TestSpectralStep:
+    """A layout above ``DENSE_STEP_MAX`` whose field is the same at every
+    grid point of each sector steps by one Fourier multiply per step, and
+    the evolved state carries the spectrum it stepped."""
+
+    @pytest.mark.parametrize("kind,layout", _SPECTRAL_CASES)
+    def test_chunked_calls_equal_one_call(self, kind, layout):
+        state, potential = _in_place_case(kind, layout, False)
+        whole = evolve(state, potential, 1e-3, 100)
+        assert whole._split_step.path == "spectral"
+        first = evolve(state, potential, 1e-3, 37)
+        memo = first._spectrum.copy()
+        for _ in range(2):  # evolving a state leaves its memo as it was
+            chunked = evolve(first, potential, 1e-3, 63)
+            assert np.array_equal(bits(first._spectrum), bits(memo))
+            assert np.array_equal(bits(chunked.values), bits(whole.values))
+
+    @pytest.mark.parametrize("kind,layout", _SPECTRAL_CASES)
+    def test_new_values_carry_no_memo(self, kind, layout):
+        state, potential = _in_place_case(kind, layout, False)
+        out = evolve(state, potential, 1e-3, 37)
+        assert out._spectrum is not None
+        for derived in (out.with_values(out.values.copy()), replace(out),
+                        out.normalized()):
+            assert derived._spectrum is None
+            fresh = WaveGrid(space=out.space, values=derived.values.copy(),
+                             twist=out.twist, sector_betas=out.sector_betas,
+                             sector_basis=out.sector_basis)
+            got = evolve(derived, potential, 1e-3, 63).values
+            expected = evolve(fresh, potential, 1e-3, 63).values
+            assert np.array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("layout", ["ring", "torus"])
+    def test_a_field_one_bit_off_at_one_point_takes_the_fft_path(self, layout):
+        state, _ = _in_place_case("none", layout, False)
+        field = np.full(state.values.shape[-state.space.dims:], 0.3)
+        step = propagation.SplitStep(state, Potential.scalar(field), 1e-3)
+        assert step.path == "spectral"
+        field.flat[17] = np.nextafter(0.3, 1.0)
+        step = propagation.SplitStep(state, Potential.scalar(field), 1e-3)
+        assert step.half_v.flat[17] != step.half_v.flat[0]
+        assert step.path == "fft" and step.multiplier is None
+
+    @pytest.mark.parametrize("kind,layout", _SPECTRAL_CASES)
+    def test_spectral_path_agrees_with_fft_path(self, kind, layout):
+        state, potential = _in_place_case(kind, layout, False)
+        out = evolve(state, potential, 1e-3, 2000)
+        step = out._split_step
+        values = state.values
+        for _ in range(2000):
+            values = step.apply(values)
+        assert max_abs(out.values - values) <= 1e-12 * max_abs(values)
+
+    def test_spinor_matches_its_closed_form(self):
+        # V = 0.2 I + 0.9 e.sigma: the sector of e.sigma = s has twist angle
+        # -1.3 s and energy k^2 / 2 + 0.2 + 0.9 s, exact under Strang
+        state, potential = _spinor_evolve_case(512)
+        dt, n_steps = 5e-4, 2000
+        out = evolve(state, potential, dt, n_steps)
+        assert out._split_step.path == "spectral"
+        betas = state.sector_betas[:, None]
+        k = np.fft.fftfreq(512, d=1.0 / 512)[None, :] + betas / TWO_PI
+        energy = 0.5 * k ** 2 + 0.2 - 0.9 * betas / 1.3
+        expected = np.fft.ifft(np.exp(-1j * dt * n_steps * energy)
+                               * np.fft.fft(state.values, axis=1), axis=1)
+        assert max_abs(out.values - expected) <= 1e-12 * max_abs(expected)
 
 
 @pytest.mark.parametrize("kind,layout", [
