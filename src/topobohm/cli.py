@@ -307,7 +307,7 @@ def cmd_evolve(scenario, ctx):
     ctx.check("twist-preservation", state.twist_residual(),
               nm["max_twist_residual"])
     return {"steps": n_steps, "final_norm": norm,
-            "step_path": getattr(state._split_step, "path", None)}
+            "step_path": state._split_step.path}
 
 
 def cmd_spectrum(scenario, ctx):

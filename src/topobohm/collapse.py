@@ -209,10 +209,10 @@ def simulate_grw(state, potential, t_final, lam, a, seed, dt=1e-3):
     step_ratio(t_final, dt)             # every span's step count fits a float
     rng = np.random.default_rng(seed)
     state = state.normalized()
-    rate = total_rate(state, lam, a)
-    result = GrwResult(final_state=state, events=[], total_rate=rate)
     # every state of the run shares the initial state's layout
     rates = _RateDensity(state, lam, a)
+    rate = float(np.sum(rates(state)) * state.dx)      # total_rate's sum
+    result = GrwResult(final_state=state, events=[], total_rate=rate)
     twist = state.space.twist_monitor(state)
 
     def monitor(s, when):

@@ -692,9 +692,11 @@ def step_ratio(t_final, dt):
 
 def whole_steps(t_final, dt):
     """The number of dt steps that make up t_final, refused unless it is
-    whole to a relative 1e-9: a run never stops short of or past t_final."""
+    whole to a relative 1e-9, and refused for a positive t_final that
+    rounds to no step: a run never stops short of or past t_final."""
     n_steps = int(round(step_ratio(t_final, dt)))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+    if (abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final)
+            or n_steps == 0 < t_final):
         raise ConfigError("t_final must be an integer multiple of dt",
                           field_path="$.numerics.t_final")
     return n_steps
@@ -732,33 +734,29 @@ def _require_scalar_ring(state):
 # spectra
 # ---------------------------------------------------------------------------
 
-def _kinetic_blocks(state):
-    """(k, n, n): each sector's spectral kinetic operator on the grid, half
-    the squared wavenumbers (``_wavenumbers``) applied in Fourier space."""
-    f_eye = np.fft.fft(np.eye(state.n_points, dtype=complex), axis=0)
-    return np.fft.ifft(0.5 * _wavenumbers(state)[:, :, None] ** 2 * f_eye,
-                       axis=1)
-
-
-def _dense_hamiltonian(state, potential):
-    """Dense grid Hamiltonian of a ring state's layout, shape (k n, k n).
-
-    Each sector's kinetic block (``_kinetic_blocks``) sits on its diagonal
-    block, and the potential, read through the split step's
-    ``_sector_potential`` (so a matrix field is rotated into the sector
-    basis and its shape is checked), sits on the point diagonals of all
-    blocks.  The values of ``state`` are not read.
+def _hamiltonian_blocks(layout, potential):
+    """The Hermitian blocks of a ring layout's grid Hamiltonian: (k, n, n),
+    each sector's kinetic block (half its squared ``_wavenumbers`` applied
+    in Fourier space) plus its own field, when the field keeps each sector;
+    else (1, k n, k n), the field on the point diagonals of every sector
+    block.  The field is read by the split step's ``_sector_potential``;
+    the values of ``layout`` are not read.
     """
-    n, k = state.n_points, state.n_components
+    n, k = layout.n_points, layout.n_components
+    f_eye = np.fft.fft(np.eye(n, dtype=complex), axis=0)
+    kinetic = np.fft.ifft(0.5 * _wavenumbers(layout)[:, :, None] ** 2 * f_eye,
+                          axis=1)
+    kind, data = _sector_potential(layout, potential)
+    points = np.arange(n)
+    if kind != "matrix":
+        if kind != "none":  # a scalar field (n,) is every sector's own
+            kinetic[:, points, points] += data
+        return kinetic
     sectors = np.arange(k)
     h = np.zeros((k, n, k, n), dtype=complex)
-    h[sectors, :, sectors, :] = _kinetic_blocks(state)
-    kind, data = _sector_potential(state, potential)
-    if kind != "none":
-        points = np.arange(n)
-        h[:, points, :, points] += data if kind == "matrix" else (
-            np.broadcast_to(data, (k, n)).T[:, :, None] * np.eye(k))
-    return h.reshape(k * n, k * n)
+    h[sectors, :, sectors, :] = kinetic
+    h[:, points, :, points] += data
+    return h.reshape(1, k * n, k * n)
 
 
 def spectrum(factor, potential=None, n_levels=8,
@@ -770,13 +768,11 @@ def spectrum(factor, potential=None, n_levels=8,
     ``evolve`` steps: the pair passes the split step's gate (else
     ``IncompatibleFactorError``), the factor splits into the sectors that
     ``twist_embed`` lays out, and the field is read in those sectors by
-    ``_sector_potential``.  When that field keeps each sector (kind none,
-    scalar or diagonal) the operator is a direct sum: each sector's n x n
-    block, its kinetic block plus its own field, gives its lowest n_levels
-    eigenvalues, and the lowest n_levels of their union are returned.  A
-    field that couples the sectors takes one subset eigensolve of the
-    whole ``_dense_hamiltonian``.  Levels are ascending.  With V = 0 they
-    are ((n + beta / 2 pi) / radius)^2 / 2.
+    ``_sector_potential``.  Each of the blocks that the operator splits
+    into (``_hamiltonian_blocks``: one per sector when the field keeps each
+    sector, else one) gives its lowest n_levels eigenvalues, and the lowest
+    n_levels of their union are returned.  Levels are ascending.  With V = 0
+    they are ((n + beta / 2 pi) / radius)^2 / 2.
     """
     # local import: runs that solve no eigenproblem skip scipy's ~0.25 s load
     import scipy.linalg
@@ -791,16 +787,8 @@ def spectrum(factor, potential=None, n_levels=8,
     layout = WaveGrid(space=RingGrid(radius=radius),
                       values=np.zeros((len(betas), n_points)), twist=factor,
                       sector_betas=betas, sector_basis=basis)
-    kind, data = _sector_potential(layout, potential)
-    if kind == "matrix":
-        blocks = _dense_hamiltonian(layout, potential)[None]
-    else:
-        blocks = _kinetic_blocks(layout)
-        if kind != "none":  # a scalar field (n,) is every sector's own
-            points = np.arange(n_points)
-            blocks[:, points, points] += data
     levels = []
-    for h in blocks:
+    for h in _hamiltonian_blocks(layout, potential):
         herm = max_abs(h - h.conj().T)
         if not herm <= 1e-10:           # a NaN entry fails too
             raise ToleranceError("hamiltonian-hermiticity", herm, 1e-10)

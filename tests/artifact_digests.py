@@ -1,10 +1,14 @@
 """Digests of every artifact the test suite and the benchmark's tasks write.
 
 A refactor that claims bit identity is checked by running this script on
-the parent commit (with this file copied in) and on the change, and
-comparing the two JSON files with ``diff``:
+the parent commit (with this file copied in) and on the change, with the
+same ``--basetemp``, and comparing the two JSON files:
 
     python tests/artifact_digests.py digests.json
+    python tests/artifact_digests.py --diff old.json new.json
+
+``--diff`` prints each entry that moved, was added or was removed, the
+exit-code entries first, and exits 1 if there is any.
 
 It does four things, in one process:
 
@@ -193,6 +197,21 @@ def run_drawn(recorder, work_dir, drawn):
                                "--out", str(work_dir / str(i))])
 
 
+def diff(old, new):
+    """One line per entry that moved, was added or was removed between two
+    digest maps: exit codes first, then by key."""
+    lines = []
+    for key in sorted(old.keys() | new.keys(),
+                      key=lambda k: (not k.endswith(" exit"), k)):
+        if key not in new:
+            lines.append(f"removed {key}")
+        elif key not in old:
+            lines.append(f"added {key}")
+        elif old[key] != new[key]:
+            lines.append(f"moved {key}: {old[key]} -> {new[key]}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", nargs="?", help="JSON file to write")
@@ -203,7 +222,15 @@ def main(argv=None):
     parser.add_argument("--skip-suite", action="store_true")
     parser.add_argument("--save-drawn", type=int, metavar="N",
                         help=f"draw N scenarios into {DRAWN.name} and exit")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two digest files and exit")
     args, pytest_args = parser.parse_known_args(argv)
+    if args.diff is not None:
+        old, new = (json.loads(Path(f).read_text()) for f in args.diff)
+        lines = diff(old, new)
+        total = len(old.keys() | new.keys())
+        print("\n".join(lines + [f"{len(lines)} of {total} entries differ"]))
+        return int(bool(lines))
     if args.save_drawn is not None:
         lines = (json.dumps(pair) for pair in draw_scenarios(args.save_drawn))
         DRAWN.write_text("[\n" + ",\n".join(lines) + "\n]\n")

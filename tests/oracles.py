@@ -41,7 +41,7 @@ from topobohm.collapse import collapse_multiplier
 from topobohm.spaces import PairGrid, RingGrid
 from topobohm.propagation import (
     WaveGrid,
-    _dense_hamiltonian,
+    _hamiltonian_blocks,
     _require_scalar_ring,
     fourier_modes,
 )
@@ -324,7 +324,7 @@ def crank_nicolson_evolve(state, potential, dt, n_steps):
     """
     if state.space.kind != "ring" or not state.is_scalar:
         raise ConfigError("the Crank-Nicolson reference handles scalar ring states")
-    h = _dense_hamiltonian(state, potential)
+    h = _hamiltonian_blocks(state, potential)[0]
     h = (h + h.conj().T) / 2.0
     eye = np.eye(state.n_points, dtype=complex)
     lhs = eye + 0.5j * dt * h

@@ -117,7 +117,6 @@ class TestExitCodes:
         (64, BASE["potential"], 0.05, "dense"),
         (256, BASE["potential"], 0.05, "fft"),
         (256, {"type": "zero"}, 0.05, "spectral"),
-        (256, {"type": "zero"}, 1e-12, None),  # a run of no step
     ])
     def test_evolve_summary_names_the_step_path(self, tmp_path, capsys,
                                                 n_points, potential, t_final,
@@ -128,6 +127,19 @@ class TestExitCodes:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert summary["step_path"] == path
+
+    @pytest.mark.parametrize("subcommand", ["evolve", "trajectories"])
+    def test_a_t_final_of_no_step_is_two(self, tmp_path, capsys, subcommand):
+        # 1e-12 is within the absolute 1e-9 of a whole number of 1e-3
+        # steps, zero of them: such a run would take no step
+        cfg = write_config(tmp_path, dict(
+            BASE, trajectories={"starts": [1.0]},
+            numerics={"dt": 1e-3, "t_final": 1e-12}))
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error[config] at $.numerics.t_final:")
+        assert read_json(out / "manifest.json")["outputs"] == []
 
     def test_schema_violation_is_two(self, tmp_path):
         bad = dict(BASE, space={"kind": "moebius"})

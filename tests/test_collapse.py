@@ -32,7 +32,7 @@ from topobohm.collapse import (
     total_rate,
     wrapped_distance,
 )
-from topobohm.ensembles import density_bin_masses, sample_from_grid_density
+from topobohm.ensembles import _cell_masses, sample_from_grid_density
 
 LAM, A = 1.0, 0.3
 
@@ -268,7 +268,9 @@ class TestSimulate:
         rates = rate_over_centers(state, LAM, A)
         xs = np.array([sample_from_grid_density(rates, 1, rng)[0]
                        for _ in range(n)])
-        masses = density_bin_masses(rates, 32)
+        # the sampler's own law: its cell masses summed per bin
+        masses = _cell_masses(rates).reshape(32, -1).sum(axis=1)
+        masses = masses / masses.sum()
         counts, _ = np.histogram(xs, bins=32, range=(0, TWO_PI))
         _, p = scipy.stats.chisquare(counts, masses * n)
         assert p > 0.001

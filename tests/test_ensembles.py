@@ -22,10 +22,9 @@ from topobohm.propagation import (
 from topobohm.scenario import SCENARIO_SCHEMA_TAG, Scenario
 from topobohm import ensembles
 from topobohm.ensembles import (
-    density_bin_masses,
+    _cell_masses,
     equivariance_threshold,
     exact_bin_masses,
-    ks_distance,
     sample_density,
     sample_from_grid_density,
     tv_distance,
@@ -36,12 +35,24 @@ from topobohm.trajectories import STATUS_COMPLETED, STATUS_HALTED, TransportResu
 KS_99 = 1.63  # one-sided 99% critical coefficient c / sqrt(n)
 
 
+def _ks_uniform(points):
+    """Kolmogorov-Smirnov distance of ring points from the uniform law."""
+    return scipy.stats.kstest(points, "uniform", args=(0.0, TWO_PI)).statistic
+
+
+def _cell_bin_masses(rho, bins):
+    """The sampler's own law on equal ring bins: its multilinear cell
+    masses summed per bin, normalized."""
+    masses = _cell_masses(rho).reshape(bins, -1).sum(axis=1)
+    return masses / masses.sum()
+
+
 class TestSampler:
     def test_uniform_density(self):
         state = make_eigenstate(0, Character.ring(0.0))
         n = 20_000
         points = sample_density(state, n, seed=7)
-        assert ks_distance(points, state.density()) < KS_99 / np.sqrt(n)
+        assert _ks_uniform(points) < KS_99 / np.sqrt(n)
 
     def test_narrow_gaussian_mean_concentrates(self):
         w0 = 0.1
@@ -54,7 +65,7 @@ class TestSampler:
         state = make_eigenstate(2, Character.ring(1.7))
         n = 20_000
         points = sample_density(state, n, seed=13)
-        assert ks_distance(points, np.ones(state.n_points)) < KS_99 / np.sqrt(n)
+        assert _ks_uniform(points) < KS_99 / np.sqrt(n)
 
     def test_seed_determinism(self):
         state = make_gaussian_state(Character.ring(0.0), 2.0, 0.5, 0.0)
@@ -84,7 +95,7 @@ class TestSampler:
         rng = np.random.default_rng(seed)
         points = sample_from_grid_density(rho, n, rng)
         counts, _ = np.histogram(points, bins=64, range=(0, TWO_PI))
-        expected = density_bin_masses(rho, 64) * n
+        expected = _cell_bin_masses(rho, 64) * n
         _, p = scipy.stats.chisquare(counts, expected)
         assert p > 0.001
 
@@ -256,18 +267,12 @@ class TestSamplerArithmetic:
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def _pair():
-    """The antisymmetric pair of the torus equivariance test, n = 64."""
+def _pair(shift=0.0):
+    """The antisymmetric pair of the torus equivariance test, n = 64, its
+    two packets moved by ``shift``."""
     return symmetrized_product_state(
-        lambda t: wrapped_gaussian(t, 2.0, 0.5, 2.0),
-        lambda t: wrapped_gaussian(t, 4.3, 0.5, -1.0), -1, n_points=64)
-
-
-def _tv_2d(points, masses):
-    bins = masses.shape[0]
-    counts, _, _ = np.histogram2d(points[:, 0], points[:, 1], bins=bins,
-                                  range=[[0, TWO_PI], [0, TWO_PI]])
-    return 0.5 * float(np.sum(np.abs(counts / counts.sum() - masses)))
+        lambda t: wrapped_gaussian(t, 2.0 + shift, 0.5, 2.0),
+        lambda t: wrapped_gaussian(t, 4.3 + shift, 0.5, -1.0), -1, n_points=64)
 
 
 class TestTorusSampler:
@@ -297,7 +302,7 @@ class TestTorusSampler:
         # samples half a cell high on both axes: TV 0.053 here.
         state = _pair()
         samples = sample_density(state, 200_000, seed=5)
-        assert _tv_2d(samples, exact_bin_masses(state.density(), 16)) <= 0.02
+        assert tv_distance(samples, state.density(), 16) <= 0.02
 
     def test_pair_sample_mean_is_the_density_mean(self):
         # the mean of the samples' first angle against the grid-point mean
@@ -337,17 +342,55 @@ class TestDistances:
         assert tv_distance(points, rho) > 0.8
 
     def test_bins_must_divide_grid(self):
-        with pytest.raises(ConfigError, match="divide"):
-            density_bin_masses(np.ones(100), 64)
+        for samples, rho in [(np.zeros(10), np.ones(100)),
+                             (np.zeros((10, 2)), np.ones((100, 100)))]:
+            with pytest.raises(ConfigError, match="divide") as info:
+                tv_distance(samples, rho, 64)
+            assert info.value.field_path == "$.equivariance.bins"
 
-    @pytest.mark.parametrize("distance", [tv_distance, ks_distance])
-    def test_a_torus_cloud_is_refused(self, distance):
-        # the distances are the ring's: a pair cloud would be pooled into
-        # one histogram (TV) or fail to broadcast (KS)
-        state = _pair()
-        samples = sample_density(state, 20_000, seed=3)
-        with pytest.raises(ConfigError, match="ring clouds"):
-            distance(samples, state.density())
+    @pytest.mark.parametrize("shape, bins", [((256,), 64), ((64, 32), 16)],
+                             ids=["ring", "torus"])
+    def test_tv_is_the_histogram_against_the_exact_masses(self, shape, bins):
+        # written out: the wrapped samples' histogram, bins per axis, against
+        # exact_bin_masses; the density tells its axes apart, and the cloud
+        # is lifted by whole turns first
+        rng = np.random.default_rng(12)
+        rho = rng.random(shape)
+        samples = sample_from_grid_density(rho, 20_000, rng)
+        samples = samples + TWO_PI * rng.integers(-3, 4, samples.shape)
+        wrapped = np.mod(samples, TWO_PI).reshape(len(samples), rho.ndim)
+        counts, _ = np.histogramdd(wrapped, bins=bins,
+                                   range=[(0.0, TWO_PI)] * rho.ndim)
+        reference = 0.5 * np.sum(np.abs(counts / counts.sum()
+                                        - exact_bin_masses(rho, bins)))
+        assert abs(tv_distance(samples, rho, bins) - reference) <= 1e-15
+
+    def test_a_torus_cloud_is_scored(self):
+        # a cloud of the pair moved by 1.5 on both axes fails the 2-D band
+        # of test_two_particle_equivariance at 4000 pairs (0.536); a cloud
+        # of the pair itself keeps the 0.02 of the sampler's own test
+        rho = _pair().density()
+        moved = sample_density(_pair(shift=1.5), 4000, seed=3)
+        assert tv_distance(moved, rho, 16) > 0.03 + 2 * np.sqrt(256 / 4000)
+        same = sample_density(_pair(), 200_000, seed=3)
+        assert tv_distance(same, rho, 16) <= 0.02
+
+    def test_a_cloud_of_the_wrong_shape_is_refused(self):
+        # a pair cloud is not pooled into one ring histogram, nor a ring
+        # cloud read as pairs
+        pair = _pair()
+        samples = sample_density(pair, 100, seed=3)
+        with pytest.raises(ConfigError, match="1-axis"):
+            tv_distance(samples, np.ones(64))
+        with pytest.raises(ConfigError, match="2-axis"):
+            tv_distance(samples[:, 0], pair.density())
+
+    def test_a_non_finite_point_scores_nan(self):
+        # a histogram over [0, 2 pi) would drop it and score the rest
+        points = sample_from_grid_density(np.ones(64), 1000,
+                                          np.random.default_rng(5))
+        points[7] = np.nan
+        assert np.isnan(tv_distance(points, np.ones(64)))
 
 
 class TestEquivariance:

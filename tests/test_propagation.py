@@ -51,7 +51,7 @@ from topobohm.propagation import (
     symmetrized_product_state,
     twist_embed,
     wrapped_gaussian,
-    _dense_hamiltonian,
+    _hamiltonian_blocks,
     _potential_half_phase,
     _sector_potential,
 )
@@ -249,7 +249,7 @@ class TestSplitStep:
         v = Potential.covariant(w_field)
         out = evolve(state, v, 1e-3, 250)
         assert out.twist_residual() <= 1e-9
-        h = _dense_hamiltonian(state, v)
+        h = _hamiltonian_blocks(state, v)[0]
         h = (h + h.conj().T) / 2
         w, q = np.linalg.eigh(h)
         flat = state.values.reshape(-1)
@@ -260,7 +260,7 @@ class TestSplitStep:
         v = Potential.from_callable(lambda t: 0.8 * np.cos(t) + 0.3 * np.sin(2 * t), 128)
         state = make_gaussian_state(Character.ring(np.pi / 2), 2.5, 0.7, 1.0,
                                     n_points=128)
-        h = _dense_hamiltonian(state, v)
+        h = _hamiltonian_blocks(state, v)[0]
         h = (h + h.conj().T) / 2
         w, q = np.linalg.eigh(h)
         t_final = 0.25
@@ -925,8 +925,8 @@ class TestGaugeMap:
 
 
 def _block_loop_hamiltonian(state, potential):
-    """Reference for ``_dense_hamiltonian``: the same sums, filled one
-    (n, n) block at a time."""
+    """Reference for ``_hamiltonian_blocks``, laid out block-diagonally:
+    the whole (k n, k n) operator, filled one (n, n) block at a time."""
     n, k = state.n_points, state.n_components
     kind, data = _sector_potential(state, potential)
     field = {"none": lambda: np.zeros((n, k, k)),
@@ -966,7 +966,11 @@ class TestSpectrum:
                          "spinor-scalar": trig,
                          "spinor-covariant": Potential.covariant(
                              a + np.conj(np.swapaxes(a, 1, 2)))}[case]
-        assert np.array_equal(bits(_dense_hamiltonian(state, potential)),
+        blocks = _hamiltonian_blocks(state, potential)
+        # one block per sector unless the field couples the sectors
+        assert blocks.shape[0] == (1 if case == "spinor-covariant"
+                                   else state.n_components)
+        assert np.array_equal(bits(scipy.linalg.block_diag(*blocks)),
                               bits(_block_loop_hamiltonian(state, potential)))
 
     def test_twisted_levels(self):
@@ -1025,7 +1029,7 @@ class TestSpectrum:
         layout = WaveGrid(space=RingGrid(radius=1.3),
                           values=np.zeros((2, n)), twist=rep,
                           sector_betas=betas, sector_basis=basis)
-        h = _dense_hamiltonian(layout, potential)
+        h = _block_loop_hamiltonian(layout, potential)
         full = np.linalg.eigvalsh((h + h.conj().T) / 2)[:n_levels]
         assert np.max(np.abs(levels - full)) <= 1e-10
 
@@ -1052,8 +1056,9 @@ class TestSpectrum:
 
     def test_nan_hamiltonian_fails_its_hermiticity_check(self, monkeypatch):
         # herm > 1e-10 is false for a NaN, which went on to scipy's eigh
-        monkeypatch.setattr(propagation, "_kinetic_blocks",
-                            lambda layout: np.full((1, 16, 16), np.nan + 0j))
+        monkeypatch.setattr(propagation, "_hamiltonian_blocks",
+                            lambda layout, potential: np.full((1, 16, 16),
+                                                              np.nan + 0j))
         with pytest.raises(ToleranceError, match="hamiltonian-hermiticity"):
             spectrum(Character.ring(0.0), Potential.zero(), 2, n_points=16)
 

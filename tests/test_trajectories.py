@@ -631,23 +631,17 @@ class TestTorusFields:
         assert np.max(np.abs(v[..., 0].T - v[..., 1])[ok]) <= 1e-9
 
     def test_two_particle_equivariance(self):
-        from topobohm.ensembles import exact_bin_masses, sample_density
+        from topobohm.ensembles import sample_density, tv_distance
         state = symmetrized_product_state(
             lambda t: wrapped_gaussian(t, 2.0, 0.5, 2.0),
             lambda t: wrapped_gaussian(t, 4.3, 0.5, -1.0), -1, n_points=64)
         n = 4000
         samples = sample_density(state, n, seed=9)
         result, evolved = transport(state, Potential.zero(), samples, 4e-3, 75)
-        final = np.mod(result.positions[-1], TWO_PI)
-
-        def tv(points, rho, bins=16):
-            # against the exact masses of the 16^2 bins
-            h, _, _ = np.histogram2d(points[:, 0], points[:, 1], bins=bins,
-                                     range=[[0, TWO_PI], [0, TWO_PI]])
-            return 0.5 * np.sum(np.abs(h / h.sum() - exact_bin_masses(rho, bins)))
-
-        moved = tv(final, evolved.density())
-        stale = tv(final, state.density())
+        final = result.positions[-1]
+        # against the exact masses of the 16^2 bins
+        moved = tv_distance(final, evolved.density(), 16)
+        stale = tv_distance(final, state.density(), 16)
         assert moved <= 0.03 + 2 * np.sqrt(256 / n)
         # the initial density is no longer a match after t = 0.3
         assert stale > moved + 0.1
