@@ -150,8 +150,10 @@ class WaveGrid:
 
     A state returned by ``evolve`` carries the ``SplitStep`` that made it;
     ``with_values`` keeps it, and ``dataclasses.replace`` drops it.  One
-    from the spectral path also carries ``_spectrum``, the spectrum that
-    path stepped; both drop it, since it stands for the values it came with.
+    from the spectral path also carries ``_spectrum``, the spectrum of the
+    values its chain of calls began from, and ``_spectrum_steps``, the
+    steps taken since; both drop that memo, since it stands for the values
+    it came with.
     """
 
     space: object
@@ -163,6 +165,8 @@ class WaveGrid:
                                 compare=False)
     _spectrum: np.ndarray = field(default=None, init=False, repr=False,
                                   compare=False)
+    _spectrum_steps: int = field(default=0, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         # C order, so norms and densities sum in the same order whatever
@@ -542,7 +546,8 @@ class SplitStep:
     vector.  "spectral", a larger layout whose none, scalar or diagonal
     half-kick phase h0 is bit for bit the same at every grid point of each
     sector: H is diagonal in the twisted Fourier basis, and the step is one
-    Fourier ``multiplier``, (kinetic * h0) * h0.  "fft", any other: ``apply``.
+    Fourier ``multiplier``, (kinetic * h0) * h0, which ``evolve`` raises to
+    the step count.  "fft", any other: ``apply``.
     """
 
     def __init__(self, state, potential, dt):
@@ -634,10 +639,14 @@ def evolve(state, potential, dt, n_steps):
     The dense path multiplies a copy of the flattened values by the
     unitary with ``ndarray.dot(..., out=)``, into a spare buffer and back
     (``flat @ matrix``'s bits, without ``np.dot``'s dispatch or a new
-    array).  The spectral path takes one forward transform (or a copy of
-    the state's memo ``_spectrum``), one in-place multiply per step and the
-    inverse transform of a copy; the result carries the spectrum, so a run
-    in chunks has the bits of one call.  The fft path steps by ``apply``.
+    array).  The spectral path takes a spectrum and a step count from the
+    state's memo (``_spectrum``, ``_spectrum_steps``) when the call reuses
+    the state's own set-up, and otherwise the forward transform of a copy
+    of the values and 0.  It multiplies that spectrum, out of place, by
+    multiplier**total, total = count + n_steps, by square-and-multiply
+    (about 2 log2(total) multiplies), and returns the inverse transform;
+    the result carries the same spectrum and total, so a run in chunks has
+    the bits of one call.  The fft path steps by ``apply``.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -649,7 +658,7 @@ def evolve(state, potential, dt, n_steps):
             or step.shape != state.values.shape):
         step = SplitStep(state, potential, dt)
     values = state.values
-    spectrum = None
+    spectrum, total = None, 0
     if step.path == "dense":
         matrix = step.matrix
         flat = values.reshape(-1).copy()
@@ -659,17 +668,28 @@ def evolve(state, potential, dt, n_steps):
             flat, spare = spare, flat
         values = flat.reshape(values.shape)
     elif step.path == "spectral":
-        spectrum = (step.fft(values.copy()) if state._spectrum is None
-                    else state._spectrum.copy())
-        for _ in range(n_steps):
-            np.multiply(step.multiplier, spectrum, out=spectrum)
-        values = step.ifft(spectrum.copy())
+        if step is state._split_step and state._spectrum is not None:
+            spectrum, total = state._spectrum, state._spectrum_steps
+        else:
+            spectrum = step.fft(values.copy())
+        total += int(n_steps)
+        # low bit first: power is multiplier**(2**bit) at each bit; every
+        # product is a new array, so neither the memo nor the set-up is
+        # written
+        power, stepped = step.multiplier, spectrum
+        for bit in range(total.bit_length()):
+            if bit:
+                power = power * power
+            if total >> bit & 1:
+                stepped = power * stepped
+        values = step.ifft(stepped)
     else:
         for _ in range(n_steps):
             values = step.apply(values)
     out = replace(state, values=values)
     object.__setattr__(out, "_split_step", step)
     object.__setattr__(out, "_spectrum", spectrum)
+    object.__setattr__(out, "_spectrum_steps", total)
     return out
 
 

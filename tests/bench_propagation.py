@@ -18,9 +18,11 @@ set-up cost.  Each case asserts the ``SplitStep.path`` it times.
   pair: a scalar ring at n = 256, and two sectors of 4,096 points under a
   spin field that varies along the ring.
 * spectral: the ``spinor-evolve`` layout itself, two sectors of 4,096
-  points under a constant field, steps by one Fourier multiply: one step
-  (mostly the inverse transform each call ends with) and a 100-step call,
-  one monitor chunk of a ``spinor-evolve`` task.
+  points under a constant field, steps by a power of one Fourier
+  multiplier, taken by square-and-multiply of the state's total step
+  count: one step (mostly the inverse transform each call ends with), a
+  100-step call, one monitor chunk of a ``spinor-evolve`` task, and a
+  2,000-step call, a whole task's steps.
 """
 
 import numpy as np
@@ -98,8 +100,9 @@ def test_fft_step(benchmark, case):
     benchmark(evolve, state, state._split_step.potential, DT, 1)
 
 
-@pytest.mark.parametrize("n_steps", [1, 100],
-                         ids=["spinor-2x4096-1", "spinor-2x4096-100"])
+@pytest.mark.parametrize("n_steps", [1, 100, 2000],
+                         ids=["spinor-2x4096-1", "spinor-2x4096-100",
+                              "spinor-2x4096-2000"])
 def test_spectral_step(benchmark, n_steps):
     state = _with_set_up(*_spinor_case(4096))
     assert state._split_step.path == "spectral"

@@ -323,9 +323,15 @@ class TestEvolveMemo:
     def test_zero_steps_return_the_state(self):
         state, potential = _memo_case("scalar-ring")
         assert evolve(state, potential, 1e-3, 0) is state
-        assert np.array_equal(
-            bits(evolve(state, potential, 1e-3, np.int64(3)).values),
-            bits(evolve(state, potential, 1e-3, 3).values))
+        cases = {"dense": (state, potential),
+                 "spectral": _in_place_case("none", "ring", False),
+                 "fft": _in_place_case("scalar", "ring", False)}
+        for path, (state, potential) in cases.items():
+            out = evolve(state, potential, 1e-3, np.int64(3))
+            assert out._split_step.path == path
+            assert np.array_equal(
+                bits(out.values),
+                bits(evolve(state, potential, 1e-3, 3).values))
 
     def test_the_set_up_rides_with_the_values(self):
         state, potential = _memo_case("spinor-matrix")
@@ -721,16 +727,16 @@ class TestInPlaceStep:
         assert step.path == ("dense" if dense else "spectral"
                              if kind in ("none", "diagonal") else "fft")
         if step.path == "spectral":
-            # one forward transform, five multiplies, one inverse
+            # one forward transform, square-and-multiply of 5 = 0b101 (the
+            # multiplier, then its fourth power), one inverse
             fft, ifft = (np.fft.fft2, np.fft.ifft2) if torus else (
                 np.fft.fft, np.fft.ifft)
             multiplier = step.kinetic
             if kind != "none":
                 h0 = step.half_v[:, :1]
                 multiplier = (step.kinetic * h0) * h0
-            spectrum = fft(before)
-            for _ in range(5):
-                spectrum = multiplier * spectrum
+            squared = multiplier * multiplier
+            spectrum = (squared * squared) * (multiplier * fft(before))
             assert np.array_equal(bits(out.values), bits(ifft(spectrum)))
             return
         values = before
@@ -760,8 +766,9 @@ _SPECTRAL_CASES = [("none", "ring"), ("diagonal", "ring"), ("none", "torus")]
 
 class TestSpectralStep:
     """A layout above ``DENSE_STEP_MAX`` whose field is the same at every
-    grid point of each sector steps by one Fourier multiply per step, and
-    the evolved state carries the spectrum it stepped."""
+    grid point of each sector steps by a power of one Fourier multiplier,
+    and the evolved state carries the spectrum its chain of calls began
+    from and the steps taken since."""
 
     @pytest.mark.parametrize("kind,layout", _SPECTRAL_CASES)
     def test_chunked_calls_equal_one_call(self, kind, layout):
@@ -776,6 +783,40 @@ class TestSpectralStep:
             assert np.array_equal(bits(chunked.values), bits(whole.values))
 
     @pytest.mark.parametrize("kind,layout", _SPECTRAL_CASES)
+    def test_a_long_call_is_its_chunks_and_its_sequential_steps(self, kind,
+                                                                layout):
+        state, potential = _in_place_case(kind, layout, False)
+        whole = evolve(state, potential, 1e-3, 2000)
+        chunked = state
+        for _ in range(20):
+            chunked = evolve(chunked, potential, 1e-3, 100)
+        assert chunked._spectrum_steps == 2000
+        assert np.array_equal(bits(chunked.values), bits(whole.values))
+        step = whole._split_step
+        spectrum = step.fft(state.values.copy())
+        for _ in range(2000):
+            spectrum = step.multiplier * spectrum
+        sequential = step.ifft(spectrum)
+        assert (max_abs(whole.values - sequential)
+                <= 1e-13 * max_abs(sequential))
+
+    def test_a_new_set_up_reads_no_memo(self):
+        state = make_gaussian_state(Character.ring(0.7), 3.0, 0.5, 1.0,
+                                    n_points=256)
+        first = evolve(state, Potential.scalar(np.full(256, 0.3)), 1e-3, 37)
+        assert first._spectrum_steps == 37
+        fresh = WaveGrid(space=first.space, values=first.values.copy(),
+                         twist=first.twist, sector_betas=first.sector_betas,
+                         sector_basis=first.sector_basis)
+        for potential, dt in ((Potential.scalar(np.full(256, 0.9)), 1e-3),
+                              (first._split_step.potential, 2e-3)):
+            got = evolve(first, potential, dt, 63)
+            assert got._split_step.path == "spectral"
+            assert got._spectrum_steps == 63
+            expected = evolve(fresh, potential, dt, 63).values
+            assert np.array_equal(bits(got.values), bits(expected))
+
+    @pytest.mark.parametrize("kind,layout", _SPECTRAL_CASES)
     def test_new_values_carry_no_memo(self, kind, layout):
         state, potential = _in_place_case(kind, layout, False)
         out = evolve(state, potential, 1e-3, 37)
@@ -783,6 +824,7 @@ class TestSpectralStep:
         for derived in (out.with_values(out.values.copy()), replace(out),
                         out.normalized()):
             assert derived._spectrum is None
+            assert derived._spectrum_steps == 0
             fresh = WaveGrid(space=out.space, values=derived.values.copy(),
                              twist=out.twist, sector_betas=out.sector_betas,
                              sector_basis=out.sector_basis)
