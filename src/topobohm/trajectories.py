@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,14 @@ DEFAULT_EPS_NODE = 1e-12
 # before point evaluation
 COEFF_CUT = 1e-13
 # BLAS rounds the columns beyond the last multiple of its kernel's width
-# through another kernel; the torus evaluator pads its points to a multiple
-# of this, so each point's bits do not depend on the bundle's size
+# through another kernel; both evaluators pad their points to a multiple of
+# this, so each point's bits do not depend on the bundle's size
 _GEMM_COLUMNS = 8
+# the ring evaluator's baby steps, fewer for a shorter span.  One call at
+# M = 10^4 and a span of 25 modes (one BLAS thread, medians of 15 alternated
+# in-process rounds) took 908, 795, 753, 818, 856 and 1022 us at 4, 6, 8,
+# 12, 16 and 25 (one power per mode) baby steps, and 846 us by Horner's rule
+_BABY_STEPS = 8
 
 STATUS_COMPLETED = "completed"
 STATUS_HALTED = "halted-at-node"
@@ -157,6 +163,21 @@ def _mode_numbers(n):
     return modes
 
 
+_WORK = threading.local()
+
+
+def _work_array(name, shape):
+    """A complex array of the shape on this thread's grow-only buffer of the
+    name: the same memory serves every call of the thread, so a call does
+    not fault fresh pages in.  Its contents are the caller's to overwrite."""
+    size = math.prod(shape)
+    flat = getattr(_WORK, name, None)
+    if flat is None or flat.size < size:
+        flat = np.empty(size, dtype=complex)
+        setattr(_WORK, name, flat)
+    return flat[:size].reshape(shape)
+
+
 class _RingEvaluator:
     """Spectral point evaluation of the velocity of one wave snapshot.
 
@@ -164,15 +185,24 @@ class _RingEvaluator:
     smooth packet keeps a few dozen modes.  ``truncation`` is the l1 norm of
     the dropped coefficients of all sectors over the peak coefficient, so
     the kept sum misses each chi_j by at most truncation x peak at any
-    point.  The kept modes are filled out to their contiguous span [lo, hi],
-    gaps taking zero coefficients, so any spectrum is evaluated correctly.
-    The chi and d chi coefficients of all sectors are stacked, highest mode
-    first, and summed by Horner's rule in z = exp(i theta): one table phase
-    per point (``_unit_phase``, about 1 eps from libm's exp), then one
-    multiply-add per mode on a (2k, M) accumulator.  The sums lack the
-    factor exp(i lo theta) that every term shares; chi and d chi carry the
-    same factor, so it cancels in |chi|^2 and in Im(conj(chi) d chi), the
-    only two things the velocity uses.
+    point.  The kept modes are filled out to their contiguous span [lo, hi]
+    of ``span`` modes, gaps taking zero coefficients, so any spectrum is
+    evaluated correctly.  The sums in z = exp(i theta) (one table phase per
+    point, ``_unit_phase``, about 1 eps from libm's exp) are taken baby
+    step / giant step (Paterson and Stockmeyer, SIAM J. Comput. 2:60,
+    1973): the chi and d chi coefficients of all sectors (2k rows), lowest
+    mode first and zero-padded to G B modes, B = min(span, _BABY_STEPS),
+    are stored as one (G 2k, B) ``block`` whose rows g 2k .. g 2k + 2k - 1
+    hold modes lo + g B .. lo + g B + B - 1.  A call builds the baby rows
+    z^0 .. z^(B-1) by the recurrence z^b = z^(b-1) z, takes one BLAS
+    product S = block @ baby, and sums S's G slices by Horner's rule in
+    w = z^B.  The points are padded with zeros to a multiple of
+    _GEMM_COLUMNS, so a bundle gives each point the bits it gets alone.  The
+    baby rows and the product are written into this thread's grow-only
+    buffers (``_work_array``), not allocated on every call.  The sums lack
+    the factor exp(i lo theta) that every term shares; chi and d chi carry
+    the same factor, so it cancels in |chi|^2 and in Im(conj(chi) d chi),
+    the only two things the velocity uses.
     """
 
     def __init__(self, state, velocity_factor=1.0):
@@ -185,11 +215,16 @@ class _RingEvaluator:
         self.truncation = float(np.sum(size[:, ~keep]) / peak)
         kept = _mode_numbers(n)[keep]
         hi, lo = int(kept.max()), int(kept.min())
-        span = np.arange(hi, lo - 1, -1)                            # hi .. lo
-        chi = np.zeros((coeffs.shape[0], span.size), dtype=complex)
-        chi[:, hi - kept] = coeffs[:, keep]
-        rows = np.concatenate([chi, chi * (1j * span)])            # (2k, L)
-        self.rows = np.ascontiguousarray(rows.T)[:, :, None]       # (L, 2k, 1)
+        self.span = hi - lo + 1
+        baby = min(self.span, _BABY_STEPS)
+        giant = -(-self.span // baby)
+        modes = np.arange(lo, lo + giant * baby)          # lo .. hi, padding
+        chi = np.zeros((coeffs.shape[0], modes.size), dtype=complex)
+        chi[:, kept - lo] = coeffs[:, keep]
+        rows = np.concatenate([chi, chi * (1j * modes)])           # (2k, G B)
+        self.block = np.ascontiguousarray(
+            rows.reshape(rows.shape[0], giant, baby).transpose(1, 0, 2)
+        ).reshape(-1, baby)                                         # (G 2k, B)
         self.betas = (state.sector_betas / TWO_PI)[:, None]
         self.inv_r2 = 1.0 / state.radius ** 2
         self.max_density = float(np.max(np.sum(np.abs(state.values) ** 2, axis=0)))
@@ -203,14 +238,25 @@ class _RingEvaluator:
         would only turn a -0.0 current into +0.0, and a factor of 1.0 is
         not multiplied.
         """
-        z = _unit_phase(thetas)
-        acc = np.empty((self.rows.shape[1], z.size), dtype=complex)
-        acc[...] = self.rows[0]
-        for row in self.rows[1:]:
-            acc *= z
-            acc += row
-        k = acc.shape[0] // 2
-        chi, dchi = acc[:k], acc[k:]
+        m = len(thetas)
+        z = _unit_phase(np.concatenate([thetas, np.zeros(-m % _GEMM_COLUMNS)]))
+        baby = self.block.shape[1]
+        powers = _work_array("baby", (baby, z.size))
+        powers[0] = 1.0
+        for b in range(1, baby):
+            np.multiply(powers[b - 1], z, out=powers[b])
+        k = self.betas.shape[0]
+        giant = self.block.shape[0] // (2 * k)
+        sums = _work_array("sums", (self.block.shape[0], z.size))
+        np.matmul(self.block, powers, out=sums)
+        sums = sums.reshape(giant, 2 * k, z.size)                   # (G, 2k, M)
+        acc = sums[-1]
+        if giant > 1:
+            w = np.multiply(powers[-1], z, out=z)                  # z^B
+            for g in range(giant - 2, -1, -1):
+                acc *= w
+                acc += sums[g]
+        chi, dchi = acc[:k, :m], acc[k:, :m]
         density = np.square(chi.real)                               # (k, M)
         scratch = np.square(chi.imag)
         density += scratch

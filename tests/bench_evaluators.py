@@ -6,8 +6,11 @@ The module name keeps it out of the test suite's collection.  Run it as
     OPENBLAS_NUM_THREADS=1 pytest tests/bench_evaluators.py --benchmark-only
 
 and compare two checkouts with ``--benchmark-save`` / ``--benchmark-compare``
-(pytest-benchmark keeps its runs under ``.benchmarks/``).
+(pytest-benchmark keeps its runs under ``.benchmarks/``).  The evaluator
+cases also record the minor page faults per call in ``extra_info``.
 """
+
+import resource
 
 import numpy as np
 import pytest
@@ -34,6 +37,17 @@ def _span(modes):
     return int(modes[-1] - modes[0] + 1)
 
 
+def _record_faults(benchmark, ev, points, calls=50):
+    """The minor page faults per call (the ru_minflt delta over ``calls``
+    calls after one warm call), into the benchmark's extra_info."""
+    ev(points)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        ev(points)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    benchmark.extra_info["minor_faults_per_call"] = (after - before) / calls
+
+
 @pytest.mark.parametrize("momentum, gapped", [(-11.19, True), (11.19, False)],
                          ids=["gapped", "ungapped"])
 def test_torus_evaluator(benchmark, momentum, gapped):
@@ -47,14 +61,19 @@ def test_torus_evaluator(benchmark, momentum, gapped):
         assert (modes.size < _span(modes)) is gapped
     q = np.random.default_rng(1).uniform(0, TWO_PI, (2000, 2))
     benchmark(ev, q)
+    _record_faults(benchmark, ev, q)
 
 
-def test_ring_evaluator(benchmark):
+@pytest.mark.parametrize("m", [10 ** 4, 8], ids=["ensemble", "small-bundle"])
+def test_ring_evaluator(benchmark, m):
+    # a span of 25 modes: three full giant steps of 8 baby steps and one
+    # of a single mode, zero-padded
     state = make_gaussian_state(Character.ring(0.9), 2.0, 0.45, 3.0)
     ev = _RingEvaluator(state)
-    assert ev.rows.shape[0] == 25
-    thetas = np.random.default_rng(2).uniform(0, TWO_PI, 10 ** 4)
+    assert ev.span == 25 and ev.block.shape == (4 * 2, 8)
+    thetas = np.random.default_rng(2).uniform(0, TWO_PI, m)
     benchmark(ev, thetas)
+    _record_faults(benchmark, ev, thetas)
 
 
 def _time_one_step(benchmark, state, potential, q, dt):
@@ -67,7 +86,7 @@ def _time_one_step(benchmark, state, potential, q, dt):
 def test_ring_transport_step(benchmark):
     # the ring-ensemble task's shape: 10^4 particles drawn from |psi|^2
     state = make_gaussian_state(Character.ring(0.9), 2.0, 0.45, 3.0)
-    assert _RingEvaluator(state).rows.shape[0] == 25
+    assert _RingEvaluator(state).span == 25
     theta = angle_grid(state.n_points)
     potential = Potential.scalar(0.5 * np.cos(theta - 1.0), label="trig")
     _time_one_step(benchmark, state, potential,

@@ -1,5 +1,7 @@
 """Velocity fields and Bohmian trajectory integration."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -24,11 +26,12 @@ from topobohm.propagation import (
     wrapped_gaussian,
 )
 from topobohm.scenario import spin_exponential
-from topobohm.spaces import PairGrid
+from topobohm.spaces import PairGrid, RingGrid
 from topobohm.trajectories import (
     STATUS_COMPLETED,
     STATUS_HALTED,
     COEFF_CUT,
+    _GEMM_COLUMNS,
     _PHASE_LIMIT,
     _RingEvaluator,
     _TorusEvaluator,
@@ -167,9 +170,112 @@ class TestPointEvaluators:
         data = wrapped_gaussian(theta, 2.0, 0.5, 12.0) \
             + wrapped_gaussian(theta, 4.0, 0.5, -12.0)
         state = twist_embed(data, Character.ring(0.4))
-        rows = _RingEvaluator(state).rows
-        assert np.any(np.all(rows == 0, axis=(1, 2)))
+        per_mode = _ring_block_modes(_RingEvaluator(state))
+        assert np.any(np.all(per_mode == 0, axis=1))
         self.check_ring(state)
+
+    @staticmethod
+    def ring_cases():
+        theta, theta_spinor = angle_grid(256), angle_grid(128)
+        spinor = twist_embed(
+            [wrapped_gaussian(theta_spinor, 3.0, 0.5, 2.0),
+             0.3 * wrapped_gaussian(theta_spinor, 1.5, 0.4, -1.0)],
+            MatrixRep.ring(spin_exponential(0.7, [0, 0, 1])))
+        return {
+            "packet": make_gaussian_state(Character.ring(0.9), 2.0, 0.45, 3.0,
+                                          space=RingGrid(radius=1.5)),
+            "eigenstate": make_eigenstate(3, Character.ring(0.4)),
+            "gapped": twist_embed(wrapped_gaussian(theta, 2.0, 0.5, 12.0)
+                                  + wrapped_gaussian(theta, 4.0, 0.5, -12.0),
+                                  Character.ring(0.4)),
+            "spinor": spinor,
+        }
+
+    @pytest.mark.parametrize("name", ["packet", "eigenstate", "gapped",
+                                      "spinor"])
+    def test_ring_off_grid_against_direct_sum(self, name):
+        # a span whose length is no multiple of the baby steps, a single
+        # mode, a span with a gap and two sectors with their own betas.  The
+        # direct sum runs over the coefficients the evaluator keeps, so it
+        # checks the evaluation, not the COEFF_CUT truncation
+        state = self.ring_cases()[name]
+        ev = _RingEvaluator(state)
+        baby = ev.block.shape[1]
+        span_case = {"packet": ev.span % baby != 0, "eigenstate": ev.span == 1,
+                     "gapped": np.any(np.all(_ring_block_modes(ev) == 0,
+                                             axis=1)),
+                     "spinor": state.values.shape[0] == 2}
+        assert span_case[name]
+        n = state.n_points
+        coeffs = np.fft.fft(state.values, axis=1) / n
+        weight = np.max(np.abs(coeffs), axis=0)
+        coeffs = np.where(weight > COEFF_CUT * np.max(weight), coeffs, 0.0)
+        modes = fourier_modes(n)
+
+        q = np.random.default_rng(7).uniform(-3 * np.pi, 5 * np.pi, 500)
+        rho_ref = np.zeros(q.size)
+        current = np.zeros(q.size)
+        for c, beta in zip(coeffs, state.sector_betas):
+            chi = _full_sum(c, q)
+            dchi = _full_sum(c * 1j * modes, q)
+            density = np.abs(chi) ** 2
+            rho_ref += density.astype(float)
+            current += (np.imag(np.conj(chi) * dchi)
+                        + beta / TWO_PI * density).astype(float)
+        v_ref = current / rho_ref / state.radius ** 2
+
+        v, rho = ev(q)
+        assert np.max(np.abs(rho - rho_ref)) <= 1e-13 * np.max(rho_ref)
+        ok = rho_ref > 1e-6 * np.max(rho_ref)
+        assert np.count_nonzero(ok) > 100
+        assert np.max(np.abs(v - v_ref)[ok]) <= 1e-10
+
+        v_neg, rho_neg = _RingEvaluator(state, velocity_factor=-1.0)(q)
+        assert np.array_equal(v_neg, -v) and np.array_equal(rho_neg, rho)
+
+    @pytest.mark.parametrize("name", ["packet", "spinor"])
+    def test_ring_bundle_sizes_give_each_point_its_lone_bits(self, name):
+        ev = _RingEvaluator(self.ring_cases()[name])
+        q = np.random.default_rng(8).uniform(-20.0, 20.0,
+                                             2 * _GEMM_COLUMNS + 1)
+        lone = [ev(q[i:i + 1]) for i in range(q.size)]
+        for m in range(q.size + 1):
+            v, rho = ev(q[:m])
+            assert v.shape == rho.shape == (m,)
+            for i in range(m):
+                assert v[i:i + 1].view(np.int64) == lone[i][0].view(np.int64)
+                assert rho[i:i + 1].view(np.int64) == lone[i][1].view(np.int64)
+
+    def test_ring_threads_do_not_share_work_arrays(self):
+        # each thread's calls go through its own baby-row and product
+        # buffers; numpy drops the GIL inside them, so shared ones would mix
+        # one thread's sums into another's
+        ev = _RingEvaluator(self.ring_cases()["spinor"])
+        bundles = [np.random.default_rng(seed).uniform(0, TWO_PI, 2000 + seed)
+                   for seed in range(4)]
+        expected = [ev(q) for q in bundles]
+        wrong = []
+
+        def run(i):
+            for _ in range(30):
+                v, rho = ev(bundles[i])
+                if not (np.array_equal(v, expected[i][0])
+                        and np.array_equal(rho, expected[i][1])):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(bundles))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     def test_antisymmetric_torus_pair(self):
         state = symmetrized_product_state(
@@ -275,6 +381,14 @@ def _gapped_pair():
     return symmetrized_product_state(
         lambda t: wrapped_gaussian(t, 2.0, 0.241, -10.8),
         lambda t: wrapped_gaussian(t, 4.3, 0.241, -11.19), -1, n_points=64)
+
+
+def _ring_block_modes(ev):
+    """A ring evaluator's block read back one row per mode of its span,
+    lowest mode first: (span, 2k) chi and d chi coefficients."""
+    baby = ev.block.shape[1]
+    rows = ev.block.reshape(-1, 2 * ev.betas.shape[0], baby)       # (G, 2k, B)
+    return rows.transpose(0, 2, 1).reshape(-1, rows.shape[1])[:ev.span]
 
 
 def _full_sum(coeffs, angles):
