@@ -779,6 +779,10 @@ def _hamiltonian_blocks(layout, potential):
     return h.reshape(1, k * n, k * n)
 
 
+# a dense complex (n, n) block takes 256 MiB at this n, 1 GiB at twice it
+SPECTRUM_MAX_POINTS = 2 ** 12
+
+
 def spectrum(factor, potential=None, n_levels=8,
              n_points=DEFAULT_N_POINTS, radius=1.0):
     """Lowest eigenvalues of the discretized twisted Hamiltonian.
@@ -792,11 +796,16 @@ def spectrum(factor, potential=None, n_levels=8,
     into (``_hamiltonian_blocks``: one per sector when the field keeps each
     sector, else one) gives its lowest n_levels eigenvalues, and the lowest
     n_levels of their union are returned.  Levels are ascending.  With V = 0
-    they are ((n + beta / 2 pi) / radius)^2 / 2.
+    they are ((n + beta / 2 pi) / radius)^2 / 2.  n_points above
+    SPECTRUM_MAX_POINTS is refused.
     """
     # local import: runs that solve no eigenproblem skip scipy's ~0.25 s load
     import scipy.linalg
 
+    if n_points > SPECTRUM_MAX_POINTS:
+        raise ConfigError(f"the spectrum's dense (n, n) blocks hold at most "
+                          f"{SPECTRUM_MAX_POINTS} points, not {n_points}",
+                          field_path="$.space.n_points")
     if not 1 <= n_levels <= n_points // 4:
         raise ConfigError("n_levels must be at least 1 and not exceed "
                           "n_points / 4", field_path="$.numerics.n_levels")

@@ -70,9 +70,18 @@ _WIDTH = {"type": "number", "exclusiveMinimum": 0}
 _PACKET = {"center": _NUMBER, "width": _WIDTH, "momentum": _NUMBER}
 
 
-def _starts_of(item):
-    return {"properties": {"trajectories": {"properties": {
-        "starts": {"items": item}}}}}
+# the largest grids: 2**24 values of each complex component (256 MiB), on
+# the ring and on the pair's n x n torus
+RING_MAX_POINTS = 2 ** 24
+PAIR_MAX_POINTS = 2 ** 12
+
+
+def _layout(start, max_points):
+    """What the space's kind fixes: a trajectory start's type, and the
+    largest n_points."""
+    return {"properties": {
+        "space": {"properties": {"n_points": {"maximum": max_points}}},
+        "trajectories": {"properties": {"starts": {"items": start}}}}}
 
 
 def _typed(branches, required):
@@ -204,8 +213,8 @@ SCENARIO_SCHEMA = {
     # a ring start is an angle, a two-particle start a pair of angles
     "if": {"properties": {"space": {"properties": {
         "kind": {"const": "two_particle_ring"}}}}},
-    "then": _starts_of(_PAIR),
-    "else": _starts_of({"type": "number"}),
+    "then": _layout(_PAIR, PAIR_MAX_POINTS),
+    "else": _layout({"type": "number"}, RING_MAX_POINTS),
 }
 
 

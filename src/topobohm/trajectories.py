@@ -11,8 +11,8 @@ is the constant -e A shift.  The gauge-fixed storage holds one sheet, so a
 field derived this way is deck equivariant by construction and the motion
 downstairs does not depend on the choice of lift; there is no cover-side
 field here to check.  Projectability is tested where it can fail, on the
-ungauged cover sheets of the tests' reference integrator
-(``SheetWindowIntegrator`` in ``tests/oracles.py``).
+sheets of a wave stepped on a finite cyclic cover of the ring by the tests'
+reference integrator (``cover_evolve`` in ``tests/oracles.py``).
 
 Integration is RK4 in the base coordinates with spectral (trigonometric)
 interpolation of the wave in space and half-step propagation in time; the
@@ -227,7 +227,7 @@ class _RingEvaluator:
         ).reshape(-1, baby)                                         # (G 2k, B)
         self.betas = (state.sector_betas / TWO_PI)[:, None]
         self.inv_r2 = 1.0 / state.radius ** 2
-        self.max_density = float(np.max(np.sum(np.abs(state.values) ** 2, axis=0)))
+        self.max_density = float(np.max(state.density()))
         self.velocity_factor = velocity_factor
 
     def __call__(self, thetas):
@@ -304,7 +304,7 @@ class _TorusEvaluator:
 
     def __init__(self, state, velocity_factor=1.0):
         n = state.n_points
-        modes = fourier_modes(n).astype(int)
+        modes = _mode_numbers(n)
         coeffs = np.fft.fft2(state.values) / n ** 2
         weight = np.abs(coeffs)
         keep = weight > COEFF_CUT * np.max(weight)
@@ -318,7 +318,7 @@ class _TorusEvaluator:
         self.blocks = np.vstack([c, c * (1j * self.modes_a)])       # (2|B|, |A|)
         self.ib = 1j * self.modes_b
         self.inv_r2 = 1.0 / state.radius ** 2
-        self.max_density = float(np.max(np.abs(state.values) ** 2))
+        self.max_density = float(np.max(state.density()))
         self.velocity_factor = velocity_factor
 
     @staticmethod

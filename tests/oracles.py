@@ -7,6 +7,9 @@ Crank-Nicolson oracle steps the grid Hamiltonian that ``spectrum``
 diagonalizes, and ``collapse_rate`` sums the bump that ``apply_collapse``
 multiplies by.  ``velocity_field`` is the guiding field on the grid points,
 by FFT derivatives, against which the point evaluators are checked.
+``cover_evolve`` and ``fold`` are the paper's construction of the twisted
+dynamics: plain Strang steps of psi itself on a finite cyclic cover, with no
+twist, sector or shifted wavenumber, folded down by the factor.
 """
 
 from __future__ import annotations
@@ -336,96 +339,48 @@ def crank_nicolson_evolve(state, potential, dt, n_steps):
     return state.with_values(psi[None, :])
 
 
-class SheetWindowIntegrator:
-    """Ungauged cover-sheet reference integrator (negative control).
+# ---------------------------------------------------------------------------
+# the paper's construction: evolve on a finite cyclic cover, then fold
+# ---------------------------------------------------------------------------
 
-    Evolves psi directly on a window of cover sheets (a Dirichlet-walled
-    segment of the cover) with the lifted potential, imposing the twist only
-    on the initial data.  When the factor commutes with the potential the
-    interior twist relation survives; when it does not, the relation decays
-    visibly within a few steps.  Finite differences + Crank-Nicolson; this
-    integrator is deliberately independent of the gauge-fixed machinery.
-    """
+def cover_evolve(psi, field, dt, n_steps, sheets, radius=1.0):
+    """n_steps plain Strang steps V/2 - T - V/2 of a (k, N, ..., N) wave on
+    the W-fold cyclic cover (W = ``sheets``) of the ring, or of the torus
+    of d rings: N = n W points on each angle axis of length 2 pi W, and
+    wavenumbers m / (W radius).  ``field`` is the base grid's Hermitian
+    (k, k) matrix at each of its n^d points, shape (n,) * d + (k, k),
+    tiled W times along each axis.  No twist enters."""
+    psi = np.asarray(psi, dtype=complex)
+    axes = tuple(range(1, psi.ndim))
+    eigvals, basis = np.linalg.eigh(field)
+    half = (basis * np.exp(-0.5j * dt * eigvals)[..., None, :]) \
+        @ basis.conj().swapaxes(-1, -2)
+    kick = np.tile(half, (sheets,) * len(axes) + (1, 1))
+    m = np.fft.fftfreq(psi.shape[1], 1.0 / psi.shape[1]) / (sheets * radius)
+    kinetic = np.exp(-0.5j * dt * functools.reduce(np.add.outer,
+                                                   [m ** 2] * len(axes)))
+    for _ in range(n_steps):
+        psi = np.einsum("...ab,b...->a...", kick, psi)
+        psi = np.fft.ifftn(kinetic * np.fft.fftn(psi, axes=axes), axes=axes)
+        psi = np.einsum("...ab,b...->a...", kick, psi)
+    return psi
 
-    def __init__(self, factor, potential_matrix, n_points=64, n_sheets=7,
-                 radius=1.0):
-        if isinstance(factor, Character):
-            self.gamma = np.array([[np.exp(1j * factor.beta)]])
-        else:
-            self.gamma = factor.generators[0]
-        self.k = self.gamma.shape[0]
-        self.n = n_points
-        self.n_sheets = n_sheets
-        self.radius = radius
-        v = np.asarray(potential_matrix, dtype=complex)
-        if v.ndim == 2:
-            v = np.broadcast_to(v, (n_points, self.k, self.k))
-        self.v_base = v
 
-    def _hamiltonian(self):
-        n_total = self.n * self.n_sheets
-        dx = TWO_PI / self.n * self.radius
-        main = np.full(n_total, 1.0 / dx ** 2)
-        h_kin = (np.diag(main)
-                 - 0.5 / dx ** 2 * np.eye(n_total, k=1)
-                 - 0.5 / dx ** 2 * np.eye(n_total, k=-1))
-        h = np.kron(h_kin, np.eye(self.k, dtype=complex)).astype(complex)
-        for j in range(n_total):
-            vj = self.v_base[j % self.n]
-            h[j * self.k:(j + 1) * self.k, j * self.k:(j + 1) * self.k] += vj
-        return h
+def fold(psi, gamma, sheets):
+    """psi(theta) = sum_w Gamma^-w psi~(theta + 2 pi w) of a (k, n W) wave
+    psi~ on the W-fold cover of the ring: the (k, n) wave on the ring with
+    psi(theta + 2 pi) = Gamma psi(theta) when Gamma^W = 1 (Duerr, Goldstein,
+    Taylor, Tumulka and Zanghi, J. Phys. A 40:2997, 2007)."""
+    k, size = np.shape(psi)
+    down = np.linalg.inv(np.reshape(gamma, (k, k)))
+    pieces = np.reshape(psi, (k, sheets, size // sheets))
+    return sum(np.linalg.matrix_power(down, w) @ pieces[:, w]
+               for w in range(sheets))
 
-    def initial_from_profile(self, chi_profile):
-        """Twisted initial data: packet on the middle sheet, neighbours scaled
-        by the matching powers of the factor."""
-        mid = self.n_sheets // 2
-        psi = np.zeros((self.n_sheets, self.n, self.k), dtype=complex)
-        profile = np.asarray(chi_profile, dtype=complex)
-        if profile.ndim == 1:
-            profile = np.tile(profile[:, None], (1, self.k)) / math.sqrt(self.k)
-        gamma_inv = self.gamma.conj().T
-        for s in range(self.n_sheets):
-            power = s - mid
-            gpow = np.linalg.matrix_power(self.gamma if power >= 0 else gamma_inv,
-                                          abs(power))
-            psi[s] = profile @ gpow.T
-        return psi.reshape(-1)
 
-    def initial_from_state(self, state):
-        """The physical wave of a gauge-fixed WaveGrid, laid out on the window
-        (sheet s carries Gamma^s times the fundamental-sheet wave)."""
-        if state.n_points != self.n:
-            raise ConfigError("state grid does not match the sheet window")
-        return self.initial_from_profile(state.psi().T)
-
-    def central_sheet(self, psi_flat):
-        """(k, n) wave on the fundamental (middle) sheet."""
-        psi = psi_flat.reshape(self.n_sheets, self.n, self.k)
-        return psi[self.n_sheets // 2].T.copy()
-
-    def twist_residual(self, psi_flat):
-        """Relative violation of psi(theta + 2 pi) = Gamma psi(theta) on the
-        two central sheets."""
-        psi = psi_flat.reshape(self.n_sheets, self.n, self.k)
-        mid = self.n_sheets // 2
-        lhs = psi[mid + 1]
-        rhs = psi[mid] @ self.gamma.T
-        scale = max(max_abs(psi[mid]), 1e-300)
-        return max_abs(lhs - rhs) / scale
-
-    def run(self, chi_profile, dt, n_steps, residual_every=10):
-        return self.run_from(self.initial_from_profile(chi_profile), dt,
-                             n_steps, residual_every)
-
-    def run_from(self, psi_flat, dt, n_steps, residual_every=10):
-        h = self._hamiltonian()
-        eye = np.eye(h.shape[0], dtype=complex)
-        lu, piv = scipy.linalg.lu_factor(eye + 0.5j * dt * h)
-        rhs_op = eye - 0.5j * dt * h
-        psi = np.asarray(psi_flat, dtype=complex).reshape(-1)
-        history = [(0, self.twist_residual(psi))]
-        for step in range(1, n_steps + 1):
-            psi = scipy.linalg.lu_solve((lu, piv), rhs_op @ psi)
-            if step % residual_every == 0 or step == n_steps:
-                history.append((step, self.twist_residual(psi)))
-        return psi, history
+def lift(psi, gamma, sheets):
+    """A (k, n) wave on the ring laid out on the W-fold cover, sheet w
+    holding Gamma^w psi; ``fold`` takes it back to W psi."""
+    up = np.reshape(gamma, (len(psi), len(psi)))
+    return np.concatenate([np.linalg.matrix_power(up, w) @ psi
+                           for w in range(sheets)], axis=1)

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oracles import SheetWindowIntegrator, crank_nicolson_evolve, homomorphism_residual
+from oracles import (
+    cover_evolve,
+    crank_nicolson_evolve,
+    fold,
+    homomorphism_residual,
+    lift,
+)
 from topobohm.covering import TWO_PI
 from topobohm.errors import NonUnimodularFactorError
 from topobohm.factors import (
@@ -20,6 +26,7 @@ from topobohm.factors import (
     MatrixRep,
     TwistedRepTable,
     enumerate_characters,
+    max_abs,
     random_unitary,
     verify_twisted_law,
 )
@@ -176,16 +183,19 @@ def test_07_commutation_gate(tmp_path):
     twist = out.twist_residual()
     assert twist <= 1e-9
 
-    # negative control in the ungauged cover-sheet reference
-    chi = wrapped_gaussian(angle_grid(64), np.pi, 0.5)
-    chi /= np.sqrt(np.sum(np.abs(chi) ** 2) * TWO_PI / 64)
-    integ = SheetWindowIntegrator(rep, PAULI["x"], n_points=64)
-    _, history = integ.run(chi, 1e-3, 100)
-    broken = history[-1][1]
+    # negative control on the paper's cover: the same factor (order 4) and
+    # a twisted spinor lifted to the 4-fold cover, stepped there under
+    # sigma_x, lose psi(theta + 2 pi) = Gamma psi(theta)
+    gamma = rep.generators[0]
+    packet = wrapped_gaussian(angle_grid(256), np.pi / 4, 0.5 / 4) \
+        * np.array([[1.0], [0.5]])
+    psi = cover_evolve(lift(fold(packet, gamma, 4), gamma, 4),
+                       np.broadcast_to(PAULI["x"], (64, 2, 2)), 1e-3, 100, 4)
+    broken = max_abs(np.roll(psi, -64, axis=1) - gamma @ psi) / max_abs(psi)
     assert broken > 1e-3
     report("commutation-gate",
            f"incompatible pair exits 3; twist residual {twist:.2e} <= 1e-9 "
-           f"over 10^4 steps; ungauged reference residual {broken:.2e} > 1e-3 "
+           f"over 10^4 steps; cover reference residual {broken:.2e} > 1e-3 "
            "within 100 steps")
 
 

@@ -1133,6 +1133,30 @@ def test_removed_scenario_keys_exit_two(tmp_path, capsys, subcommand, path,
     assert f"'{named}' was unexpected" in err
 
 
+# grids that no command can hold: 2**40 ring points raised MemoryError and
+# 2**80 numpy's "Maximum allowed size exceeded", both exit 5
+@pytest.mark.parametrize("subcommand, kind, n_points", [
+    ("evolve", "ring", 2 ** 24 + 1), ("evolve", "ring", 2 ** 40),
+    ("evolve", "ring", 2 ** 80), ("evolve", "two_particle_ring", 2 ** 12 + 1),
+    ("evolve", "two_particle_ring", 2 ** 13), ("spectrum", "ring", 2 ** 13),
+], ids=["ring-2^24+1", "ring-2^40", "ring-2^80", "pair-2^12+1", "pair-2^13",
+        "spectrum-2^13"])
+def test_grids_no_command_can_hold_exit_two(tmp_path, capsys, subcommand,
+                                            kind, n_points):
+    cfg_dict = dict(BASE, space={"kind": kind, "n_points": n_points})
+    if kind == "two_particle_ring":
+        cfg_dict.update(factor={"type": "exchange", "sign": -1},
+                        potential={"type": "zero"},
+                        initial_state={"type": "pair_eigenstate", "n2": 1})
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error[config] at $.space.n_points:")
+    assert read_json(out / "manifest.json")["failure"]["field_path"] \
+        == "$.space.n_points"
+
+
 def test_grw_flux_scenario_evolves_in_the_field(tmp_path):
     # a flux factor is the twist exp(-i e flux); without collapses the run
     # must match the character scenario of that angle

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from oracles import (
     FreePoint,
     RingPoint,
-    SheetWindowIntegrator,
+    cover_evolve,
     deck_apply,
     deck_elements,
+    fold,
     is_projectable_field,
+    lift,
     projectability_residual,
     word_from_letters,
 )
@@ -29,8 +31,13 @@ from topobohm.covering import (
 )
 from topobohm.spaces import PairGrid, RingGrid
 from topobohm.errors import ConfigError
-from topobohm.factors import Character, MatrixRep
-from topobohm.propagation import angle_grid, make_eigenstate, wrapped_gaussian
+from topobohm.factors import Character
+from topobohm.propagation import (
+    angle_grid,
+    fourier_modes,
+    make_eigenstate,
+    wrapped_gaussian,
+)
 from topobohm.scenario import PAULI, spin_exponential
 
 
@@ -185,25 +192,35 @@ class TestProjectability:
         samples = {Winding(k): 2 * (theta + TWO_PI * k) for k in range(3)}
         assert not is_projectable_field(samples, tol=1e-9)
 
-    @pytest.mark.parametrize("axis, projects", [("z", True), ("x", False)],
-                             ids=["commuting-z", "noncommuting-x"])
-    def test_cover_sheet_velocity(self, axis, projects):
-        # the ungauged sheet window keeps the twist only while the potential
-        # commutes with the factor: sigma_z does, sigma_x does not (the
-        # sheets then differ by 2.5e-6, against 1.3e-14 under sigma_z)
-        rep = MatrixRep.ring(spin_exponential(math.pi / 2, [0, 0, 1]))
-        integ = SheetWindowIntegrator(rep, PAULI[axis], n_points=64)
-        psi, _ = integ.run(wrapped_gaussian(angle_grid(64), math.pi, 0.5),
-                           1e-3, 100)
-        psi = psi.reshape(integ.n_sheets * integ.n, integ.k)
-        dpsi = np.gradient(psi, TWO_PI / integ.n * integ.radius, axis=0)
-        rho = np.sum(np.abs(psi) ** 2, axis=1)
-        v = np.sum(np.imag(np.conj(psi) * dpsi), axis=1) / rho / integ.radius
-        rho = rho.reshape(integ.n_sheets, integ.n)
-        v = v.reshape(integ.n_sheets, integ.n)
-        mid = integ.n_sheets // 2
-        ok = rho[mid] > 1e-3 * np.max(rho[mid])
-        samples = {Winding(0): v[mid][ok], Winding(1): v[mid + 1][ok]}
+    @pytest.mark.parametrize("axis, varying, projects", [
+        ("z", False, True), ("x", False, True), ("x", True, False)],
+        ids=["commuting-z", "noncommuting-x", "noncommuting-cos-x"])
+    def test_cover_sheet_velocity(self, axis, varying, projects):
+        # a twisted spinor of exp(-i pi/2 sigma_z), whose order is 4, is
+        # lifted to the 4-fold cover and stepped there 100 times.  sigma_z
+        # commutes with the factor, and the velocity is the same on every
+        # sheet.  A constant sigma_x does not commute, and psi's twist
+        # relation breaks (to 0.20), but the field is one spin rotation of
+        # the whole wave, which Im(psi^+ d psi) / |psi|^2 does not see: the
+        # velocity still projects (4.8e-14).  cos(theta) sigma_x turns the
+        # spin by a different angle at each point, and the sheets then
+        # differ by 0.16.
+        n, sheets = 64, 4
+        gamma = spin_exponential(math.pi / 2, [0, 0, 1])
+        theta = angle_grid(n)
+        field = (np.cos(theta) if varying else np.ones(n))[:, None, None] \
+            * PAULI[axis]
+        packet = wrapped_gaussian(angle_grid(n * sheets), math.pi / sheets,
+                                  0.5 / sheets) * np.array([[1.0], [0.5]])
+        psi = cover_evolve(lift(fold(packet, gamma, sheets), gamma, sheets),
+                           field, 1e-3, 100, sheets)
+        modes = fourier_modes(n * sheets) / sheets
+        dpsi = np.fft.ifft(1j * modes * np.fft.fft(psi, axis=1), axis=1)
+        rho = np.sum(np.abs(psi) ** 2, axis=0).reshape(sheets, n)
+        v = (np.sum(np.imag(np.conj(psi) * dpsi), axis=0).reshape(sheets, n)
+             / rho)
+        ok = rho[0] > 1e-3 * np.max(rho[0])
+        samples = {Winding(w): v[w][ok] for w in range(sheets)}
         assert is_projectable_field(samples, tol=1e-10) == projects
 
     def test_nan_sample_does_not_project(self):

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import (
-    SheetWindowIntegrator,
+    cover_evolve,
     crank_nicolson_evolve,
+    fold,
     gauge_unmap,
+    lift,
     unitary_fractional_power,
 )
 from topobohm import propagation
@@ -988,6 +990,20 @@ def _block_loop_hamiltonian(state, potential):
 
 
 class TestSpectrum:
+    def test_the_bound_on_n_points_is_checked_before_any_block(self,
+                                                              monkeypatch):
+        # the largest grid reaches the blocks, one more power of two does not
+        def no_blocks(layout, potential):
+            raise RuntimeError(f"{layout.n_points} points reached the blocks")
+
+        monkeypatch.setattr(propagation, "_hamiltonian_blocks", no_blocks)
+        limit = propagation.SPECTRUM_MAX_POINTS
+        with pytest.raises(RuntimeError, match=f"^{limit} points"):
+            spectrum(Character.ring(0.0), n_points=limit)
+        with pytest.raises(ConfigError) as exc:
+            spectrum(Character.ring(0.0), n_points=2 * limit)
+        assert exc.value.field_path == "$.space.n_points"
+
     @pytest.mark.parametrize("case", ["scalar", "spinor-zero", "spinor-scalar",
                                       "spinor-covariant"])
     def test_dense_hamiltonian_equals_block_loop(self, case):
@@ -1154,21 +1170,23 @@ class TestReferenceIntegrators:
         b = crank_nicolson_evolve(state, v, 1e-3, 1000)
         assert l2_diff(a, b) <= 1e-6
 
-    def test_sheet_window_commuting_control(self, pauli):
-        rep = MatrixRep.ring(spin_exponential(np.pi / 2, [0, 0, 1]))
-        chi = wrapped_gaussian(angle_grid(64), np.pi, 0.5)
-        chi /= np.sqrt(np.sum(np.abs(chi) ** 2) * TWO_PI / 64)
-        integ = SheetWindowIntegrator(rep, 0.3 * np.eye(2), n_points=64)
-        _, history = integ.run(chi, 1e-3, 100)
-        assert history[-1][1] <= 1e-6
+    @staticmethod
+    def _cover_twist_residual(field):
+        """A twisted spinor of exp(-i pi/2 sigma_z), whose order is 4,
+        lifted to the 4-fold cover and stepped there 100 times: the
+        residual of psi(theta + 2 pi) = Gamma psi(theta) over max |psi|."""
+        n, sheets = 64, 4
+        gamma = spin_exponential(np.pi / 2, [0, 0, 1])
+        packet = _cover_packet(n, sheets, [1.0, 0.5])
+        psi = cover_evolve(lift(fold(packet, gamma, sheets), gamma, sheets),
+                           np.broadcast_to(field, (n, 2, 2)), 1e-3, 100, sheets)
+        return max_abs(np.roll(psi, -n, axis=1) - gamma @ psi) / max_abs(psi)
 
-    def test_sheet_window_noncommuting_breaks_twist(self, pauli):
-        rep = MatrixRep.ring(spin_exponential(np.pi / 2, [0, 0, 1]))
-        chi = wrapped_gaussian(angle_grid(64), np.pi, 0.5)
-        chi /= np.sqrt(np.sum(np.abs(chi) ** 2) * TWO_PI / 64)
-        integ = SheetWindowIntegrator(rep, pauli["x"], n_points=64)
-        _, history = integ.run(chi, 1e-3, 100)
-        assert history[-1][1] > 1e-3
+    def test_cover_commuting_control(self):
+        assert self._cover_twist_residual(0.3 * np.eye(2)) <= 1e-12
+
+    def test_cover_noncommuting_breaks_twist(self, pauli):
+        assert self._cover_twist_residual(pauli["x"]) > 1e-3
 
 
 class TestStateSerialization:
@@ -1262,28 +1280,103 @@ def test_fractional_power_consistency():
     assert np.allclose(g13 @ g13 @ g13, gamma, atol=1e-12)
 
 
+def _cover_packet(n, sheets, amplitudes):
+    """A moving Gaussian packet on the W-fold cover of the ring, one
+    amplitude per component: centre 2, width 0.5, momentum 1.5."""
+    packet = wrapped_gaussian(angle_grid(n * sheets), 2.0 / sheets,
+                              0.5 / sheets, 1.5 * sheets)
+    return np.outer(amplitudes, packet)
+
+
+def _cover_fold_error(sectors, field, potential, packet, sheets, n_steps,
+                      dt=1e-3):
+    """One cover run, folded by each (factor, Gamma) pair, against
+    ``evolve`` of the same fold under the factor: the worst error over
+    max |psi|.  ``twist_embed`` normalizes, so its state is scaled back to
+    the fold's norm."""
+    moved = cover_evolve(packet, field, dt, n_steps, sheets)
+    worst = 0.0
+    for factor, gamma in sectors:
+        psi = fold(packet, gamma, sheets)
+        state = twist_embed(psi, factor, data_is_periodic=False)
+        norm = np.sqrt(np.sum(np.abs(psi) ** 2) * TWO_PI / psi.shape[1])
+        out = evolve(state.with_values(state.values * norm), potential, dt,
+                     n_steps).psi()
+        reference = fold(moved, gamma, sheets)
+        worst = max(worst, max_abs(out - reference) / max_abs(reference))
+    return worst
+
+
+def _scalar_cover_error(n, sheets, g, twist_error=0.0, field_scale=1.0):
+    """One packet on the W-fold cover under V = g cos theta, folded into
+    each of the W sectors, against ``evolve`` at that sector's angle
+    2 pi j / W reduced to (-pi, pi] (plus ``twist_error``), 2,000 steps."""
+    field = g * np.cos(angle_grid(n))
+    sectors = [(Character.ring(beta + twist_error), np.exp(1j * beta))
+               for beta in (math.remainder(TWO_PI * j / sheets, TWO_PI)
+                            for j in range(sheets))]
+    return _cover_fold_error(sectors, field[:, None, None],
+                             Potential.scalar(field_scale * field),
+                             _cover_packet(n, sheets, [1.0]), sheets, 2000)
+
+
+def _spinor_cover_error(twist_error=0.0, field_scale=1.0):
+    """A spinor packet on the 4-fold cover under V = 0.3 + cos theta
+    sigma_z, folded by exp(-i pi/2 sigma_z), which has order 4, against
+    ``evolve`` under that factor (its angle plus ``twist_error``), 500
+    steps at n = 64."""
+    n = 64
+    field = 0.3 * np.eye(2) + np.cos(angle_grid(n))[:, None, None] * PAULI["z"]
+    rep = MatrixRep.ring(spin_exponential(np.pi / 2 + twist_error, [0, 0, 1]))
+    return _cover_fold_error([(rep, spin_exponential(np.pi / 2, [0, 0, 1]))],
+                             field, Potential.matrix_field(field_scale * field),
+                             _cover_packet(n, 4, [1.0, 0.5j]), 4, 500)
+
+
+def _pair_cover_error(sign, field_scale=1.0):
+    """An unsymmetrized product stepped on the 64^2 torus (the cover of
+    the unordered pair, W = 1), folded by S_2 to (psi + sign psi^T) / 2,
+    against ``evolve`` of the folded state for 500 steps under V =
+    1.5 cos(theta1 - theta2) + 0.3 (cos theta1 + cos theta2)."""
+    n, dt, n_steps = 64, 1e-3, 500
+    theta = angle_grid(n)
+    field = (1.5 * np.cos(theta[:, None] - theta[None, :])
+             + 0.3 * (np.cos(theta)[:, None] + np.cos(theta)[None, :]))
+    product = np.outer(wrapped_gaussian(theta, 2.0, 0.5, 1.0),
+                       wrapped_gaussian(theta, 4.5, 0.6, -0.5))
+    moved = cover_evolve(product[None], field[..., None, None], dt, n_steps, 1)[0]
+    reference = (moved + sign * moved.T) / 2
+    psi = (product + sign * product.T) / 2
+    state = make_two_particle_state(psi, sign)
+    norm = np.sqrt(np.sum(np.abs(psi) ** 2)) * TWO_PI / n
+    out = evolve(state.with_values(state.values * norm),
+                 Potential.scalar(field_scale * field), dt, n_steps).psi()
+    return max_abs(out - reference) / max_abs(reference)
+
+
 class TestGaugeFixingCrossValidation:
     def test_split_step_matches_ungauged_cover_evolution(self):
-        # The gauge-fixed propagation must agree with an honest evolution of
-        # psi itself on a window of cover sheets (finite differences +
-        # Crank-Nicolson, twist imposed only at t = 0).  The comparison is
-        # limited by the reference's second-order spatial stencil.
-        n = 256
-        v_fn = lambda t: 0.3 * np.cos(t)
-        state = make_gaussian_state(Character.ring(np.pi), np.pi, 0.8, 0.5,
-                                    n_points=n)
-        out = evolve(state, Potential.from_callable(v_fn, n), 1e-3, 100)
+        # the paper's construction: psi itself steps on the W-fold cyclic
+        # cover with no twist, sector or shifted wavenumber, and its fold
+        # by the factor must be the twisted step's result to rounding
+        for n, sheets, g in [(128, 4, 2.0), (256, 8, 1.0), (64, 2, 0.3)]:
+            assert _scalar_cover_error(n, sheets, g) <= 1e-11
+        assert _spinor_cover_error() <= 1e-11
 
-        rep_scalar = Character.ring(np.pi)
-        integ = SheetWindowIntegrator(rep_scalar,
-                                      v_fn(angle_grid(n))[:, None, None]
-                                      * np.ones((1, 1)), n_points=n)
-        psi_flat, history = integ.run_from(integ.initial_from_state(state),
-                                           1e-3, 100)
-        reference = integ.central_sheet(psi_flat)
-        diff = np.sqrt(np.sum(np.abs(out.psi() - reference) ** 2) * out.dx)
-        assert diff <= 1e-3
-        assert history[-1][1] <= 1e-6  # twist relation survives upstairs
+    @pytest.mark.parametrize("kind", ["scalar", "spinor"])
+    @pytest.mark.parametrize("corruption", [{"twist_error": 1e-6},
+                                            {"field_scale": 1.001}],
+                             ids=["twist-off-by-1e-6", "field-off-by-0.1%"])
+    def test_cover_cross_check_fails_a_corrupted_twist_or_field(
+            self, kind, corruption):
+        error = (_scalar_cover_error(64, 2, 0.3, **corruption)
+                 if kind == "scalar" else _spinor_cover_error(**corruption))
+        assert error > 1e-11
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["bosons", "fermions"])
+    def test_pair_step_matches_the_folded_torus_run(self, sign):
+        assert _pair_cover_error(sign) <= 1e-12
+        assert _pair_cover_error(sign, field_scale=1.001) > 1e-12
 
     def test_matrix_cover_data_embedding(self):
         # peel a genuine spinor cover wave back to gauge-fixed storage

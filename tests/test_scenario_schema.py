@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from topobohm.errors import ConfigError
 from topobohm.scenario import (
+    PAIR_MAX_POINTS,
+    RING_MAX_POINTS,
     SCENARIO_SCHEMA,
     SCENARIO_SCHEMA_TAG,
     _schema_errors,
@@ -186,8 +188,20 @@ def test_seed_configs_are_valid(cfg):
 @example(dict(SEEDS[0], initial_state=[{"type": "gaussian", "n1": 2}]))
 # a two-particle space types its starts as pairs
 @example(dict(SEEDS[4], trajectories={"starts": [1.0]}))
+# the space's kind bounds n_points
+@example(with_edit("space", n_points=2 ** 80))
+@example(dict(SEEDS[4], space={"kind": "two_particle_ring", "n_points": 2 ** 13}))
+@example(dict(SEEDS[4], space={"kind": "ring", "n_points": 2 ** 13}))
 def test_walker_reports_the_first_path_jsonschema_does(cfg):
     assert walker_first_path(cfg) == reference_first_path(cfg)
+
+
+def test_the_largest_grids_pass_and_one_point_more_is_refused():
+    for seed, bound in ((SEEDS[0], RING_MAX_POINTS), (SEEDS[4], PAIR_MAX_POINTS)):
+        for n_points, where in ((bound, None), (bound + 1, "$.space.n_points")):
+            cfg = dict(seed, space=dict(seed["space"], n_points=n_points))
+            assert walker_first_path(cfg) == reference_first_path(cfg) == where
+        validate_scenario(dict(seed, space=dict(seed["space"], n_points=bound)))
 
 
 def test_validate_scenario_raises_at_the_first_path():
