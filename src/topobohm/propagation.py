@@ -150,10 +150,11 @@ class WaveGrid:
 
     A state returned by ``evolve`` carries the ``SplitStep`` that made it;
     ``with_values`` keeps it, and ``dataclasses.replace`` drops it.  One
-    from the spectral path also carries ``_spectrum``, the spectrum of the
-    values its chain of calls began from, and ``_spectrum_steps``, the
-    steps taken since; both drop that memo, since it stands for the values
-    it came with.
+    from the dense or spectral path also carries ``_origin``, what its
+    chain of calls began from (the flattened values on the dense path,
+    their spectrum on the spectral one), and ``_origin_steps``, the steps
+    taken since; both drop that memo, since it stands for the values it
+    came with.
     """
 
     space: object
@@ -163,10 +164,10 @@ class WaveGrid:
     sector_basis: np.ndarray = None
     _split_step: object = field(default=None, init=False, repr=False,
                                 compare=False)
-    _spectrum: np.ndarray = field(default=None, init=False, repr=False,
-                                  compare=False)
-    _spectrum_steps: int = field(default=0, init=False, repr=False,
-                                 compare=False)
+    _origin: np.ndarray = field(default=None, init=False, repr=False,
+                                compare=False)
+    _origin_steps: int = field(default=0, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         # C order, so norms and densities sum in the same order whatever
@@ -501,10 +502,11 @@ def _potential_half_phase(kind, data, dt):
 # overhead there), 18 against 21 us at 256, and 185 against 30 us at 512
 DENSE_STEP_MAX = 128
 
-# the dense step's unitary starts on a cache line: OpenBLAS's zgemv on a
-# 128 x 128 unitary 16 bytes off that alignment takes about 5.1 us a step
-# against 4.5 us aligned (23 us against 18 us at 256 values), with the
-# same bits at every offset; the vector's offset makes no difference
+# the dense step's unitary and its powers start on a cache line:
+# OpenBLAS's zgemv on a 128 x 128 unitary 16 bytes off that alignment takes
+# about 5.1 us a product against 4.5 us aligned (23 us against 18 us at 256
+# values), with the same bits at every offset; the vector's offset makes
+# no difference
 _ALIGN = 64
 
 
@@ -546,8 +548,10 @@ class SplitStep:
     vector.  "spectral", a larger layout whose none, scalar or diagonal
     half-kick phase h0 is bit for bit the same at every grid point of each
     sector: H is diagonal in the twisted Fourier basis, and the step is one
-    Fourier ``multiplier``, (kinetic * h0) * h0, which ``evolve`` raises to
-    the step count.  "fft", any other: ``apply``.
+    Fourier ``multiplier``, (kinetic * h0) * h0.  On either path ``evolve``
+    raises the step to a run's step count with ``raise_to``, by
+    square-and-multiply over the step's binary powers (``power``), which
+    the set-up keeps.  "fft", any other: ``apply``.
     """
 
     def __init__(self, state, potential, dt):
@@ -560,6 +564,7 @@ class SplitStep:
         self.kinetic = _kinetic_phase(state, dt)
         self._axes = tuple(range(-1, -1 - state.space.dims, -1))
         self.multiplier = None
+        self._powers = []
         if math.prod(self.shape) <= DENSE_STEP_MAX:
             self.path = "dense"
             return
@@ -580,6 +585,48 @@ class SplitStep:
         matrix = _aligned_empty((size, size))
         matrix[...] = self.apply(basis).reshape(size, size)
         return matrix
+
+    def power(self, bit):
+        """The step raised to 2**bit: a power of ``matrix`` on the dense
+        path, of ``multiplier`` on the spectral one.  Each power past the
+        first is the square of the one before (``np.matmul`` or
+        ``np.multiply``) on an ``_ALIGN``-byte boundary, kept up to the
+        highest bit a call has asked for.  The list grows on a local copy
+        and is then published whole, so a set-up shared by threads never
+        holds a power at the wrong place."""
+        powers = self._powers
+        if len(powers) <= bit:
+            square = np.matmul if self.path == "dense" else np.multiply
+            powers = powers[:] or [self.matrix if self.path == "dense"
+                                   else self.multiplier]
+            while len(powers) <= bit:
+                last = powers[-1]
+                powers.append(square(last, last,
+                                     out=_aligned_empty(last.shape)))
+            if len(powers) > len(self._powers):
+                self._powers = powers
+        return powers[bit]
+
+    def raise_to(self, origin, total):
+        """``origin`` stepped ``total`` (at least 1) times by
+        square-and-multiply, low bit first: at each set bit b, the product
+        with ``power(b)``, ``stepped @ power`` (one vector-matrix product
+        by ``ndarray.dot``) on the dense path and ``power * stepped`` on
+        the spectral one, each in that operand order.  The products
+        alternate between two buffers of ``origin``'s shape, so neither
+        ``origin`` nor a power is written, and the result is a new
+        array."""
+        buffers = (np.empty_like(origin), np.empty_like(origin))
+        stepped = origin
+        for bit in range(total.bit_length()):
+            if total >> bit & 1:
+                out = buffers[stepped is buffers[0]]  # the one not read
+                if self.path == "dense":
+                    stepped.dot(self.power(bit), out=out)
+                else:
+                    np.multiply(self.power(bit), stepped, out=out)
+                stepped = out
+        return stepped
 
     def fft(self, values):
         """The forward transform of ``values``, in place; returns it."""
@@ -636,17 +683,17 @@ def evolve(state, potential, dt, n_steps):
 
     The set-up's ``path``, fixed by the layout and the field, picks the
     loop, so every step of a run, chunked or not, is the same operation.
-    The dense path multiplies a copy of the flattened values by the
-    unitary with ``ndarray.dot(..., out=)``, into a spare buffer and back
-    (``flat @ matrix``'s bits, without ``np.dot``'s dispatch or a new
-    array).  The spectral path takes a spectrum and a step count from the
-    state's memo (``_spectrum``, ``_spectrum_steps``) when the call reuses
-    the state's own set-up, and otherwise the forward transform of a copy
-    of the values and 0.  It multiplies that spectrum, out of place, by
-    multiplier**total, total = count + n_steps, by square-and-multiply
-    (about 2 log2(total) multiplies), and returns the inverse transform;
-    the result carries the same spectrum and total, so a run in chunks has
-    the bits of one call.  The fft path steps by ``apply``.
+    The dense and spectral paths take an origin and a step count from the
+    state's memo (``_origin``, ``_origin_steps``) when the call reuses the
+    state's own set-up, and otherwise a copy of the values (flattened on
+    the dense path, forward transformed on the spectral one) and 0.  With
+    total = count + n_steps, ``SplitStep.raise_to`` takes the origin
+    through step**total by square-and-multiply, one product per set bit of
+    total (a vector-matrix product with a cached power of the unitary, or
+    an elementwise one with a cached power of the Fourier multiplier); the
+    spectral path ends with one inverse transform.  The result carries the
+    same origin and total, so a run in chunks has the bits of one call.
+    The fft path steps by ``apply``.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -658,38 +705,26 @@ def evolve(state, potential, dt, n_steps):
             or step.shape != state.values.shape):
         step = SplitStep(state, potential, dt)
     values = state.values
-    spectrum, total = None, 0
-    if step.path == "dense":
-        matrix = step.matrix
-        flat = values.reshape(-1).copy()
-        spare = np.empty_like(flat)
-        for _ in range(n_steps):
-            flat.dot(matrix, out=spare)
-            flat, spare = spare, flat
-        values = flat.reshape(values.shape)
-    elif step.path == "spectral":
-        if step is state._split_step and state._spectrum is not None:
-            spectrum, total = state._spectrum, state._spectrum_steps
-        else:
-            spectrum = step.fft(values.copy())
-        total += int(n_steps)
-        # low bit first: power is multiplier**(2**bit) at each bit; every
-        # product is a new array, so neither the memo nor the set-up is
-        # written
-        power, stepped = step.multiplier, spectrum
-        for bit in range(total.bit_length()):
-            if bit:
-                power = power * power
-            if total >> bit & 1:
-                stepped = power * stepped
-        values = step.ifft(stepped)
-    else:
+    origin, total = None, 0
+    if step.path == "fft":
         for _ in range(n_steps):
             values = step.apply(values)
+    else:
+        if step is state._split_step and state._origin is not None:
+            origin, total = state._origin, state._origin_steps
+        elif step.path == "dense":
+            # a copy, so no later write to the caller's array reaches the memo
+            origin = values.reshape(-1).copy()
+        else:
+            origin = step.fft(values.copy())
+        total += int(n_steps)
+        stepped = step.raise_to(origin, total)
+        values = (stepped.reshape(values.shape) if step.path == "dense"
+                  else step.ifft(stepped))
     out = replace(state, values=values)
     object.__setattr__(out, "_split_step", step)
-    object.__setattr__(out, "_spectrum", spectrum)
-    object.__setattr__(out, "_spectrum_steps", total)
+    object.__setattr__(out, "_origin", origin)
+    object.__setattr__(out, "_origin_steps", total)
     return out
 
 
@@ -779,8 +814,16 @@ def _hamiltonian_blocks(layout, potential):
     return h.reshape(1, k * n, k * n)
 
 
-# a dense complex (n, n) block takes 256 MiB at this n, 1 GiB at twice it
-SPECTRUM_MAX_POINTS = 2 ** 12
+# the rows of the largest Hermitian block ``spectrum`` builds: a dense
+# complex block takes 256 MiB at this size, 1 GiB at twice it
+SPECTRUM_MAX_BLOCK = 2 ** 12
+
+
+def _require_block_fits(rows):
+    if rows > SPECTRUM_MAX_BLOCK:
+        raise ConfigError(f"the spectrum's dense Hermitian blocks hold at "
+                          f"most {SPECTRUM_MAX_BLOCK} rows, not {rows}",
+                          field_path="$.space.n_points")
 
 
 def spectrum(factor, potential=None, n_levels=8,
@@ -796,16 +839,15 @@ def spectrum(factor, potential=None, n_levels=8,
     into (``_hamiltonian_blocks``: one per sector when the field keeps each
     sector, else one) gives its lowest n_levels eigenvalues, and the lowest
     n_levels of their union are returned.  Levels are ascending.  With V = 0
-    they are ((n + beta / 2 pi) / radius)^2 / 2.  n_points above
-    SPECTRUM_MAX_POINTS is refused.
+    they are ((n + beta / 2 pi) / radius)^2 / 2.  A layout whose largest
+    block has more than SPECTRUM_MAX_BLOCK rows (n_points, or k n_points
+    for a field that couples the k sectors) is refused before any block is
+    built.
     """
     # local import: runs that solve no eigenproblem skip scipy's ~0.25 s load
     import scipy.linalg
 
-    if n_points > SPECTRUM_MAX_POINTS:
-        raise ConfigError(f"the spectrum's dense (n, n) blocks hold at most "
-                          f"{SPECTRUM_MAX_POINTS} points, not {n_points}",
-                          field_path="$.space.n_points")
+    _require_block_fits(n_points)  # every block has at least n rows
     if not 1 <= n_levels <= n_points // 4:
         raise ConfigError("n_levels must be at least 1 and not exceed "
                           "n_points / 4", field_path="$.numerics.n_levels")
@@ -816,6 +858,8 @@ def spectrum(factor, potential=None, n_levels=8,
     layout = WaveGrid(space=RingGrid(radius=radius),
                       values=np.zeros((len(betas), n_points)), twist=factor,
                       sector_betas=betas, sector_basis=basis)
+    if _sector_potential(layout, potential)[0] == "matrix":
+        _require_block_fits(layout.n_components * n_points)
     levels = []
     for h in _hamiltonian_blocks(layout, potential):
         herm = max_abs(h - h.conj().T)

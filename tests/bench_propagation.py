@@ -8,12 +8,17 @@ The module name keeps it out of the test suite's collection.  Run it as
 and compare two checkouts with ``--benchmark-save`` / ``--benchmark-compare``
 (pytest-benchmark keeps its runs under ``.benchmarks/``).  Every timing is
 an ``evolve`` call on a state that carries its set-up, so it holds no
-set-up cost.  Each case asserts the ``SplitStep.path`` it times.
+set-up cost, except where a case says otherwise.  Each case asserts the
+``SplitStep.path`` it times.
 
-* dense: rings of at most ``DENSE_STEP_MAX`` values step by one product
-  with the stored unitary: one step at n = 64 and 128, and the 3,300-step
-  run of a ``grw-ring`` task at n = 128, whose time over 3,300 is the
-  product itself without the per-call cost.
+* dense: rings of at most ``DENSE_STEP_MAX`` values step by products with
+  the cached binary powers of the stored unitary, one per set bit of the
+  step count: one step at n = 64 and 128; the 3,300-step run of a
+  ``grw-ring`` task at n = 128 on a warm set-up, whose powers are already
+  squared, so it times about ten vector-matrix products; the same run on
+  a fresh set-up, which builds the unitary and squares it eleven times,
+  as a ``grw-ring`` task does; and 20 chunks of 100 steps on a warm
+  set-up, each chunk carrying the run's origin and step count forward.
 * fft: larger layouts whose field varies along the ring step by the FFT
   pair: a scalar ring at n = 256, and two sectors of 4,096 points under a
   spin field that varies along the ring.
@@ -86,7 +91,32 @@ def test_dense_step(benchmark, n):
 def test_dense_grw_task_run(benchmark):
     # one grw-ring task's steps at n = 128, in one call
     state = _with_set_up(*_ring_case(128))
+    evolve(state, state._split_step.potential, DT, 3300)  # square once
     benchmark(evolve, state, state._split_step.potential, DT, 3300)
+
+
+def test_dense_grw_task_run_on_a_fresh_set_up(benchmark):
+    # the same call on a state that carries no set-up: the unitary's build
+    # and its squarings included, as in every grw-ring task
+    state, potential = _ring_case(128)
+    out = benchmark(evolve, state, potential, DT, 3300)
+    assert out._split_step.path == "dense"
+
+
+def test_dense_chunked_run(benchmark):
+    # 20 calls of 100 steps at n = 128 from a state that carries the
+    # set-up but no memo, as after a collapse
+    warm = _with_set_up(*_ring_case(128))
+    start, potential = warm.with_values(warm.values), warm._split_step.potential
+
+    def chunked():
+        state = start
+        for _ in range(20):
+            state = evolve(state, potential, DT, 100)
+        return state
+
+    assert chunked()._origin_steps == 2000
+    benchmark(chunked)
 
 
 @pytest.mark.parametrize("case", [(_ring_case, 256),

@@ -22,7 +22,7 @@ from topobohm import scenario as scenario_module
 from topobohm.covering import FreeWord, Permutation, SemidirectElement
 from topobohm.cli import json_text, main, write_json
 from topobohm.errors import ConfigError, ToleranceError
-from topobohm.factors import TwistedRepTable
+from topobohm.factors import Character, TwistedRepTable
 from topobohm.propagation import (
     Potential,
     WaveGrid,
@@ -1139,15 +1139,28 @@ def test_removed_scenario_keys_exit_two(tmp_path, capsys, subcommand, path,
     ("evolve", "ring", 2 ** 24 + 1), ("evolve", "ring", 2 ** 40),
     ("evolve", "ring", 2 ** 80), ("evolve", "two_particle_ring", 2 ** 12 + 1),
     ("evolve", "two_particle_ring", 2 ** 13), ("spectrum", "ring", 2 ** 13),
+    ("spectrum", "spinor", 2 ** 12),
 ], ids=["ring-2^24+1", "ring-2^40", "ring-2^80", "pair-2^12+1", "pair-2^13",
-        "spectrum-2^13"])
+        "spectrum-2^13", "spectrum-coupled-spinor-2^12"])
 def test_grids_no_command_can_hold_exit_two(tmp_path, capsys, subcommand,
                                             kind, n_points):
-    cfg_dict = dict(BASE, space={"kind": kind, "n_points": n_points})
+    cfg_dict = dict(BASE, space={"kind": "ring", "n_points": n_points})
     if kind == "two_particle_ring":
-        cfg_dict.update(factor={"type": "exchange", "sign": -1},
+        cfg_dict.update(space={"kind": kind, "n_points": n_points},
+                        factor={"type": "exchange", "sign": -1},
                         potential={"type": "zero"},
                         initial_state={"type": "pair_eigenstate", "n2": 1})
+    if kind == "spinor":
+        # sigma_x under the degenerate factor e^{0.7i} I couples the two
+        # sectors: one (2n, 2n) block, 1 GiB at this n
+        phase = [math.cos(0.7), math.sin(0.7)]
+        cfg_dict.update(factor={"type": "matrix",
+                                "generator": [[phase, [0, 0]],
+                                              [[0, 0], phase]]},
+                        potential={"type": "matrix_const",
+                                   "matrix": [[[0, 0], [1, 0]],
+                                              [[1, 0], [0, 0]]]},
+                        initial_state=SPINOR)
     cfg = write_config(tmp_path, cfg_dict)
     out = tmp_path / "o"
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
@@ -1182,8 +1195,24 @@ def test_flux_state_json_resumes(tmp_path):
         out = tmp_path / f"t{t_final}"
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
         finals[t_final] = state_from_dict(read_json(out / "state.json"))
-    resumed = evolve(finals[0.05], Scenario(cfg_dict).potential, 1e-3, 50)
-    assert np.array_equal(resumed.values, finals[0.1].values)
+    # a state read from state.json carries no memo, so the resumed run is
+    # the unitary's 50th power on the saved values where the whole run took
+    # its 100th power on the first: they agree to rounding, not bit for bit
+    potential = Scenario(cfg_dict).potential
+    saved, expected = finals[0.05], finals[0.1].values
+    bound = 1e-12 * np.max(np.abs(expected))
+    resumed = evolve(saved, potential, 1e-3, 50)
+    assert np.max(np.abs(resumed.values - expected)) <= bound
+    # the control: the same data resumed under the twist reduced to its
+    # principal branch, which a state.json that lost the unreduced angle
+    # would give, misses the bound by orders of magnitude
+    assert saved.beta == -5.0
+    principal = -5.0 + 2 * math.pi
+    reduced = WaveGrid(space=saved.space, values=saved.values,
+                       twist=Character.ring(principal),
+                       sector_betas=[principal])
+    wrong = evolve(reduced, potential, 1e-3, 50)
+    assert np.max(np.abs(wrong.values - expected)) > 1e6 * bound
 
 
 def test_equivariance_run(tmp_path):

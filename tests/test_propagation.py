@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,7 @@ from oracles import (
     unitary_fractional_power,
 )
 from topobohm import propagation
+from topobohm.collapse import apply_collapse
 from topobohm.covering import TWO_PI
 from topobohm.errors import (
     ConfigError,
@@ -728,9 +731,17 @@ class TestInPlaceStep:
         # no field and the constant spinor field take the spectral path
         assert step.path == ("dense" if dense else "spectral"
                              if kind in ("none", "diagonal") else "fft")
+        # both power paths take square-and-multiply of 5 = 0b101: the step,
+        # then its fourth power, each product a new array
+        if step.path == "dense":
+            matrix = step.matrix
+            squared = matrix @ matrix
+            flat = (before.reshape(-1) @ matrix) @ (squared @ squared)
+            assert np.array_equal(bits(out.values),
+                                  bits(flat.reshape(before.shape)))
+            return
         if step.path == "spectral":
-            # one forward transform, square-and-multiply of 5 = 0b101 (the
-            # multiplier, then its fourth power), one inverse
+            # one forward transform before the products, one inverse after
             fft, ifft = (np.fft.fft2, np.fft.ifft2) if torus else (
                 np.fft.fft, np.fft.ifft)
             multiplier = step.kinetic
@@ -743,11 +754,7 @@ class TestInPlaceStep:
             return
         values = before
         for _ in range(5):
-            if dense:  # the dense step as written before its reused buffers
-                values = (values.reshape(-1) @ step.matrix).reshape(
-                    values.shape)
-            else:
-                values = _out_of_place_step(step, values, torus)
+            values = _out_of_place_step(step, values, torus)
         assert np.array_equal(bits(out.values), bits(values))
 
     def test_per_axis_in_place_transforms_are_fft2_and_ifft2(self):
@@ -778,10 +785,10 @@ class TestSpectralStep:
         whole = evolve(state, potential, 1e-3, 100)
         assert whole._split_step.path == "spectral"
         first = evolve(state, potential, 1e-3, 37)
-        memo = first._spectrum.copy()
+        memo = first._origin.copy()
         for _ in range(2):  # evolving a state leaves its memo as it was
             chunked = evolve(first, potential, 1e-3, 63)
-            assert np.array_equal(bits(first._spectrum), bits(memo))
+            assert np.array_equal(bits(first._origin), bits(memo))
             assert np.array_equal(bits(chunked.values), bits(whole.values))
 
     @pytest.mark.parametrize("kind,layout", _SPECTRAL_CASES)
@@ -792,7 +799,7 @@ class TestSpectralStep:
         chunked = state
         for _ in range(20):
             chunked = evolve(chunked, potential, 1e-3, 100)
-        assert chunked._spectrum_steps == 2000
+        assert chunked._origin_steps == 2000
         assert np.array_equal(bits(chunked.values), bits(whole.values))
         step = whole._split_step
         spectrum = step.fft(state.values.copy())
@@ -806,7 +813,7 @@ class TestSpectralStep:
         state = make_gaussian_state(Character.ring(0.7), 3.0, 0.5, 1.0,
                                     n_points=256)
         first = evolve(state, Potential.scalar(np.full(256, 0.3)), 1e-3, 37)
-        assert first._spectrum_steps == 37
+        assert first._origin_steps == 37
         fresh = WaveGrid(space=first.space, values=first.values.copy(),
                          twist=first.twist, sector_betas=first.sector_betas,
                          sector_basis=first.sector_basis)
@@ -814,7 +821,7 @@ class TestSpectralStep:
                               (first._split_step.potential, 2e-3)):
             got = evolve(first, potential, dt, 63)
             assert got._split_step.path == "spectral"
-            assert got._spectrum_steps == 63
+            assert got._origin_steps == 63
             expected = evolve(fresh, potential, dt, 63).values
             assert np.array_equal(bits(got.values), bits(expected))
 
@@ -822,11 +829,11 @@ class TestSpectralStep:
     def test_new_values_carry_no_memo(self, kind, layout):
         state, potential = _in_place_case(kind, layout, False)
         out = evolve(state, potential, 1e-3, 37)
-        assert out._spectrum is not None
+        assert out._origin is not None
         for derived in (out.with_values(out.values.copy()), replace(out),
                         out.normalized()):
-            assert derived._spectrum is None
-            assert derived._spectrum_steps == 0
+            assert derived._origin is None
+            assert derived._origin_steps == 0
             fresh = WaveGrid(space=out.space, values=derived.values.copy(),
                              twist=out.twist, sector_betas=out.sector_betas,
                              sector_basis=out.sector_basis)
@@ -870,6 +877,103 @@ class TestSpectralStep:
         assert max_abs(out.values - expected) <= 1e-12 * max_abs(expected)
 
 
+_POWER_LAYOUTS = {"ring-128": ("scalar-ring", _dense_case),
+                  "spinor-2x64": ("spinor-matrix", _memo_case),
+                  "pair-8x8": ("antisymmetric-pair", _dense_case)}
+
+
+def _power_case(name):
+    """A ring of 128 points, a spinor of 2 x 64 and a pair on 8^2: the
+    dense layouts, each at ``DENSE_STEP_MAX`` values or below."""
+    case, build = _POWER_LAYOUTS[name]
+    return build(case)
+
+
+class TestDensePowers:
+    """A dense run multiplies its origin by the cached binary powers of the
+    step unitary, and the evolved state carries that origin and the steps
+    taken since, as on the spectral path."""
+
+    @pytest.mark.parametrize("name", list(_POWER_LAYOUTS))
+    def test_a_long_call_is_its_chunks_and_its_sequential_steps(self, name):
+        state, potential = _power_case(name)
+        whole = evolve(state, potential, 1e-3, 2000)
+        assert whole._split_step.path == "dense"
+        chunked = state
+        for _ in range(20):
+            chunked = evolve(chunked, potential, 1e-3, 100)
+        assert chunked._origin_steps == 2000
+        assert np.array_equal(bits(chunked.values), bits(whole.values))
+        flat = state.values.reshape(-1)
+        for _ in range(2000):
+            flat = flat @ whole._split_step.matrix
+        sequential = flat.reshape(state.values.shape)
+        assert (max_abs(whole.values - sequential)
+                <= 1e-12 * max_abs(sequential))
+        # a grw-ring task's 3,325 steps, its longest dense run
+        longest = evolve(whole, potential, 1e-3, 1325)
+        assert abs(longest.norm() - state.norm()) <= 1e-12
+
+    def test_powers_grow_to_the_highest_bit_asked_and_no_further(self):
+        state, potential = _power_case("ring-128")
+        out = evolve(state, potential, 1e-3, 5)
+        step = out._split_step
+        assert len(step._powers) == 3             # 5 = 0b101
+        evolve(out, potential, 1e-3, 1)           # 6 = 0b110
+        assert len(step._powers) == 3
+        evolve(out, potential, 1e-3, 3320)        # 3,325 < 2^12
+        assert len(step._powers) == 12
+        for bit in range(1, 12):
+            power = step.power(bit)
+            assert power.ctypes.data % 64 == 0
+            previous = step.power(bit - 1)
+            assert np.array_equal(bits(power), bits(previous @ previous))
+
+    def test_threads_sharing_a_set_up_get_the_lone_bits(self):
+        state, potential = _power_case("spinor-2x64")
+        totals = [3325, 2000, 777, 4095, 1, 2048]
+        alone = [evolve(state, potential, 1e-3, n).values for n in totals]
+        shared = evolve(state, potential, 1e-3, 1).with_values(state.values)
+        got = [None] * len(totals)
+
+        def run(i):
+            got[i] = evolve(shared, potential, 1e-3, totals[i]).values
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(10):  # each round grows the powers afresh
+                shared._split_step._powers = []
+                threads = [threading.Thread(target=run, args=(i,))
+                           for i in range(len(totals))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                for expected, values in zip(alone, got):
+                    assert np.array_equal(bits(values), bits(expected))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("name", list(_POWER_LAYOUTS))
+    def test_new_values_carry_no_memo(self, name):
+        state, potential = _power_case(name)
+        out = evolve(state, potential, 1e-3, 37)
+        assert out._origin is not None and out._origin_steps == 37
+        derived = [out.with_values(out.values.copy()), replace(out),
+                   out.normalized()]
+        if name != "pair-8x8":  # a GRW collapse on the ring, by with_values
+            derived.append(apply_collapse(out, 2.0, 1.0, 0.3)[0])
+        for each in derived:
+            assert each._origin is None and each._origin_steps == 0
+            fresh = WaveGrid(space=out.space, values=each.values.copy(),
+                             twist=out.twist, sector_betas=out.sector_betas,
+                             sector_basis=out.sector_basis)
+            got = evolve(each, potential, 1e-3, 63).values
+            expected = evolve(fresh, potential, 1e-3, 63).values
+            assert np.array_equal(bits(got), bits(expected))
+
+
 @pytest.mark.parametrize("kind,layout", [
     (kind, layout) for kind, layout, dense in _IN_PLACE_CASES if dense]
     + [("scalar", "ring-64")])
@@ -881,18 +985,26 @@ def test_dense_step_does_not_depend_on_alignment(kind, layout):
     else:
         state, potential = _in_place_case(kind, layout, True)
     out = evolve(state, potential, 1e-3, 5)
-    matrix = out._split_step.matrix
-    assert matrix.ctypes.data % 64 == 0
-    assert not np.shares_memory(out.values, matrix)
-    # the same five products by np.dot, on a copy of the unitary that BLAS
-    # reads 16 bytes (one value) off its alignment
-    shifted = propagation._aligned_empty((matrix.size + 1,))[1:].reshape(
-        matrix.shape)
-    shifted[...] = matrix
-    assert shifted.ctypes.data % 64 == 16
-    flat = state.values.reshape(-1)
-    for _ in range(5):
-        flat = np.dot(flat, shifted)
+    step = out._split_step
+    matrix = step.matrix
+    assert len(step._powers) == 3
+    for bit in range(3):
+        assert step.power(bit).ctypes.data % 64 == 0
+        assert not np.shares_memory(out.values, step.power(bit))
+    assert step.power(0) is matrix
+
+    def shifted(a):
+        # a copy that BLAS reads 16 bytes (one value) off its alignment
+        copy = propagation._aligned_empty((a.size + 1,))[1:].reshape(a.shape)
+        copy[...] = a
+        assert copy.ctypes.data % 64 == 16
+        return copy
+
+    # square-and-multiply of 5 = 0b101 by np.dot, every operand shifted
+    m = shifted(matrix)
+    squared = shifted(np.dot(m, m))
+    fourth = shifted(np.dot(squared, squared))
+    flat = np.dot(np.dot(state.values.reshape(-1), m), fourth)
     assert np.array_equal(bits(out.values),
                           bits(flat.reshape(state.values.shape)))
 
@@ -997,12 +1109,41 @@ class TestSpectrum:
             raise RuntimeError(f"{layout.n_points} points reached the blocks")
 
         monkeypatch.setattr(propagation, "_hamiltonian_blocks", no_blocks)
-        limit = propagation.SPECTRUM_MAX_POINTS
+        limit = propagation.SPECTRUM_MAX_BLOCK
         with pytest.raises(RuntimeError, match=f"^{limit} points"):
             spectrum(Character.ring(0.0), n_points=limit)
         with pytest.raises(ConfigError) as exc:
             spectrum(Character.ring(0.0), n_points=2 * limit)
         assert exc.value.field_path == "$.space.n_points"
+
+    def test_a_field_coupling_the_sectors_is_bounded_by_k_n(self,
+                                                           monkeypatch):
+        # under the degenerate factor e^{0.7i} I a constant sigma_x couples
+        # the two sectors into one (2n, 2n) block, while sigma_z keeps two
+        # (n, n) blocks: at n = 2^12 the first is refused before any block
+        # (1 GiB for the coupled one) is built, the second reaches them
+        def no_blocks(layout, potential):
+            raise RuntimeError(f"{layout.n_points} points reached the blocks")
+
+        monkeypatch.setattr(propagation, "_hamiltonian_blocks", no_blocks)
+        factor = MatrixRep.ring(np.exp(0.7j) * np.eye(2))
+        limit = propagation.SPECTRUM_MAX_BLOCK
+        for n, axis, reaches in ((limit // 2, "x", True), (limit, "z", True),
+                                 (limit, "x", False)):
+            field = Potential.matrix_constant(PAULI[axis], n)
+            if reaches:
+                with pytest.raises(RuntimeError, match=f"^{n} points"):
+                    spectrum(factor, field, n_points=n)
+                continue
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConfigError, match=f"not {2 * n}$") as exc:
+                    spectrum(factor, field, n_points=n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert exc.value.field_path == "$.space.n_points"
+            assert peak < 2 ** 24  # the coupled block alone is 2^30 bytes
 
     @pytest.mark.parametrize("case", ["scalar", "spinor-zero", "spinor-scalar",
                                       "spinor-covariant"])
