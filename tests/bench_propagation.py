@@ -17,8 +17,11 @@ set-up cost, except where a case says otherwise.  Each case asserts the
   ``grw-ring`` task at n = 128 on a warm set-up, whose powers are already
   squared, so it times about ten vector-matrix products; the same run on
   a fresh set-up, which builds the unitary and squares it eleven times,
-  as a ``grw-ring`` task does; and 20 chunks of 100 steps on a warm
-  set-up, each chunk carrying the run's origin and step count forward.
+  as a ``grw-ring`` task does; 20 chunks of 100 steps on a warm set-up,
+  each chunk carrying the run's origin and step count forward; and a
+  chain of 400 one-step calls, as transport's half-steps and
+  ``ab-compare`` make them, each of which rebuilds its result from the
+  chain's origin, one product per set bit of the chain's step count.
 * fft: larger layouts whose field varies along the ring step by the FFT
   pair: a scalar ring at n = 256, and two sectors of 4,096 points under a
   spin field that varies along the ring.
@@ -117,6 +120,22 @@ def test_dense_chunked_run(benchmark):
 
     assert chunked()._origin_steps == 2000
     benchmark(chunked)
+
+
+def test_dense_one_step_chain(benchmark):
+    # 400 one-step calls at n = 128, each from the one before, from a state
+    # that carries the set-up but no memo
+    warm = _with_set_up(*_ring_case(128))
+    start, potential = warm.with_values(warm.values), warm._split_step.potential
+
+    def chain():
+        state = start
+        for _ in range(400):
+            state = evolve(state, potential, DT, 1)
+        return state
+
+    assert chain()._origin_steps == 400
+    benchmark(chain)
 
 
 @pytest.mark.parametrize("case", [(_ring_case, 256),

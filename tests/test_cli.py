@@ -15,6 +15,8 @@ from dataclasses import replace
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ROOT
 from topobohm import cli, ensembles
@@ -963,6 +965,10 @@ def _json_payloads(tmp_path):
         "equivariance": read_json(out / "equivariance.json"),
         "empty": [{}, [], [[]], [[], []], {"a": {}, "b": []}, ""],
         "non-finite": [[nan, inf], [-inf, -0.0], [0.0, 5e-324]],
+        # a value in each of _repr_texts's bands, and a row that sends its
+        # band values through json.dumps instead
+        "repr-bands": [[3e-5, -7e-7], [1e-300, 2e17], [-0.0, 5e-324]],
+        "nan-row": [[3e-5, nan, -7e-7, 2e17]],
         "mixed": [[[1.0, 2.0]], [[1.0, 2], [3.0, 4.0]], [[1.0], [2.0, 3.0]],
                   (1.5, -0.0), [[True, 1.0]], [[None, 2.0]], [1.0, [2.0]],
                   {"b": 1, "a": [1e300, -1e-300]}, {2: "x", 1: None},
@@ -974,6 +980,31 @@ def test_json_text_equals_json_dumps(tmp_path):
     for name, payload in _json_payloads(tmp_path).items():
         expected = json.dumps(payload, sort_keys=True, indent=2)
         assert json_text(payload) == expected, name
+
+
+def _repr_corner_cases():
+    """Every decade from 1e-323 to 1e308, the subnormals' ends, the ends
+    of the double range and each edge of ``_repr_texts``'s magnitude bands
+    with its neighbours on both sides, each with both signs."""
+    values = [float(f"1e{k}") for k in range(-323, 309)]
+    values += [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308]
+    for edge in (1e-9, 1e-5, 1e-4, 1e16):
+        values += [edge, float(np.nextafter(edge, 0.0)),
+                   float(np.nextafter(edge, np.inf))]
+    return values + [-x for x in values]
+
+
+def test_repr_texts_is_float_repr_at_every_decade_and_band_edge():
+    flat = _repr_corner_cases()
+    assert cli._repr_texts(flat) == list(map(float.__repr__, flat))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1))
+def test_repr_texts_is_float_repr(flat):
+    assert cli._repr_texts(flat) == list(map(float.__repr__, flat))
 
 
 def test_spinor_state_json_is_json_dumps_text(tmp_path):
