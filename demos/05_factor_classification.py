@@ -11,12 +11,12 @@ import numpy as np
 
 from topobohm import (
     Character,
-    FiniteGroup,
     MatrixRep,
-    character_table,
+    abelianization,
     classify_dynamics,
     decompose_by_character,
     enumerate_characters,
+    symmetric_relators,
 )
 from topobohm.scenario import PAULI, spin_exponential
 
@@ -58,13 +58,11 @@ rep = MatrixRep.ring(spin_exponential(0.8, [1, 0, 0]))
 for character, basis in decompose_by_character(rep):
     print(f"  sector beta = {character.beta:+.3f}, dim {basis.shape[1]}")
 
-print("\ncharacter census for identical particles (exchange group):")
+print("\ncharacters of the exchange group, from its Coxeter presentation:")
 for n in (3, 4, 5, 6):
-    chars = enumerate_characters(FiniteGroup.symmetric(n))
+    relators = symmetric_relators(n)
+    _, (order,) = abelianization(n - 1, relators)
+    chars = enumerate_characters(n - 1, relators)
     kinds = ["trivial" if c.is_trivial else "sign" for c in chars]
-    print(f"  S_{n}: {len(chars)} characters ({', '.join(sorted(kinds))}) "
-          "-> the Bose and Fermi alternatives")
-
-table = character_table(FiniteGroup.symmetric(3))
-print(f"\nJSON character table of {table['group']}: "
-      f"{len(table['characters'])} rows over {table['order']} elements")
+    print(f"  S_{n}: H_1 = Z/{order}, {len(chars)} characters "
+          f"({', '.join(sorted(kinds))}) -> the Bose and Fermi alternatives")

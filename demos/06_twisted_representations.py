@@ -17,7 +17,6 @@ from topobohm import (
     SemidirectElement,
     TwistedRepTable,
     deck_compose,
-    nfermion_factor,
     verify_twisted_law,
 )
 from topobohm.factors import random_unitary
@@ -34,13 +33,13 @@ print("semidirect product:")
 print(f"  (swap,(a1,e)) * (swap,(e,e)) = {deck_compose(s1, s2)}")
 
 u = random_unitary(2, rng)
+table = TwistedRepTable.nfermion(2, 2, [u])
 print("\nfactors at a tagged configuration (dim W = 2):")
-print("  pure swap      ->", np.round(nfermion_factor(2, 2, [u], s2), 3)[0, :3],
+print("  pure swap      ->", np.round(table.factor(s2), 3)[0, :3],
       "... (= -identity: the exchange sign)")
 word_only = SemidirectElement(Permutation.identity(2), (a1, eps))
 print("  (id,(a1,e))    -> first tensor slot carries the generator matrix")
 
-table = TwistedRepTable.nfermion(2, 2, [u])
 ball = list(table.space.ball)
 print(f"\ntwisted composition law residual over the {len(ball)} deck elements "
       f"of the ball: {verify_twisted_law(table):.2e}")

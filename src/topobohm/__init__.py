@@ -21,15 +21,14 @@ from .covering import (
 )
 from .factors import (
     Character,
-    FiniteGroup,
     MatrixRep,
     TwistedRepTable,
-    character_table,
+    abelianization,
     check_commutes,
     classify_dynamics,
     decompose_by_character,
     enumerate_characters,
-    nfermion_factor,
+    symmetric_relators,
     verify_twisted_law,
 )
 from .propagation import (

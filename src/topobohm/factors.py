@@ -15,6 +15,9 @@ of a covering space:
                          ``verify_twisted_law`` checks the law on every
                          element of its cover's ``ball``.
 
+``enumerate_characters`` lists the characters of a finitely presented
+group from the Smith normal form of its relators' exponent sums.
+
 The module also houses the executable classifier (trivial / character /
 matrix-compatible / incompatible), which reports the dimension of the
 algebra the whole potential field generates: once that is the full matrix
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import CoveringSpace, Permutation, SemidirectElement, Winding
+from .covering import (CoveringSpace, FreeWord, Permutation,
+                       SemidirectElement, Winding)
 from .errors import ConfigError, NonUnimodularFactorError
 
 UNIT_MODULUS_TOL = 1e-12
@@ -91,9 +95,7 @@ class Character:
 
     @classmethod
     def exchange(cls, n, sign):
-        if sign not in (+1, -1):
-            raise ConfigError("exchange character sign must be +1 or -1")
-        return cls(group_id=("sym", n), parity_exponent=0 if sign == 1 else 1)
+        return cls(group_id=("sym", n), parity_exponent=_parity_exponent(sign))
 
     @classmethod
     def free(cls, phases):
@@ -108,7 +110,7 @@ class Character:
         for p in phases:
             _require_unimodular(p)
         return cls(group_id=("nfermion", n, len(phases)),
-                   parity_exponent=0 if sign == 1 else 1,
+                   parity_exponent=_parity_exponent(sign),
                    generator_phases=phases)
 
     @property
@@ -154,6 +156,13 @@ class Character:
         return complex(out)
 
 
+def _parity_exponent(sign):
+    """0 for the exchange sign +1, 1 for -1; a transposition squares to 1."""
+    if sign not in (+1, -1):
+        raise ConfigError("exchange character sign must be +1 or -1")
+    return 0 if sign == 1 else 1
+
+
 def _principal_angle(beta):
     return math.remainder(beta, 2.0 * math.pi)
 
@@ -168,181 +177,97 @@ def _require_unimodular(value):
 
 
 # ---------------------------------------------------------------------------
-# finite groups and character enumeration
+# characters of a finitely presented group
 # ---------------------------------------------------------------------------
 
-class FiniteGroup:
-    """Explicitly presented finite group, its order capped at ``ORDER_CAP``.
+# the largest |H_1| whose characters ``enumerate_characters`` lists
+CHARACTER_COUNT_CAP = 10_000
 
-    ``enumerate_characters`` censuses the characters of any group up to the
-    cap from its greedy generators (S_7, 5,040 elements, in about 0.2 s).
+
+def symmetric_relators(n):
+    """The Coxeter relators of S_n on its adjacent transpositions s_0 ..
+    s_{n-2}: s_i^2, (s_i s_{i+1})^3, and (s_i s_j)^2 for |i - j| > 1."""
+    g = n - 1
+    pairs = ([(i, i + 1, 3) for i in range(g - 1)]
+             + [(i, j, 2) for i in range(g) for j in range(i + 2, g)])
+    return ([FreeWord.generator(i, g, 2) for i in range(g)]
+            + [FreeWord(((i, 1), (j, 1)) * m, g) for i, j, m in pairs])
+
+
+def _smith_form(n_generators, relators):
+    """The nonzero diagonal of the Smith normal form U A V of the relators'
+    exponent-sum matrix A (a row per relator) and the column transform V,
+    in Python ints.  Each pivot is the smallest nonzero entry left and
+    clears its row and column by division with remainder; a row with an
+    entry it does not divide is first added to the pivot's row."""
+    if any(word.n_generators != n_generators for word in relators):
+        raise ConfigError(f"relators must be words on {n_generators} generators")
+    a = [[sum(e for gen, e in word.syllables if gen == j)
+          for j in range(n_generators)] for word in relators]
+    v = [[int(i == j) for j in range(n_generators)] for i in range(n_generators)]
+    diag = []
+    while True:
+        t = len(diag)
+        entries = [(abs(x), i, j) for i, row in enumerate(a[t:], t)
+                   for j, x in enumerate(row[t:], t) if x]
+        if not entries:
+            return diag, v
+        _, i, j = min(entries)
+        a[t], a[i] = a[i], a[t]
+        for row in a + v:
+            row[t], row[j] = row[j], row[t]
+        pivot = a[t][t]
+        for row in a[t + 1:]:
+            q = row[t] // pivot
+            row[:] = [x - q * y for x, y in zip(row, a[t])]
+        for j in range(t + 1, n_generators):
+            q = a[t][j] // pivot
+            for row in a + v:
+                row[j] -= q * row[t]
+        if any(row[t] for row in a[t + 1:]) or any(a[t][t + 1:]):
+            continue
+        bad = [row for row in a[t + 1:] if any(x % pivot for x in row)]
+        if bad:
+            a[t] = [x + y for x, y in zip(a[t], bad[0])]
+            continue
+        diag.append(abs(pivot))
+
+
+def abelianization(n_generators, relators):
+    """H_1 of <x_0 .. x_{g-1} | relators>, the ``FreeWord``s on the g
+    generators, as (rank, torsion): Z^rank plus Z/d for each d in torsion,
+    each d > 1 dividing the next."""
+    diag, _ = _smith_form(n_generators, relators)
+    return n_generators - len(diag), tuple(d for d in diag if d > 1)
+
+
+def enumerate_characters(n_generators, relators):
+    """Every character of <x_0 .. x_{g-1} | relators> with finite H_1, as
+    the ``Character.free`` of its generator phases, the trivial one first.
+
+    A character of the free group that sends each relator to 1 is one of
+    the quotient.  With U A V = diag(d_i) and L = lcm(d_i), each k in the
+    product of the Z/d_i gives generator j the phase exp(2 pi i m_j / L),
+    m_j = sum_i V[j, i] k_i L / d_i mod L, reduced in integers so that the
+    relators' residual does not grow with V's entries.  A free rank above 0
+    is refused, and so is |H_1| above ``CHARACTER_COUNT_CAP``.
     """
+    diag, v = _smith_form(n_generators, relators)
+    if len(diag) < n_generators:
+        raise ConfigError(f"H_1 has free rank {n_generators - len(diag)}: its "
+                          "characters form continuous character families "
+                          "(use Character.ring / Character.free)")
+    if math.prod(diag) > CHARACTER_COUNT_CAP:
+        raise ConfigError(f"|H_1| = {math.prod(diag)} exceeds the character "
+                          f"count cap {CHARACTER_COUNT_CAP}")
+    lcm = math.lcm(*diag)
 
-    ORDER_CAP = 10_000
+    def phase(row, k):
+        m = sum(x * ki * (lcm // d) for x, ki, d in zip(row, k, diag)) % lcm
+        return np.exp(2j * math.pi * m / lcm)
 
-    def __init__(self, elements, compose, name="group"):
-        self.elements = list(elements)
-        if len(self.elements) > self.ORDER_CAP:
-            raise ConfigError(
-                f"group order {len(self.elements)} exceeds cap {self.ORDER_CAP}")
-        self.compose = compose
-        self.name = name
-        self.identity = self._find_identity()
-
-    @classmethod
-    def symmetric(cls, n):
-        if math.factorial(n) > cls.ORDER_CAP:
-            raise ConfigError(f"S_{n} exceeds the order cap")
-        elements = [tuple(p) for p in itertools.permutations(range(n))]
-
-        def compose(p, q):
-            return tuple(p[q[i]] for i in range(n))
-
-        return cls(elements, compose, name=f"S{n}")
-
-    @classmethod
-    def cyclic(cls, n):
-        return cls(list(range(n)), lambda a, b: (a + b) % n, name=f"Z{n}")
-
-    def __len__(self):
-        return len(self.elements)
-
-    def _find_identity(self):
-        probe = self.elements[0]
-        for e in self.elements:
-            if self.compose(e, probe) == probe and self.compose(probe, e) == probe:
-                return e
-        raise ConfigError("group has no identity element")
-
-    def subgroup_closure(self, seed_elements):
-        members = {self.identity}
-        frontier = [self.identity]
-        seeds = list(seed_elements)
-        for s in seeds:
-            if s not in members:
-                members.add(s)
-                frontier.append(s)
-        while frontier:
-            g = frontier.pop()
-            for s in seeds:
-                for h in (self.compose(g, s), self.compose(s, g)):
-                    if h not in members:
-                        members.add(h)
-                        frontier.append(h)
-        return members
-
-    def generating_set(self):
-        """Greedy small generating set."""
-        gens = []
-        generated = {self.identity}
-        for g in self.elements:
-            if g not in generated:
-                gens.append(g)
-                generated = self.subgroup_closure(gens)
-                if len(generated) == len(self.elements):
-                    break
-        return gens
-
-
-class FiniteGroupCharacter:
-    """Homomorphism from a finite group into the unit circle, as a table."""
-
-    def __init__(self, group, table):
-        self.group = group
-        self.table = dict(table)
-
-    def value(self, g):
-        return self.table[g]
-
-    @property
-    def is_trivial(self):
-        return all(abs(v - 1) < 1e-12 for v in self.table.values())
-
-    def homomorphism_residual(self):
-        worst = 0.0
-        for a in self.group.elements:
-            for b in self.group.elements:
-                worst = worse(worst, abs(self.table[self.group.compose(a, b)]
-                                         - self.table[a] * self.table[b]))
-        return worst
-
-    def __repr__(self):
-        kind = "trivial" if self.is_trivial else "nontrivial"
-        return f"FiniteGroupCharacter({self.group.name}, {kind})"
-
-
-def character_table(group):
-    """JSON-ready character table of a finite group."""
-    chars = enumerate_characters(group)
-    elements = [repr(g) for g in group.elements]
-    rows = []
-    for i, c in enumerate(chars):
-        rows.append({
-            "index": i,
-            "trivial": bool(c.is_trivial),
-            "values": [[float(np.real(c.value(g))), float(np.imag(c.value(g)))]
-                       for g in group.elements],
-        })
-    return {"group": group.name, "order": len(group),
-            "elements": elements, "characters": rows}
-
-
-def enumerate_characters(group):
-    """All homomorphisms of a finite group into the unit circle.
-
-    A character is fixed by its values on generators, and it sends a
-    generator g to an ord(g)-th root of unity.  The census tries those roots
-    on the greedy generators of ``FiniteGroup.generating_set`` and propagates
-    each assignment over the Cayley graph, which rejects every one that is
-    not a homomorphism (such as +-i on a rotation of order 4 in the dihedral
-    group of order 8).  Infinite groups are unsupported: the ring's
-    characters form the one-parameter family beta -> exp(i k beta) and are
-    handled symbolically by ``Character.ring``.
-    """
-    if not isinstance(group, FiniteGroup):
-        raise ConfigError(
-            "enumerate_characters needs a finite group; infinite deck groups "
-            "carry continuous character families (use Character.ring / "
-            "Character.free)")
-    gens = group.generating_set()
-
-    def order(g):
-        m, acc = 1, g
-        while acc != group.identity:
-            acc = group.compose(acc, g)
-            m += 1
-        return m
-
-    orders = [order(g) for g in gens]
-    characters = []
-    for exponents in itertools.product(*(range(m) for m in orders)):
-        assignment = {g: np.exp(2j * np.pi * k / m)
-                      for g, k, m in zip(gens, exponents, orders)}
-        table = _propagate_character(group, gens, assignment)
-        if table is not None:
-            characters.append(FiniteGroupCharacter(group, table))
-    return characters
-
-
-def _propagate_character(group, gens, assignment, tol=1e-9):
-    """Extend generator phases over the Cayley graph; None if inconsistent."""
-    table = {group.identity: 1.0 + 0j}
-    frontier = [group.identity]
-    while frontier:
-        x = frontier.pop()
-        vx = table[x]
-        for g in gens:
-            y = group.compose(x, g)
-            vy = vx * assignment[g]
-            if y in table:
-                if abs(table[y] - vy) > tol:
-                    return None
-            else:
-                table[y] = vy
-                frontier.append(y)
-    if len(table) != len(group):
-        return None
-    return table
+    return [Character.free([phase(row, k) for row in v])
+            for k in itertools.product(*map(range, diag))]
 
 
 # ---------------------------------------------------------------------------
@@ -698,13 +623,6 @@ def permutation_operator(perm, dim):
     axes = perm.inverse().images + tuple(range(n, 2 * n))
     return np.eye(size).reshape((dim,) * (2 * n)).transpose(axes).reshape(
         size, size)
-
-
-def nfermion_factor(n_particles, w_dim, generator_matrices, sigma, qhat_tag=None):
-    """Topological factor of the N-fermion cover at a tagged configuration:
-    the entry for sigma of ``TwistedRepTable.nfermion``, in one call."""
-    return TwistedRepTable.nfermion(n_particles, w_dim, generator_matrices,
-                                    qhat_tag).factor(sigma)
 
 
 class TwistedRepTable:

@@ -6,7 +6,8 @@ The module name keeps it out of the test suite's collection.  Run it as
 
 and compare two checkouts with ``--benchmark-save`` / ``--benchmark-compare``
 (pytest-benchmark keeps its runs under ``.benchmarks/``).  It times the
-character census of S_5 and S_6, the twisted-law check of the largest
+characters of S_5 and S_6 from their Coxeter presentations (one integer
+Smith normal form each), the twisted-law check of the largest
 table ``twisted-check`` accepts, as it runs it (3 fermions on a
 3-dimensional value space, tensor dimension 27, with 4 generators: the
 758 deck elements of the ball against 6 generators, the ball built and
@@ -20,19 +21,18 @@ import pytest
 
 from topobohm.covering import Permutation
 from topobohm.factors import (
-    FiniteGroup,
     TwistedRepTable,
     enumerate_characters,
     permutation_operator,
     random_unitary,
+    symmetric_relators,
     verify_twisted_law,
 )
 
 
 @pytest.mark.parametrize("n", [5, 6])
-def test_symmetric_census(benchmark, n):
-    group = FiniteGroup.symmetric(n)
-    chars = benchmark(enumerate_characters, group)
+def test_symmetric_characters(benchmark, n):
+    chars = benchmark(enumerate_characters, n - 1, symmetric_relators(n))
     assert len(chars) == 2
 
 

@@ -22,12 +22,12 @@ from topobohm.covering import TWO_PI
 from topobohm.errors import NonUnimodularFactorError
 from topobohm.factors import (
     Character,
-    FiniteGroup,
     MatrixRep,
     TwistedRepTable,
     enumerate_characters,
     max_abs,
     random_unitary,
+    symmetric_relators,
     verify_twisted_law,
 )
 from topobohm.covering import CoveringSpace
@@ -105,7 +105,8 @@ def test_03_flux_periodicity():
 
 def test_04_character_laws():
     """Homomorphism residual <= 1e-12 on every pair of a fixed set of deck
-    elements per group."""
+    elements per group, and relator residual <= 1e-12 for every character
+    of S3 and S4 listed from their presentations."""
     cases = [
         ("ring", Character.ring(0.9), RingGrid()),
         ("free-2", Character.free([np.exp(0.4j), np.exp(-1.1j)]),
@@ -118,22 +119,23 @@ def test_04_character_laws():
         res = homomorphism_residual(factor, space)
         worst = max(worst, res)
         assert res <= 1e-12, name
-    for group in (FiniteGroup.symmetric(3), FiniteGroup.symmetric(4)):
-        for char in enumerate_characters(group):
-            res = char.homomorphism_residual()
+    for n in (3, 4):
+        relators = symmetric_relators(n)
+        for char in enumerate_characters(n - 1, relators):
+            res = max(abs(char.value(r) - 1) for r in relators)
             worst = max(worst, res)
             assert res <= 1e-12
     with pytest.raises(NonUnimodularFactorError):
         Character.free([1.1])
     report("character-laws",
-           f"worst homomorphism residual {worst:.2e} <= 1e-12; "
+           f"worst homomorphism or relator residual {worst:.2e} <= 1e-12; "
            "non-unimodular value rejected at construction")
 
 
 def test_05_character_census():
     """S3 and S4 each have exactly the trivial and the sign character."""
-    n3 = len(enumerate_characters(FiniteGroup.symmetric(3)))
-    n4 = len(enumerate_characters(FiniteGroup.symmetric(4)))
+    n3 = len(enumerate_characters(2, symmetric_relators(3)))
+    n4 = len(enumerate_characters(3, symmetric_relators(4)))
     assert n3 == 2 and n4 == 2
     report("character-census", f"S3 -> {n3} characters, S4 -> {n4} characters")
 

@@ -31,18 +31,20 @@ from topobohm.covering import (
 from topobohm.errors import ConfigError, NonUnimodularFactorError
 from topobohm.spaces import PairGrid, RingGrid
 from topobohm.factors import (
+    CHARACTER_COUNT_CAP,
     Character,
-    FiniteGroup,
     MatrixRep,
     TwistedRepTable,
+    _adjacent_transposition_word,
+    abelianization,
     check_commutes,
     character_sectors,
     classify_dynamics,
     decompose_by_character,
     enumerate_characters,
-    nfermion_factor,
     permutation_operator,
     random_unitary,
+    symmetric_relators,
     verify_twisted_law,
     worse,
 )
@@ -72,6 +74,13 @@ class TestMakeCharacter:
         # a transposition squares to the identity: its value is +1 or -1
         with pytest.raises(ConfigError, match="sign must be"):
             Character.exchange(3, 1j)
+
+    @pytest.mark.parametrize("sign", [0, 2])
+    def test_sign_must_be_plus_or_minus_one(self, sign):
+        with pytest.raises(ConfigError, match="sign must be"):
+            Character.exchange(3, sign)
+        with pytest.raises(ConfigError, match="sign must be"):
+            Character.nfermion(3, [1.0], sign=sign)
 
     def test_exchange_sign_character(self):
         ch = Character.exchange(3, -1)
@@ -156,71 +165,183 @@ class TestHomomorphismLaws:
         assert np.max(np.abs(lhs - rep.evaluate(a) @ rep.evaluate(b))) <= 1e-12
 
 
+def _relator_residual(character, relators):
+    return max((abs(character.value(r) - 1) for r in relators), default=0.0)
+
+
+def _multiply_out(word, letters, identity):
+    """A relator's element of a package group: its letters' elements and
+    their inverses multiplied out with ``deck_compose``."""
+    steps = [letters[g] if e > 0 else letters[g].inverse()
+             for g, e in word.syllables for _ in range(abs(e))]
+    return functools.reduce(deck_compose, steps, identity)
+
+
+def _braid_relators(n):
+    """Artin's relators of the braid group B_n on s_0 .. s_{n-2}."""
+    g = n - 1
+    return ([word_from_letters([(i, 1), (i + 1, 1), (i, 1),
+                                (i + 1, -1), (i, -1), (i + 1, -1)], g)
+             for i in range(g - 1)]
+            + [word_from_letters([(i, 1), (j, 1), (i, -1), (j, -1)], g)
+               for i in range(g) for j in range(i + 2, g)])
+
+
+def _nfermion_relators(n, g):
+    """(F_g)^n x| S_n on ``nfermion_cover(n, g).generators``: s_0 .. s_{n-2},
+    then slot 0's letters a_{0,k}.  Slot p's letters are a_{p,k} = s_{p-1}
+    a_{p-1,k} s_{p-1}^-1.  The relators are S_n's, the commutators of two
+    slots' letters, and s_i a_{p,k} s_i^-1 = a_{s_i(p),k}."""
+    size = n - 1 + g
+    swaps = [FreeWord.generator(i, size) for i in range(n - 1)]
+
+    def letter(p, k):
+        word = FreeWord.generator(n - 1 + k, size)
+        for s in swaps[:p]:
+            word = s * word * s.inverse()
+        return word
+
+    def commutator(x, y):
+        return x * y * x.inverse() * y.inverse()
+
+    slots = [(p, k) for p in range(n) for k in range(g)]
+    return ([FreeWord(w.syllables, size) for w in symmetric_relators(n)]
+            + [commutator(letter(*x), letter(*y))
+               for x, y in itertools.combinations(slots, 2) if x[0] != y[0]]
+            + [s * letter(p, k) * s.inverse()
+               * letter(Permutation.swap(n, i, i + 1)(p), k).inverse()
+               for i, s in enumerate(swaps) for p, k in slots])
+
+
+def _d4_relators():
+    """The symmetries of a square: r^4, s^2 and (r s)^2."""
+    return [FreeWord.generator(0, 2, 4), FreeWord.generator(1, 2, 2),
+            word_from_letters([(0, 1), (1, 1)] * 2, 2)]
+
+
+def _z4_z6_relators():
+    return [FreeWord.generator(0, 2, 4), FreeWord.generator(1, 2, 6),
+            word_from_letters([(0, 1), (1, 1), (0, -1), (1, -1)], 2)]
+
+
+def _presentations():
+    """The table of abelianizations: for each group its generators' count,
+    relators, H_1, and the package's elements for its generators and
+    identity.  B_n has no deck group in the package, so its relators are
+    multiplied out in its quotient S_n."""
+    def swaps(n):
+        return [Permutation.swap(n, i, i + 1) for i in range(n - 1)]
+
+    def case(name, g, relators, h1, letters, identity):
+        return pytest.param(g, relators, h1, letters, identity, id=name)
+
+    out = [case(f"S{n}", n - 1, symmetric_relators(n), (0, (2,)), swaps(n),
+                Permutation.identity(n)) for n in (2, 3, 4, 6)]
+    out += [case(f"B{n}", n - 1, _braid_relators(n), (1, ()), swaps(n),
+                 Permutation.identity(n)) for n in (2, 3, 4)]
+    for n, g, h1 in [(2, 1, (1, (2,))), (3, 1, (1, (2,))), (3, 2, (2, (2,)))]:
+        cover = CoveringSpace.nfermion_cover(n, g)
+        out.append(case(f"nfermion-{n}-{g}", n - 1 + g, _nfermion_relators(n, g),
+                        h1, cover.generators, cover.identity))
+    free = CoveringSpace.free_cover(2)
+    out.append(case("F2", 2, [], (2, ()), free.generators, free.identity))
+    out.append(case("Z", 1, [], (1, ()), [Winding(1)], Winding(0)))
+    out.append(case("D4", 2, _d4_relators(), (0, (2, 2)),
+                    [Permutation((1, 2, 3, 0)), Permutation((0, 3, 2, 1))],
+                    Permutation.identity(4)))
+    # two commuting cycles, Z/4 + Z/6: the Smith form rebalances the
+    # diagonal (4, 6) to (2, 12)
+    out.append(case("Z4xZ6", 2, _z4_z6_relators(), (0, (2, 12)),
+                    [Permutation((1, 2, 3, 0) + tuple(range(4, 10))),
+                     Permutation(tuple(range(4)) + (5, 6, 7, 8, 9, 4))],
+                    Permutation.identity(10)))
+    for n in (2, 3, 5, 12):
+        out.append(case(f"Z{n}", 1, [FreeWord.generator(0, 1, n)], (0, (n,)),
+                        [Permutation(tuple(range(1, n)) + (0,))],
+                        Permutation.identity(n)))
+    return out
+
+
+@pytest.mark.parametrize("g,relators,h1,letters,identity", _presentations())
+def test_presentation_table(g, relators, h1, letters, identity):
+    # each relator multiplies out to the identity of the package's own
+    # group, so the table checks its groups and not a hand-typed guess
+    assert len(letters) == g
+    for word in relators:
+        assert _multiply_out(word, letters, identity) == identity
+    assert abelianization(g, relators) == h1
+
+
 class TestEnumerateCharacters:
     def test_s3_has_two(self):
-        chars = enumerate_characters(FiniteGroup.symmetric(3))
+        chars = enumerate_characters(2, symmetric_relators(3))
         assert len(chars) == 2
         assert sorted(c.is_trivial for c in chars) == [False, True]
 
     def test_s4_has_two(self):
-        assert len(enumerate_characters(FiniteGroup.symmetric(4))) == 2
+        assert len(enumerate_characters(3, symmetric_relators(4))) == 2
 
     def test_z2(self):
-        chars = enumerate_characters(FiniteGroup.cyclic(2))
-        values = sorted(np.real(c.value(1)) for c in chars)
+        chars = enumerate_characters(1, [FreeWord.generator(0, 1, 2)])
+        values = sorted(np.real(c.generator_phases[0]) for c in chars)
         assert np.allclose(values, [-1.0, 1.0])
 
     def test_z3_has_three(self):
-        assert len(enumerate_characters(FiniteGroup.cyclic(3))) == 3
+        assert len(enumerate_characters(1, [FreeWord.generator(0, 1, 3)])) == 3
 
     def test_enumerated_are_homomorphisms(self):
-        for c in enumerate_characters(FiniteGroup.symmetric(4)):
-            assert c.homomorphism_residual() <= 1e-12
+        # a character of the free group is a homomorphism; it is one of the
+        # quotient when it sends every relator to 1
+        for g, relators, count in [(3, symmetric_relators(4), 2),
+                                   (5, symmetric_relators(6), 2),
+                                   (2, _z4_z6_relators(), 24)]:
+            chars = enumerate_characters(g, relators)
+            assert len({tuple(np.round(c.generator_phases, 9))
+                        for c in chars}) == count
+            assert max(_relator_residual(c, relators) for c in chars) <= 1e-12
+
+    def test_relators_on_another_generator_count_are_refused(self):
+        with pytest.raises(ConfigError, match="words on 2 generators"):
+            abelianization(2, [FreeWord.generator(2, 3, 2)])
 
     def test_infinite_group_unsupported(self):
         with pytest.raises(ConfigError, match="continuous character families"):
-            enumerate_characters("ring")
+            enumerate_characters(1, [])
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_larger_symmetric_groups_have_trivial_and_sign(self, n):
-        group = FiniteGroup.symmetric(n)
-        chars = enumerate_characters(group)
+        chars = enumerate_characters(n - 1, symmetric_relators(n))
         assert len(chars) == 2
+        perms = [Permutation(p) for p in itertools.permutations(range(n))]
         for c in chars:
-            expected = [1 if c.is_trivial else Permutation(g).sign
-                        for g in group.elements]
-            assert np.allclose([c.value(g) for g in group.elements],
-                               expected, rtol=0, atol=1e-12)
-        if n == 5:
-            assert max(c.homomorphism_residual() for c in chars) <= 1e-12
+            values = [np.prod([c.generator_phases[i]
+                               for i in _adjacent_transposition_word(p)])
+                      for p in perms]
+            expected = [1 if c.is_trivial else p.sign for p in perms]
+            assert np.allclose(values, expected, rtol=0, atol=1e-12)
 
     def test_dihedral_group_of_order_eight_has_four(self):
-        # the symmetries of a square as permutations of its corners, the
-        # rotations listed first so that the quarter turn r is the first
-        # greedy generator: r has order 4, but order 2 modulo the
-        # commutators, so its +-i assignments must fail to propagate
-        def compose(p, q):
-            return tuple(p[q[i]] for i in range(4))
-
-        r, s = (1, 2, 3, 0), (0, 3, 2, 1)
-        rotations = [(0, 1, 2, 3)]
-        for _ in range(3):
-            rotations.append(compose(r, rotations[-1]))
-        group = FiniteGroup(rotations + [compose(x, s) for x in rotations],
-                            compose, name="D4")
-        assert group.generating_set()[0] == r
-        chars = enumerate_characters(group)
+        # the quarter turn r has order 4 but order 2 modulo the commutators,
+        # so no character sends it to +-i
+        relators = _d4_relators()
+        chars = enumerate_characters(2, relators)
         assert len(chars) == 4
-        assert sorted(np.real(c.value(r)) for c in chars) == [-1, -1, 1, 1]
-        assert max(c.homomorphism_residual() for c in chars) <= 1e-12
+        assert sorted(np.real(c.generator_phases[0]) for c in chars) == [-1, -1, 1, 1]
+        assert max(_relator_residual(c, relators) for c in chars) <= 1e-12
 
     def test_trivial_group_has_one(self):
-        chars = enumerate_characters(FiniteGroup.cyclic(1))
-        assert len(chars) == 1 and chars[0].value(0) == 1
+        chars = enumerate_characters(1, [FreeWord.generator(0, 1)])
+        assert len(chars) == 1 and chars[0].generator_phases == (1,)
 
     def test_order_cap(self):
-        with pytest.raises(ConfigError, match="order cap"):
-            FiniteGroup.symmetric(8)
+        # (Z/10)^4 has exactly the cap's 10^4 characters; one more factor
+        # Z/2 is refused before any is listed
+        def tens(g):
+            return [FreeWord.generator(i, g, 10) for i in range(4)]
+
+        assert len(enumerate_characters(4, tens(4))) == CHARACTER_COUNT_CAP
+        with pytest.raises(ConfigError, match="count cap"):
+            enumerate_characters(5, tens(5) + [FreeWord.generator(4, 5, 2)])
 
 
 class TestMatrixRep:
@@ -498,35 +619,38 @@ class TestNFermionFactor:
         u = random_unitary(2, rng)
         sigma = SemidirectElement(Permutation.swap(2, 0, 1),
                                   (FreeWord.identity(1), FreeWord.identity(1)))
-        assert np.allclose(nfermion_factor(2, 2, [u], sigma), -np.eye(4))
+        table = TwistedRepTable.nfermion(2, 2, [u])
+        assert np.allclose(table.factor(sigma), -np.eye(4))
 
     def test_identity_is_identity(self, rng):
         u = random_unitary(2, rng)
         sigma = SemidirectElement.identity(2, 1)
-        assert np.allclose(nfermion_factor(2, 2, [u], sigma), np.eye(4))
+        table = TwistedRepTable.nfermion(2, 2, [u])
+        assert np.allclose(table.factor(sigma), np.eye(4))
 
     def test_single_word_tensor_slot(self, rng):
         u = random_unitary(2, rng)
         sigma = SemidirectElement(Permutation.identity(2),
                                   (FreeWord.generator(0, 1), FreeWord.identity(1)))
-        assert np.allclose(nfermion_factor(2, 2, [u], sigma),
-                           np.kron(u, np.eye(2)))
+        table = TwistedRepTable.nfermion(2, 2, [u])
+        assert np.allclose(table.factor(sigma), np.kron(u, np.eye(2)))
 
     def test_tag_reorders_slots(self, rng):
         u = random_unitary(2, rng)
         sigma = SemidirectElement(Permutation.identity(2),
                                   (FreeWord.generator(0, 1), FreeWord.identity(1)))
         # particle 0 carries the larger label, so it sits in the second slot
-        assert np.allclose(nfermion_factor(2, 2, [u], sigma, qhat_tag=(1.0, 0.5)),
-                           np.kron(np.eye(2), u))
+        table = TwistedRepTable.nfermion(2, 2, [u], qhat_tag=(1.0, 0.5))
+        assert np.allclose(table.factor(sigma), np.kron(np.eye(2), u))
 
     def test_dimension_cap(self, rng):
         sigma = SemidirectElement.identity(3, 1)
         # 3 particles with a dim-3 value space is exactly the 27 cap
-        out = nfermion_factor(3, 3, [random_unitary(3, rng)], sigma)
+        table = TwistedRepTable.nfermion(3, 3, [random_unitary(3, rng)])
+        out = table.factor(sigma)
         assert out.shape == (27, 27)
         with pytest.raises(ConfigError, match="cap"):
-            nfermion_factor(3, 4, [random_unitary(4, rng)], sigma)
+            TwistedRepTable.nfermion(3, 4, [random_unitary(4, rng)]).factor(sigma)
 
     @pytest.mark.parametrize("shapes", [[3], [2, 3], [(2, 3)]],
                              ids=["3x3-on-2", "second-of-two", "2x3"])
@@ -540,9 +664,9 @@ class TestNFermionFactor:
         assert exc.value.field_path == f"$.twisted.generators[{len(gens) - 1}]"
 
     def test_output_unitary(self, rng):
-        u = random_unitary(2, rng)
+        table = TwistedRepTable.nfermion(3, 2, [random_unitary(2, rng)])
         for sigma in deck_elements(CoveringSpace.nfermion_cover(3, 1)):
-            m = nfermion_factor(3, 2, [u], sigma)
+            m = table.factor(sigma)
             assert np.max(np.abs(m.conj().T @ m - np.eye(8))) <= 1e-10
 
 
@@ -649,19 +773,6 @@ class TestTwistedLaw:
             lhs = permutation_operator(p.compose(q), d)
             rhs = permutation_operator(p, d) @ permutation_operator(q, d)
             assert np.allclose(lhs, rhs)
-
-
-class TestConjugacyAndTables:
-    def test_character_table_export(self):
-        import json
-        from topobohm.factors import character_table
-        table = character_table(FiniteGroup.symmetric(3))
-        payload = json.loads(json.dumps(table))
-        assert payload["order"] == 6
-        assert len(payload["characters"]) == 2
-        signs = {tuple(np.round([v[0] for v in c["values"]], 6))
-                 for c in payload["characters"]}
-        assert (1.0,) * 6 in signs
 
 
 def test_decompose_commuting_free_generators(rng):
